@@ -34,6 +34,8 @@ from .ergodicity import (
 )
 from .ergodicity import write_decay_csv
 from .generator import WeightFunction
+from .mechanisms import MechanismError
+from .quadrature import QuadratureError
 from .simulator import (
     SimConfig,
     SimulationError,
@@ -104,7 +106,6 @@ def _build_parser():
     common(sp, paths=False)
     sp.add_argument("--weight", choices=("v1", "vlog"), default=None)
     sp.add_argument("--grid", type=int, default=None, help="validation grid size per axis")
-    sp.add_argument("--jobs", type=int, default=1, help="parallel rows in the grid check")
 
     sp = sub.add_parser("lyapunov", help="Lyapunov drift certificate for a weight")
     common(sp, paths=False)
@@ -220,8 +221,7 @@ def _cmd_rate(args):
     n = args.grid if args.grid else run.grid_nx
     try:
         cert = compute_rate_certificate(
-            run.model, weight, lambda0=run.lambda0, c0=run.c0, nx=n, ngap=n,
-            jobs=max(1, args.jobs),
+            run.model, weight, lambda0=run.lambda0, c0=run.c0, nx=n, ngap=n
         )
     except CertificateError as exc:
         print(f"rate certificate failed: {exc}", file=sys.stderr)
@@ -319,10 +319,10 @@ def run(argv=None) -> int:
         return USAGE_ERROR if exc.code not in (0,) else 0
     try:
         return _DISPATCH[args.command](args)
-    except ConfigError as exc:
+    except (ConfigError, MechanismError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except (SimulationError, CertificateError) as exc:
+    except (SimulationError, CertificateError, QuadratureError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return MODEL_ERROR
 

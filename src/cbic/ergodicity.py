@@ -38,6 +38,7 @@ from .generator import (
     WeightFunction,
     coupling_generator_F0,
     lyapunov_candidates,
+    sweep_nu_row_term,
 )
 from .measures import overlap_mass
 from .mechanisms import ModelSpec, phi_eval, psi_eval
@@ -160,7 +161,10 @@ def _q_and_rstar(model: ModelSpec, x0: float, nu_cube: float):
     """Step (4): largest r_* in (0, 1/2] and q > 0 with D <= -q on [0, r_* x0].
 
     D(x) = (3/x0)(|b| x + g(x)) - 3 beta/(4 x0) - nu_cube/8 is nondecreasing,
-    so feasibility reduces to the sign at the right endpoint.
+    so feasibility reduces to the sign at the right endpoint and the largest
+    admissible q is -D(r_* x0).  That equals -max D over any grid on
+    [0, r_* x0] ending at r_* x0, the "grid max" of the certificate's
+    provenance line.
     """
 
     def D(x):
@@ -185,8 +189,7 @@ def _q_and_rstar(model: ModelSpec, x0: float, nu_cube: float):
         r_star = lo
     if r_star <= 0.0:
         return None, None
-    grid = np.linspace(0.0, r_star * x0, 201)
-    q = -float(max(D(float(x)) for x in grid))
+    q = -D(r_star * x0)
     if q <= 0.0:
         return None, None
     return q, r_star
@@ -288,7 +291,6 @@ def compute_rate_certificate(
     nx: int = 101,
     ngap: int = 101,
     n_lambda0: int = 8,
-    jobs: int = 1,
 ) -> RateCertificate:
     """Run the full rate pipeline and grid-validate the result."""
     # Condition 1.1
@@ -397,7 +399,7 @@ def compute_rate_certificate(
         },
     )
     if validate:
-        report = validate_certificate(model, cert, nx=nx, ngap=ngap, jobs=jobs)
+        report = validate_certificate(model, cert, nx=nx, ngap=ngap)
         cert.validation = report
         if not report.passed:
             raise CertificateError(
@@ -409,12 +411,13 @@ def compute_rate_certificate(
 
 
 def validate_certificate(
-    model: ModelSpec, cert: RateCertificate, *, nx: int = 101, ngap: int = 101, jobs: int = 1
+    model: ModelSpec, cert: RateCertificate, *, nx: int = 101, ngap: int = 101
 ) -> ValidationReport:
     """Grid check of eps*LF0 + LV(x) + LV(y) <= -lam G0(x, y) with 1e-6 slack.
 
-    Rows of the x-grid may be evaluated in parallel (``jobs``); the report is
-    assembled in grid order either way.
+    Quantities that do not depend on the point are computed once: overlap
+    masses per gap, the small-jump second moment, and per x-row LV(x) and
+    the gap-free half of the immigration sweep term.
     """
     ctrl = cert.control()
     weight = cert.weight
@@ -424,11 +427,11 @@ def validate_certificate(
     mu_ov = {float(g): overlap_mass(model.mu, float(g)) for g in gaps}
     nu_ov = {float(g): overlap_mass(model.nu, float(g)) for g in gaps}
     sq_small = model.mu.moment(2.0, 0.0, 1.0)
-
-    def one_row(x):
+    rows = []
+    for x in xs:
         x = float(x)
         lv_x = drift(x)
-        out = []
+        nu_sweep = sweep_nu_row_term(model, ctrl, x)
         for g in gaps:
             if g > x:
                 continue
@@ -436,21 +439,11 @@ def validate_certificate(
             f0 = coupling_generator_F0(
                 model, ctrl, x, y,
                 mu_overlap=mu_ov[float(g)], nu_overlap=nu_ov[float(g)],
-                mu_sq_small=sq_small,
+                mu_sq_small=sq_small, nu_sweep=nu_sweep,
             )
             lhs = cert.epsilon * f0 + lv_x + drift(y)
             rhs = -cert.lam * ctrl.G0(weight, x, y)
-            out.append((x, y, lhs, rhs))
-        return out
-
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            row_lists = list(pool.map(one_row, xs))
-    else:
-        row_lists = [one_row(x) for x in xs]
-    rows = [r for chunk in row_lists for r in chunk]
+            rows.append((x, y, lhs, rhs))
     n_fail = 0
     worst = math.inf
     for x, y, lhs, rhs in rows:
@@ -583,9 +576,10 @@ def estimate_wv_decay(
     ok = ~res.exploded
     if not ok.any():
         raise SimulationError("all coupled paths exploded")
-    wv = np.empty(time_grid.size)
-    se = np.empty(time_grid.size)
-    nunc = np.empty(time_grid.size, dtype=int)
+    # the simulator snaps record times to its step grid and drops duplicates
+    wv = np.empty(res.times.size)
+    se = np.empty(res.times.size)
+    nunc = np.empty(res.times.size, dtype=int)
     for i, t in enumerate(res.times):
         xs = res.x_values[i, ok]
         ys = res.y_values[i, ok]

@@ -41,6 +41,7 @@ __all__ = [
     "CouplingControl",
     "coupling_generator_F0",
     "coupling_generator_G0",
+    "sweep_nu_row_term",
     "write_margin_csv",
 ]
 
@@ -426,16 +427,31 @@ def _phi_diff_minus_linear(ctrl: CouplingControl, x: float, z: float) -> float:
     return -(w**3) + 3.0 * w * w * z / x0
 
 
-def _sweep_nu_term(model: ModelSpec, ctrl: CouplingControl, x: float, gap: float) -> float:
-    """int [phi(x+z) - phi(x)] (nu - nu_{y-x})(dz) for x <= x0 (else 0)."""
+def sweep_nu_row_term(model: ModelSpec, ctrl: CouplingControl, x: float) -> float:
+    """int [phi(x+z) - phi(x)] nu(dz) for x < x0 (else 0).
+
+    The gap-free half of the immigration sweep term, so a grid check can
+    compute it once per x-row.
+    """
     if x >= ctrl.x0 or model.nu.is_zero:
         return 0.0
-    x0 = ctrl.x0
     phix = ctrl.phi(x)
-    body = lambda z: ctrl.phi(x + z) - phix
-    cut = x0 - x
-    t_nu = model.nu.integrate(body, 0.0, cut) + (ctrl.theta - phix) * model.nu.mass_above(cut)
-    t_ov = overlap_integrate(model.nu, -gap, body, 0.0, cut) + (
+    cut = ctrl.x0 - x
+    return model.nu.integrate(lambda z: ctrl.phi(x + z) - phix, 0.0, cut) + (
+        ctrl.theta - phix
+    ) * model.nu.mass_above(cut)
+
+
+def _sweep_nu_term(
+    model: ModelSpec, ctrl: CouplingControl, x: float, gap: float, t_nu: float
+) -> float:
+    """int [phi(x+z) - phi(x)] (nu - nu_{y-x})(dz) for x <= x0 (else 0), given
+    the nu half ``t_nu`` from :func:`sweep_nu_row_term`."""
+    if x >= ctrl.x0 or model.nu.is_zero:
+        return 0.0
+    phix = ctrl.phi(x)
+    cut = ctrl.x0 - x
+    t_ov = overlap_integrate(model.nu, -gap, lambda z: ctrl.phi(x + z) - phix, 0.0, cut) + (
         ctrl.theta - phix
     ) * overlap_mass(model.nu, -gap, cut, math.inf)
     return t_nu - t_ov
@@ -451,12 +467,15 @@ def coupling_generator_F0(
     mu_overlap: Optional[float] = None,
     nu_overlap: Optional[float] = None,
     mu_sq_small: Optional[float] = None,
+    nu_sweep: Optional[float] = None,
 ) -> float:
     """Drift of F0 under the coupling generator at (x, y), x > y >= 0.
 
     Default mode evaluates the closed upper bound used by the certificate
     chain; ``exact=True`` integrates the two-dimensional generator literally.
-    The ``*_overlap`` keywords let grid sweeps reuse cached overlap masses.
+    The ``*_overlap``, ``mu_sq_small`` and ``nu_sweep`` keywords let grid
+    sweeps reuse cached overlap masses, the small-jump second moment and
+    :func:`sweep_nu_row_term` at x.
     """
     if not x > y >= 0:
         raise ValueError(f"coupling generator needs x > y >= 0, got ({x}, {y})")
@@ -476,7 +495,9 @@ def coupling_generator_F0(
         sq = model.mu.moment(2.0, 0.0, 1.0) if mu_sq_small is None else mu_sq_small
         j_term = 3.0 * x / ctrl.x0**2 * (2.0 * model.c + sq)
         ub += (y * mum + i_term + j_term) * (1.0 + psig)
-        ub += (1.0 + psig) * _sweep_nu_term(model, ctrl, x, gap)
+        if nu_sweep is None:
+            nu_sweep = sweep_nu_row_term(model, ctrl, x)
+        ub += (1.0 + psig) * _sweep_nu_term(model, ctrl, x, gap, nu_sweep)
     return ub
 
 

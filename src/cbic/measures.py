@@ -54,6 +54,13 @@ def overlap_density(base: LevyMeasure, x: float, z):
     return out
 
 
+def _overlap_dens1(base: LevyMeasure, x: float, z: float) -> float:
+    """Scalar overlap_density for quadrature integrands (same arithmetic)."""
+    if z <= 0.0:
+        return 0.0
+    return 0.5 * min(base._dens1(z), base._dens1(z - x))
+
+
 def _is_decreasing_density(base: LevyMeasure) -> bool:
     return base.kind == "stable"
 
@@ -89,12 +96,10 @@ def overlap_mass(base: LevyMeasure, x: float, lo: float = 0.0, hi: float = math.
     if b <= a:
         return total
     if not np.isfinite(b):
-        val, ok = quadrature.tail_integral(lambda z: float(overlap_density(base, x, z)[0]), a)
+        val, ok = quadrature.tail_integral(lambda z: _overlap_dens1(base, x, z), a)
         return total + (val if ok else math.inf)
     pts = tuple(base.breakpoints()) + tuple(p + x for p in base.breakpoints())
-    total += quadrature.integrate(
-        lambda z: float(overlap_density(base, x, z)[0]), a, b, breakpoints=pts
-    )
+    total += quadrature.integrate(lambda z: _overlap_dens1(base, x, z), a, b, breakpoints=pts)
     return total
 
 
@@ -116,7 +121,7 @@ def overlap_integrate(base: LevyMeasure, x: float, fn, lo: float = 0.0, hi: floa
     if b <= a:
         return total
     pts = tuple(base.breakpoints()) + tuple(p + x for p in base.breakpoints())
-    integrand = lambda z: float(fn(z)) * float(overlap_density(base, x, z)[0])
+    integrand = lambda z: float(fn(z)) * _overlap_dens1(base, x, z)
     if not np.isfinite(b):
         val, ok = quadrature.tail_integral(integrand, a)
         if not ok:

@@ -63,20 +63,29 @@ def stable_drift_shift(alpha: float) -> float:
     return alpha / ((1.0 - alpha) * _gamma(1.0 - alpha))
 
 
+def _density_support(support) -> Tuple[float, float]:
+    lo, hi = float(support[0]), float(support[1])
+    if lo < 0.0 or hi <= lo:
+        raise MechanismError(f"density support must satisfy 0 <= lo < hi, got {support}")
+    return lo, hi
+
+
 @dataclass(frozen=True)
 class LevyMeasure:
     """Parametric sigma-finite measure on (0, inf).
 
     Kinds: ``zero``; ``stable`` (alpha*sigma times the reference stable
     measure, density alpha*sigma*C_alpha*z^{-1-alpha}); ``density`` (callable
-    on a support interval); ``atoms``; ``sum``.  Measures are immutable and
-    safe to share between workers.
+    on a support interval, or the constant ``rate`` there when ``fn`` is
+    None); ``atoms``; ``sum``.  Measures are immutable and safe to share
+    between workers.
     """
 
     kind: str = "zero"
     alpha: float = 0.0
     sigma: float = 0.0
     fn: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    rate: float = 0.0  # constant density of a ``density`` measure with no fn
     support: Tuple[float, float] = (0.0, math.inf)
     disc: Tuple[float, ...] = ()
     atom_data: Tuple[Tuple[float, float], ...] = ()
@@ -108,13 +117,10 @@ class LevyMeasure:
         breakpoints: Sequence[float] = (),
         stable_equiv_alpha: Optional[float] = None,
     ) -> "LevyMeasure":
-        lo, hi = float(support[0]), float(support[1])
-        if lo < 0.0 or hi <= lo:
-            raise MechanismError(f"density support must satisfy 0 <= lo < hi, got {support}")
         return cls(
             kind="density",
             fn=fn,
-            support=(lo, hi),
+            support=_density_support(support),
             disc=tuple(float(b) for b in breakpoints),
             stable_equiv_alpha=stable_equiv_alpha,
         )
@@ -126,11 +132,7 @@ class LevyMeasure:
             raise MechanismError("uniform rate must be >= 0")
         if rate == 0:
             return cls.zero()
-        r, a, b = float(rate), float(lo), float(hi)
-        return cls.from_density(
-            lambda z, r=r, a=a, b=b: np.where((z > a) & (z < b), r, 0.0),
-            support=(a, b),
-        )
+        return cls(kind="density", rate=float(rate), support=_density_support((lo, hi)))
 
     @classmethod
     def from_atoms(cls, pairs: Sequence[Tuple[float, float]]) -> "LevyMeasure":
@@ -187,7 +189,9 @@ class LevyMeasure:
             lo, hi = self.support
             out = np.zeros_like(z)
             mask = (z > lo) & (z < hi) & (z > 0)
-            if mask.any():
+            if self.fn is None:
+                out[mask] = self.rate
+            elif mask.any():
                 out[mask] = np.asarray(self.fn(z[mask]), dtype=float)
             return out
         return sum(p.density(z) for p in self.parts)
@@ -203,6 +207,8 @@ class LevyMeasure:
             lo, hi = self.support
             if not (lo < z < hi):
                 return 0.0
+            if self.fn is None:
+                return self.rate
             return float(np.atleast_1d(np.asarray(self.fn(np.asarray([z]))))[0])
         if self.kind == "sum":
             return sum(p._dens1(z) for p in self.parts)

@@ -4,9 +4,11 @@ import shutil
 import numpy as np
 import pytest
 
+from cbic import cli
 from cbic.cli import run
 from cbic.config import ConfigError, load_config, parse_measure
 from cbic.ergodicity import wv_exact_discrete
+from cbic.quadrature import QuadratureError
 
 CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
@@ -81,6 +83,30 @@ class TestExitCodes:
         assert code == 1
         assert "margin" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("mu", [
+        "uniform rate=-1 lo=0 hi=1",
+        "stable alpha=2.5 sigma=1",
+    ])
+    def test_invalid_mechanism_is_usage_error(self, tmp_path, capsys, mu):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(f"[branching]\nb = 0.5\nmu = {mu}\n")
+        code = run(["rate", "--model", str(bad), "--out", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        assert len(err.strip().splitlines()) == 1
+        assert "Traceback" not in err
+
+    def test_quadrature_failure_exits_one(self, ergodic_cfg, tmp_path, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise QuadratureError("quadrature did not converge on [0, 1]", interval=(0.0, 1.0))
+
+        monkeypatch.setattr(cli, "compute_rate_certificate", fail)
+        code = run(["rate", "--model", ergodic_cfg, "--out", str(tmp_path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == "error: quadrature did not converge on [0, 1]\n"
+
     def test_lyapunov_success(self, ergodic_cfg, capsys):
         code = run(["lyapunov", "--model", ergodic_cfg, "--weight", "v1"])
         assert code == 0
@@ -115,6 +141,18 @@ class TestSubcommands:
         assert code == 0
         lines = (out / "couple.csv").read_text().splitlines()
         assert lines[0] == "time,mean_x,mean_y,uncoupled_frac"
+
+    def test_couple_shorter_than_decay_grid(self, ergodic_cfg, tmp_path):
+        # t_end = 10 dt: the 25-point decay grid snaps to 11 distinct step times
+        out = tmp_path / "couple"
+        code = run([
+            "couple", "--model", ergodic_cfg, "--out", str(out),
+            "--paths", "16", "--t-end", "0.01",
+        ])
+        assert code == 0
+        rows = (out / "decay.csv").read_text().splitlines()[1:]
+        times = [float(r.split(",")[0]) for r in rows]
+        assert len(times) == len(set(times)) == 11
 
     def test_check_generator(self, ergodic_cfg, tmp_path):
         out = tmp_path / "chk"

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cbic.generator import WeightFunction
 from cbic.ergodicity import (
@@ -145,6 +147,41 @@ class TestCertificatePipeline:
             assert q is not None
             qs.append(q)
         assert qs[0] >= qs[1] >= qs[2]
+
+
+_COMPETITION = st.one_of(
+    st.just(CompetitionMechanism.none()),
+    st.builds(CompetitionMechanism.linear, st.floats(0.0, 5.0)),
+    st.builds(CompetitionMechanism.power, st.floats(0.0, 5.0), st.floats(0.1, 4.0)),
+    st.builds(CompetitionMechanism.xlog, st.floats(0.0, 5.0)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    b=st.floats(-2.0, 2.0),
+    beta=st.floats(0.0, 3.0),
+    nu_cube=st.floats(0.0, 1.0),
+    x0=st.floats(1e-4, 0.999),
+    g=_COMPETITION,
+)
+def test_closed_form_q_equals_grid_max(b, beta, nu_cube, x0, g):
+    """q = -D(r_* x0) is the maximum of -D over the 201-point grid, exactly."""
+    model = ModelSpec(BranchingMechanism(b, 0.0), ImmigrationMechanism(beta), g)
+    q, r_star = _q_and_rstar(model, x0, nu_cube)
+
+    def D(x):
+        return (
+            3.0 / x0 * (abs(b) * x + float(g(x)))
+            - 3.0 * beta / (4.0 * x0)
+            - nu_cube / 8.0
+        )
+
+    if q is None:
+        return
+    grid = np.linspace(0.0, r_star * x0, 201)
+    assert q == -float(max(D(float(x)) for x in grid))
+    assert q > 0.0
 
 
 def test_pipeline_fuzz_certifies_or_fails_structurally():

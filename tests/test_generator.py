@@ -16,6 +16,7 @@ from cbic.generator import (
     coupling_generator_G0,
     lyapunov_certify,
     lyapunov_margin,
+    sweep_nu_row_term,
 )
 from cbic.mechanisms import (
     BranchingMechanism,
@@ -248,6 +249,27 @@ class TestCouplingGeneratorF0:
                     ub = coupling_generator_F0(model, ctrl, x, y)
                     exact = coupling_generator_F0(model, ctrl, x, y, exact=True)
                     assert exact <= ub + 1e-6 * abs(ub) + 1e-9
+
+    def test_row_sweep_term_matches_per_point(self, ergodic_v1_model):
+        for nu in (
+            LevyMeasure.uniform(0.8, 0.0, 0.9),
+            LevyMeasure.sum_of([LevyMeasure.from_atoms([(0.1, 0.4)]),
+                                LevyMeasure.uniform(0.5, 0.0, 0.7)]),
+        ):
+            model = ModelSpec(
+                ergodic_v1_model.branching, ImmigrationMechanism(0.2, nu),
+                ergodic_v1_model.competition,
+            )
+            ctrl = _control(psi0=psi_eval(model.branching, 0.8))
+            for x in (1e-4, 0.01, 0.1, 0.2, 0.25, 0.6):
+                row = sweep_nu_row_term(model, ctrl, x)
+                assert (row == 0.0) == (x >= ctrl.x0)
+                for gap in (1e-4, 0.005, 0.05, 0.1, 0.2):
+                    if gap > x:
+                        continue
+                    y = x - gap
+                    got = coupling_generator_F0(model, ctrl, x, y, nu_sweep=row)
+                    assert got == coupling_generator_F0(model, ctrl, x, y)
 
     def test_nonpositive_beyond_l_away_from_origin(self, ergodic_v1_model):
         ctrl = _control(psi0=psi_eval(ergodic_v1_model.branching, 0.8))

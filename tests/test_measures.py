@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cbic.measures import (
+    _overlap_dens1,
     kappa,
     overlap_atoms,
     overlap_density,
@@ -37,6 +38,42 @@ class TestOverlapDensity:
 
     def test_band_overlap_value(self):
         assert overlap_density(UNI, 0.4, 0.7) == pytest.approx([0.5])
+
+
+class TestScalarOverlapDensity:
+    """The quadrature integrand repeats overlap_density's arithmetic bit for bit."""
+
+    BASES = [
+        UNI,
+        LevyMeasure.uniform(0.8, 0.0, 0.9),
+        LevyMeasure.uniform(1.7, 0.3, 1.1),
+        ATOMS,
+        LevyMeasure.sum_of([ATOMS, LevyMeasure.uniform(0.5, 0.0, 0.7)]),
+        LevyMeasure.sum_of([UNI, LevyMeasure.uniform(0.3, 0.4, 2.5)]),
+        LevyMeasure.from_density(lambda z: 1.0 / np.sqrt(z), support=(0.0, 2.0)),
+    ]
+
+    @pytest.mark.parametrize("base", BASES)
+    def test_equals_array_density(self, base):
+        shifts = [0.0, 0.3, -0.3, 0.9, -0.9, 1.0, -1.0, 2.0, -2.0]
+        zs = [-1.0, -0.0, 0.0, 1e-12, 0.05, 0.45, 0.7, 0.9, 1.0, 1.3, 3.0]
+        for x in shifts:
+            edges = [p for b in base.breakpoints() for p in (b, b + x, b - x)]
+            for z in zs + edges + [a for a, _ in base.atoms()]:
+                assert _overlap_dens1(base, x, z) == overlap_density(base, x, z)[0]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        rate=st.floats(0.01, 5.0),
+        lo=st.floats(0.0, 1.0),
+        width=st.floats(1e-3, 3.0),
+        x=st.floats(-4.0, 4.0),
+        z=st.floats(-1.0, 5.0),
+    )
+    def test_equals_array_density_uniform(self, rate, lo, width, x, z):
+        base = LevyMeasure.sum_of([LevyMeasure.uniform(rate, lo, lo + width), ATOMS])
+        for zz in (z, lo, lo + width, lo + x, lo + width + x):
+            assert _overlap_dens1(base, x, zz) == overlap_density(base, x, zz)[0]
 
 
 class TestOverlapMass:

@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -22,6 +23,20 @@ from cbic.mechanisms import (
 
 def uniform_mech(rate=1.0, lo=0.0, hi=1.0, b=0.0, c=0.0):
     return BranchingMechanism(b, c, LevyMeasure.uniform(rate, lo, hi))
+
+
+class TestUniformDensity:
+    def test_scalar_density_equals_array_density(self):
+        m = LevyMeasure.uniform(0.8, 0.1, 0.9)
+        zs = np.concatenate([[-1.0, 0.0, 0.1, 0.9, 2.0], np.nextafter([0.1, 0.9], 0.5),
+                             np.linspace(-0.5, 1.5, 101)])
+        assert [m._dens1(float(z)) for z in zs] == list(m.density(zs))
+        assert m._dens1(0.5) == 0.8
+
+    def test_carries_no_callable(self):
+        m = LevyMeasure.uniform(0.8, 0.0, 0.9)
+        assert m.fn is None
+        assert pickle.loads(pickle.dumps(m)) == m
 
 
 class TestPsiEval:
