@@ -12,6 +12,7 @@ import argparse
 import math
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -37,8 +38,8 @@ from .generator import WeightFunction
 from .mechanisms import MechanismError
 from .quadrature import QuadratureError
 from .simulator import (
-    SimConfig,
     SimulationError,
+    record_steps,
     simulate_coupled_ensemble,
     simulate_ensemble,
     write_ensemble_csv,
@@ -144,16 +145,7 @@ def _load(args):
         if args.paths < 1:
             raise ConfigError("--paths must be >= 1")
         kw["n_paths"] = args.paths
-    if kw:
-        sim = SimConfig(
-            dt=kw.get("dt", sim.dt),
-            t_end=kw.get("t_end", sim.t_end),
-            eps=kw.get("eps", sim.eps),
-            diffusion_correction=sim.diffusion_correction,
-            x_max=sim.x_max,
-            seed=kw.get("seed", sim.seed),
-            n_paths=kw.get("n_paths", sim.n_paths),
-        )
+    sim = replace(sim, **kw)
     weight = run.weight
     if getattr(args, "weight", None):
         weight = WeightFunction.v1() if args.weight == "v1" else WeightFunction.vlog()
@@ -190,24 +182,32 @@ def _cmd_simulate(args):
 
 def _cmd_couple(args):
     run, sim, weight = _load(args)
-    res = simulate_coupled_ensemble(
-        run.model, args.x0, args.y0, sim, record_times=np.linspace(0.0, sim.t_end, 101)
-    )
+    # one simulation serves both files: recording more times draws no
+    # random numbers, so each file's rows equal a run on its own grid
+    grids = (np.linspace(0.0, sim.t_end, 101), np.linspace(0.0, sim.t_end, 25))
+    times = np.concatenate(grids)
+    res = simulate_coupled_ensemble(run.model, args.x0, args.y0, sim, record_times=times)
+    steps = record_steps(sim, times)
+    couple_rows, decay_rows = (np.searchsorted(steps, record_steps(sim, g)) for g in grids)
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "couple.csv")
     with open(path, "w") as fh:
         fh.write("time,mean_x,mean_y,uncoupled_frac\n")
-        for i, t in enumerate(res.times):
+        for i in couple_rows:
+            t = res.times[i]
             ok = np.isfinite(res.x_values[i])
             unc = float((res.coupling_times > t).mean())
             mx = float(res.x_values[i, ok].mean()) if ok.any() else math.nan
             my = float(res.y_values[i, ok].mean()) if ok.any() else math.nan
             fh.write(f"{t:.17g},{mx:.17g},{my:.17g},{unc:.17g}\n")
     if args.x0 > args.y0:
-        est = estimate_wv_decay(
-            run.model, args.x0, args.y0, weight, sim, np.linspace(0.0, sim.t_end, 25)
+        decay = replace(
+            res,
+            times=res.times[decay_rows],
+            x_values=res.x_values[decay_rows],
+            y_values=res.y_values[decay_rows],
         )
-        write_decay_csv(est, os.path.join(args.out, "decay.csv"))
+        write_decay_csv(estimate_wv_decay(decay, weight), os.path.join(args.out, "decay.csv"))
     coupled = np.isfinite(res.coupling_times)
     print(
         f"couple: {sim.n_paths} pairs, coupled fraction {float(coupled.mean()):.3g} "
@@ -329,3 +329,7 @@ def run(argv=None) -> int:
 
 def main() -> None:
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

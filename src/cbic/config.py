@@ -26,14 +26,16 @@ plus parameters.  Example::
     weight = v1
 
 Measure kinds: ``none``; ``stable alpha=1.5 sigma=1.0``; ``uniform rate=1.0
-lo=0.0 hi=1.0``; ``atoms 2.0:1.0, 3.0:0.5``.  A stable branching block may be
-given directly as ``kind = stable`` with ``a, c, sigma, alpha`` instead of
-``b, c, mu``.
+lo=0.0 hi=1.0``; ``atoms 2.0:1.0, 3.0:0.5``.  A sum joins kinds with `` + ``
+(spaces required, so ``rate=1e+0`` stays one number).  A stable branching
+block may be given directly as ``kind = stable`` with ``a, c, sigma, alpha``
+instead of ``b, c, mu``.
 """
 
 from __future__ import annotations
 
 import configparser
+import re
 from dataclasses import dataclass
 from typing import Optional
 
@@ -67,10 +69,9 @@ def _kv_args(parts, where):
 
 
 def parse_measure(text: str, where: str) -> LevyMeasure:
-    if "+" in text:
-        return LevyMeasure.sum_of(
-            [parse_measure(piece, where) for piece in text.split("+")]
-        )
+    pieces = re.split(r"\s\+\s", text)
+    if len(pieces) > 1:
+        return LevyMeasure.sum_of([parse_measure(piece, where) for piece in pieces])
     parts = text.replace(",", " ").split()
     if not parts:
         raise ConfigError(f"{where}: empty measure declaration")
@@ -95,7 +96,10 @@ def parse_measure(text: str, where: str) -> LevyMeasure:
             if ":" not in tok:
                 raise ConfigError(f"{where}: atoms need loc:mass entries, got {tok!r}")
             loc, mass = tok.split(":", 1)
-            pairs.append((float(loc), float(mass)))
+            try:
+                pairs.append((float(loc), float(mass)))
+            except ValueError as exc:
+                raise ConfigError(f"{where}: atom {tok!r} needs numeric loc:mass") from exc
         if not pairs:
             raise ConfigError(f"{where}: atoms needs at least one loc:mass entry")
         return LevyMeasure.from_atoms(pairs)
@@ -131,7 +135,6 @@ class RunConfig:
     sim: SimConfig
     weight: WeightFunction
     grid_nx: int = 101
-    grid_ngap: int = 101
     lambda0: Optional[float] = None
     c0: Optional[float] = None
 
@@ -146,15 +149,27 @@ def _getfloat(sec, key, default, where):
         raise ConfigError(f"{where}: field {key!r} must be a number, got {raw!r}") from exc
 
 
+def _getint(sec, key, default, where):
+    value = _getfloat(sec, key, default, where)
+    if not float(value).is_integer():
+        raise ConfigError(f"{where}: field {key!r} must be an integer, got {sec[key]!r}")
+    return int(value)
+
+
 def load_config(path) -> RunConfig:
     cp = configparser.ConfigParser()
-    read = cp.read(path)
+    try:
+        read = cp.read(path)
+        # reading every value here surfaces interpolation errors too
+        sections = {name: dict(cp[name]) for name in cp.sections()}
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{path}: " + " ".join(str(exc).split())) from exc
     if not read:
         raise ConfigError(f"cannot read config file {path!r}")
 
-    if "branching" not in cp:
+    if "branching" not in sections:
         raise ConfigError("[branching]: section missing")
-    bsec = cp["branching"]
+    bsec = sections["branching"]
     if bsec.get("kind", "").strip().lower() == "stable":
         branching = stable_to_generic(
             _getfloat(bsec, "a", 0.0, "[branching]"),
@@ -169,55 +184,47 @@ def load_config(path) -> RunConfig:
             mu=parse_measure(bsec.get("mu", "none"), "[branching] mu"),
         )
 
-    isec = cp["immigration"] if "immigration" in cp else {}
+    isec = sections.get("immigration", {})
     immigration = ImmigrationMechanism(
         beta=_getfloat(isec, "beta", 0.0, "[immigration]"),
-        nu=parse_measure(
-            isec.get("nu", "none") if hasattr(isec, "get") else "none", "[immigration] nu"
-        ),
+        nu=parse_measure(isec.get("nu", "none"), "[immigration] nu"),
     )
 
-    gsec = cp["competition"] if "competition" in cp else {}
-    gtext = gsec.get("g", "none") if hasattr(gsec, "get") else "none"
-    competition = parse_competition(gtext, "[competition] g")
+    gsec = sections.get("competition", {})
+    competition = parse_competition(gsec.get("g", "none"), "[competition] g")
 
     model = ModelSpec(branching, immigration, competition)
 
-    ssec = cp["sim"] if "sim" in cp else {}
-    eps_raw = ssec.get("eps", "auto") if hasattr(ssec, "get") else "auto"
-    eps = None if str(eps_raw).strip().lower() in ("auto", "none", "") else float(eps_raw)
-    paths = int(_getfloat(ssec, "paths", 1, "[sim]"))
+    ssec = sections.get("sim", {})
+    eps_raw = ssec.get("eps", "auto").strip().lower()
+    eps = None if eps_raw in ("auto", "none", "") else _getfloat(ssec, "eps", None, "[sim]")
+    paths = _getint(ssec, "paths", 1, "[sim]")
     if paths < 1:
         raise ConfigError("[sim]: paths must be >= 1")
     sim = SimConfig(
         dt=_getfloat(ssec, "dt", 1e-3, "[sim]"),
         t_end=_getfloat(ssec, "t_end", 1.0, "[sim]"),
         eps=eps,
-        diffusion_correction=str(
-            ssec.get("diffusion_correction", "true") if hasattr(ssec, "get") else "true"
-        ).strip().lower()
+        diffusion_correction=ssec.get("diffusion_correction", "true").strip().lower()
         in ("1", "true", "yes", "on"),
         x_max=_getfloat(ssec, "x_max", 1e8, "[sim]"),
-        seed=int(_getfloat(ssec, "seed", 0, "[sim]")),
+        seed=_getint(ssec, "seed", 0, "[sim]"),
         n_paths=paths,
     )
 
-    csec = cp["certificate"] if "certificate" in cp else {}
-    wname = (csec.get("weight", "v1") if hasattr(csec, "get") else "v1").strip().lower()
+    csec = sections.get("certificate", {})
+    wname = csec.get("weight", "v1").strip().lower()
     if wname == "v1":
         weight = WeightFunction.v1()
     elif wname == "vlog":
         weight = WeightFunction.vlog()
     else:
         raise ConfigError(f"[certificate]: weight must be v1 or vlog, got {wname!r}")
-    lam0 = csec.get("lambda0", None) if hasattr(csec, "get") else None
-    c0 = csec.get("c0", None) if hasattr(csec, "get") else None
     return RunConfig(
         model=model,
         sim=sim,
         weight=weight,
-        grid_nx=int(_getfloat(csec, "grid_nx", 101, "[certificate]")),
-        grid_ngap=int(_getfloat(csec, "grid_ngap", 101, "[certificate]")),
-        lambda0=float(lam0) if lam0 is not None else None,
-        c0=float(c0) if c0 is not None else None,
+        grid_nx=_getint(csec, "grid_nx", 101, "[certificate]"),
+        lambda0=_getfloat(csec, "lambda0", None, "[certificate]"),
+        c0=_getfloat(csec, "c0", None, "[certificate]"),
     )

@@ -25,8 +25,8 @@ LP) and cross-checked in the tests.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field, replace
+from typing import List, Optional, Tuple
 
 import numpy as np
 from scipy.optimize import linprog
@@ -43,9 +43,9 @@ from .generator import (
 from .measures import overlap_mass
 from .mechanisms import ModelSpec, phi_eval, psi_eval
 from .simulator import (
+    CoupledEnsembleResult,
     SimConfig,
     SimulationError,
-    simulate_coupled_ensemble,
     simulate_ensemble,
 )
 
@@ -207,7 +207,7 @@ class _Constants:
     lambda2: float
 
 
-def _pipeline_at(model, lambda0, psi0, x0, lam1, c1, table, sq_small, nu_cube):
+def _pipeline_at(model, lambda0, x0, lam1, c1, table, sq_small, nu_cube):
     xs, vals = table
     a_vals = model.c * lambda0**2 * np.exp(-lambda0 * xs) + vals
     sel = a_vals[xs <= x0]
@@ -349,9 +349,7 @@ def compute_rate_certificate(
             lam1 = math.exp(-lam0 * l_cut) * psi0 / lam0
             if lam1 < 1e-280:  # certificate would be denormal-degenerate
                 continue
-            ev = lambda x0: _pipeline_at(
-                model, lam0, psi0, x0, lam1, c1, table, sq_small, nu_cube
-            )
+            ev = lambda x0: _pipeline_at(model, lam0, x0, lam1, c1, table, sq_small, nu_cube)
             x0_opt, consts = _golden_x0(ev, lo, hi)
             if consts is None:
                 continue
@@ -550,33 +548,17 @@ class DecayEstimate:
     window: np.ndarray  # boolean mask of points used in the fit
 
 
-def estimate_wv_decay(
-    model: ModelSpec,
-    x0: float,
-    y0: float,
-    weight: WeightFunction,
-    cfg: SimConfig,
-    time_grid: Sequence[float],
-) -> DecayEstimate:
+def estimate_wv_decay(res: CoupledEnsembleResult, weight: WeightFunction) -> DecayEstimate:
     """Coupled-pair upper bound on the weighted-TV decay with a log-linear fit.
 
-    The estimator is the empirical mean of (2 + V(X_t) + V(Y_t)) 1{t < T},
-    an upper bound on the weighted distance between the two time-t laws.
-    A degenerate start x0 == y0 yields the identically zero curve.
+    The estimator is the empirical mean of (2 + V(X_t) + V(Y_t)) 1{t < T}
+    at every recorded time of ``res``, an upper bound on the weighted
+    distance between the two time-t laws.  A degenerate start x0 == y0
+    yields the identically zero curve.
     """
-    if not x0 >= y0 >= 0:
-        raise SimulationError("estimate_wv_decay needs x0 >= y0 >= 0")
-    time_grid = np.asarray(sorted(set(float(t) for t in time_grid)))
-    cfg_run = SimConfig(
-        dt=cfg.dt, t_end=float(time_grid.max()), eps=cfg.eps,
-        diffusion_correction=cfg.diffusion_correction, x_max=cfg.x_max,
-        seed=cfg.seed, n_paths=cfg.n_paths,
-    )
-    res = simulate_coupled_ensemble(model, x0, y0, cfg_run, record_times=time_grid)
     ok = ~res.exploded
     if not ok.any():
         raise SimulationError("all coupled paths exploded")
-    # the simulator snaps record times to its step grid and drops duplicates
     wv = np.empty(res.times.size)
     se = np.empty(res.times.size)
     nunc = np.empty(res.times.size, dtype=int)
@@ -627,11 +609,7 @@ def _stationary_samples(model, cfg, burn_in, n_samples, start, n_chains, stride,
     per_chain = int(math.ceil(n_samples / n_chains))
     t_first = burn_in
     times = t_first + np.arange(per_chain) * stride * cfg.dt
-    run = SimConfig(
-        dt=cfg.dt, t_end=float(times.max()), eps=cfg.eps,
-        diffusion_correction=cfg.diffusion_correction, x_max=cfg.x_max,
-        seed=seed, n_paths=n_chains,
-    )
+    run = replace(cfg, t_end=float(times.max()), seed=seed, n_paths=n_chains)
     res = simulate_ensemble(model, start, run, record_times=times)
     vals = res.values
     finite = np.isfinite(vals)

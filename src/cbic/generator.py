@@ -158,14 +158,10 @@ def apply_generator(model: ModelSpec, f, x: float) -> float:
         raise GeneratorDomainError(f"state must be >= 0, got {x}")
     _check_tail_flags(model, f)
     x = float(x)
-    if isinstance(f, WeightFunction):
-        jump = lambda z: float(f.jump(x, z))
-        fp = float(f.deriv(x))
-        fpp = float(f.second(x))
-    else:
-        jump = lambda z: float(f.jump_at(x, z))
-        fp = float(f.deriv(x))
-        fpp = float(f.second(x))
+    jump_fn = f.jump if isinstance(f, WeightFunction) else f.jump_at
+    jump = lambda z: float(jump_fn(x, z))
+    fp = float(f.deriv(x))
+    fpp = float(f.second(x))
     mu_int = model.mu.integrate(lambda z: jump(z) - z * fp * (z <= 1.0))
     nu_int = model.nu.integrate(jump)
     drift = model.beta - model.b * x - float(model.g(x))
@@ -286,11 +282,11 @@ _C1_CAP = 64.0
 _SWEEP_DEPTH = 15
 
 
-def _lyapunov_grid(weight: WeightFunction) -> np.ndarray:
+def _lyapunov_grid() -> np.ndarray:
     return np.concatenate([[0.0], np.geomspace(1e-6, 1e6, 201)])
 
 
-def _feasible_c0(drift: LyapunovDrift, weight: WeightFunction, c1: float, grid, lv_vals):
+def _feasible_c0(weight: WeightFunction, c1: float, grid, lv_vals):
     """Minimal C0 for this C1, or None when the sup is not closed by the tail."""
     h = lv_vals + c1 * np.asarray(weight.value(grid), dtype=float)
     if not np.all(np.isfinite(h)):
@@ -310,12 +306,12 @@ def lyapunov_candidates(model: ModelSpec, weight: WeightFunction):
     if margin <= 0:
         return margin, [], drift
     c1max = min(margin, _C1_CAP) if np.isfinite(margin) else _C1_CAP
-    grid = _lyapunov_grid(weight)
+    grid = _lyapunov_grid()
     lv_vals = drift.many(grid)
     out = []
     for k in range(_SWEEP_DEPTH):
         c1 = c1max * 2.0**-k
-        c0, _ = _feasible_c0(drift, weight, c1, grid, lv_vals)
+        c0, _ = _feasible_c0(weight, c1, grid, lv_vals)
         if c0 is not None:
             out.append((c1, c0))
     return margin, out, drift
@@ -324,11 +320,11 @@ def lyapunov_candidates(model: ModelSpec, weight: WeightFunction):
 def lyapunov_certify(model: ModelSpec, weight: WeightFunction, *, c1: Optional[float] = None):
     """Largest-C1 Lyapunov certificate, or a :class:`LyapunovFailure` report."""
     drift = LyapunovDrift(model, weight)
-    grid = _lyapunov_grid(weight)
+    grid = _lyapunov_grid()
     lv_vals = drift.many(grid)
     margin = lyapunov_margin(model, weight)
     if c1 is not None:
-        c0, h = _feasible_c0(drift, weight, c1, grid, lv_vals)
+        c0, h = _feasible_c0(weight, c1, grid, lv_vals)
         if c0 is None:
             return LyapunovFailure(margin, float(lv_vals.min()), f"C1={c1:g} is not feasible")
         return LyapunovCertificate(c0, c1, weight, margin, grid, h - c0)

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -39,6 +39,7 @@ from .mechanisms import (
     ModelSpec,
     phi_eval,
     psi_eval,
+    stable_density_prefactor,
     stable_drift_shift,
 )
 
@@ -114,6 +115,9 @@ class CoupledEnsembleResult:
     y_values: np.ndarray
     coupling_times: np.ndarray  # inf where not coupled by t_end
     exploded: np.ndarray
+    # (time, sign, pre-event gap, leader jump, follower jump); recorded only
+    # on request
+    lasso_events: List[Tuple[float, str, float, float, float]] = field(default_factory=list)
 
 
 # -- stable increments ---------------------------------------------------------
@@ -379,15 +383,22 @@ def _step_single(x: np.ndarray, plan: _Plan, dt: float, s: _Streams) -> np.ndarr
     return xn
 
 
+def record_steps(cfg: SimConfig, record_times: Sequence[float]) -> np.ndarray:
+    """Sorted distinct step indices the simulators record for these times.
+
+    Each time snaps to its nearest step, clipped to [0, t_end]; the row k of
+    a result recorded at ``record_times`` is the step ``record_steps(...)[k]``.
+    """
+    n_steps = int(round(cfg.t_end / cfg.dt))
+    return np.unique(
+        np.clip(np.round(np.asarray(record_times, dtype=float) / cfg.dt), 0, n_steps).astype(int)
+    )
+
+
 def _record_grid(cfg: SimConfig, record_times):
     n_steps = int(round(cfg.t_end / cfg.dt))
     times = np.arange(n_steps + 1) * cfg.dt
-    if record_times is None:
-        rec_idx = np.arange(n_steps + 1)
-    else:
-        rec_idx = np.unique(
-            np.clip(np.round(np.asarray(record_times, dtype=float) / cfg.dt), 0, n_steps).astype(int)
-        )
+    rec_idx = np.arange(n_steps + 1) if record_times is None else record_steps(cfg, record_times)
     return n_steps, times, rec_idx
 
 
@@ -419,11 +430,7 @@ def simulate_ensemble(
 
 def simulate_path(model: ModelSpec, x0: float, cfg: SimConfig) -> Path:
     """One path on the full dt-grid."""
-    one = SimConfig(
-        dt=cfg.dt, t_end=cfg.t_end, eps=cfg.eps, diffusion_correction=cfg.diffusion_correction,
-        x_max=cfg.x_max, seed=cfg.seed, n_paths=1,
-    )
-    res = simulate_ensemble(model, [x0], one)
+    res = simulate_ensemble(model, [x0], replace(cfg, n_paths=1))
     vals = res.values[:, 0]
     exploded = bool(res.exploded[0])
     et = None
@@ -461,7 +468,7 @@ class _LassoRates:
             m = self.measure
             return 0.5 * np.maximum(
                 m.sigma
-                * _stable_pref(m.alpha)
+                * stable_density_prefactor(m.alpha)
                 * (np.maximum(gap, 1e-300) ** -m.alpha - (gap + self.eps) ** -m.alpha),
                 0.0,
             )
@@ -476,16 +483,12 @@ class _LassoRates:
             mask = (gap < self.eps) & (gap > 0.0)
             if mask.any():
                 out[mask] = 0.5 * (
-                    m.sigma * _stable_pref(m.alpha) * (gap[mask] ** -m.alpha - self.eps**-m.alpha)
+                    m.sigma
+                    * stable_density_prefactor(m.alpha)
+                    * (gap[mask] ** -m.alpha - self.eps**-m.alpha)
                 )
             return out
         return np.where(gap < self.eps, np.interp(gap, self.table[0], self.table[2]), 0.0)
-
-
-def _stable_pref(alpha):
-    from .mechanisms import stable_density_prefactor
-
-    return stable_density_prefactor(alpha)
 
 
 class _CoupledState:
@@ -666,18 +669,14 @@ def simulate_coupled_ensemble(
         if st.events is not None:
             events.extend(st.events)
     exploded = ~np.isfinite(xs[-1])
-    res = CoupledEnsembleResult(times[rec_idx], xs, ys, t_couple, exploded)
-    res.lasso_events = events  # type: ignore[attr-defined]
-    return res
+    return CoupledEnsembleResult(times[rec_idx], xs, ys, t_couple, exploded, events)
 
 
 def simulate_coupled(model: ModelSpec, x0: float, y0: float, cfg: SimConfig) -> CoupledPath:
     """One coupled pair on the full dt-grid with its lassoing-event log."""
-    one = SimConfig(
-        dt=cfg.dt, t_end=cfg.t_end, eps=cfg.eps, diffusion_correction=cfg.diffusion_correction,
-        x_max=cfg.x_max, seed=cfg.seed, n_paths=1,
+    res = simulate_coupled_ensemble(
+        model, [x0], [y0], replace(cfg, n_paths=1), _record_events=True
     )
-    res = simulate_coupled_ensemble(model, [x0], [y0], one, _record_events=True)
     return CoupledPath(
         times=res.times,
         x_values=res.x_values[:, 0],

@@ -217,9 +217,12 @@ def test_09_negative_controls(critical_cbi_model, neveu_xlog_model):
 
 def test_10_contraction_measurement(ergodic_v1_model, ergodic_cert_full):
     """Fitted decay rate dominates the certificate rate; t = 0 point exact."""
-    cfg = SimConfig(dt=2e-3, seed=4096, n_paths=10_000)
+    cfg = SimConfig(dt=2e-3, t_end=12.0, seed=4096, n_paths=10_000)
     est = estimate_wv_decay(
-        ergodic_v1_model, 2.0, 0.0, V1, cfg, np.arange(0.0, 12.1, 0.5)
+        simulate_coupled_ensemble(
+            ergodic_v1_model, 2.0, 0.0, cfg, record_times=np.arange(0.0, 12.1, 0.5)
+        ),
+        V1,
     )
     assert est.wv_upper[0] == 2.0 + 2.0 + 0.0  # d_V(2, 0) exactly
     assert est.fitted_rate >= ergodic_cert_full.lam - 2.0 * est.fit_se

@@ -1,5 +1,9 @@
+import math
 import os
 import shutil
+import subprocess
+import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,8 +11,9 @@ import pytest
 from cbic import cli
 from cbic.cli import run
 from cbic.config import ConfigError, load_config, parse_measure
-from cbic.ergodicity import wv_exact_discrete
+from cbic.ergodicity import estimate_wv_decay, write_decay_csv, wv_exact_discrete
 from cbic.quadrature import QuadratureError
+from cbic.simulator import simulate_coupled_ensemble
 
 CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
@@ -36,6 +41,11 @@ class TestConfigParsing:
             parse_measure("gaussian mean=0", "test")
         with pytest.raises(ConfigError, match="stable needs"):
             parse_measure("stable alpha=1.5", "test")
+        # a sum needs spaces around "+", so an exponent sign is part of its number
+        assert parse_measure("uniform rate=1e+0 lo=0.0 hi=1.0", "test").rate == 1.0
+        m = parse_measure("uniform rate=2.5e+0 lo=0.0 hi=1.0 + atoms 2.0:1.0", "test")
+        assert m.parts[0].rate == 2.5
+        assert m.atoms() == ((2.0, 1.0),)
 
     def test_missing_section_is_diagnosed(self, tmp_path):
         bad = tmp_path / "bad.cfg"
@@ -74,6 +84,38 @@ class TestExitCodes:
 
     def test_unknown_subcommand_is_usage_error(self):
         assert run(["transmogrify"]) == 2
+
+    @pytest.mark.parametrize("text", [
+        "[branching]\nb = 0.5\n[sim]\neps = foo\n",
+        "[branching]\nb = 0.5\n[certificate]\nlambda0 = bar\n",
+        "[branching]\nb = 0.5\n[certificate]\nc0 = baz\n",
+        "b = 0.5\n",
+        "[branching]\nb = 0.5\nb = 0.6\n",
+        "[branching]\nb = 0.5\n[immigration]\nbeta = 5%\n",
+        "[branching]\nb = 0.5\nmu = atoms 2.0:x\n",
+        "[branching]\nb = 0.5\n[sim]\npaths = 1.5\n",
+        "[branching]\nb = 0.5\n[sim]\nseed = 2.5\n",
+    ], ids=["eps", "lambda0", "c0", "no-section-header", "duplicate-option",
+            "interpolation", "atom-mass", "fractional-paths", "fractional-seed"])
+    def test_config_error_is_one_line(self, tmp_path, capsys, text):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(text)
+        code = run(["lyapunov", "--model", str(bad)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        assert len(err.strip().splitlines()) == 1
+        assert "Traceback" not in err
+
+    def test_module_runs_the_cli(self):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "cbic.cli", "--help"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 0
+        assert proc.stdout.startswith("usage: cbic")
 
     def test_lyapunov_failure_exits_one(self, capsys):
         code = run([
@@ -153,6 +195,34 @@ class TestSubcommands:
         rows = (out / "decay.csv").read_text().splitlines()[1:]
         times = [float(r.split(",")[0]) for r in rows]
         assert len(times) == len(set(times)) == 11
+
+    @pytest.mark.parametrize("paths, t_end", [("1100", "0.05"), ("16", "0.01")],
+                             ids=["two-blocks", "shorter-than-24-steps"])
+    def test_couple_matches_separate_runs(self, ergodic_cfg, tmp_path, paths, t_end):
+        out = tmp_path / "couple"
+        code = run([
+            "couple", "--model", ergodic_cfg, "--out", str(out), "--paths", paths,
+            "--t-end", t_end,
+        ])
+        assert code == 0
+        conf = load_config(ergodic_cfg)
+        sim = replace(conf.sim, n_paths=int(paths), t_end=float(t_end))
+        res = simulate_coupled_ensemble(
+            conf.model, 2.0, 0.0, sim, record_times=np.linspace(0.0, sim.t_end, 101)
+        )
+        lines = ["time,mean_x,mean_y,uncoupled_frac\n"]
+        for i, t in enumerate(res.times):
+            ok = np.isfinite(res.x_values[i])
+            unc = float((res.coupling_times > t).mean())
+            mx = float(res.x_values[i, ok].mean()) if ok.any() else math.nan
+            my = float(res.y_values[i, ok].mean()) if ok.any() else math.nan
+            lines.append(f"{t:.17g},{mx:.17g},{my:.17g},{unc:.17g}\n")
+        assert (out / "couple.csv").read_text() == "".join(lines)
+        res = simulate_coupled_ensemble(
+            conf.model, 2.0, 0.0, sim, record_times=np.linspace(0.0, sim.t_end, 25)
+        )
+        write_decay_csv(estimate_wv_decay(res, conf.weight), tmp_path / "decay.csv")
+        assert (out / "decay.csv").read_bytes() == (tmp_path / "decay.csv").read_bytes()
 
     def test_check_generator(self, ergodic_cfg, tmp_path):
         out = tmp_path / "chk"

@@ -239,24 +239,33 @@ def test_pipeline_fuzz_certifies_or_fails_structurally():
 
 class TestDecayEstimate:
     def test_degenerate_start_zero_curve(self, ergodic_v1_model):
+        cfg = SimConfig(dt=5e-3, seed=3, n_paths=64)
         est = estimate_wv_decay(
-            ergodic_v1_model, 1.0, 1.0, V1,
-            SimConfig(dt=5e-3, seed=3, n_paths=64), [0.0, 0.5, 1.0],
+            simulate_coupled_ensemble(
+                ergodic_v1_model, 1.0, 1.0, cfg, record_times=[0.0, 0.5, 1.0]
+            ),
+            V1,
         )
         assert np.all(est.wv_upper == 0.0)
 
     def test_initial_point_is_exact_distance(self, ergodic_v1_model):
+        cfg = SimConfig(dt=5e-3, t_end=6.0, seed=3, n_paths=256)
         est = estimate_wv_decay(
-            ergodic_v1_model, 2.0, 0.0, V1,
-            SimConfig(dt=5e-3, seed=3, n_paths=256), np.arange(0.0, 6.1, 0.5),
+            simulate_coupled_ensemble(
+                ergodic_v1_model, 2.0, 0.0, cfg, record_times=np.arange(0.0, 6.1, 0.5)
+            ),
+            V1,
         )
         assert est.wv_upper[0] == 4.0  # nobody has coupled at time zero
         assert est.fitted_rate > 0.0
 
     def test_critical_model_shows_no_decay(self, critical_cbi_model):
+        cfg = SimConfig(dt=5e-3, t_end=8.0, seed=3, n_paths=512)
         est = estimate_wv_decay(
-            critical_cbi_model, 2.0, 0.0, V1,
-            SimConfig(dt=5e-3, seed=3, n_paths=512), np.arange(0.0, 8.1, 1.0),
+            simulate_coupled_ensemble(
+                critical_cbi_model, 2.0, 0.0, cfg, record_times=np.arange(0.0, 8.1, 1.0)
+            ),
+            V1,
         )
         assert est.fitted_rate <= est.fit_se
 
@@ -264,7 +273,7 @@ class TestDecayEstimate:
         cfg = SimConfig(dt=5e-3, seed=13, n_paths=2000)
         times = [0.5, 1.0]
         res = simulate_coupled_ensemble(ergodic_v1_model, 2.0, 0.0, cfg, record_times=times)
-        est = estimate_wv_decay(ergodic_v1_model, 2.0, 0.0, V1, cfg, times)
+        est = estimate_wv_decay(res, V1)
         edges = np.linspace(0.0, 6.0, 41)
         centers = 0.5 * (edges[:-1] + edges[1:])
         width = edges[1] - edges[0]

@@ -324,6 +324,37 @@ class TestOutputs:
         assert outs[0] == outs[1]
 
 
+
+class TestChunkIndependence:
+    """Blocks draw from their own streams, so adding paths leaves earlier ones as they were."""
+
+    MODEL = ModelSpec(
+        BranchingMechanism(0.5, 0.2, LevyMeasure.uniform(2.0, 0.0, 1.0)),
+        ImmigrationMechanism(0.3, LevyMeasure.uniform(1.0, 0.5, 1.5)),
+        CompetitionMechanism.none(),
+    )
+
+    def test_single_paths(self):
+        small, large = (
+            simulate_ensemble(self.MODEL, 1.0, SimConfig(dt=5e-3, t_end=0.5, seed=11, n_paths=n))
+            for n in (1024, 1500)
+        )
+        assert np.array_equal(small.times, large.times)
+        assert np.array_equal(small.values, large.values[:, :1024])
+
+    def test_coupled_pairs(self):
+        small, large = (
+            simulate_coupled_ensemble(
+                self.MODEL, 2.0, 0.5, SimConfig(dt=5e-3, t_end=0.5, seed=11, n_paths=n),
+                record_times=np.linspace(0.0, 0.5, 11),
+            )
+            for n in (1024, 1500)
+        )
+        assert np.array_equal(small.times, large.times)
+        assert np.array_equal(small.x_values, large.x_values[:, :1024])
+        assert np.array_equal(small.y_values, large.y_values[:, :1024])
+        assert np.array_equal(small.coupling_times, large.coupling_times[:1024])
+
 class TestDtRefinement:
     def test_diffusion_cbi_close_under_halving(self):
         model = ModelSpec(
