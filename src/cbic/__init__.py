@@ -24,7 +24,7 @@ from .mechanisms import (
     psi_prime_at_zero,
     stable_to_generic,
 )
-from .measures import kappa, overlap_density, overlap_mass, rn_ratio
+from .measures import kappa, overlap_density, overlap_mass, rn_ratio_many
 from .generator import (
     CouplingControl,
     LyapunovCertificate,

@@ -18,6 +18,7 @@ import numpy as np
 
 from .config import ConfigError, load_config
 from .generator import (
+    GeneratorDomainError,
     LyapunovDrift,
     LyapunovFailure,
     apply_generator,
@@ -142,10 +143,13 @@ def _load(args):
     if getattr(args, "eps", None) is not None:
         kw["eps"] = args.eps
     if getattr(args, "paths", None) is not None:
-        if args.paths < 1:
-            raise ConfigError("--paths must be >= 1")
         kw["n_paths"] = args.paths
-    sim = replace(sim, **kw)
+    if getattr(args, "grid", None) is not None and args.grid < 1:
+        raise ConfigError("--grid must be >= 1")
+    try:
+        sim = replace(sim, **kw)
+    except SimulationError as exc:
+        raise ConfigError(str(exc)) from exc
     weight = run.weight
     if getattr(args, "weight", None):
         weight = WeightFunction.v1() if args.weight == "v1" else WeightFunction.vlog()
@@ -283,6 +287,8 @@ def _cmd_wv(args):
 
 def _cmd_stationary(args):
     run, sim, weight = _load(args)
+    if not (args.samples >= 1 and 0 <= args.burn_in < math.inf):
+        raise ConfigError("need --samples >= 1 and a finite --burn-in >= 0")
     est = estimate_stationary(run.model, sim, args.burn_in, args.samples, weight=weight)
     os.makedirs(args.out, exist_ok=True)
     with open(os.path.join(args.out, "stationary.csv"), "w") as fh:
@@ -322,7 +328,7 @@ def run(argv=None) -> int:
     except (ConfigError, MechanismError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except (SimulationError, CertificateError, QuadratureError) as exc:
+    except (SimulationError, CertificateError, QuadratureError, GeneratorDomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return MODEL_ERROR
 

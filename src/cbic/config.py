@@ -1,8 +1,8 @@
 """Model/run configuration files.
 
 Flat INI-style text with sections [branching], [immigration], [competition],
-[sim] and [certificate]; numbers in decimal, Levy measures declared by kind
-plus parameters.  Example::
+[sim] and [certificate]; numbers in decimal and finite, Levy measures
+declared by kind plus parameters.  Example::
 
     [branching]
     b = 0.5
@@ -35,6 +35,7 @@ instead of ``b, c, mu``.
 from __future__ import annotations
 
 import configparser
+import math
 import re
 from dataclasses import dataclass
 from typing import Optional
@@ -48,11 +49,22 @@ from .mechanisms import (
     ModelSpec,
     stable_to_generic,
 )
-from .simulator import SimConfig
+from .simulator import SimConfig, SimulationError
 
 
 class ConfigError(ValueError):
     """Malformed configuration; the message names the section and field."""
+
+
+def _number(raw: str, what: str) -> float:
+    """``float(raw)``, or a ConfigError naming ``what`` unless it is finite."""
+    try:
+        value = float(raw)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise ConfigError(f"{what} must be a finite number, got {raw!r}")
+    return value
 
 
 def _kv_args(parts, where):
@@ -61,10 +73,7 @@ def _kv_args(parts, where):
         if "=" not in p:
             raise ConfigError(f"{where}: expected key=value, got {p!r}")
         k, v = p.split("=", 1)
-        try:
-            out[k.strip()] = float(v)
-        except ValueError as exc:
-            raise ConfigError(f"{where}: {k.strip()} must be a number, got {v!r}") from exc
+        out[k.strip()] = _number(v, f"{where}: {k.strip()}")
     return out
 
 
@@ -96,10 +105,8 @@ def parse_measure(text: str, where: str) -> LevyMeasure:
             if ":" not in tok:
                 raise ConfigError(f"{where}: atoms need loc:mass entries, got {tok!r}")
             loc, mass = tok.split(":", 1)
-            try:
-                pairs.append((float(loc), float(mass)))
-            except ValueError as exc:
-                raise ConfigError(f"{where}: atom {tok!r} needs numeric loc:mass") from exc
+            what = f"{where}: atom {tok!r}"
+            pairs.append((_number(loc, what), _number(mass, what)))
         if not pairs:
             raise ConfigError(f"{where}: atoms needs at least one loc:mass entry")
         return LevyMeasure.from_atoms(pairs)
@@ -143,10 +150,7 @@ def _getfloat(sec, key, default, where):
     raw = sec.get(key, None)
     if raw is None:
         return default
-    try:
-        return float(raw)
-    except ValueError as exc:
-        raise ConfigError(f"{where}: field {key!r} must be a number, got {raw!r}") from exc
+    return _number(raw, f"{where}: field {key!r}")
 
 
 def _getint(sec, key, default, where):
@@ -198,19 +202,19 @@ def load_config(path) -> RunConfig:
     ssec = sections.get("sim", {})
     eps_raw = ssec.get("eps", "auto").strip().lower()
     eps = None if eps_raw in ("auto", "none", "") else _getfloat(ssec, "eps", None, "[sim]")
-    paths = _getint(ssec, "paths", 1, "[sim]")
-    if paths < 1:
-        raise ConfigError("[sim]: paths must be >= 1")
-    sim = SimConfig(
-        dt=_getfloat(ssec, "dt", 1e-3, "[sim]"),
-        t_end=_getfloat(ssec, "t_end", 1.0, "[sim]"),
-        eps=eps,
-        diffusion_correction=ssec.get("diffusion_correction", "true").strip().lower()
-        in ("1", "true", "yes", "on"),
-        x_max=_getfloat(ssec, "x_max", 1e8, "[sim]"),
-        seed=_getint(ssec, "seed", 0, "[sim]"),
-        n_paths=paths,
-    )
+    try:
+        sim = SimConfig(
+            dt=_getfloat(ssec, "dt", 1e-3, "[sim]"),
+            t_end=_getfloat(ssec, "t_end", 1.0, "[sim]"),
+            eps=eps,
+            diffusion_correction=ssec.get("diffusion_correction", "true").strip().lower()
+            in ("1", "true", "yes", "on"),
+            x_max=_getfloat(ssec, "x_max", 1e8, "[sim]"),
+            seed=_getint(ssec, "seed", 0, "[sim]"),
+            n_paths=_getint(ssec, "paths", 1, "[sim]"),
+        )
+    except SimulationError as exc:
+        raise ConfigError(f"[sim]: {exc}") from exc
 
     csec = sections.get("certificate", {})
     wname = csec.get("weight", "v1").strip().lower()
@@ -220,11 +224,14 @@ def load_config(path) -> RunConfig:
         weight = WeightFunction.vlog()
     else:
         raise ConfigError(f"[certificate]: weight must be v1 or vlog, got {wname!r}")
+    grid_nx = _getint(csec, "grid_nx", 101, "[certificate]")
+    if grid_nx < 1:
+        raise ConfigError("[certificate]: grid_nx must be >= 1")
     return RunConfig(
         model=model,
         sim=sim,
         weight=weight,
-        grid_nx=_getint(csec, "grid_nx", 101, "[certificate]"),
+        grid_nx=grid_nx,
         lambda0=_getfloat(csec, "lambda0", None, "[certificate]"),
         c0=_getfloat(csec, "c0", None, "[certificate]"),
     )

@@ -319,10 +319,9 @@ def lyapunov_candidates(model: ModelSpec, weight: WeightFunction):
 
 def lyapunov_certify(model: ModelSpec, weight: WeightFunction, *, c1: Optional[float] = None):
     """Largest-C1 Lyapunov certificate, or a :class:`LyapunovFailure` report."""
-    drift = LyapunovDrift(model, weight)
+    margin, cands, drift = lyapunov_candidates(model, weight)
     grid = _lyapunov_grid()
-    lv_vals = drift.many(grid)
-    margin = lyapunov_margin(model, weight)
+    lv_vals = drift.many(grid)  # memoized when the sweep already ran
     if c1 is not None:
         c0, h = _feasible_c0(weight, c1, grid, lv_vals)
         if c0 is None:
@@ -333,7 +332,6 @@ def lyapunov_certify(model: ModelSpec, weight: WeightFunction, *, c1: Optional[f
         if float(lv_vals.min()) > 0:
             reason += "; LV is bounded below by a positive constant on the grid"
         return LyapunovFailure(margin, float(lv_vals.min()), reason)
-    margin, cands, _ = lyapunov_candidates(model, weight)
     if not cands:
         return LyapunovFailure(margin, float(lv_vals.min()), "no feasible C1 in the sweep")
     c1, c0 = cands[0]

@@ -61,10 +61,6 @@ def _overlap_dens1(base: LevyMeasure, x: float, z: float) -> float:
     return 0.5 * min(base._dens1(z), base._dens1(z - x))
 
 
-def _is_decreasing_density(base: LevyMeasure) -> bool:
-    return base.kind == "stable"
-
-
 def overlap_mass(base: LevyMeasure, x: float, lo: float = 0.0, hi: float = math.inf) -> float:
     """Total overlap mass over (lo, hi); may be inf (a valid, favorable flag).
 
@@ -72,61 +68,51 @@ def overlap_mass(base: LevyMeasure, x: float, lo: float = 0.0, hi: float = math.
     the base measure, which is exact for the stable family.
     """
     x = float(x)
-    lo = max(float(lo), 0.0)
-    hi = float(hi)
-    if base.is_zero or hi <= lo:
-        return 0.0
-    total = sum(m for a, m in overlap_atoms(base, x) if lo < a <= hi)
-    if base.kind == "atoms":
-        return total
     if base.kind == "sum":
         return sum(overlap_mass(p, x, lo, hi) for p in base.parts)
-    if _is_decreasing_density(base):
-        # min(f(z), f(z-x)) = f(z + |x| - max(x, 0)) on the overlap region
-        if x >= 0:
-            a, b = max(lo, x), hi
-            if b <= a:
-                return 0.0
-            return 0.5 * (base.mass_above(a) - (0.0 if not np.isfinite(b) else base.mass_above(b)))
-        a, b = lo - x, (hi - x if np.isfinite(hi) else math.inf)
-        return 0.5 * (base.mass_above(a) - (0.0 if not np.isfinite(b) else base.mass_above(b)))
-    slo, shi = base.density_support()
-    a = max(lo, slo, slo + x, 0.0 if x <= 0 else x)
-    b = min(hi, shi, shi + x)
+    if base.kind != "stable":
+        return _overlap_integral(base, x, None, lo, hi)
+    # min(f(z), f(z-x)) = f(z - min(x, 0)) on the overlap region z > max(x, 0)
+    lo, hi = max(float(lo), 0.0), float(hi)
+    a, b = max(lo, x) - min(x, 0.0), hi - min(x, 0.0)
     if b <= a:
-        return total
-    if not np.isfinite(b):
-        val, ok = quadrature.tail_integral(lambda z: _overlap_dens1(base, x, z), a)
-        return total + (val if ok else math.inf)
-    pts = tuple(base.breakpoints()) + tuple(p + x for p in base.breakpoints())
-    total += quadrature.integrate(lambda z: _overlap_dens1(base, x, z), a, b, breakpoints=pts)
-    return total
+        return 0.0
+    return 0.5 * (base.mass_above(a) - (base.mass_above(b) if np.isfinite(b) else 0.0))
 
 
 def overlap_integrate(base: LevyMeasure, x: float, fn, lo: float = 0.0, hi: float = math.inf) -> float:
     """int fn(z) m_x(dz) over (lo, hi)."""
+    return _overlap_integral(base, x, fn, lo, hi)
+
+
+def _overlap_integral(base: LevyMeasure, x: float, fn, lo: float, hi: float) -> float:
+    """int fn(z) m_x(dz) over (lo, hi); ``fn=None`` integrates 1.
+
+    The unit case integrates the bare overlap density, one Python call per
+    quadrature node fewer than a constant ``fn``.
+    """
     x = float(x)
     lo = max(float(lo), 0.0)
     hi = float(hi)
     if base.is_zero or hi <= lo:
         return 0.0
-    total = sum(m * float(fn(a)) for a, m in overlap_atoms(base, x) if lo < a <= hi)
-    if base.kind == "atoms":
-        return total
     if base.kind == "sum":
-        return sum(overlap_integrate(p, x, fn, lo, hi) for p in base.parts)
+        return sum(_overlap_integral(p, x, fn, lo, hi) for p in base.parts)
+    total = sum(
+        m if fn is None else m * float(fn(a)) for a, m in overlap_atoms(base, x) if lo < a <= hi
+    )
     slo, shi = base.density_support()
     a = max(lo, slo, slo + x, 0.0 if x <= 0 else x)
     b = min(hi, shi, shi + x)
     if b <= a:
         return total
-    pts = tuple(base.breakpoints()) + tuple(p + x for p in base.breakpoints())
-    integrand = lambda z: float(fn(z)) * _overlap_dens1(base, x, z)
+    if fn is None:
+        integrand = lambda z: _overlap_dens1(base, x, z)
+    else:
+        integrand = lambda z: float(fn(z)) * _overlap_dens1(base, x, z)
     if not np.isfinite(b):
-        val, ok = quadrature.tail_integral(integrand, a)
-        if not ok:
-            return math.inf
-        return total + val
+        return total + quadrature.tail_integral(integrand, a)
+    pts = tuple(base.breakpoints()) + tuple(p + x for p in base.breakpoints())
     return total + quadrature.integrate(integrand, a, b, breakpoints=pts)
 
 
@@ -139,21 +125,15 @@ def kappa(model: ModelSpec, x: float) -> float:
     return 2.0 * overlap_mass(model.mu, x) + 2.0 * overlap_mass(model.nu, x)
 
 
-def rn_ratio(base: LevyMeasure, x: float, z):
-    """Disassembly threshold m_x(dz)/m(dz) in [0, 1/2] (vectorized in z).
-
-    Density part: min(1, f(z-x)/f(z))/2 where the base density is positive;
-    atoms match only at exactly shifted locations; everything else is 0.
-    """
-    x = float(x)
-    z = np.atleast_1d(np.asarray(z, dtype=float))
-    return rn_ratio_many(base, np.full_like(z, x), z)
-
-
 def rn_ratio_many(base: LevyMeasure, x, z):
-    """rn_ratio with elementwise shifts (pairwise over matching arrays)."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
+    """Disassembly thresholds m_x(dz)/m(dz) in [0, 1/2], pairwise over (x, z).
+
+    A scalar shift applies to every z.  Density part: min(1, f(z-x)/f(z))/2
+    where the base density is positive; atoms match only at exactly shifted
+    locations; everything else is 0.
+    """
     z = np.atleast_1d(np.asarray(z, dtype=float))
+    x = np.broadcast_to(np.asarray(x, dtype=float), z.shape)
     fz = base.density(z)
     fzx = base.density(z - x)
     out = np.zeros_like(fz)

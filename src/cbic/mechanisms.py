@@ -278,6 +278,29 @@ class LevyMeasure:
                 )
         return total
 
+    def _density_integral(self, f, lo: float, hi: float) -> float:
+        """int f(z) dz over (lo, hi) clipped to the density support; may be inf.
+
+        The density may be singular at its lower support edge, so a range
+        starting there opens with an edge integral over at most unit width.
+        """
+        slo, shi = self.density_support()
+        a, b = max(lo, slo), min(hi, shi)
+        if b <= a:
+            return 0.0
+        total = 0.0
+        if a == slo:
+            mid = min(b, a + 1.0)
+            total = quadrature.lower_integral(f, a, mid)
+            if total == math.inf:
+                return total
+            a = mid
+        if not np.isfinite(b):
+            return total + quadrature.tail_integral(f, a)
+        if b > a:
+            total += quadrature.integrate(f, a, b, breakpoints=self.breakpoints())
+        return total
+
     def mass_above(self, z0: float) -> float:
         """measure((z0, inf)); may be inf."""
         z0 = max(float(z0), 0.0)
@@ -291,25 +314,7 @@ class LevyMeasure:
             return sum(m for a, m in self.atom_data if a > z0)
         if self.kind == "sum":
             return sum(p.mass_above(z0) for p in self.parts)
-        lo, hi = self.support
-        a = max(z0, lo)
-        if hi <= a:
-            return 0.0
-        total = 0.0
-        mid = min(hi, a + 1.0)
-        if a == lo:
-            # density may be singular at the lower support edge
-            val, ok = quadrature.lower_integral(self._dens1, a, mid)
-            if not ok:
-                return math.inf
-            total += val
-            a = mid
-        if not np.isfinite(hi):
-            val, ok = quadrature.tail_integral(self._dens1, a)
-            return (total + val) if ok else math.inf
-        if hi > a:
-            total += quadrature.integrate(self._dens1, a, hi, breakpoints=self.breakpoints())
-        return total
+        return self._density_integral(self._dens1, z0, math.inf)
 
     def moment(self, power: float, lo: float = 0.0, hi: float = math.inf) -> float:
         """int_lo^hi z^power measure(dz); may be inf."""
@@ -332,25 +337,7 @@ class LevyMeasure:
             return sum(m * a**power for a, m in self.atom_data if lo < a <= hi)
         if self.kind == "sum":
             return sum(p.moment(power, lo, hi) for p in self.parts)
-        slo, shi = self.support
-        a, b = max(lo, slo), min(hi, shi)
-        if b <= a:
-            return 0.0
-        f = lambda z: z**power * self._dens1(z)
-        total = 0.0
-        if a == slo:
-            mid = min(b, a + 1.0)
-            val, ok = quadrature.lower_integral(f, a, mid)
-            if not ok:
-                return math.inf
-            total += val
-            a = mid
-        if not np.isfinite(b):
-            val, ok = quadrature.tail_integral(f, a)
-            return (total + val) if ok else math.inf
-        if b > a:
-            total += quadrature.integrate(f, a, b, breakpoints=self.breakpoints())
-        return total
+        return self._density_integral(lambda z: z**power * self._dens1(z), lo, hi)
 
     def linear_tail(self) -> float:
         """int_1^inf z measure(dz); inf when divergent."""
@@ -375,18 +362,8 @@ class LevyMeasure:
         if self.kind == "sum":
             return sum(p.log_tail() for p in self.parts)
         total = sum(m * math.log1p(a) for a, m in self.atoms() if a > 1.0)
-        slo, shi = self.density_support()
-        a = max(1.0, slo)
-        if shi > a:
-            f = lambda z: math.log1p(z) * self._dens1(z)
-            if np.isfinite(shi):
-                total += quadrature.integrate(f, a, shi, breakpoints=self.breakpoints())
-            else:
-                val, ok = quadrature.tail_integral(f, a)
-                if not ok:
-                    return math.inf
-                total += val
-        return total
+        f = lambda z: math.log1p(z) * self._dens1(z)
+        return total + self._density_integral(f, 1.0, math.inf)
 
     def check_branching_integrable(self) -> None:
         """(1 ^ z^2) measure must be finite."""
@@ -450,16 +427,13 @@ class ImmigrationMechanism:
 class CompetitionMechanism:
     """Nondecreasing continuous drift penalty g with g(0) = 0.
 
-    Forms: ``linear`` g = a x; ``power`` g = K x^p; ``xlog`` g = K x log(1+x);
-    ``table`` monotone piecewise-linear interpolation.
+    Forms: ``linear`` g = a x; ``power`` g = K x^p; ``xlog`` g = K x log(1+x).
     """
 
     form: str = "linear"
     a: float = 0.0
     K: float = 0.0
     p: float = 1.0
-    xs: Tuple[float, ...] = ()
-    ys: Tuple[float, ...] = ()
 
     @classmethod
     def none(cls):
@@ -483,34 +457,14 @@ class CompetitionMechanism:
             raise MechanismError("xlog competition needs K >= 0")
         return cls(form="xlog", K=float(K))
 
-    @classmethod
-    def table(cls, xs: Sequence[float], ys: Sequence[float]):
-        xs = tuple(float(x) for x in xs)
-        ys = tuple(float(y) for y in ys)
-        if len(xs) != len(ys) or len(xs) < 2:
-            raise MechanismError("table competition needs matching xs/ys of length >= 2")
-        if xs[0] != 0.0 or ys[0] != 0.0:
-            raise MechanismError("table competition must start at g(0) = 0")
-        if any(b <= a for a, b in zip(xs, xs[1:])) or any(b < a for a, b in zip(ys, ys[1:])):
-            raise MechanismError("table competition must be strictly-x, nondecreasing-y")
-        return cls(form="table", xs=xs, ys=ys)
-
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
         if self.form == "linear":
             out = self.a * x
         elif self.form == "power":
             out = self.K * np.power(np.maximum(x, 0.0), self.p)
-        elif self.form == "xlog":
-            out = self.K * x * np.log1p(np.maximum(x, 0.0))
         else:
-            # beyond the last node, continue with the final slope
-            slope = (self.ys[-1] - self.ys[-2]) / (self.xs[-1] - self.xs[-2])
-            out = np.where(
-                x <= self.xs[-1],
-                np.interp(x, self.xs, self.ys),
-                self.ys[-1] + slope * (x - self.xs[-1]),
-            )
+            out = self.K * x * np.log1p(np.maximum(x, 0.0))
         return out if out.shape else float(out)
 
     def linear_liminf(self) -> float:
@@ -523,9 +477,7 @@ class CompetitionMechanism:
             if self.p == 1:
                 return self.K
             return 0.0
-        if self.form == "xlog":
-            return math.inf if self.K > 0 else 0.0
-        return (self.ys[-1] - self.ys[-2]) / (self.xs[-1] - self.xs[-2])
+        return math.inf if self.K > 0 else 0.0
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,10 @@ Every integral against a Levy measure in this package funnels through
 Integrands are split at caller-supplied breakpoints (support edges, the z = 1
 compensation threshold, density discontinuities) and the piece touching zero
 is further subdivided geometrically, which keeps scipy's QUADPACK happy on
-integrable power singularities.
+integrable power singularities.  :func:`lower_integral` and
+:func:`tail_integral` return a plain float that is ``inf`` when the edge
+singularity or the tail is not integrable; a quadrature failure on a piece
+raises :class:`QuadratureError`.
 """
 
 from __future__ import annotations
@@ -93,14 +96,13 @@ def integrate(fn, lo, hi, *, breakpoints=(), abs_tol=ABS_TOL, rel_tol=REL_TOL):
 def lower_integral(fn, lo, hi, *, abs_tol=ABS_TOL, rel_tol=REL_TOL):
     """Integrate ``fn`` over (lo, hi] when fn may blow up at lo+.
 
-    Returns ``(value, converged)``; dyadic shells shrinking toward ``lo``
-    must decline geometrically, otherwise the singularity is non-integrable
-    and ``(inf, False)`` is returned.
+    Dyadic shells shrinking toward ``lo`` must decline geometrically,
+    otherwise the singularity is non-integrable and ``inf`` is returned.
     """
     lo = float(lo)
     hi = float(hi)
     if hi <= lo:
-        return 0.0, True
+        return 0.0
     w = hi - lo
     total = 0.0
     incs = []
@@ -111,24 +113,23 @@ def lower_integral(fn, lo, hi, *, abs_tol=ABS_TOL, rel_tol=REL_TOL):
         incs.append(inc)
         total += inc
         if k >= 3 and abs(inc) < max(abs_tol, 1e-13 * abs(total)):
-            return total, True
+            return total
         if k >= 6:
             ratios = [
                 abs(i2) / abs(i1) for i1, i2 in zip(incs[-4:-1], incs[-3:]) if abs(i1) > 0
             ]
             if ratios and min(ratios) >= 0.95:
-                return np.inf, False
+                return math.inf
     rho = abs(incs[-1]) / abs(incs[-2]) if abs(incs[-2]) > 0 else 0.0
     if rho >= 0.95:
-        return np.inf, False
+        return math.inf
     total += abs(incs[-1]) * rho / (1.0 - rho) if rho > 0 else 0.0
-    return total, True
+    return total
 
 
 def tail_integral(fn, lo, *, abs_tol=ABS_TOL, rel_tol=REL_TOL):
-    """Integrate ``fn`` over (lo, inf), reporting divergence.
+    """Integrate ``fn`` over (lo, inf); a divergent tail returns ``inf``.
 
-    Returns ``(value, converged)``; a divergent tail yields ``(inf, False)``.
     Decade increments over (H, 10H) must settle into a geometric decline;
     a final decade ratio at or above ~1 (the 1/z boundary) is divergent.
     """
@@ -146,10 +147,10 @@ def tail_integral(fn, lo, *, abs_tol=ABS_TOL, rel_tol=REL_TOL):
     ]
     total += sum(incs)
     if not ratios or abs(incs[-1]) <= 1e-12 * scale:
-        return total, True
+        return total
     rho = ratios[-1]
     if rho >= 0.95 or any(r >= 1.0 for r in ratios[-3:]):
-        return np.inf, False
+        return math.inf
     # bound the remaining tail by the trailing geometric envelope
     total += abs(incs[-1]) * rho / (1.0 - rho)
-    return total, True
+    return total

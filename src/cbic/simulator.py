@@ -75,12 +75,17 @@ class SimConfig:
     n_paths: int = 1
 
     def __post_init__(self):
-        if self.dt <= 0 or self.t_end < 0:
-            raise SimulationError("need dt > 0 and t_end >= 0")
-        if self.eps is not None and self.eps < 0:
-            raise SimulationError("eps must be >= 0")
+        # written so that NaN fails every check
+        if not (0 < self.dt < math.inf and 0 <= self.t_end < math.inf):
+            raise SimulationError("need finite dt > 0 and t_end >= 0")
+        if self.eps is not None and not 0 <= self.eps < math.inf:
+            raise SimulationError("eps must be finite and >= 0")
+        if not 0 < self.x_max < math.inf:
+            raise SimulationError("x_max must be finite and > 0")
         if self.n_paths < 1:
             raise SimulationError("n_paths must be >= 1")
+        if self.seed < 0:
+            raise SimulationError("seed must be >= 0")
 
 
 @dataclass
@@ -276,11 +281,7 @@ class _Plan:
         mu, nu = model.mu, model.nu
         self.stable_fast = mu.kind == "stable" and not force_thinning
         self.eps_mu = 0.0 if self.stable_fast else resolve_eps(mu, cfg, max(10.0 * x_ref, 10.0))
-        self.eps_nu = (
-            cfg.eps
-            if cfg.eps is not None
-            else (0.0 if (nu.is_zero or np.isfinite(nu.mass_above(0.0))) else resolve_eps(nu, cfg, 1.0))
-        )
+        self.eps_nu = resolve_eps(nu, cfg, 1.0)
         if self.stable_fast:
             self.alpha = mu.alpha
             self.sigma = mu.sigma
@@ -297,15 +298,15 @@ class _Plan:
             self.mu_comp_lin = 0.0
             self.mu_small_sq = 0.0
         else:
-            if not mu.is_zero and not np.isfinite(mu.mass_above(self.eps_mu)):
+            if not np.isfinite(mu.mass_above(self.eps_mu)):
                 raise SimulationError("branching measure needs eps > 0 (infinite activity)")
-            self.mu_rate = mu.mass_above(self.eps_mu) if not mu.is_zero else 0.0
+            self.mu_rate = mu.mass_above(self.eps_mu)
             self.mu_sampler = _MeasureSampler(mu, self.eps_mu) if self.mu_rate > 0 else None
             self.mu_comp_lin = mu.moment(1.0, self.eps_mu, 1.0) if self.eps_mu < 1.0 else 0.0
             self.mu_small_sq = mu.moment(2.0, 0.0, self.eps_mu) if self.eps_mu > 0 else 0.0
-        if not nu.is_zero and not np.isfinite(nu.mass_above(self.eps_nu)):
+        if not np.isfinite(nu.mass_above(self.eps_nu)):
             raise SimulationError("immigration measure needs eps > 0 (infinite activity)")
-        self.nu_rate = nu.mass_above(self.eps_nu) if not nu.is_zero else 0.0
+        self.nu_rate = nu.mass_above(self.eps_nu)
         self.nu_sampler = _MeasureSampler(nu, self.eps_nu) if self.nu_rate > 0 else None
         self.nu_small_lin = nu.moment(1.0, 0.0, self.eps_nu) if self.eps_nu > 0 else 0.0
         self.beta_eff = model.beta + self.nu_small_lin

@@ -1,12 +1,18 @@
+import contextlib
+import io
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
+import tempfile
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cbic import cli
 from cbic.cli import run
@@ -95,8 +101,18 @@ class TestExitCodes:
         "[branching]\nb = 0.5\nmu = atoms 2.0:x\n",
         "[branching]\nb = 0.5\n[sim]\npaths = 1.5\n",
         "[branching]\nb = 0.5\n[sim]\nseed = 2.5\n",
+        "[branching]\nb = 0.5\n[sim]\ndt = 0\n",
+        "[branching]\nb = 0.5\n[sim]\ndt = nan\n",
+        "[branching]\nb = 0.5\n[sim]\nseed = -1\n",
+        "[branching]\nb = nan\n",
+        "[branching]\nb = 0.5\nc = inf\n",
+        "[branching]\nb = 0.5\nmu = uniform rate=nan lo=0 hi=1\n",
+        "[branching]\nb = 0.5\nmu = atoms 2.0:inf\n",
+        "[branching]\nb = 0.5\n[certificate]\ngrid_nx = 0\n",
     ], ids=["eps", "lambda0", "c0", "no-section-header", "duplicate-option",
-            "interpolation", "atom-mass", "fractional-paths", "fractional-seed"])
+            "interpolation", "atom-mass", "fractional-paths", "fractional-seed",
+            "zero-dt", "nan-dt", "negative-seed", "nan-b", "inf-c", "nan-rate", "inf-atom",
+            "zero-grid"])
     def test_config_error_is_one_line(self, tmp_path, capsys, text):
         bad = tmp_path / "bad.cfg"
         bad.write_text(text)
@@ -106,6 +122,37 @@ class TestExitCodes:
         assert err.startswith("config error: ")
         assert len(err.strip().splitlines()) == 1
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--dt", "0"],
+        ["simulate", "--dt", "nan"],
+        ["simulate", "--t-end", "-1"],
+        ["simulate", "--eps", "-1"],
+        ["simulate", "--seed", "-1"],
+        ["stationary", "--samples", "0"],
+        ["stationary", "--samples", "-5"],
+        ["stationary", "--burn-in", "nan"],
+        ["rate", "--grid", "-1"],
+        ["check-generator", "--grid", "0"],
+    ], ids=lambda argv: " ".join(argv))
+    def test_bad_argument_is_one_line(self, ergodic_cfg, tmp_path, capsys, argv):
+        code = run([*argv, "--model", ergodic_cfg, "--out", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("command", ["lyapunov", "check-generator"])
+    def test_weight_outside_domain_exits_one(self, tmp_path, capsys, command):
+        # the stable index 1/2 branching measure has no first moment
+        code = run([
+            command, "--model", os.path.join(CONFIGS, "stable_power_vlog.cfg"),
+            "--weight", "v1", "--out", str(tmp_path),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: linear-growth weight")
+        assert len(err.strip().splitlines()) == 1
 
     def test_module_runs_the_cli(self):
         src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
@@ -270,3 +317,47 @@ class TestSubcommands:
             assert code == 0
             outs.append((out / "simulate.csv").read_bytes())
         assert outs[0] == outs[1]
+
+
+def _numeric_fields():
+    """(config name, text, span) for every number in a value of a shipped config."""
+    number = re.compile(r"(?<![\w.])-?\d+(?:\.\d*)?(?:[eE][-+]?\d+)?")
+    out = []
+    for name in sorted(f for f in os.listdir(CONFIGS) if f.endswith(".cfg")):
+        with open(os.path.join(CONFIGS, name)) as fh:
+            text = fh.read()
+        pos = 0
+        for line in text.splitlines(keepends=True):
+            if "=" in line and not line.lstrip().startswith("#"):
+                start = pos + line.index("=")
+                for m in number.finditer(text, start, pos + len(line)):
+                    out.append((name, text, m.span()))
+            pos += len(line)
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    field=st.sampled_from(_numeric_fields()),
+    value=st.one_of(
+        st.floats(-1e6, 1e6).map(repr),
+        st.sampled_from(["nan", "inf", "-inf", "1.5.2", "x", ""]),
+    ),
+)
+def test_mutated_config_keeps_cli_contract(field, value):
+    name, text, (a, b) = field
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, name)
+        with open(path, "w") as fh:
+            fh.write(text[:a] + value + text[b:])
+        for argv in (
+            ["lyapunov"],
+            ["simulate", "--paths", "4", "--t-end", "0.002", "--dt", "1e-3"],
+        ):
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                code = run([*argv, "--model", path, "--out", tmp])
+            assert code in (0, 1, 2)
+            assert "Traceback" not in err.getvalue()
+            if code != 0:
+                assert len(err.getvalue().strip().splitlines()) == 1, err.getvalue()

@@ -12,7 +12,6 @@ from cbic.measures import (
     overlap_density,
     overlap_integrate,
     overlap_mass,
-    rn_ratio,
     rn_ratio_many,
 )
 from cbic.mechanisms import (
@@ -136,54 +135,57 @@ class TestKappa:
 class TestRnRatio:
     def test_zero_below_positive_shift(self):
         zs = np.array([0.05, 0.2, 0.39])
-        assert rn_ratio(UNI, 0.4, zs) == pytest.approx(np.zeros(3))
+        assert rn_ratio_many(UNI, 0.4, zs) == pytest.approx(np.zeros(3))
 
     def test_half_at_zero_shift(self):
-        assert rn_ratio(UNI, 0.0, 0.5) == pytest.approx([0.5])
+        assert rn_ratio_many(UNI, 0.0, 0.5) == pytest.approx([0.5])
 
     def test_stable_ratio_caps_at_half(self):
         # shifted density exceeds the base density, so the ratio saturates
-        assert rn_ratio(STABLE, 1.0, 2.0) == pytest.approx([0.5])
+        assert rn_ratio_many(STABLE, 1.0, 2.0) == pytest.approx([0.5])
 
     def test_stable_ratio_value(self):
         z, x = 2.0, -1.0
         want = 0.5 * min(1.0, (z - x) ** -2.5 / z**-2.5)
-        assert rn_ratio(STABLE, x, z) == pytest.approx([want])
+        assert rn_ratio_many(STABLE, x, z) == pytest.approx([want])
 
     @pytest.mark.parametrize("base", [UNI, STABLE, ATOMS])
     @pytest.mark.parametrize("x", [-0.7, 0.0, 0.5, 1.2])
     def test_range_on_grid(self, base, x):
         zs = np.linspace(1e-3, 4.0, 200)
-        vals = rn_ratio(base, x, zs)
+        vals = rn_ratio_many(base, x, zs)
         assert (vals >= 0.0).all() and (vals <= 0.5).all()
 
     def test_pair_symmetry_on_grid(self):
         zs = np.linspace(1e-3, 4.0, 200)
         for x, y in ((1.3, 0.4), (2.0, 0.0), (0.9, 0.8)):
-            fwd = rn_ratio(UNI, x - y, zs) + rn_ratio(UNI, y - x, zs)
-            rev = rn_ratio(UNI, y - x, zs) + rn_ratio(UNI, x - y, zs)
+            fwd = rn_ratio_many(UNI, x - y, zs) + rn_ratio_many(UNI, y - x, zs)
+            rev = rn_ratio_many(UNI, y - x, zs) + rn_ratio_many(UNI, x - y, zs)
             assert fwd == pytest.approx(rev)
 
     def test_atom_matching(self):
         # shift 0.5 maps the 1.0-atom onto the 1.5-atom
-        val = rn_ratio(ATOMS, 0.5, 1.5)
+        val = rn_ratio_many(ATOMS, 0.5, 1.5)
         assert val == pytest.approx([0.5 * min(1.0, 0.6 / 0.4)])
-        assert rn_ratio(ATOMS, 0.3, 1.5) == pytest.approx([0.0])
+        assert rn_ratio_many(ATOMS, 0.3, 1.5) == pytest.approx([0.0])
 
     def test_many_matches_scalar(self):
         zs = np.array([0.3, 0.7, 1.0])
         xs = np.array([0.1, -0.2, 0.4])
         many = rn_ratio_many(UNI, xs, zs)
-        each = [rn_ratio(UNI, float(x), float(z))[0] for x, z in zip(xs, zs)]
+        each = [rn_ratio_many(UNI, float(x), float(z))[0] for x, z in zip(xs, zs)]
         assert many == pytest.approx(np.asarray(each))
 
 
 class TestOverlapIntegrate:
     def test_matches_mass_for_unit_function(self):
-        for base, x in ((UNI, 0.3), (STABLE, 0.5), (ATOMS, 0.5)):
-            assert overlap_integrate(base, x, lambda z: 1.0) == pytest.approx(
-                overlap_mass(base, x), rel=1e-8
-            )
+        # one quadrature path: exact except where the stable mass has a closed form
+        mixed = LevyMeasure.sum_of([ATOMS, LevyMeasure.uniform(0.7, 0.2, 2.5)])
+        for base, x in ((UNI, 0.3), (ATOMS, 0.5), (mixed, 0.5), (mixed, -0.3)):
+            assert overlap_integrate(base, x, lambda z: 1.0) == overlap_mass(base, x)
+        assert overlap_integrate(STABLE, 0.5, lambda z: 1.0) == pytest.approx(
+            overlap_mass(STABLE, 0.5), rel=1e-8
+        )
 
 
 @settings(max_examples=40, deadline=None)

@@ -7,7 +7,6 @@ from scipy.integrate import quad
 
 from cbic.mechanisms import (
     BranchingMechanism,
-    CompetitionMechanism,
     ImmigrationMechanism,
     InconclusiveError,
     LevyMeasure,
@@ -37,6 +36,33 @@ class TestUniformDensity:
         m = LevyMeasure.uniform(0.8, 0.0, 0.9)
         assert m.fn is None
         assert pickle.loads(pickle.dumps(m)) == m
+
+
+class TestDensityIntegral:
+    """Masses, moments and log tails share one edge-and-tail integration path."""
+
+    UNI = LevyMeasure.uniform(0.8, 0.0, 0.9)
+    MEASURES = [
+        UNI,
+        LevyMeasure.from_density(lambda z: z**-0.5, support=(0.0, 1.0)),
+        LevyMeasure.from_atoms([(0.5, 0.3), (1.5, 0.2)]),
+        LevyMeasure.sum_of([LevyMeasure.from_atoms([(0.5, 0.3)]), UNI]),
+    ]
+
+    @pytest.mark.parametrize("m", MEASURES, ids=["uniform", "edge-singular", "atoms", "sum"])
+    @pytest.mark.parametrize("z0", [0.0, 0.3, 1.0, 2.0])
+    def test_mass_equals_zeroth_moment(self, m, z0):
+        assert m.mass_above(z0) == m.moment(0.0, z0)
+
+    def test_harmonic_tail_mass_diverges(self):
+        m = LevyMeasure.from_density(lambda z: 1.0 / z, support=(1.0, math.inf))
+        assert m.mass_above(1.0) == math.inf
+
+    def test_log_tail_from_support_edge_at_one(self):
+        # int_1^inf log(1+z) z^-2 dz = 2 log 2
+        m = LevyMeasure.from_density(lambda z: z**-2.0, support=(1.0, math.inf))
+        assert m.log_tail() == pytest.approx(2.0 * math.log(2.0), rel=1e-6)
+        assert m.has_finite_log_tail
 
 
 class TestPsiEval:
@@ -199,10 +225,3 @@ class TestValidation:
             LevyMeasure.from_atoms([(0.0, 1.0)])
         with pytest.raises(MechanismError):
             LevyMeasure.from_atoms([(1.0, -1.0)])
-
-    def test_competition_table_monotone(self):
-        with pytest.raises(MechanismError):
-            CompetitionMechanism.table([0.0, 1.0, 2.0], [0.0, 1.0, 0.5])
-        g = CompetitionMechanism.table([0.0, 1.0, 2.0], [0.0, 1.0, 1.5])
-        assert g(0.0) == 0.0
-        assert g(3.0) == pytest.approx(2.0)  # extrapolates the last slope
