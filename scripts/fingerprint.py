@@ -1,0 +1,169 @@
+"""Print one sha256 per CLI output of a fixed corpus, to check byte-identity.
+
+Usage::
+
+    python scripts/fingerprint.py [--src DIR] > fingerprint.txt
+
+Each corpus run is ``python -m cbic.cli <command> --model <config> --out out``
+in a fresh directory, with ``DIR`` (default: this checkout's ``src``) on
+``PYTHONPATH``.  One line is printed per output file, stdout, stderr and exit
+code: ``<config> <command> <item> <sha256>``.  Running the script against two
+source trees and diffing the two outputs shows whether a change left every
+output byte-identical.  The configs are the shipped ones plus three fixed
+models written below; nothing is timed.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from concurrent.futures import ThreadPoolExecutor
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SHIPPED = ("ergodic_v1", "stable_power_vlog", "critical_cbi", "neveu_xlog")
+
+# finite-activity branching and immigration jumps (the nu-jump model of the tests)
+NU_JUMP = """\
+[branching]
+b = 0.6
+c = 0.0
+mu = uniform rate=1.0 lo=0.0 hi=1.0
+
+[immigration]
+beta = 0.2
+nu = uniform rate=0.8 lo=0.0 hi=0.9
+
+[competition]
+g = none
+
+[sim]
+dt = 1e-3
+t_end = 1.0
+paths = 1000
+seed = 7
+
+[certificate]
+weight = v1
+"""
+
+# stable + atoms + uniform parts in both measures, a diffusion part, power
+# competition, automatic truncation (so the small-jump Gaussian is used)
+MIXED_VLOG = """\
+[branching]
+b = 0.4
+c = 0.2
+mu = stable alpha=0.6 sigma=0.5 + atoms 1.5:0.3 + uniform rate=0.8 lo=0.1 hi=0.7
+
+[immigration]
+beta = 0.3
+nu = stable alpha=0.5 sigma=0.2 + atoms 0.5:0.4 + uniform rate=0.5 lo=0.0 hi=1.0
+
+[competition]
+g = power k=1.2 p=1.5
+
+[sim]
+dt = 1e-3
+t_end = 1.0
+paths = 1000
+seed = 11
+
+[certificate]
+weight = vlog
+"""
+
+# atoms + uniform densities starting at 0, a diffusion part, xlog competition
+MIXED_V1 = """\
+[branching]
+b = 0.8
+c = 0.1
+mu = atoms 2.0:0.5 + uniform rate=1.0 lo=0.0 hi=1.0
+
+[immigration]
+beta = 0.4
+nu = atoms 1.0:0.3 + uniform rate=0.6 lo=0.0 hi=0.5
+
+[competition]
+g = xlog k=0.5
+
+[sim]
+dt = 1e-3
+t_end = 1.0
+paths = 1000
+seed = 5
+eps = 0.0
+
+[certificate]
+weight = v1
+"""
+
+COMMANDS = (
+    ("rate-v1", ["rate", "--grid", "31", "--weight", "v1"]),
+    ("rate-vlog", ["rate", "--grid", "31", "--weight", "vlog"]),
+    ("lyapunov", ["lyapunov"]),
+    ("check-generator", ["check-generator"]),
+    ("simulate", ["simulate", "--paths", "200", "--t-end", "0.05", "--dump"]),
+    ("couple", ["couple", "--paths", "100", "--t-end", "0.05"]),
+    ("stationary", ["stationary", "--samples", "200", "--burn-in", "0.5", "--dt", "1e-3"]),
+)
+
+
+def _configs():
+    out = {}
+    for name in SHIPPED:
+        with open(os.path.join(ROOT, "configs", f"{name}.cfg")) as fh:
+            out[name] = fh.read()
+    out.update(nu_jump=NU_JUMP, mixed_vlog=MIXED_VLOG, mixed_v1=MIXED_V1)
+    return out
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _run(src, work, cfg_name, cfg_text, label, argv):
+    run_dir = os.path.join(work, f"{cfg_name}-{label}")
+    os.makedirs(run_dir)
+    with open(os.path.join(run_dir, "model.cfg"), "w") as fh:
+        fh.write(cfg_text)
+    env = dict(os.environ, PYTHONPATH=src, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, "-m", "cbic.cli", *argv, "--model", "model.cfg", "--out", "out"],
+        cwd=run_dir, env=env, capture_output=True,
+    )
+    lines = [
+        f"{cfg_name} {label} exit {_sha(str(proc.returncode).encode())}",
+        f"{cfg_name} {label} stdout {_sha(proc.stdout)}",
+        f"{cfg_name} {label} stderr {_sha(proc.stderr)}",
+    ]
+    out_dir = os.path.join(run_dir, "out")
+    for name in sorted(os.listdir(out_dir)) if os.path.isdir(out_dir) else ():
+        with open(os.path.join(out_dir, name), "rb") as fh:
+            lines.append(f"{cfg_name} {label} {name} {_sha(fh.read())}")
+    shutil.rmtree(run_dir)
+    return lines
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("--src", default=os.path.join(ROOT, "src"), help="source tree to run")
+    args = p.parse_args(argv)
+    src = os.path.abspath(args.src)
+    with tempfile.TemporaryDirectory() as work:
+        runs = [
+            (src, work, cfg_name, text, label, cmd)
+            for cfg_name, text in _configs().items()
+            for label, cmd in COMMANDS
+        ]
+        with ThreadPoolExecutor(2) as pool:  # two CLI runs at a time
+            for lines in pool.map(lambda r: _run(*r), runs):
+                print("\n".join(lines), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -33,7 +33,6 @@ from .generator import (
     WeightFunction,
     apply_generator,
     coupling_generator_F0,
-    coupling_generator_G0,
     lyapunov_certify,
 )
 from .simulator import (

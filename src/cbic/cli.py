@@ -225,7 +225,7 @@ def _cmd_rate(args):
     n = args.grid if args.grid else run.grid_nx
     try:
         cert = compute_rate_certificate(
-            run.model, weight, lambda0=run.lambda0, c0=run.c0, nx=n, ngap=n
+            run.model, weight, lambda0=run.lambda0, c0=run.c0, grid=n
         )
     except CertificateError as exc:
         print(f"rate certificate failed: {exc}", file=sys.stderr)
@@ -234,8 +234,7 @@ def _cmd_rate(args):
     report = render_certificate(cert)
     with open(os.path.join(args.out, "certificate.txt"), "w") as fh:
         fh.write(report + "\n")
-    if cert.validation is not None:
-        write_margin_csv(os.path.join(args.out, "certificate_margins.csv"), cert.validation.rows)
+    write_margin_csv(os.path.join(args.out, "certificate_margins.csv"), cert.validation.rows)
     print(report)
     return 0
 

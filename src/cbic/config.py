@@ -207,8 +207,6 @@ def load_config(path) -> RunConfig:
             dt=_getfloat(ssec, "dt", 1e-3, "[sim]"),
             t_end=_getfloat(ssec, "t_end", 1.0, "[sim]"),
             eps=eps,
-            diffusion_correction=ssec.get("diffusion_correction", "true").strip().lower()
-            in ("1", "true", "yes", "on"),
             x_max=_getfloat(ssec, "x_max", 1e8, "[sim]"),
             seed=_getint(ssec, "seed", 0, "[sim]"),
             n_paths=_getint(ssec, "paths", 1, "[sim]"),

@@ -82,9 +82,30 @@ class ValidationReport:
     rows: List[Tuple[float, float, float, float]] = field(repr=False, default_factory=list)
 
 
+# how each certificate constant is obtained, printed next to it in the report
+_PROVENANCE = {
+    "lambda0": "non-triviality search over a geometric grid",
+    "c0": "largest radius with positive overlap mass (1.0 when c > 0)",
+    "kappa": "half the grid minimum of c lam0^2 e^(-lam0 x) + overlap masses on [0, x0]",
+    "x0": "golden-section search maximizing lambda",
+    "l": "smallest level >= 1 with V > 12 C0/C1 beyond it",
+    "lambda1": "e^(-lambda0 l) Psi(lambda0)/lambda0",
+    "q": "sign-feasible near-zero immigration bound (bisection + grid max)",
+    "r_star": "sign-feasible near-zero immigration bound (bisection + grid max)",
+    "r": "r_* capped by x0 q / (6 (2c + int_0^1 z^2 mu))",
+    "H": "(3/x0)(2c + |b| x0 + g(x0) + int_0^1 z^2 mu)",
+    "theta": "max{4, 2H/lambda1, 4H/(r kappa x0), 8H/(lambda1 psi(r x0/2))}",
+    "lambda2": "minimum of the five regional contraction constants",
+    "C0": "Lyapunov sweep (largest feasible C1 scaled geometrically)",
+    "C1": "Lyapunov sweep (largest feasible C1 scaled geometrically)",
+    "epsilon": "4 C0 / (lambda2 theta)",
+    "lam": "min(C1, lambda2)/2",
+}
+
+
 @dataclass
 class RateCertificate:
-    """All constants of the rate pipeline plus per-constant provenance."""
+    """All constants of the rate pipeline and the grid validation report."""
 
     lambda0: float
     c0: float
@@ -104,7 +125,6 @@ class RateCertificate:
     lam: float
     psi_at_lambda0: float
     weight: WeightFunction
-    provenance: dict = field(default_factory=dict)
     validation: Optional[ValidationReport] = None
 
     def __post_init__(self):
@@ -134,18 +154,20 @@ class RateCertificate:
         )
 
 
-def _lambda0_candidates(model: ModelSpec, n: int):
-    grid = np.geomspace(1e-3, 1e3, 61)
-    feas = [
-        float(l)
-        for l in grid
-        if psi_eval(model.branching, float(l)) > 0 and phi_eval(model.immigration, float(l)) > 0
-    ]
-    if not feas:
-        return []
-    if len(feas) <= n:
+_N_LAMBDA0 = 8
+
+
+def _lambda0_candidates(model: ModelSpec):
+    """(lambda0, Psi(lambda0)) pairs with Psi, Phi > 0, spread over a geometric grid."""
+    feas = []
+    for l in np.geomspace(1e-3, 1e3, 61):
+        l = float(l)
+        psi = psi_eval(model.branching, l)
+        if psi > 0 and phi_eval(model.immigration, l) > 0:
+            feas.append((l, psi))
+    if len(feas) <= _N_LAMBDA0:
         return feas
-    idx = np.unique(np.round(np.linspace(0, len(feas) - 1, n)).astype(int))
+    idx = np.unique(np.round(np.linspace(0, len(feas) - 1, _N_LAMBDA0)).astype(int))
     return [feas[i] for i in idx]
 
 
@@ -209,7 +231,10 @@ class _Constants:
 
 def _pipeline_at(model, lambda0, x0, lam1, c1, table, sq_small, nu_cube):
     xs, vals = table
-    a_vals = model.c * lambda0**2 * np.exp(-lambda0 * xs) + vals
+    c_lam2 = model.c * lambda0**2
+    if not math.isfinite(c_lam2):  # kappa's grid below is not representable
+        return None
+    a_vals = c_lam2 * np.exp(-lambda0 * xs) + vals
     sel = a_vals[xs <= x0]
     if sel.size == 0:
         return None
@@ -287,19 +312,16 @@ def compute_rate_certificate(
     *,
     lambda0: Optional[float] = None,
     c0: Optional[float] = None,
-    validate: bool = True,
-    nx: int = 101,
-    ngap: int = 101,
-    n_lambda0: int = 8,
+    grid: int = 101,
 ) -> RateCertificate:
-    """Run the full rate pipeline and grid-validate the result."""
+    """Run the full rate pipeline and validate the result on a grid x grid check."""
     # Condition 1.1
-    cand0 = [lambda0] if lambda0 is not None else _lambda0_candidates(model, n_lambda0)
-    cand0 = [
-        l
-        for l in cand0
-        if psi_eval(model.branching, l) > 0 and phi_eval(model.immigration, l) > 0
-    ]
+    if lambda0 is None:
+        cand0 = _lambda0_candidates(model)
+    else:
+        psi0 = psi_eval(model.branching, lambda0)
+        feasible = psi0 > 0 and phi_eval(model.immigration, lambda0) > 0
+        cand0 = [(lambda0, psi0)] if feasible else []
     if not cand0:
         raise CertificateError(
             "non-triviality", "no lambda0 with Psi(lambda0) > 0 and Phi(lambda0) > 0"
@@ -339,9 +361,8 @@ def compute_rate_certificate(
     hi = min(c0, 1.0) * (1.0 - 1e-9)
     lo = min(1e-4, hi / 8.0)
 
-    best = None  # (lam, lambda0, c1, c0_ly, x0, constants)
-    for lam0 in cand0:
-        psi0 = psi_eval(model.branching, lam0)
+    best = None  # (lam, lambda0, Psi(lambda0), c1, c0_ly, l, lambda1, x0, constants)
+    for lam0, psi0 in cand0:
         for c1, c0_ly in ly_cands:
             l_cut = max(1.0, weight.inverse(12.0 * c0_ly / c1))
             if not np.isfinite(l_cut):
@@ -354,12 +375,12 @@ def compute_rate_certificate(
             if consts is None:
                 continue
             if best is None or consts.lam > best[0]:
-                best = (consts.lam, lam0, c1, c0_ly, l_cut, lam1, x0_opt, consts)
+                best = (consts.lam, lam0, psi0, c1, c0_ly, l_cut, lam1, x0_opt, consts)
     if best is None:
         raise CertificateError(
             "contraction", "every (lambda0, C1, x0) combination degenerated to lambda <= 0"
         )
-    lam, lam0, c1, c0_ly, l_cut, lam1, x0_opt, k = best
+    lam, lam0, psi0, c1, c0_ly, l_cut, lam1, x0_opt, k = best
     cert = RateCertificate(
         lambda0=lam0,
         c0=float(c0),
@@ -377,41 +398,26 @@ def compute_rate_certificate(
         C1=c1,
         epsilon=4.0 * c0_ly / (k.lambda2 * k.theta),
         lam=lam,
-        psi_at_lambda0=psi_eval(model.branching, lam0),
+        psi_at_lambda0=psi0,
         weight=weight,
-        provenance={
-            "lambda0": "non-triviality search over a geometric grid",
-            "c0": "largest radius with positive overlap mass (1.0 when c > 0)",
-            "kappa": "half the grid minimum of c lam0^2 e^(-lam0 x) + overlap masses on [0, x0]",
-            "x0": "golden-section search maximizing lambda",
-            "l": "smallest level >= 1 with V > 12 C0/C1 beyond it",
-            "lambda1": "e^(-lambda0 l) Psi(lambda0)/lambda0",
-            "q,r_star": "sign-feasible near-zero immigration bound (bisection + grid max)",
-            "r": "r_* capped by x0 q / (6 (2c + int_0^1 z^2 mu))",
-            "H": "(3/x0)(2c + |b| x0 + g(x0) + int_0^1 z^2 mu)",
-            "theta": "max{4, 2H/lambda1, 4H/(r kappa x0), 8H/(lambda1 psi(r x0/2))}",
-            "lambda2": "minimum of the five regional contraction constants",
-            "C0,C1": "Lyapunov sweep (largest feasible C1 scaled geometrically)",
-            "epsilon": "4 C0 / (lambda2 theta)",
-            "lambda": "min(C1, lambda2)/2",
-        },
     )
-    if validate:
-        report = validate_certificate(model, cert, nx=nx, ngap=ngap)
-        cert.validation = report
-        if not report.passed:
-            raise CertificateError(
-                "grid-validation",
-                f"{report.n_failures}/{report.n_points} grid points violate the "
-                f"contraction inequality (worst margin {report.worst_margin:.3e})",
-            )
+    report = validate_certificate(model, cert, grid=grid)
+    cert.validation = report
+    if not report.passed:
+        raise CertificateError(
+            "grid-validation",
+            f"{report.n_failures}/{report.n_points} grid points violate the "
+            f"contraction inequality (worst margin {report.worst_margin:.3e})",
+        )
     return cert
 
 
 def validate_certificate(
-    model: ModelSpec, cert: RateCertificate, *, nx: int = 101, ngap: int = 101
+    model: ModelSpec, cert: RateCertificate, *, grid: int = 101
 ) -> ValidationReport:
-    """Grid check of eps*LF0 + LV(x) + LV(y) <= -lam G0(x, y) with 1e-6 slack.
+    """Check eps*LF0 + LV(x) + LV(y) <= -lam G0(x, y) with 1e-6 slack.
+
+    The check runs over ``grid`` log-spaced x times ``grid`` log-spaced gaps.
 
     Quantities that do not depend on the point are computed once: overlap
     masses per gap, the small-jump second moment, and per x-row LV(x) and
@@ -420,8 +426,8 @@ def validate_certificate(
     ctrl = cert.control()
     weight = cert.weight
     drift = LyapunovDrift(model, weight)
-    xs = np.geomspace(1e-4, 1e4, nx)
-    gaps = np.geomspace(1e-4, 2.0 * cert.l, ngap)
+    xs = np.geomspace(1e-4, 1e4, grid)
+    gaps = np.geomspace(1e-4, 2.0 * cert.l, grid)
     mu_ov = {float(g): overlap_mass(model.mu, float(g)) for g in gaps}
     nu_ov = {float(g): overlap_mass(model.nu, float(g)) for g in gaps}
     sq_small = model.mu.moment(2.0, 0.0, 1.0)
@@ -458,14 +464,8 @@ def render_certificate(cert: RateCertificate) -> str:
         "lambda0", "c0", "kappa", "x0", "l", "lambda1", "q", "r_star", "r", "H",
         "theta", "lambda2", "C0", "C1", "epsilon", "lam",
     ):
-        val = getattr(cert, name)
         label = "lambda" if name == "lam" else name
-        prov = cert.provenance.get(label, cert.provenance.get(name.split(",")[0], ""))
-        if name in ("q", "r_star"):
-            prov = cert.provenance.get("q,r_star", "")
-        if name in ("C0", "C1"):
-            prov = cert.provenance.get("C0,C1", "")
-        lines.append(f"{label:>8} = {val:.10g}    [{prov}]")
+        lines.append(f"{label:>8} = {getattr(cert, name):.10g}    [{_PROVENANCE[name]}]")
     lines.append(f"weight   = {cert.weight.kind}")
     if cert.validation is not None:
         v = cert.validation
@@ -605,11 +605,16 @@ class StationaryEstimate:
     n_samples: int
 
 
-def _stationary_samples(model, cfg, burn_in, n_samples, start, n_chains, stride, seed):
-    per_chain = int(math.ceil(n_samples / n_chains))
-    t_first = burn_in
-    times = t_first + np.arange(per_chain) * stride * cfg.dt
-    run = replace(cfg, t_end=float(times.max()), seed=seed, n_paths=n_chains)
+_STATIONARY_CHAINS = 16
+_STATIONARY_BINS = 40
+
+
+def _stationary_samples(model, cfg, burn_in, n_samples, start, seed):
+    """Samples every ~0.25 time units after burn-in from 16 parallel chains."""
+    stride = max(1, int(round(0.25 / cfg.dt)))
+    per_chain = int(math.ceil(n_samples / _STATIONARY_CHAINS))
+    times = burn_in + np.arange(per_chain) * stride * cfg.dt
+    run = replace(cfg, t_end=float(times.max()), seed=seed, n_paths=_STATIONARY_CHAINS)
     res = simulate_ensemble(model, start, run, record_times=times)
     vals = res.values
     finite = np.isfinite(vals)
@@ -635,9 +640,6 @@ def estimate_stationary(
     n_samples: int,
     *,
     starts: Tuple[float, float] = (0.0, 8.0),
-    n_chains: int = 16,
-    stride_steps: Optional[int] = None,
-    n_bins: int = 40,
     weight: Optional[WeightFunction] = None,
 ) -> StationaryEstimate:
     """Binned long-run law with a two-start agreement diagnostic.
@@ -648,16 +650,13 @@ def estimate_stationary(
     bin-width transport term.  Non-convergence is reported, never hidden.
     """
     weight = weight if weight is not None else WeightFunction.v1()
-    stride = stride_steps if stride_steps is not None else max(1, int(round(0.25 / cfg.dt)))
-    s1, n_eff1 = _stationary_samples(
-        model, cfg, burn_in, n_samples, starts[0], n_chains, stride, cfg.seed
-    )
+    s1, n_eff1 = _stationary_samples(model, cfg, burn_in, n_samples, starts[0], cfg.seed)
     s2, n_eff2 = _stationary_samples(
-        model, cfg, burn_in, n_samples, starts[1], n_chains, stride, cfg.seed + 1000003
+        model, cfg, burn_in, n_samples, starts[1], cfg.seed + 1000003
     )
     pooled = np.concatenate([s1, s2])
     hi = float(np.quantile(pooled, 0.999)) * 1.1 + 1e-9
-    edges = np.linspace(0.0, hi, n_bins + 1)
+    edges = np.linspace(0.0, hi, _STATIONARY_BINS + 1)
     centers = 0.5 * (edges[:-1] + edges[1:])
     p1, _ = np.histogram(np.clip(s1, 0, hi - 1e-12), bins=edges)
     p2, _ = np.histogram(np.clip(s2, 0, hi - 1e-12), bins=edges)

@@ -40,7 +40,6 @@ __all__ = [
     "lyapunov_margin",
     "CouplingControl",
     "coupling_generator_F0",
-    "coupling_generator_G0",
     "sweep_nu_row_term",
     "write_margin_csv",
 ]
@@ -57,24 +56,20 @@ class SmoothFunction:
     value: Callable[[float], float]
     deriv: Callable[[float], float]
     second: Callable[[float], float]
-    jump: Optional[Callable[[float, float], float]] = None
 
-    def jump_at(self, x: float, z: float) -> float:
-        if self.jump is not None:
-            return self.jump(x, z)
+    def jump(self, x: float, z: float) -> float:
         return self.value(x + z) - self.value(x)
 
 
 @dataclass(frozen=True)
 class WeightFunction:
-    """Nonnegative weight with V(x) -> inf, V' >= 0 for the built-in kinds."""
+    """Nonnegative weight with V(x) -> inf and V' >= 0: linear or logarithmic."""
 
-    kind: str  # "v1" | "vlog" | "custom"
+    kind: str  # "v1" | "vlog"
     value: Callable
     deriv: Callable
     second: Callable
     jump: Callable  # (x, z) -> V(x+z) - V(x)
-    tail_exponent: float  # V ~ x^tail_exponent up to logs; 0 means logarithmic
 
     @classmethod
     def v1(cls) -> "WeightFunction":
@@ -84,7 +79,6 @@ class WeightFunction:
             deriv=lambda x: np.ones_like(np.asarray(x, dtype=float)),
             second=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
             jump=lambda x, z: z + 0.0 * np.asarray(x, dtype=float),
-            tail_exponent=1.0,
         )
 
     @classmethod
@@ -95,61 +89,29 @@ class WeightFunction:
             deriv=lambda x: 1.0 / (1.0 + np.asarray(x, dtype=float)),
             second=lambda x: -1.0 / (1.0 + np.asarray(x, dtype=float)) ** 2,
             jump=lambda x, z: np.log1p(np.asarray(z, dtype=float) / (1.0 + x)),
-            tail_exponent=0.0,
         )
-
-    @classmethod
-    def custom(cls, value, deriv, second, jump=None, *, tail_exponent: float) -> "WeightFunction":
-        """Custom weight; tail_exponent closes the C0 sup with a tail bound."""
-        if jump is None:
-            jump = lambda x, z: value(x + z) - value(x)
-        w = cls(
-            kind="custom", value=value, deriv=deriv, second=second, jump=jump,
-            tail_exponent=float(tail_exponent),
-        )
-        probe = np.array([0.0, 0.5, 1.0, 10.0, 1e4, 1e8])
-        vals = np.asarray([float(value(p)) for p in probe])
-        if (vals < 0).any():
-            raise GeneratorDomainError("weight function must be nonnegative")
-        if vals[-1] <= vals[0] + 1.0:
-            raise GeneratorDomainError("weight function must diverge as x -> inf")
-        return w
 
     def inverse(self, t: float) -> float:
         """Smallest x with V(x) >= t."""
         if self.kind == "v1":
             return float(t)
-        if self.kind == "vlog":
-            return math.inf if t > 700.0 else float(np.expm1(t))
-        lo, hi = 0.0, 1.0
-        while float(self.value(hi)) < t:
-            hi *= 4.0
-            if hi > 1e300:
-                return math.inf
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if float(self.value(mid)) >= t:
-                hi = mid
-            else:
-                lo = mid
-        return hi
+        return math.inf if t > 700.0 else float(np.expm1(t))
 
 
 def _check_tail_flags(model: ModelSpec, f) -> None:
     if not isinstance(f, WeightFunction):
         return
-    if f.kind == "v1" or (f.kind == "custom" and f.tail_exponent >= 1.0):
+    if f.kind == "v1":
         if not (model.mu.has_finite_linear_tail and model.nu.has_finite_linear_tail):
             raise GeneratorDomainError(
                 "linear-growth weight needs finite first-moment tails: "
                 "int_1^inf z mu(dz) and int_1^inf z nu(dz) must both converge"
             )
-    elif f.kind == "vlog" or f.kind == "custom":
-        if not (model.mu.has_finite_log_tail and model.nu.has_finite_log_tail):
-            raise GeneratorDomainError(
-                "logarithmic weight needs finite log-moment tails: "
-                "int_1^inf log(1+z) mu(dz) and int_1^inf log(1+z) nu(dz) must both converge"
-            )
+    elif not (model.mu.has_finite_log_tail and model.nu.has_finite_log_tail):
+        raise GeneratorDomainError(
+            "logarithmic weight needs finite log-moment tails: "
+            "int_1^inf log(1+z) mu(dz) and int_1^inf log(1+z) nu(dz) must both converge"
+        )
 
 
 def apply_generator(model: ModelSpec, f, x: float) -> float:
@@ -158,8 +120,7 @@ def apply_generator(model: ModelSpec, f, x: float) -> float:
         raise GeneratorDomainError(f"state must be >= 0, got {x}")
     _check_tail_flags(model, f)
     x = float(x)
-    jump_fn = f.jump if isinstance(f, WeightFunction) else f.jump_at
-    jump = lambda z: float(jump_fn(x, z))
+    jump = lambda z: float(f.jump(x, z))
     fp = float(f.deriv(x))
     fpp = float(f.second(x))
     mu_int = model.mu.integrate(lambda z: jump(z) - z * fp * (z <= 1.0))
@@ -183,10 +144,8 @@ def _vlog_mu_integral(mu: LevyMeasure, w: float) -> float:
         return sum(_vlog_mu_integral(p, w) for p in mu.parts)
     if mu.kind == "stable" and mu.alpha < 1.0:
         a, s = mu.alpha, mu.sigma
-        return (
-            s * math.pi / (_gamma(1.0 - a) * math.sin(a * math.pi) * w**a)
-            - a * s / ((1.0 - a) * _gamma(1.0 - a) * w)
-        )
+        g = float(_gamma(1.0 - a))  # float arithmetic overflows to inf silently
+        return s * math.pi / (g * math.sin(a * math.pi) * w**a) - a * s / ((1.0 - a) * g * w)
     if mu.kind == "stable" and mu.alpha == 1.0:
         return mu.sigma * (1.0 + math.log(w)) / w
     return mu.integrate(lambda z: math.log1p(z / w) - z / w * (z <= 1.0))
@@ -218,7 +177,7 @@ class LyapunovDrift:
         m = self.model
         if self.weight.kind == "v1":
             val = (m.beta - m.b * x - float(m.g(x))) + x * self._mu_tail + self._nu_mean
-        elif self.weight.kind == "vlog":
+        else:
             w = 1.0 + x
             val = (
                 -m.c * x / w**2
@@ -226,8 +185,10 @@ class LyapunovDrift:
                 + (m.beta - m.b * x - float(m.g(x))) / w
                 + m.nu.integrate(lambda z: math.log1p(z / w))
             )
-        else:
-            val = apply_generator(m, self.weight, x)
+        if not math.isfinite(val):
+            raise GeneratorDomainError(
+                f"{self.weight.kind} drift LV({x:g}) = {val} is not a finite number"
+            )
         self._cache[x] = val
         return val
 
@@ -290,13 +251,12 @@ def _feasible_c0(weight: WeightFunction, c1: float, grid, lv_vals):
     """Minimal C0 for this C1, or None when the sup is not closed by the tail."""
     h = lv_vals + c1 * np.asarray(weight.value(grid), dtype=float)
     if not np.all(np.isfinite(h)):
-        return None, h
+        return None
     tail = h[grid >= 1e3]
     if len(tail) >= 3 and not (np.diff(tail) <= 1e-9 * np.maximum(1.0, np.abs(tail[:-1]))).all():
-        return None, h
+        return None
     sup = float(h.max())
-    c0 = max(sup * (1.0 + 1e-9) + 1e-300, 1e-12)
-    return c0, h
+    return max(sup * (1.0 + 1e-9) + 1e-300, 1e-12)
 
 
 def lyapunov_candidates(model: ModelSpec, weight: WeightFunction):
@@ -311,22 +271,17 @@ def lyapunov_candidates(model: ModelSpec, weight: WeightFunction):
     out = []
     for k in range(_SWEEP_DEPTH):
         c1 = c1max * 2.0**-k
-        c0, _ = _feasible_c0(weight, c1, grid, lv_vals)
+        c0 = _feasible_c0(weight, c1, grid, lv_vals)
         if c0 is not None:
             out.append((c1, c0))
     return margin, out, drift
 
 
-def lyapunov_certify(model: ModelSpec, weight: WeightFunction, *, c1: Optional[float] = None):
+def lyapunov_certify(model: ModelSpec, weight: WeightFunction):
     """Largest-C1 Lyapunov certificate, or a :class:`LyapunovFailure` report."""
     margin, cands, drift = lyapunov_candidates(model, weight)
     grid = _lyapunov_grid()
     lv_vals = drift.many(grid)  # memoized when the sweep already ran
-    if c1 is not None:
-        c0, h = _feasible_c0(weight, c1, grid, lv_vals)
-        if c0 is None:
-            return LyapunovFailure(margin, float(lv_vals.min()), f"C1={c1:g} is not feasible")
-        return LyapunovCertificate(c0, c1, weight, margin, grid, h - c0)
     if margin <= 0:
         reason = "asymptotic drift margin is not positive"
         if float(lv_vals.min()) > 0:
@@ -540,28 +495,6 @@ def _coupling_F0_exact(model: ModelSpec, ctrl: CouplingControl, x: float, y: flo
     l1 += dpsi2 * overlap_integrate(model.nu, gap, lambda z: ctrl.phi(x + z))
     l1 -= (1.0 + psig) * overlap_integrate(model.nu, -gap, lambda z: ctrl.phi(x + z))
     return l0 + l1
-
-
-def coupling_generator_G0(
-    model: ModelSpec,
-    ctrl: CouplingControl,
-    cert: LyapunovCertificate,
-    x: float,
-    y: float,
-    *,
-    exact: bool = False,
-    drift_eval: Optional[LyapunovDrift] = None,
-    **overlap_kw,
-) -> float:
-    """Upper bound eps * (coupling drift of F0) + LV(x) + LV(y).
-
-    This is the bound the contraction chain works with: the pure-jump part of
-    the coupling generator vanishes on the symmetric weight sum, so the bound
-    dominates the true drift of G0.
-    """
-    lv = drift_eval if drift_eval is not None else LyapunovDrift(model, cert.weight)
-    f0 = coupling_generator_F0(model, ctrl, x, y, exact=exact, **overlap_kw)
-    return ctrl.epsilon * f0 + lv(x) + lv(y)
 
 
 def write_margin_csv(path, rows) -> None:

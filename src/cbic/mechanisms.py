@@ -259,11 +259,11 @@ class LevyMeasure:
 
     # -- integrals ---------------------------------------------------------
 
-    def integrate(self, fn, lo: float = 0.0, hi: float = math.inf, breakpoints=()) -> float:
+    def integrate(self, fn, lo: float = 0.0, hi: float = math.inf) -> float:
         """int_lo^hi fn(z) measure(dz): density quadrature plus atom sum."""
         total = 0.0
         if self.kind == "sum":
-            total += sum(p.integrate(fn, lo, hi, breakpoints) for p in self.parts)
+            total += sum(p.integrate(fn, lo, hi) for p in self.parts)
             return total
         for loc, mass in self.atoms():
             if lo < loc <= hi:
@@ -272,7 +272,7 @@ class LevyMeasure:
             slo, shi = self.density_support() if self.kind == "density" else (0.0, math.inf)
             a, b = max(lo, slo), min(hi, shi)
             if b > a:
-                pts = tuple(self.breakpoints()) + tuple(breakpoints) + (1.0,)
+                pts = tuple(self.breakpoints()) + (1.0,)
                 total += quadrature.integrate(
                     lambda z: float(fn(z)) * self._dens1(z), a, b, breakpoints=pts
                 )
@@ -462,7 +462,8 @@ class CompetitionMechanism:
         if self.form == "linear":
             out = self.a * x
         elif self.form == "power":
-            out = self.K * np.power(np.maximum(x, 0.0), self.p)
+            with np.errstate(over="ignore"):  # K x^p beyond the float range is +inf
+                out = self.K * np.power(np.maximum(x, 0.0), self.p)
         else:
             out = self.K * x * np.log1p(np.maximum(x, 0.0))
         return out if out.shape else float(out)

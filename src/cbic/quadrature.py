@@ -19,7 +19,7 @@ import warnings
 import numpy as np
 from scipy import integrate as _sciint
 
-# Defaults per the certificate pipeline's needs; callers may override.
+# Tolerances of every QUADPACK piece, fixed at what the certificate pipeline needs.
 ABS_TOL = 1e-10
 REL_TOL = 1e-8
 _LIMIT = 200
@@ -42,18 +42,19 @@ def _pieces(lo, hi, breakpoints):
     return list(zip(pts[:-1], pts[1:]))
 
 
-def _quad_piece(fn, a, b, abs_tol, rel_tol):
+def _quad_piece(fn, a, b):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", _sciint.IntegrationWarning)
         val, err, info, *msg = _sciint.quad(
-            fn, a, b, epsabs=abs_tol, epsrel=rel_tol, limit=_LIMIT, full_output=1
+            fn, a, b, epsabs=ABS_TOL, epsrel=REL_TOL, limit=_LIMIT, full_output=1
         )
     if msg:
         # QUADPACK gave up; accept the value only if the error estimate is
         # still meaningfully below the result scale.
-        if not np.isfinite(val) or err > max(100 * abs_tol, 1e-4 * max(1.0, abs(val))):
+        if not np.isfinite(val) or err > max(100 * ABS_TOL, 1e-4 * max(1.0, abs(val))):
             raise QuadratureError(
-                f"quadrature did not converge on [{a:g}, {b:g}]: {msg[0]}",
+                # QUADPACK's explanation spans several lines; keep it to one
+                f"quadrature did not converge on [{a:g}, {b:g}]: {' '.join(msg[0].split())}",
                 interval=(a, b),
             )
     if not np.isfinite(val):
@@ -63,7 +64,7 @@ def _quad_piece(fn, a, b, abs_tol, rel_tol):
     return val
 
 
-def integrate(fn, lo, hi, *, breakpoints=(), abs_tol=ABS_TOL, rel_tol=REL_TOL):
+def integrate(fn, lo, hi, *, breakpoints=()):
     """Integrate ``fn`` over (lo, hi), hi may be ``np.inf``.
 
     The interval is split at interior ``breakpoints``; a piece with endpoint 0
@@ -86,14 +87,14 @@ def integrate(fn, lo, hi, *, breakpoints=(), abs_tol=ABS_TOL, rel_tol=REL_TOL):
             cuts = [b * 10.0**-k for k in range(6, 0, -1) if b * 10.0**-k > 0]
             prev = 0.0
             for c in cuts + [b]:
-                total += _quad_piece(fn, prev, c, abs_tol, rel_tol)
+                total += _quad_piece(fn, prev, c)
                 prev = c
         else:
-            total += _quad_piece(fn, a, b, abs_tol, rel_tol)
+            total += _quad_piece(fn, a, b)
     return total
 
 
-def lower_integral(fn, lo, hi, *, abs_tol=ABS_TOL, rel_tol=REL_TOL):
+def lower_integral(fn, lo, hi):
     """Integrate ``fn`` over (lo, hi] when fn may blow up at lo+.
 
     Dyadic shells shrinking toward ``lo`` must decline geometrically,
@@ -109,10 +110,10 @@ def lower_integral(fn, lo, hi, *, abs_tol=ABS_TOL, rel_tol=REL_TOL):
     for k in range(48):
         a = lo + w * 2.0 ** -(k + 1)
         b = lo + w * 2.0**-k
-        inc = _quad_piece(fn, a, b, abs_tol, rel_tol)
+        inc = _quad_piece(fn, a, b)
         incs.append(inc)
         total += inc
-        if k >= 3 and abs(inc) < max(abs_tol, 1e-13 * abs(total)):
+        if k >= 3 and abs(inc) < max(ABS_TOL, 1e-13 * abs(total)):
             return total
         if k >= 6:
             ratios = [
@@ -127,7 +128,7 @@ def lower_integral(fn, lo, hi, *, abs_tol=ABS_TOL, rel_tol=REL_TOL):
     return total
 
 
-def tail_integral(fn, lo, *, abs_tol=ABS_TOL, rel_tol=REL_TOL):
+def tail_integral(fn, lo):
     """Integrate ``fn`` over (lo, inf); a divergent tail returns ``inf``.
 
     Decade increments over (H, 10H) must settle into a geometric decline;
@@ -135,10 +136,10 @@ def tail_integral(fn, lo, *, abs_tol=ABS_TOL, rel_tol=REL_TOL):
     """
     lo = max(float(lo), 0.0)
     horizons = [max(lo, 1.0) * 10.0**k for k in range(0, 12)]
-    total = integrate(fn, lo, horizons[0], abs_tol=abs_tol, rel_tol=rel_tol)
+    total = integrate(fn, lo, horizons[0])
     incs = []
     for a, b in zip(horizons[:-1], horizons[1:]):
-        incs.append(_quad_piece(fn, a, b, abs_tol, rel_tol))
+        incs.append(_quad_piece(fn, a, b))
     scale = max(1.0, abs(total))
     ratios = [
         abs(i2) / abs(i1)

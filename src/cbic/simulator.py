@@ -61,15 +61,14 @@ class SimConfig:
 
     ``eps`` is the small-jump truncation level; ``None`` resolves it
     automatically (0 for finite-activity measures, else the level keeping the
-    expected events per step near the budget at ~10x the initial state).
-    ``diffusion_correction`` replaces truncated small-jump variance with a
+    expected events per step near the budget at ~10x the initial state).  The
+    variance of the truncated small branching jumps is always replaced by a
     matching Gaussian.
     """
 
     dt: float = 1e-3
     t_end: float = 1.0
     eps: Optional[float] = None
-    diffusion_correction: bool = True
     x_max: float = 1e8
     seed: int = 0
     n_paths: int = 1
@@ -171,9 +170,15 @@ def sample_stable_increment(alpha: float, dt: float, rng, size: Optional[int] = 
         )
         out = (math.pi / 2.0) * dt * x + dt * (math.log(math.pi * dt / 2.0) + 1.0 - np.euler_gamma)
     elif alpha < 1.0:
+        scale = dt ** (1.0 / alpha)
+        if scale == 0.0:
+            raise SimulationError(
+                f"stable increment scale dt^(1/alpha) underflows to 0 "
+                f"(alpha = {alpha:g}, dt = {dt:g})"
+            )
         u = rng.uniform(0.0, math.pi, n)
         w = rng.exponential(1.0, n)
-        out = dt ** (1.0 / alpha) * _kanter_positive_stable(alpha, u, w)
+        out = scale * _kanter_positive_stable(alpha, u, w)
     else:
         u = rng.uniform(-math.pi / 2.0, math.pi / 2.0, n)
         w = rng.exponential(1.0, n)
@@ -310,7 +315,6 @@ class _Plan:
         self.nu_sampler = _MeasureSampler(nu, self.eps_nu) if self.nu_rate > 0 else None
         self.nu_small_lin = nu.moment(1.0, 0.0, self.eps_nu) if self.eps_nu > 0 else 0.0
         self.beta_eff = model.beta + self.nu_small_lin
-        self.diff_corr = cfg.diffusion_correction
         self.x_max = cfg.x_max
         self.g = model.g
         self.c = model.c
@@ -341,17 +345,20 @@ def _block_ranges(n: int):
 # -- single-path stepping -------------------------------------------------------
 
 
-def _step_single(x: np.ndarray, plan: _Plan, dt: float, s: _Streams) -> np.ndarray:
+def _step_single(
+    x: np.ndarray, plan: _Plan, dt: float, normals: np.ndarray, s: _Streams
+) -> np.ndarray:
+    """One Euler step of every path, driven by the step's standard ``normals``."""
     live = np.isfinite(x)
     if plan.mu_rate > 0:
         live &= x * plan.mu_rate * dt <= _LAM_CAP
-    x = np.where(live, x, np.inf)
     xl = np.where(live, x, 0.0)
     drift = (plan.beta_eff - plan.b_eff * xl - plan.g(xl)) * dt
-    var = 2.0 * plan.c * xl * dt
-    if plan.diff_corr and plan.mu_small_sq > 0:
+    # 2 c x dt; forming c x dt first keeps a huge c from overflowing at x = 0
+    var = 2.0 * (plan.c * xl * dt)
+    if plan.mu_small_sq > 0:
         var = var + xl * plan.mu_small_sq * dt
-    xn = xl + drift + np.sqrt(np.maximum(var, 0.0)) * s.gauss.standard_normal(x.size)
+    xn = xl + drift + np.sqrt(np.maximum(var, 0.0)) * normals
     if plan.stable_fast and plan.sigma > 0:
         inc = sample_stable_increment(plan.alpha, dt, s.mu, size=x.size)
         if plan.alpha == 1.0:
@@ -380,7 +387,11 @@ def _step_single(x: np.ndarray, plan: _Plan, dt: float, s: _Streams) -> np.ndarr
             np.add.at(xn, np.repeat(np.arange(x.size), counts), z)
     xn = np.maximum(xn, 0.0)
     xn = np.where(live, xn, np.inf)
-    xn = np.where(xn > plan.x_max, np.inf, xn)
+    ok = xn <= plan.x_max  # False where dead, exploded or NaN
+    if np.count_nonzero(ok) < ok.size:
+        if np.isnan(xn).any():
+            raise SimulationError("single-path Euler step produced a NaN state")
+        xn[~ok] = np.inf
     return xn
 
 
@@ -416,15 +427,18 @@ def simulate_ensemble(
     n_steps, times, rec_idx = _record_grid(cfg, record_times)
     rec_set = {int(i): k for k, i in enumerate(rec_idx)}
     out = np.empty((len(rec_idx), cfg.n_paths))
-    for lo, hi in _block_ranges(cfg.n_paths):
-        s = _Streams(cfg.seed, lo // _BLOCK)
-        x = x0[lo:hi].copy()
-        if 0 in rec_set:
-            out[rec_set[0], lo:hi] = x
-        for k in range(1, n_steps + 1):
-            x = _step_single(x, plan, cfg.dt, s)
-            if k in rec_set:
-                out[rec_set[k], lo:hi] = x
+    # a state, variance, stable increment or competition term beyond the float
+    # range is +inf, its exact limit: the path explodes or a -inf drift clamps it
+    with np.errstate(over="ignore"):
+        for lo, hi in _block_ranges(cfg.n_paths):
+            s = _Streams(cfg.seed, lo // _BLOCK)
+            x = x0[lo:hi].copy()
+            if 0 in rec_set:
+                out[rec_set[0], lo:hi] = x
+            for k in range(1, n_steps + 1):
+                x = _step_single(x, plan, cfg.dt, s.gauss.standard_normal(x.size), s)
+                if k in rec_set:
+                    out[rec_set[k], lo:hi] = x
     exploded = ~np.isfinite(out[-1])
     return EnsembleResult(times[rec_idx], out, exploded)
 
@@ -553,17 +567,15 @@ def _step_coupled(state: _CoupledState, plan: _Plan, lasso_mu, lasso_nu, dt, s, 
     live = np.isfinite(state.x)
     if plan.mu_rate > 0:
         live &= state.x * plan.mu_rate * dt <= _LAM_CAP
-        state.x = np.where(live, state.x, np.inf)
-        state.y = np.where(live, state.y, np.inf)
     x = np.where(live, state.x, 0.0)
     y = np.where(live, state.y, 0.0)
     gap0 = x - y
     # Gaussian reflection: X gets G1 + G2, Y gets -G1 before coupling
     n1 = s.gauss.standard_normal(n)
     n2 = s.gauss.standard_normal(n)
-    g1 = np.sqrt(np.maximum(2.0 * plan.c * y * dt, 0.0)) * n1
-    g2 = np.sqrt(np.maximum(2.0 * plan.c * gap0 * dt, 0.0)) * n2
-    if plan.diff_corr and plan.mu_small_sq > 0:
+    g1 = np.sqrt(np.maximum(2.0 * (plan.c * y * dt), 0.0)) * n1
+    g2 = np.sqrt(np.maximum(2.0 * (plan.c * gap0 * dt), 0.0)) * n2
+    if plan.mu_small_sq > 0:
         nc = s.gauss.standard_normal(n)
         nl = s.gauss.standard_normal(n)
         gc = np.sqrt(np.maximum(y * plan.mu_small_sq * dt, 0.0)) * nc
@@ -625,9 +637,12 @@ def _step_coupled(state: _CoupledState, plan: _Plan, lasso_mu, lasso_nu, dt, s, 
         state.coupled |= crossed
         state.t_couple[crossed] = t_now + dt
     state.y = np.where(state.coupled, state.x, state.y)
-    boom = live & ((state.x > plan.x_max) | (state.y > plan.x_max))
-    state.x[boom] = np.inf
-    state.y[boom] = np.inf
+    boom = live & ~((state.x <= plan.x_max) & (state.y <= plan.x_max))  # exploded or NaN
+    if boom.any():
+        if np.isnan(state.x[boom]).any() or np.isnan(state.y[boom]).any():
+            raise SimulationError("coupled Euler step produced a NaN state")
+        state.x[boom] = np.inf
+        state.y[boom] = np.inf
     state.x[~live] = np.inf
     state.y[~live] = np.inf
 
@@ -655,20 +670,21 @@ def simulate_coupled_ensemble(
     events: list = []
     lasso_mu = _LassoRates(model.mu, plan.eps_mu)
     lasso_nu = _LassoRates(model.nu, plan.eps_nu)
-    for lo, hi in _block_ranges(cfg.n_paths):
-        s = _Streams(cfg.seed, lo // _BLOCK)
-        st = _CoupledState(x0[lo:hi], y0[lo:hi], _record_events)
-        if 0 in rec_set:
-            xs[rec_set[0], lo:hi] = st.x
-            ys[rec_set[0], lo:hi] = st.y
-        for k in range(1, n_steps + 1):
-            _step_coupled(st, plan, lasso_mu, lasso_nu, cfg.dt, s, (k - 1) * cfg.dt)
-            if k in rec_set:
-                xs[rec_set[k], lo:hi] = st.x
-                ys[rec_set[k], lo:hi] = st.y
-        t_couple[lo:hi] = st.t_couple
-        if st.events is not None:
-            events.extend(st.events)
+    with np.errstate(over="ignore"):  # +inf is the exact limit, as in simulate_ensemble
+        for lo, hi in _block_ranges(cfg.n_paths):
+            s = _Streams(cfg.seed, lo // _BLOCK)
+            st = _CoupledState(x0[lo:hi], y0[lo:hi], _record_events)
+            if 0 in rec_set:
+                xs[rec_set[0], lo:hi] = st.x
+                ys[rec_set[0], lo:hi] = st.y
+            for k in range(1, n_steps + 1):
+                _step_coupled(st, plan, lasso_mu, lasso_nu, cfg.dt, s, (k - 1) * cfg.dt)
+                if k in rec_set:
+                    xs[rec_set[k], lo:hi] = st.x
+                    ys[rec_set[k], lo:hi] = st.y
+            t_couple[lo:hi] = st.t_couple
+            if st.events is not None:
+                events.extend(st.events)
     exploded = ~np.isfinite(xs[-1])
     return CoupledEnsembleResult(times[rec_idx], xs, ys, t_couple, exploded, events)
 
@@ -781,27 +797,25 @@ def read_path_dump(path) -> EnsembleResult:
 def mean_with_dt_refinement(model: ModelSpec, x0: float, cfg: SimConfig):
     """Common-random-number mean at t_end for dt and dt/2 (diffusion models).
 
-    The fine grid's Gaussian increments are summed pairwise for the coarse
-    run, so the difference isolates the discretization effect.  Jump parts
-    are not supported here.
+    Both runs use the ensemble stepper: each pair of dt/2 steps takes normals
+    z1 and z2, and the dt step takes (z1 + z2)/sqrt(2), so the difference
+    isolates the discretization effect.  Jump parts are not supported here.
     """
     if not model.mu.is_zero or not model.nu.is_zero:
         raise SimulationError("dt-refinement check supports diffusion-only models")
+    plan = _Plan(model, cfg, float(x0))
     n_steps = int(round(cfg.t_end / cfg.dt))
     x_c = np.full(cfg.n_paths, float(x0))
     x_f = np.full(cfg.n_paths, float(x0))
-    dt, dt2 = cfg.dt, cfg.dt / 2.0
+    dt2 = cfg.dt / 2.0
     for lo, hi in _block_ranges(cfg.n_paths):
         s = _Streams(cfg.seed, lo // _BLOCK)
-        xc = x_c[lo:hi]
-        xf = x_f[lo:hi]
+        xc, xf = x_c[lo:hi], x_f[lo:hi]
         for _ in range(n_steps):
-            w1 = s.gauss.standard_normal(xc.size) * math.sqrt(dt2)
-            w2 = s.gauss.standard_normal(xc.size) * math.sqrt(dt2)
-            for w in (w1, w2):
-                drift = (model.beta - model.b * xf - model.g(xf)) * dt2
-                xf[:] = np.maximum(xf + drift + np.sqrt(2.0 * model.c * xf) * w, 0.0)
-            drift = (model.beta - model.b * xc - model.g(xc)) * dt
-            xc[:] = np.maximum(xc + drift + np.sqrt(2.0 * model.c * xc) * (w1 + w2), 0.0)
+            z1 = s.gauss.standard_normal(xc.size)
+            z2 = s.gauss.standard_normal(xc.size)
+            xf = _step_single(_step_single(xf, plan, dt2, z1, s), plan, dt2, z2, s)
+            xc = _step_single(xc, plan, cfg.dt, (z1 + z2) / math.sqrt(2.0), s)
+        x_c[lo:hi], x_f[lo:hi] = xc, xf
     se = float(np.std(x_c, ddof=1) / math.sqrt(cfg.n_paths))
     return float(x_c.mean()), float(x_f.mean()), se

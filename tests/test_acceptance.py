@@ -47,7 +47,7 @@ def _report(num, name):
 @pytest.fixture(scope="module")
 def ergodic_cert_full(ergodic_v1_model):
     """Criterion-8 certificate for the banded subcritical model (full grid)."""
-    return compute_rate_certificate(ergodic_v1_model, V1, nx=101, ngap=101)
+    return compute_rate_certificate(ergodic_v1_model, V1, grid=101)
 
 
 def test_01_ode_oracle():
@@ -186,7 +186,7 @@ def test_08_certificate_pipeline(ergodic_cert_full, stable_power_model):
     cert1 = ergodic_cert_full
     assert cert1.lam > 0.0
     assert cert1.validation.passed and cert1.validation.n_failures == 0
-    cert2 = compute_rate_certificate(stable_power_model, VLOG, nx=101, ngap=101)
+    cert2 = compute_rate_certificate(stable_power_model, VLOG, grid=101)
     assert cert2.lam > 0.0
     assert cert2.validation.passed and cert2.validation.n_failures == 0
     _report(
@@ -202,7 +202,7 @@ def test_09_negative_controls(critical_cbi_model, neveu_xlog_model):
     assert isinstance(res, LyapunovFailure)
     assert res.margin >= 0.0 and res.margin == pytest.approx(0.0, abs=1e-12)
     with pytest.raises(CertificateError) as err:
-        compute_rate_certificate(critical_cbi_model, V1, nx=11, ngap=11)
+        compute_rate_certificate(critical_cbi_model, V1, grid=11)
     assert err.value.step == "lyapunov"
 
     res2 = lyapunov_certify(neveu_xlog_model, VLOG)

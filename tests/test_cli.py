@@ -7,6 +7,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -22,6 +23,21 @@ from cbic.quadrature import QuadratureError
 from cbic.simulator import simulate_coupled_ensemble
 
 CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
+
+
+def _run_recording(argv):
+    """(exit code, stderr, RuntimeWarnings as "file:line: message") of one CLI run."""
+    err = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = run(argv)
+    runtime = [
+        f"{os.path.basename(w.filename)}:{w.lineno}: {w.message}"
+        for w in caught
+        if issubclass(w.category, RuntimeWarning)
+    ]
+    return code, err.getvalue(), runtime
 
 
 @pytest.fixture()
@@ -153,6 +169,33 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: linear-growth weight")
         assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("config, old, new, argv, code, message", [
+        ("stable_power_vlog", "alpha = 0.5", "alpha = 1e-06",
+         ["simulate", "--paths", "4", "--t-end", "0.002"], 1, "underflows"),
+        ("stable_power_vlog", "alpha = 0.5", "alpha = 5e-324", ["lyapunov"], 1, "not a finite"),
+        ("stable_power_vlog", "alpha = 0.5", "alpha = 5e-324", ["rate", "--grid", "11"], 1,
+         "not a finite"),
+        ("ergodic_v1", "c = 0.0", "c = 1e308", ["simulate", "--paths", "4", "--t-end", "0.002"],
+         0, ""),
+        ("ergodic_v1", "c = 0.0", "c = 1e308", ["couple", "--paths", "4", "--t-end", "0.002"],
+         0, ""),
+        ("ergodic_v1", "c = 0.0", "c = 1e308", ["rate", "--grid", "11"], 1, "degenerated"),
+        ("ergodic_v1", "hi=1.0", "hi=1e308", ["lyapunov"], 1, "did not converge"),
+    ], ids=["alpha-1e-6-simulate", "alpha-5e-324-lyapunov", "alpha-5e-324-rate",
+            "c-1e308-simulate", "c-1e308-couple", "c-1e308-rate", "mu-hi-1e308-lyapunov"])
+    def test_extreme_parameter_is_one_line(self, tmp_path, config, old, new, argv, code,
+                                           message):
+        with open(os.path.join(CONFIGS, f"{config}.cfg")) as fh:
+            text = fh.read()
+        assert old in text
+        path = tmp_path / "model.cfg"
+        path.write_text(text.replace(old, new))
+        got, err, runtime = _run_recording([*argv, "--model", str(path), "--out", str(tmp_path)])
+        assert not runtime, runtime
+        assert got == code, err
+        assert len(err.strip().splitlines()) == (1 if code else 0), err
+        assert message in err
 
     def test_module_runs_the_cli(self):
         src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
@@ -354,10 +397,9 @@ def test_mutated_config_keeps_cli_contract(field, value):
             ["lyapunov"],
             ["simulate", "--paths", "4", "--t-end", "0.002", "--dt", "1e-3"],
         ):
-            err = io.StringIO()
-            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-                code = run([*argv, "--model", path, "--out", tmp])
+            code, err, runtime = _run_recording([*argv, "--model", path, "--out", tmp])
+            assert not runtime, runtime
             assert code in (0, 1, 2)
-            assert "Traceback" not in err.getvalue()
+            assert "Traceback" not in err
             if code != 0:
-                assert len(err.getvalue().strip().splitlines()) == 1, err.getvalue()
+                assert len(err.strip().splitlines()) == 1, err

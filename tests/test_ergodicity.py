@@ -31,7 +31,7 @@ VLOG = WeightFunction.vlog()
 
 @pytest.fixture(scope="module")
 def ergodic_cert(ergodic_v1_model):
-    return compute_rate_certificate(ergodic_v1_model, V1, nx=31, ngap=31)
+    return compute_rate_certificate(ergodic_v1_model, V1, grid=31)
 
 
 class TestCertificatePipeline:
@@ -53,7 +53,7 @@ class TestCertificatePipeline:
         assert rep.worst_margin >= 0.0
 
     def test_revalidation_on_denser_grid(self, ergodic_v1_model, ergodic_cert):
-        rep = validate_certificate(ergodic_v1_model, ergodic_cert, nx=47, ngap=43)
+        rep = validate_certificate(ergodic_v1_model, ergodic_cert, grid=47)
         assert rep.passed
 
     def test_report_renders_all_constants(self, ergodic_cert):
@@ -63,13 +63,13 @@ class TestCertificatePipeline:
         assert "PASS" in text
 
     def test_stable_power_model_certifies_under_vlog(self, stable_power_model):
-        cert = compute_rate_certificate(stable_power_model, VLOG, nx=21, ngap=21)
+        cert = compute_rate_certificate(stable_power_model, VLOG, grid=21)
         assert cert.lam > 0.0
         assert cert.validation.passed
 
     def test_critical_cbi_fails_at_lyapunov_step(self, critical_cbi_model):
         with pytest.raises(CertificateError) as err:
-            compute_rate_certificate(critical_cbi_model, V1, nx=11, ngap=11)
+            compute_rate_certificate(critical_cbi_model, V1, grid=11)
         assert err.value.step == "lyapunov"
         assert "margin" in str(err.value)
 
@@ -80,7 +80,7 @@ class TestCertificatePipeline:
             ImmigrationMechanism(0.2, LevyMeasure.uniform(0.8, 0.0, 0.9)),
             CompetitionMechanism.none(),
         )
-        cert = compute_rate_certificate(model, V1, nx=31, ngap=31)
+        cert = compute_rate_certificate(model, V1, grid=31)
         assert cert.lam > 0.0
         assert cert.validation.passed
 
@@ -92,7 +92,7 @@ class TestCertificatePipeline:
             CompetitionMechanism.none(),
         )
         with pytest.raises(CertificateError) as err:
-            compute_rate_certificate(model, V1, nx=11, ngap=11)
+            compute_rate_certificate(model, V1, grid=11)
         assert err.value.step == "fluctuation"
 
     def test_f0_contraction_below_threshold_gap(self, ergodic_v1_model, ergodic_cert):
@@ -113,7 +113,7 @@ class TestCertificatePipeline:
     def test_g0_regional_bound_below_threshold_gap(self, ergodic_v1_model, ergodic_cert):
         # where the gap is small the G0 drift bound is dominated by
         # -eps lambda2 F0 + 2 C0 - C1 (V(x) + V(y))
-        from cbic.generator import LyapunovDrift, coupling_generator_G0
+        from cbic.generator import LyapunovDrift, coupling_generator_F0
 
         cert = ergodic_cert
         ctrl = cert.control()
@@ -123,9 +123,8 @@ class TestCertificatePipeline:
                 if gap > x:
                     continue
                 y = float(x - gap)
-                lhs = coupling_generator_G0(
-                    ergodic_v1_model, ctrl, None, float(x), y, drift_eval=ly
-                )
+                f0 = coupling_generator_F0(ergodic_v1_model, ctrl, float(x), y)
+                lhs = ctrl.epsilon * f0 + ly(float(x)) + ly(y)
                 rhs = (
                     -cert.epsilon * cert.lambda2 * ctrl.F0(float(x), y)
                     + 2.0 * cert.C0
@@ -221,7 +220,7 @@ def test_pipeline_fuzz_certifies_or_fails_structurally():
         weight = V1 if rng.random() < 0.6 else VLOG
         model = ModelSpec(BranchingMechanism(b, c, mu), ImmigrationMechanism(beta, nu), g)
         try:
-            cert = compute_rate_certificate(model, weight, nx=9, ngap=9)
+            cert = compute_rate_certificate(model, weight, grid=9)
         except CertificateError as err:
             assert err.step in (
                 "non-triviality", "fluctuation", "lyapunov", "contraction", "grid-validation",

@@ -8,12 +8,12 @@ from cbic.generator import (
     CouplingControl,
     GeneratorDomainError,
     LyapunovCertificate,
+    LyapunovDrift,
     LyapunovFailure,
     SmoothFunction,
     WeightFunction,
     apply_generator,
     coupling_generator_F0,
-    coupling_generator_G0,
     lyapunov_certify,
     lyapunov_margin,
     sweep_nu_row_term,
@@ -285,9 +285,9 @@ class TestCouplingGeneratorF0:
 
     def test_g0_is_eps_f0_plus_drifts(self, ergodic_v1_model):
         ctrl = _control(psi0=psi_eval(ergodic_v1_model.branching, 0.8))
-        cert = lyapunov_certify(ergodic_v1_model, V1)
+        drift = LyapunovDrift(ergodic_v1_model, V1)
         x, y = 1.2, 0.4
         f0 = coupling_generator_F0(ergodic_v1_model, ctrl, x, y)
         lv = lambda u: 0.3 - 0.5 * u
-        got = coupling_generator_G0(ergodic_v1_model, ctrl, cert, x, y)
+        got = ctrl.epsilon * f0 + drift(x) + drift(y)
         assert got == pytest.approx(ctrl.epsilon * f0 + lv(x) + lv(y), rel=1e-9)

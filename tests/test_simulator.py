@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from cbic.generator import SmoothFunction, apply_generator
 from cbic.mechanisms import (
     BranchingMechanism,
     CompetitionMechanism,
