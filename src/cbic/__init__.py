@@ -48,6 +48,7 @@ from .simulator import (
     simulate_coupled,
     simulate_coupled_ensemble,
     simulate_ensemble,
+    simulate_ensembles,
     simulate_path,
     solve_vt,
     write_ensemble_csv,

@@ -269,7 +269,11 @@ def _cmd_check_generator(args):
             worst = max(worst, rel)
             fh.write(f"{x:.17g},{quad_v:.17g},{closed:.17g},{rel:.17g}\n")
     print(f"check-generator: worst relative deviation {worst:.3e} over {args.grid} points")
-    return 0 if worst < 1e-6 else MODEL_ERROR
+    if worst < 1e-6:
+        return 0
+    print(f"error: generator check failed: relative deviation {worst:.3e} exceeds 1e-06",
+          file=sys.stderr)
+    return MODEL_ERROR
 
 
 def _cmd_wv(args):

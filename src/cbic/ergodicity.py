@@ -46,7 +46,7 @@ from .simulator import (
     CoupledEnsembleResult,
     SimConfig,
     SimulationError,
-    simulate_ensemble,
+    simulate_ensembles,
 )
 
 __all__ = [
@@ -609,14 +609,8 @@ _STATIONARY_CHAINS = 16
 _STATIONARY_BINS = 40
 
 
-def _stationary_samples(model, cfg, burn_in, n_samples, start, seed):
-    """Samples every ~0.25 time units after burn-in from 16 parallel chains."""
-    stride = max(1, int(round(0.25 / cfg.dt)))
-    per_chain = int(math.ceil(n_samples / _STATIONARY_CHAINS))
-    times = burn_in + np.arange(per_chain) * stride * cfg.dt
-    run = replace(cfg, t_end=float(times.max()), seed=seed, n_paths=_STATIONARY_CHAINS)
-    res = simulate_ensemble(model, start, run, record_times=times)
-    vals = res.values
+def _stationary_samples(vals, n_samples):
+    """Pooled finite samples of one start's chains and their effective count."""
     finite = np.isfinite(vals)
     if not finite.any():
         raise SimulationError("all chains exploded while sampling the stationary law")
@@ -650,10 +644,15 @@ def estimate_stationary(
     bin-width transport term.  Non-convergence is reported, never hidden.
     """
     weight = weight if weight is not None else WeightFunction.v1()
-    s1, n_eff1 = _stationary_samples(model, cfg, burn_in, n_samples, starts[0], cfg.seed)
-    s2, n_eff2 = _stationary_samples(
-        model, cfg, burn_in, n_samples, starts[1], cfg.seed + 1000003
+    # 16 parallel chains per start, sampled every ~0.25 time units after burn-in
+    stride = max(1, int(round(0.25 / cfg.dt)))
+    per_chain = int(math.ceil(n_samples / _STATIONARY_CHAINS))
+    times = burn_in + np.arange(per_chain) * stride * cfg.dt
+    run = replace(cfg, t_end=float(times.max()), n_paths=_STATIONARY_CHAINS)
+    res = simulate_ensembles(
+        model, [(starts[0], cfg.seed), (starts[1], cfg.seed + 1000003)], run, record_times=times
     )
+    (s1, n_eff1), (s2, n_eff2) = (_stationary_samples(r.values, n_samples) for r in res)
     pooled = np.concatenate([s1, s2])
     hi = float(np.quantile(pooled, 0.999)) * 1.1 + 1e-9
     edges = np.linspace(0.0, hi, _STATIONARY_BINS + 1)

@@ -331,8 +331,11 @@ class LevyMeasure:
                 return math.inf
             if p == 0:
                 return c * math.log(hi / lo)
-            top = 0.0 if not np.isfinite(hi) else hi**p
-            return c * (top - lo**p) / p
+            try:
+                top = 0.0 if not np.isfinite(hi) else hi**p
+                return c * (top - lo**p) / p
+            except OverflowError:  # the power beyond the float range dominates
+                return math.inf
         if self.kind == "atoms":
             return sum(m * a**power for a, m in self.atom_data if lo < a <= hi)
         if self.kind == "sum":
@@ -465,7 +468,8 @@ class CompetitionMechanism:
             with np.errstate(over="ignore"):  # K x^p beyond the float range is +inf
                 out = self.K * np.power(np.maximum(x, 0.0), self.p)
         else:
-            out = self.K * x * np.log1p(np.maximum(x, 0.0))
+            with np.errstate(over="ignore"):  # K x log(1+x) beyond the float range is +inf
+                out = self.K * x * np.log1p(np.maximum(x, 0.0))
         return out if out.shape else float(out)
 
     def linear_liminf(self) -> float:
@@ -647,5 +651,6 @@ def stable_to_generic(a: float, c: float, sigma: float, alpha: float) -> Branchi
         raise MechanismError(f"stable scale must be >= 0, got {sigma}")
     if sigma == 0.0:
         return BranchingMechanism(b=float(a), c=float(c), mu=LevyMeasure.zero())
-    b = float(a) - sigma * stable_drift_shift(alpha)
+    # a Python float, so that a b near the float maximum overflows to inf silently
+    b = float(a) - sigma * float(stable_drift_shift(alpha))
     return BranchingMechanism(b=b, c=float(c), mu=LevyMeasure.stable(alpha, sigma))

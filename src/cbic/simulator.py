@@ -15,8 +15,12 @@ time the pair moves as one path.
 
 RNG: paths are partitioned into fixed 1024-path blocks; each block derives
 four Philox streams (Gaussian, branching jumps, immigration jumps,
-disassembly uniforms) from (seed, block); ensembles are bit-identical for a
-given (seed, config, model) regardless of how the work is chunked.
+disassembly uniforms) from (seed, block).  A lane is one such stream set and
+its paths; lanes sharing a plan are stepped together as one array of at most
+1024 paths (the two 16-chain starts of a stationary run), but every lane
+draws only from its own streams, in the same sizes and order as alone.
+Ensembles are therefore bit-identical for a given (seed, config, model)
+regardless of how the work is chunked or grouped.
 """
 
 from __future__ import annotations
@@ -49,6 +53,7 @@ _EVENT_BUDGET = 10.0  # expected jump events per step at the reference scale
 # a path needing more than this many jump events in one step is treated as
 # exploded (its jump intensity alone certifies divergence before x_max)
 _LAM_CAP = 1e5
+_PREDRAW = 1 << 13  # normals pre-drawn at once per lane group (64 KB)
 
 
 class SimulationError(RuntimeError):
@@ -161,30 +166,34 @@ def sample_stable_increment(alpha: float, dt: float, rng, size: Optional[int] = 
     if not 0.0 < alpha < 2.0:
         raise MechanismError(f"stable index must lie in (0, 2), got {alpha}")
     n = 1 if size is None else int(size)
+    out = _stable_transform(alpha, dt, *_stable_draws(alpha, rng, n))
+    return float(out[0]) if size is None else out
+
+
+def _stable_draws(alpha: float, rng, n: int):
+    """The angle and exponential draws behind n increments, in stream order."""
+    lo, hi = (0.0, math.pi) if alpha < 1.0 else (-math.pi / 2.0, math.pi / 2.0)
+    return rng.uniform(lo, hi, n), rng.exponential(1.0, n)
+
+
+def _stable_transform(alpha: float, dt: float, u: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Kanter (alpha < 1) or Chambers-Mallows-Stuck increments from the draws."""
     if alpha == 1.0:
-        u = rng.uniform(-math.pi / 2.0, math.pi / 2.0, n)
-        w = rng.exponential(1.0, n)
         x = (2.0 / math.pi) * (
             (math.pi / 2.0 + u) * np.tan(u)
             - np.log((math.pi / 2.0) * w * np.cos(u) / (math.pi / 2.0 + u))
         )
-        out = (math.pi / 2.0) * dt * x + dt * (math.log(math.pi * dt / 2.0) + 1.0 - np.euler_gamma)
-    elif alpha < 1.0:
+        return (math.pi / 2.0) * dt * x + dt * (math.log(math.pi * dt / 2.0) + 1.0 - np.euler_gamma)
+    if alpha < 1.0:
         scale = dt ** (1.0 / alpha)
         if scale == 0.0:
             raise SimulationError(
                 f"stable increment scale dt^(1/alpha) underflows to 0 "
                 f"(alpha = {alpha:g}, dt = {dt:g})"
             )
-        u = rng.uniform(0.0, math.pi, n)
-        w = rng.exponential(1.0, n)
-        out = scale * _kanter_positive_stable(alpha, u, w)
-    else:
-        u = rng.uniform(-math.pi / 2.0, math.pi / 2.0, n)
-        w = rng.exponential(1.0, n)
-        scale = abs(math.cos(math.pi * alpha / 2.0)) ** (1.0 / alpha)
-        out = dt ** (1.0 / alpha) * scale * _cms_standard(alpha, 1.0, u, w)
-    return float(out[0]) if size is None else out
+        return scale * _kanter_positive_stable(alpha, u, w)
+    scale = abs(math.cos(math.pi * alpha / 2.0)) ** (1.0 / alpha)
+    return dt ** (1.0 / alpha) * scale * _cms_standard(alpha, 1.0, u, w)
 
 
 # -- jump sampling plans -------------------------------------------------------
@@ -314,6 +323,9 @@ class _Plan:
         self.nu_rate = nu.mass_above(self.eps_nu)
         self.nu_sampler = _MeasureSampler(nu, self.eps_nu) if self.nu_rate > 0 else None
         self.nu_small_lin = nu.moment(1.0, 0.0, self.eps_nu) if self.eps_nu > 0 else 0.0
+        if not (math.isfinite(self.mu_small_sq) and math.isfinite(self.nu_small_lin)):
+            raise SimulationError(f"the jumps below eps (mu: {self.eps_mu:g}, "
+                                  f"nu: {self.eps_nu:g}) have an infinite moment")
         self.beta_eff = model.beta + self.nu_small_lin
         self.x_max = cfg.x_max
         self.g = model.g
@@ -338,17 +350,104 @@ class _Streams:
         )
 
 
-def _block_ranges(n: int):
-    return [(a, min(a + _BLOCK, n)) for a in range(0, n, _BLOCK)]
+def _cat(parts):
+    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-1)
+
+
+class _Group:
+    """Lanes stepped as one array, at columns ``cols`` of the driven fields.
+
+    A lane is one (seed, block) stream set and its paths, at columns ``sl``
+    of the group for each (streams, sl) in ``lanes``; they share ``plan``.
+    """
+
+    def __init__(self, plan: _Plan, start: int):
+        self.plan, self.lanes, self.cols = plan, [], slice(start, start)
+
+    def add(self, streams: _Streams, width: int) -> None:
+        a, b = self.cols.start, self.cols.stop
+        self.lanes.append((streams, slice(b - a, b - a + width)))
+        self.cols = slice(a, b + width)
+
+    def normals(self, n_rows: int):
+        """Rows of standard normals, each lane's from its own Gaussian stream.
+
+        k rows drawn at once fill in row order, exactly as k one-row draws.
+        """
+        chunk = max(1, _PREDRAW // (self.cols.stop - self.cols.start))
+        for r in range(0, n_rows, chunk):
+            k = min(chunk, n_rows - r)
+            yield from _cat([s.gauss.standard_normal((k, sl.stop - sl.start))
+                             for s, sl in self.lanes])
+
+
+def _drive(runs, fields, cfg: SimConfig, record_times, step, start=None, view=None, gauss_rows=0):
+    """Step ``runs``, ensembles [(plan, seed)] of cfg.n_paths paths, from ``fields``.
+
+    ``fields`` holds arrays of n_runs * n_paths start values.  Consecutive
+    1024-path blocks sharing a plan are packed into groups of at most _BLOCK
+    paths.  A group starts from ``start(group, slices)``, or the list of its
+    field slices, and ``step(state, group, k)`` advances it to step k;
+    ``view(state)``, or the state itself, lists the field arrays recorded.
+    ``group.gauss`` yields ``gauss_rows`` rows of normals per step.  Returns
+    the record times, one (n_times, n_runs * n_paths) record per field and
+    the final states.
+    """
+    n_steps = int(round(cfg.t_end / cfg.dt))
+    rec = np.arange(n_steps + 1) if record_times is None else record_steps(cfg, record_times)
+    rec_row = {int(i): r for r, i in enumerate(rec)}
+    out = [np.empty((len(rec), f.size)) for f in fields]
+    groups: List[_Group] = []
+    for plan, seed in runs:
+        for a in range(0, cfg.n_paths, _BLOCK):
+            width = min(_BLOCK, cfg.n_paths - a)
+            g = groups[-1] if groups else None
+            if g is None or g.plan is not plan or g.cols.stop - g.cols.start + width > _BLOCK:
+                groups.append(_Group(plan, g.cols.stop if g else 0))
+            groups[-1].add(_Streams(seed, a // _BLOCK), width)
+    finals = []
+    # a state, variance, stable increment or competition term beyond the float
+    # range is +inf, its exact limit: the path explodes or a -inf drift clamps it
+    with np.errstate(over="ignore"):
+        for g in groups:
+            g.gauss = g.normals(gauss_rows * n_steps)
+            state = [f[g.cols].copy() for f in fields]
+            state = start(g, state) if start else state
+            for k in range(n_steps + 1):
+                if k:
+                    state = step(state, g, k)
+                if k in rec_row:
+                    for o, v in zip(out, view(state) if view else state):
+                        o[rec_row[k], g.cols] = v
+            finals.append(state)
+            g.gauss = None  # frees the last pre-drawn chunk
+    return rec * cfg.dt, out, finals
 
 
 # -- single-path stepping -------------------------------------------------------
 
 
-def _step_single(
-    x: np.ndarray, plan: _Plan, dt: float, normals: np.ndarray, s: _Streams
-) -> np.ndarray:
-    """One Euler step of every path, driven by the step's standard ``normals``."""
+def _add_jumps(xn: np.ndarray, g: _Group, which: str, lam, sampler) -> None:
+    """Add jump events to ``xn``: per lane, Poisson counts at rates ``lam`` (one
+    per path, or a float for all) and then a selector and a position uniform
+    per event, all from its ``which`` stream."""
+    counts, u_sel, u_pos = [], [], []
+    scalar = isinstance(lam, float)
+    for s, sl in g.lanes:
+        rng = getattr(s, which)
+        counts.append(rng.poisson(lam, sl.stop - sl.start) if scalar else rng.poisson(lam[sl]))
+        total = int(counts[-1].sum())
+        if total:
+            u_sel.append(rng.random(total))
+            u_pos.append(rng.random(total))
+    if u_sel:
+        z = sampler.draw(_cat(u_sel), _cat(u_pos))
+        np.add.at(xn, np.repeat(np.arange(xn.size), _cat(counts)), z)
+
+
+def _step_single(x: np.ndarray, g: _Group, dt: float, normals: np.ndarray) -> np.ndarray:
+    """One Euler step of every path of the group, driven by the step's standard ``normals``."""
+    plan = g.plan
     live = np.isfinite(x)
     if plan.mu_rate > 0:
         live &= x * plan.mu_rate * dt <= _LAM_CAP
@@ -360,7 +459,8 @@ def _step_single(
         var = var + xl * plan.mu_small_sq * dt
     xn = xl + drift + np.sqrt(np.maximum(var, 0.0)) * normals
     if plan.stable_fast and plan.sigma > 0:
-        inc = sample_stable_increment(plan.alpha, dt, s.mu, size=x.size)
+        draws = [_stable_draws(plan.alpha, s.mu, sl.stop - sl.start) for s, sl in g.lanes]
+        inc = _stable_transform(plan.alpha, dt, *(_cat(d) for d in zip(*draws)))
         if plan.alpha == 1.0:
             scale = plan.sigma * xl
             logdrift = np.where(
@@ -373,18 +473,9 @@ def _step_single(
             # exponent over dt is then exactly dt sigma x lam^alpha
             xn = xn + (plan.sigma * xl) ** (1.0 / plan.alpha) * inc
     elif plan.mu_rate > 0:
-        lam = xl * plan.mu_rate * dt
-        counts = s.mu.poisson(lam)
-        total = int(counts.sum())
-        if total:
-            z = plan.mu_sampler.draw(s.mu.random(total), s.mu.random(total))
-            np.add.at(xn, np.repeat(np.arange(x.size), counts), z)
+        _add_jumps(xn, g, "mu", xl * plan.mu_rate * dt, plan.mu_sampler)
     if plan.nu_rate > 0:
-        counts = s.nu.poisson(plan.nu_rate * dt, size=x.size)
-        total = int(counts.sum())
-        if total:
-            z = plan.nu_sampler.draw(s.nu.random(total), s.nu.random(total))
-            np.add.at(xn, np.repeat(np.arange(x.size), counts), z)
+        _add_jumps(xn, g, "nu", plan.nu_rate * dt, plan.nu_sampler)
     xn = np.maximum(xn, 0.0)
     xn = np.where(live, xn, np.inf)
     ok = xn <= plan.x_max  # False where dead, exploded or NaN
@@ -407,40 +498,41 @@ def record_steps(cfg: SimConfig, record_times: Sequence[float]) -> np.ndarray:
     )
 
 
-def _record_grid(cfg: SimConfig, record_times):
-    n_steps = int(round(cfg.t_end / cfg.dt))
-    times = np.arange(n_steps + 1) * cfg.dt
-    rec_idx = np.arange(n_steps + 1) if record_times is None else record_steps(cfg, record_times)
-    return n_steps, times, rec_idx
-
-
 def simulate_ensemble(
     model: ModelSpec, x0, cfg: SimConfig, record_times: Optional[Sequence[float]] = None
 ) -> EnsembleResult:
     """Euler ensemble of the SDE; values recorded at the requested times."""
-    x0 = np.broadcast_to(np.asarray(x0, dtype=float), (cfg.n_paths,)).copy()
-    if (x0 < 0).any():
-        raise SimulationError("initial states must be >= 0")
-    if (x0 > cfg.x_max).any():
-        raise SimulationError("initial states must not exceed x_max")
-    plan = _Plan(model, cfg, float(np.max(x0)) if x0.size else 1.0)
-    n_steps, times, rec_idx = _record_grid(cfg, record_times)
-    rec_set = {int(i): k for k, i in enumerate(rec_idx)}
-    out = np.empty((len(rec_idx), cfg.n_paths))
-    # a state, variance, stable increment or competition term beyond the float
-    # range is +inf, its exact limit: the path explodes or a -inf drift clamps it
-    with np.errstate(over="ignore"):
-        for lo, hi in _block_ranges(cfg.n_paths):
-            s = _Streams(cfg.seed, lo // _BLOCK)
-            x = x0[lo:hi].copy()
-            if 0 in rec_set:
-                out[rec_set[0], lo:hi] = x
-            for k in range(1, n_steps + 1):
-                x = _step_single(x, plan, cfg.dt, s.gauss.standard_normal(x.size), s)
-                if k in rec_set:
-                    out[rec_set[k], lo:hi] = x
-    exploded = ~np.isfinite(out[-1])
-    return EnsembleResult(times[rec_idx], out, exploded)
+    return simulate_ensembles(model, [(x0, cfg.seed)], cfg, record_times)[0]
+
+
+def simulate_ensembles(
+    model: ModelSpec,
+    starts: Sequence[Tuple[object, int]],
+    cfg: SimConfig,
+    record_times: Optional[Sequence[float]] = None,
+) -> List[EnsembleResult]:
+    """One ensemble of ``cfg.n_paths`` paths per (x0, seed) start, stepped in lockstep.
+
+    Each result equals ``simulate_ensemble(model, x0, replace(cfg, seed=seed))``.
+    """
+    plans: dict = {}
+    runs, cols = [], []
+    for x0, seed in starts:
+        x0 = np.broadcast_to(np.asarray(x0, dtype=float), (cfg.n_paths,))
+        if (x0 < 0).any():
+            raise SimulationError("initial states must be >= 0")
+        if (x0 > cfg.x_max).any():
+            raise SimulationError("initial states must not exceed x_max")
+        # x_ref enters a plan only through eps_mu: starts resolving the same
+        # level share one plan, so their lanes can be stepped together
+        plan = _Plan(model, cfg, float(np.max(x0)))
+        runs.append((plans.setdefault(plan.eps_mu, plan), seed))
+        cols.append(x0)
+    times, (out,), _ = _drive(
+        runs, [np.concatenate(cols)], cfg, record_times, gauss_rows=1,
+        step=lambda xs, g, k: [_step_single(xs[0], g, cfg.dt, next(g.gauss))],
+    )
+    return [EnsembleResult(times, v, ~np.isfinite(v[-1])) for v in np.split(out, len(starts), 1)]
 
 
 def simulate_path(model: ModelSpec, x0: float, cfg: SimConfig) -> Path:
@@ -562,7 +654,8 @@ def _apply_jump_events(state, counts, sampler, has_u, x_start, plan, s, t_now):
         state.y[act] = ya_new
 
 
-def _step_coupled(state: _CoupledState, plan: _Plan, lasso_mu, lasso_nu, dt, s, t_now):
+def _step_coupled(state: _CoupledState, g: _Group, lasso_mu, lasso_nu, dt, t_now):
+    plan, s = g.plan, g.lanes[0][0]  # the blocks of one ensemble never share a group
     n = state.x.size
     live = np.isfinite(state.x)
     if plan.mu_rate > 0:
@@ -571,13 +664,11 @@ def _step_coupled(state: _CoupledState, plan: _Plan, lasso_mu, lasso_nu, dt, s, 
     y = np.where(live, state.y, 0.0)
     gap0 = x - y
     # Gaussian reflection: X gets G1 + G2, Y gets -G1 before coupling
-    n1 = s.gauss.standard_normal(n)
-    n2 = s.gauss.standard_normal(n)
+    n1, n2 = next(g.gauss), next(g.gauss)
     g1 = np.sqrt(np.maximum(2.0 * (plan.c * y * dt), 0.0)) * n1
     g2 = np.sqrt(np.maximum(2.0 * (plan.c * gap0 * dt), 0.0)) * n2
     if plan.mu_small_sq > 0:
-        nc = s.gauss.standard_normal(n)
-        nl = s.gauss.standard_normal(n)
+        nc, nl = next(g.gauss), next(g.gauss)
         gc = np.sqrt(np.maximum(y * plan.mu_small_sq * dt, 0.0)) * nc
         gl = np.sqrt(np.maximum(gap0 * plan.mu_small_sq * dt, 0.0)) * nl
     else:
@@ -645,6 +736,7 @@ def _step_coupled(state: _CoupledState, plan: _Plan, lasso_mu, lasso_nu, dt, s, 
         state.y[boom] = np.inf
     state.x[~live] = np.inf
     state.y[~live] = np.inf
+    return state
 
 
 def simulate_coupled_ensemble(
@@ -656,37 +748,24 @@ def simulate_coupled_ensemble(
     _record_events: bool = False,
 ) -> CoupledEnsembleResult:
     """Coupled-pair ensemble; leader starts at x0 >= follower y0."""
-    x0 = np.broadcast_to(np.asarray(x0, dtype=float), (cfg.n_paths,)).copy()
-    y0 = np.broadcast_to(np.asarray(y0, dtype=float), (cfg.n_paths,)).copy()
+    x0 = np.broadcast_to(np.asarray(x0, dtype=float), (cfg.n_paths,))
+    y0 = np.broadcast_to(np.asarray(y0, dtype=float), (cfg.n_paths,))
     if (y0 < 0).any() or (x0 < y0).any():
         raise SimulationError("coupled start needs x0 >= y0 >= 0")
     # coupling always runs on the thinning representation of the jumps
     plan = _Plan(model, cfg, float(np.max(x0)) if x0.size else 1.0, force_thinning=True)
-    n_steps, times, rec_idx = _record_grid(cfg, record_times)
-    rec_set = {int(i): k for k, i in enumerate(rec_idx)}
-    xs = np.empty((len(rec_idx), cfg.n_paths))
-    ys = np.empty((len(rec_idx), cfg.n_paths))
-    t_couple = np.empty(cfg.n_paths)
-    events: list = []
     lasso_mu = _LassoRates(model.mu, plan.eps_mu)
     lasso_nu = _LassoRates(model.nu, plan.eps_nu)
-    with np.errstate(over="ignore"):  # +inf is the exact limit, as in simulate_ensemble
-        for lo, hi in _block_ranges(cfg.n_paths):
-            s = _Streams(cfg.seed, lo // _BLOCK)
-            st = _CoupledState(x0[lo:hi], y0[lo:hi], _record_events)
-            if 0 in rec_set:
-                xs[rec_set[0], lo:hi] = st.x
-                ys[rec_set[0], lo:hi] = st.y
-            for k in range(1, n_steps + 1):
-                _step_coupled(st, plan, lasso_mu, lasso_nu, cfg.dt, s, (k - 1) * cfg.dt)
-                if k in rec_set:
-                    xs[rec_set[k], lo:hi] = st.x
-                    ys[rec_set[k], lo:hi] = st.y
-            t_couple[lo:hi] = st.t_couple
-            if st.events is not None:
-                events.extend(st.events)
+    times, (xs, ys), finals = _drive(
+        [(plan, cfg.seed)], [x0, y0], cfg, record_times,
+        start=lambda g, f: _CoupledState(f[0], f[1], _record_events),
+        step=lambda st, g, k: _step_coupled(st, g, lasso_mu, lasso_nu, cfg.dt, (k - 1) * cfg.dt),
+        view=lambda st: (st.x, st.y), gauss_rows=4 if plan.mu_small_sq > 0 else 2,
+    )
+    t_couple = np.concatenate([st.t_couple for st in finals])
+    events = [e for st in finals for e in st.events or ()]
     exploded = ~np.isfinite(xs[-1])
-    return CoupledEnsembleResult(times[rec_idx], xs, ys, t_couple, exploded, events)
+    return CoupledEnsembleResult(times, xs, ys, t_couple, exploded, events)
 
 
 def simulate_coupled(model: ModelSpec, x0: float, y0: float, cfg: SimConfig) -> CoupledPath:
@@ -803,19 +882,17 @@ def mean_with_dt_refinement(model: ModelSpec, x0: float, cfg: SimConfig):
     """
     if not model.mu.is_zero or not model.nu.is_zero:
         raise SimulationError("dt-refinement check supports diffusion-only models")
-    plan = _Plan(model, cfg, float(x0))
-    n_steps = int(round(cfg.t_end / cfg.dt))
-    x_c = np.full(cfg.n_paths, float(x0))
-    x_f = np.full(cfg.n_paths, float(x0))
     dt2 = cfg.dt / 2.0
-    for lo, hi in _block_ranges(cfg.n_paths):
-        s = _Streams(cfg.seed, lo // _BLOCK)
-        xc, xf = x_c[lo:hi], x_f[lo:hi]
-        for _ in range(n_steps):
-            z1 = s.gauss.standard_normal(xc.size)
-            z2 = s.gauss.standard_normal(xc.size)
-            xf = _step_single(_step_single(xf, plan, dt2, z1, s), plan, dt2, z2, s)
-            xc = _step_single(xc, plan, cfg.dt, (z1 + z2) / math.sqrt(2.0), s)
-        x_c[lo:hi], x_f[lo:hi] = xc, xf
+
+    def step(xs, g, k):
+        z1, z2 = next(g.gauss), next(g.gauss)
+        xf = _step_single(_step_single(xs[1], g, dt2, z1), g, dt2, z2)
+        return _step_single(xs[0], g, cfg.dt, (z1 + z2) / math.sqrt(2.0)), xf
+
+    x0s = np.full(cfg.n_paths, float(x0))
+    _, (x_c, x_f), _ = _drive(
+        [(_Plan(model, cfg, float(x0)), cfg.seed)], [x0s, x0s], cfg, [cfg.t_end], step, gauss_rows=2
+    )
+    x_c, x_f = x_c[-1], x_f[-1]
     se = float(np.std(x_c, ddof=1) / math.sqrt(cfg.n_paths))
     return float(x_c.mean()), float(x_f.mean()), se

@@ -182,8 +182,17 @@ class TestExitCodes:
          0, ""),
         ("ergodic_v1", "c = 0.0", "c = 1e308", ["rate", "--grid", "11"], 1, "degenerated"),
         ("ergodic_v1", "hi=1.0", "hi=1e308", ["lyapunov"], 1, "did not converge"),
+        ("stable_power_vlog", "eps = 1e-4", "eps = 1e308",
+         ["couple", "--paths", "4", "--t-end", "0.002", "--dt", "1e-3"], 1, "infinite moment"),
+        ("neveu_xlog", "xlog k=1.0", "xlog k=1e308", ["lyapunov"], 1, "not a finite"),
+        ("stable_power_vlog", "\na = 1.0\n", "\na = 1e308\n", ["lyapunov"], 1, "not a finite"),
+        ("stable_power_vlog", "\na = 1.0\n", "\na = -1e308\n", ["lyapunov"], 1, "not a finite"),
+        ("neveu_xlog", "sigma=1.0", "sigma=1e308", ["couple", "--paths", "4", "--t-end", "0.002"],
+         1, "infinite moment"),
     ], ids=["alpha-1e-6-simulate", "alpha-5e-324-lyapunov", "alpha-5e-324-rate",
-            "c-1e308-simulate", "c-1e308-couple", "c-1e308-rate", "mu-hi-1e308-lyapunov"])
+            "c-1e308-simulate", "c-1e308-couple", "c-1e308-rate", "mu-hi-1e308-lyapunov",
+            "eps-1e308-couple", "xlog-k-1e308-lyapunov", "a-1e308-lyapunov",
+            "a-minus-1e308-lyapunov", "sigma-1e308-couple"])
     def test_extreme_parameter_is_one_line(self, tmp_path, config, old, new, argv, code,
                                            message):
         with open(os.path.join(CONFIGS, f"{config}.cfg")) as fh:
@@ -319,6 +328,19 @@ class TestSubcommands:
         code = run(["check-generator", "--model", ergodic_cfg, "--out", str(out)])
         assert code == 0
         assert (out / "check_generator.csv").exists()
+
+    def test_failed_check_generator_says_why(self, tmp_path, capsys):
+        with open(os.path.join(CONFIGS, "neveu_xlog.cfg")) as fh:
+            text = fh.read()
+        path = tmp_path / "model.cfg"
+        path.write_text(text.replace("alpha=1.0", "alpha=1e-300"))
+        code = run(["check-generator", "--grid", "3", "--model", str(path),
+                    "--out", str(tmp_path)])
+        assert code == 1
+        out, err = capsys.readouterr()
+        assert out.startswith("check-generator: worst relative deviation")
+        assert err.startswith("error: generator check failed")
+        assert len(err.strip().splitlines()) == 1
 
     def test_wv_subcommand(self, tmp_path, capsys):
         g = tmp_path / "g.csv"

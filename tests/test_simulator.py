@@ -1,8 +1,11 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from cbic import ergodicity, simulator
+from cbic.ergodicity import estimate_stationary
 from cbic.mechanisms import (
     BranchingMechanism,
     CompetitionMechanism,
@@ -26,6 +29,7 @@ from cbic.simulator import (
     simulate_coupled,
     simulate_coupled_ensemble,
     simulate_ensemble,
+    simulate_ensembles,
     simulate_path,
     solve_vt,
     write_ensemble_csv,
@@ -353,6 +357,80 @@ class TestChunkIndependence:
         assert np.array_equal(small.x_values, large.x_values[:, :1024])
         assert np.array_equal(small.y_values, large.y_values[:, :1024])
         assert np.array_equal(small.coupling_times, large.coupling_times[:1024])
+
+
+class TestLockstep:
+    """Ensembles stepped as one array draw only from their own streams."""
+
+    STABLE = ModelSpec(
+        stable_to_generic(1.0, 0.1, 1.0, 0.5),
+        ImmigrationMechanism(0.5),
+        CompetitionMechanism.power(3.5, 1.5),
+    )
+
+    @pytest.mark.parametrize("model", [TestChunkIndependence.MODEL, STABLE],
+                             ids=["thinning", "stable"])
+    def test_lanes_equal_separate_runs(self, model, monkeypatch):
+        widths, step = [], simulator._step_single
+
+        def recording(x, g, dt, normals):
+            widths.append(x.size)
+            return step(x, g, dt, normals)
+
+        monkeypatch.setattr(simulator, "_step_single", recording)
+        cfg = SimConfig(dt=1e-3, t_end=0.3, n_paths=16)
+        starts = [(0.0, 11), (8.0, 12)]
+        together = simulate_ensembles(model, starts, cfg, record_times=[0.1, 0.2, 0.3])
+        assert set(widths) == {32}
+        for (x0, seed), res in zip(starts, together):
+            alone = simulate_ensemble(model, x0, replace(cfg, seed=seed),
+                                      record_times=[0.1, 0.2, 0.3])
+            assert np.array_equal(res.times, alone.times)
+            assert np.array_equal(res.values, alone.values)
+            assert np.array_equal(res.exploded, alone.exploded)
+
+    def test_starts_with_different_plans_keep_stationary_estimate(self, monkeypatch):
+        mu = LevyMeasure.sum_of([LevyMeasure.stable(0.6, 0.5), LevyMeasure.uniform(0.8, 0.1, 0.7)])
+        model = ModelSpec(BranchingMechanism(0.8, 0.2, mu), ImmigrationMechanism(0.5),
+                          CompetitionMechanism.none())
+        cfg = SimConfig(dt=2e-3, seed=5)
+        assert simulator._Plan(model, cfg, 0.0).eps_mu != simulator._Plan(model, cfg, 8.0).eps_mu
+        together = estimate_stationary(model, cfg, 0.5, 64)
+
+        def separate(model, starts, cfg, record_times=None):
+            return [simulate_ensemble(model, x0, replace(cfg, seed=seed), record_times)
+                    for x0, seed in starts]
+
+        monkeypatch.setattr(ergodicity, "simulate_ensembles", separate)
+        alone = estimate_stationary(model, cfg, 0.5, 64)
+        for name in ("atoms", "probs", "sample_mean", "sample_mean_se", "two_start_distance",
+                     "threshold", "converged", "n_samples"):
+            assert np.array_equal(getattr(together, name), getattr(alone, name)), name
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
+    def test_split_stable_increments_equal_per_lane_draws(self, alpha):
+        rngs = lambda: [np.random.default_rng(s) for s in (3, 4)]
+        sizes = (16, 5)
+        per_lane = np.concatenate([
+            sample_stable_increment(alpha, 1e-3, rng, size=n) for rng, n in zip(rngs(), sizes)
+        ])
+        draws = [simulator._stable_draws(alpha, rng, n) for rng, n in zip(rngs(), sizes)]
+        u, w = (np.concatenate(parts) for parts in zip(*draws))
+        split = simulator._stable_transform(alpha, 1e-3, u, w)
+        assert np.array_equal(per_lane, split)
+
+    def test_predrawn_normals_equal_per_step_draws(self):
+        group = simulator._Group(None, 0)
+        for block, width in ((0, 16), (1, 7)):
+            group.add(simulator._Streams(9, block), width)
+        rows = np.array(list(group.normals(1000)))  # three pre-draw chunks of <= 356 rows
+        fresh = [simulator._Streams(9, block) for block in (0, 1)]
+        steps = np.array([
+            np.concatenate([fresh[0].gauss.standard_normal(16), fresh[1].gauss.standard_normal(7)])
+            for _ in range(1000)
+        ])
+        assert np.array_equal(rows, steps)
+
 
 class TestDtRefinement:
     def test_diffusion_cbi_close_under_halving(self):
