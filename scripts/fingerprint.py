@@ -10,7 +10,8 @@ in a fresh directory, with ``DIR`` (default: this checkout's ``src``) on
 code: ``<config> <command> <item> <sha256>``.  Running the script against two
 source trees and diffing the two outputs shows whether a change left every
 output byte-identical.  The configs are the shipped ones plus three fixed
-models written below; nothing is timed.
+models written below; every command runs on every config, and two runs of
+several 1024-path blocks on two of them.  Nothing is timed.
 """
 
 from __future__ import annotations
@@ -111,6 +112,14 @@ COMMANDS = (
     ("stationary", ["stationary", "--samples", "200", "--burn-in", "0.5", "--dt", "1e-3"]),
 )
 
+# ensembles of several 1024-path blocks, whose groups are stepped in forked
+# worker processes on a host with more than one CPU
+WIDE_CONFIGS = ("nu_jump", "mixed_vlog")
+WIDE_COMMANDS = (
+    ("simulate-wide", ["simulate", "--paths", "2500", "--t-end", "0.05", "--dump"]),
+    ("couple-wide", ["couple", "--paths", "2100", "--t-end", "0.05"]),
+)
+
 
 def _configs():
     out = {}
@@ -157,7 +166,7 @@ def main(argv=None) -> int:
         runs = [
             (src, work, cfg_name, text, label, cmd)
             for cfg_name, text in _configs().items()
-            for label, cmd in COMMANDS
+            for label, cmd in COMMANDS + (WIDE_COMMANDS if cfg_name in WIDE_CONFIGS else ())
         ]
         with ThreadPoolExecutor(2) as pool:  # two CLI runs at a time
             for lines in pool.map(lambda r: _run(*r), runs):

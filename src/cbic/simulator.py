@@ -18,15 +18,23 @@ four Philox streams (Gaussian, branching jumps, immigration jumps,
 disassembly uniforms) from (seed, block).  A lane is one such stream set and
 its paths; lanes sharing a plan are stepped together as one array of at most
 1024 paths (the two 16-chain starts of a stationary run), but every lane
-draws only from its own streams, in the same sizes and order as alone.
-Ensembles are therefore bit-identical for a given (seed, config, model)
-regardless of how the work is chunked or grouped.
+draws only from its own streams, in the same sizes and order as alone.  The
+groups are stepped in forked worker processes, one per CPU the process may
+run on.  Ensembles are therefore bit-identical for a given (seed, config,
+model) regardless of how the work is chunked, grouped or dealt to workers.
 """
 
 from __future__ import annotations
 
 import math
+import mmap
+import os
+import pickle
+import signal
 import struct
+import sys
+import threading
+import warnings
 from dataclasses import dataclass, field, replace
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -389,14 +397,14 @@ def _drive(runs, fields, cfg: SimConfig, record_times, step, start=None, view=No
     paths.  A group starts from ``start(group, slices)``, or the list of its
     field slices, and ``step(state, group, k)`` advances it to step k;
     ``view(state)``, or the state itself, lists the field arrays recorded.
-    ``group.gauss`` yields ``gauss_rows`` rows of normals per step.  Returns
-    the record times, one (n_times, n_runs * n_paths) record per field and
-    the final states.
+    ``group.gauss`` yields ``gauss_rows`` rows of normals per step.  The groups
+    are dealt to ``_workers`` processes (see ``_pooled``).  Returns the record
+    times, one (n_times, n_runs * n_paths) record per field and the final
+    states.
     """
     n_steps = int(round(cfg.t_end / cfg.dt))
     rec = np.arange(n_steps + 1) if record_times is None else record_steps(cfg, record_times)
     rec_row = {int(i): r for r, i in enumerate(rec)}
-    out = [np.empty((len(rec), f.size)) for f in fields]
     groups: List[_Group] = []
     for plan, seed in runs:
         for a in range(0, cfg.n_paths, _BLOCK):
@@ -405,23 +413,131 @@ def _drive(runs, fields, cfg: SimConfig, record_times, step, start=None, view=No
             if g is None or g.plan is not plan or g.cols.stop - g.cols.start + width > _BLOCK:
                 groups.append(_Group(plan, g.cols.stop if g else 0))
             groups[-1].add(_Streams(seed, a // _BLOCK), width)
-    finals = []
+    n_workers = _workers(len(groups))
+    out = [_records((len(rec), f.size), n_workers > 1) for f in fields]
+
+    def run(i: int):
+        g = groups[i]
+        g.gauss = g.normals(gauss_rows * n_steps)
+        state = [f[g.cols].copy() for f in fields]
+        state = start(g, state) if start else state
+        for k in range(n_steps + 1):
+            if k:
+                state = step(state, g, k)
+            if k in rec_row:
+                for o, v in zip(out, view(state) if view else state):
+                    o[rec_row[k], g.cols] = v
+        g.gauss = None  # frees the last pre-drawn chunk
+        return state
+
     # a state, variance, stable increment or competition term beyond the float
     # range is +inf, its exact limit: the path explodes or a -inf drift clamps it
     with np.errstate(over="ignore"):
-        for g in groups:
-            g.gauss = g.normals(gauss_rows * n_steps)
-            state = [f[g.cols].copy() for f in fields]
-            state = start(g, state) if start else state
-            for k in range(n_steps + 1):
-                if k:
-                    state = step(state, g, k)
-                if k in rec_row:
-                    for o, v in zip(out, view(state) if view else state):
-                        o[rec_row[k], g.cols] = v
-            finals.append(state)
-            g.gauss = None  # frees the last pre-drawn chunk
+        finals = _pooled(run, len(groups), n_workers)
     return rec * cfg.dt, out, finals
+
+
+# -- worker processes -------------------------------------------------------------
+
+
+def _workers(n_groups: int) -> int:
+    """Processes to step ``n_groups`` groups: one per CPU this process may run on.
+
+    One, the caller alone, where fork is missing or unsafe: with another Python
+    thread alive, a forked child could inherit a lock that thread holds.
+    """
+    if (n_groups < 2 or not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity")
+            or threading.active_count() > 1):
+        return 1
+    return min(len(os.sched_getaffinity(0)), n_groups)
+
+
+def _records(shape: Tuple[int, int], shared: bool) -> np.ndarray:
+    """An uninitialized float record array, in memory that forked children share if ``shared``."""
+    if not shared:
+        return np.empty(shape)
+    return np.frombuffer(mmap.mmap(-1, 8 * shape[0] * shape[1]), dtype=float).reshape(shape)
+
+
+def _run_share(run, share):
+    """``run(i)`` for each group index i in ``share``, in order, up to the first failure.
+
+    Returns one (i, final state, error, warnings) per group run.  Warnings are
+    recorded, not shown, so that the caller can issue them in group order.
+    """
+    done = []
+    for i in share:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                final, err = run(i), None
+            except Exception as exc:  # the group's error, raised by the caller in group order
+                final, err = None, exc
+        done.append((i, final, err, [(w.message, w.category, w.filename, w.lineno) for w in caught]))
+        if err is not None:
+            break
+    return done
+
+
+def _pooled(run, n_groups: int, n_workers: int) -> list:
+    """``run(i)`` for every group i, ``range(w, n_groups, n_workers)`` in worker w.
+
+    Worker 0 is this process; each other worker is a forked child that writes
+    nothing itself and sends its final states, error and warnings back pickled
+    through a pipe.  Every child is reaped, on success, error or interrupt.
+    The warnings are issued again and the final states returned in group
+    order, up to the first group that failed, whose error is raised: what a
+    serial run shows.
+    """
+    children = []  # (pid, read end of its pipe), not yet reaped
+    try:
+        for w in range(1, n_workers):
+            r, wr = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                code = 1
+                try:
+                    os.close(r)
+                    with open(wr, "wb") as fh:
+                        pickle.dump(_run_share(run, range(w, n_groups, n_workers)), fh)
+                    code = 0
+                finally:
+                    os._exit(code)  # no exit handlers, no flush of inherited buffers
+            os.close(wr)
+            children.append((pid, open(r, "rb")))
+        done = _run_share(run, range(0, n_groups, n_workers))
+        while children:
+            pid, fh = children[0]
+            data = fh.read()
+            fh.close()
+            status = os.waitpid(pid, 0)[1]
+            children.pop(0)
+            if not data:
+                raise SimulationError(f"a simulation worker process ended without results "
+                                      f"(wait status {status})")
+            done += pickle.loads(data)
+    finally:
+        for pid, fh in children:
+            fh.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    finals = []
+    modules = None
+    for i, final, err, caught in sorted(done, key=lambda d: d[0]):
+        for message, category, filename, lineno in caught:
+            if modules is None:
+                modules = {getattr(m, "__file__", None): m for m in list(sys.modules.values())}
+            # the registry and module name a warning raised in place would use,
+            # so that the "default" action still shows it once per location
+            mod = modules.get(filename)
+            warnings.warn_explicit(
+                message, category, filename, lineno, module=getattr(mod, "__name__", None),
+                registry=None if mod is None else vars(mod).setdefault("__warningregistry__", {}),
+            )
+        if err is not None:
+            raise err
+        finals.append(final)
+    return finals
 
 
 # -- single-path stepping -------------------------------------------------------
@@ -466,7 +582,10 @@ def _step_single(x: np.ndarray, g: _Group, dt: float, normals: np.ndarray) -> np
             logdrift = np.where(
                 xl > 0, plan.sigma * xl * np.log(np.maximum(plan.sigma * xl, 1e-300)), 0.0
             )
-            xn = xn + scale * inc + logdrift * dt
+            # an infinite sigma x meets an increment of either sign: inf - inf is
+            # a NaN state, which the check below reports as a one-line error
+            with np.errstate(invalid="ignore"):
+                xn = xn + scale * inc + logdrift * dt
         else:
             # increments carry the lam^alpha exponent normalization, so the
             # state factor is (sigma x)^(1/alpha): the conditional branching

@@ -189,10 +189,13 @@ class TestExitCodes:
         ("stable_power_vlog", "\na = 1.0\n", "\na = -1e308\n", ["lyapunov"], 1, "not a finite"),
         ("neveu_xlog", "sigma=1.0", "sigma=1e308", ["couple", "--paths", "4", "--t-end", "0.002"],
          1, "infinite moment"),
+        ("neveu_xlog", "sigma=1.0", "sigma=1e308",
+         ["stationary", "--samples", "32", "--burn-in", "0.01"], 1, "NaN state"),
     ], ids=["alpha-1e-6-simulate", "alpha-5e-324-lyapunov", "alpha-5e-324-rate",
             "c-1e308-simulate", "c-1e308-couple", "c-1e308-rate", "mu-hi-1e308-lyapunov",
             "eps-1e308-couple", "xlog-k-1e308-lyapunov", "a-1e308-lyapunov",
-            "a-minus-1e308-lyapunov", "sigma-1e308-couple"])
+            "a-minus-1e308-lyapunov", "sigma-1e308-couple",
+            "sigma-1e308-stationary"])
     def test_extreme_parameter_is_one_line(self, tmp_path, config, old, new, argv, code,
                                            message):
         with open(os.path.join(CONFIGS, f"{config}.cfg")) as fh:

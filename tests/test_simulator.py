@@ -1,4 +1,6 @@
 import math
+import os
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -430,6 +432,126 @@ class TestLockstep:
             for _ in range(1000)
         ])
         assert np.array_equal(rows, steps)
+
+
+class TestPooled:
+    """Groups stepped in forked worker processes give what one process gives."""
+
+    MODEL = TestChunkIndependence.MODEL
+
+    @staticmethod
+    def run(monkeypatch, n_workers, fn):
+        """fn() with the groups dealt to at most ``n_workers`` processes; checks the forks made."""
+        forks, fork = [], os.fork
+
+        def counting_fork():
+            forks.append(None)
+            return fork()
+
+        monkeypatch.setattr(os, "fork", counting_fork)
+        monkeypatch.setattr(simulator, "_workers", lambda n_groups: min(n_workers, n_groups))
+        try:
+            return fn()
+        finally:
+            monkeypatch.setattr(os, "fork", fork)
+            assert len(forks) == n_workers - 1
+            with pytest.raises(ChildProcessError):  # every child was reaped
+                os.waitpid(-1, os.WNOHANG)
+
+    def both(self, monkeypatch, fn):
+        return [self.run(monkeypatch, n, fn) for n in (1, 2)]
+
+    @pytest.mark.parametrize("model", [MODEL, TestLockstep.STABLE], ids=["thinning", "stable"])
+    def test_ensemble(self, monkeypatch, model):
+        cfg = SimConfig(dt=1e-3, t_end=0.2, seed=4, n_paths=2500)
+        one, two = self.both(monkeypatch, lambda: simulate_ensemble(
+            model, 1.0, cfg, record_times=np.linspace(0.0, 0.2, 5)))
+        assert np.array_equal(one.times, two.times)
+        assert np.array_equal(one.values, two.values)
+        assert np.array_equal(one.exploded, two.exploded)
+
+    def test_coupled_ensemble(self, monkeypatch):
+        cfg = SimConfig(dt=5e-3, t_end=0.5, seed=6, n_paths=2100)
+        one, two = self.both(monkeypatch, lambda: simulate_coupled_ensemble(
+            self.MODEL, 2.0, 0.5, cfg, record_times=np.linspace(0.0, 0.5, 11)))
+        assert np.isfinite(one.coupling_times).any()
+        for name in ("times", "x_values", "y_values", "coupling_times", "exploded"):
+            assert np.array_equal(getattr(one, name), getattr(two, name)), name
+
+    def test_ensembles_with_two_plans(self, monkeypatch):
+        mu = LevyMeasure.sum_of([LevyMeasure.stable(0.6, 0.5), LevyMeasure.uniform(0.8, 0.1, 0.7)])
+        model = ModelSpec(BranchingMechanism(0.8, 0.2, mu), ImmigrationMechanism(0.5),
+                          CompetitionMechanism.none())
+        cfg = SimConfig(dt=2e-3, t_end=0.2, n_paths=1100)
+        starts = [(0.0, 5), (8.0, 6)]
+        one, two = self.both(monkeypatch, lambda: simulate_ensembles(
+            model, starts, cfg, record_times=[0.1, 0.2]))
+        for a, b in zip(one, two):
+            assert np.array_equal(a.values, b.values)
+            assert np.array_equal(a.exploded, b.exploded)
+
+    def test_dt_refinement(self, monkeypatch):
+        model = ModelSpec(BranchingMechanism(1.0, 0.3), ImmigrationMechanism(0.4),
+                          CompetitionMechanism.none())
+        cfg = SimConfig(dt=2e-3, t_end=0.2, seed=3, n_paths=2100)
+        one, two = self.both(monkeypatch, lambda: mean_with_dt_refinement(model, 1.5, cfg))
+        assert one == two
+
+    def test_one_group_per_worker(self, monkeypatch):
+        cfg = SimConfig(dt=1e-3, t_end=0.05, seed=8, n_paths=4100)  # five groups, five workers
+        one, five = (self.run(monkeypatch, n, lambda: simulate_ensemble(self.MODEL, 1.0, cfg))
+                     for n in (1, 5))
+        assert np.array_equal(one.values, five.values)
+
+    def test_nan_in_a_child_raises_the_serial_error(self, monkeypatch):
+        step = simulator._step_single
+
+        def nan_in_second_group(x, g, dt, normals):
+            return step(x, g, dt, normals * np.nan if g.cols.start == 1024 else normals)
+
+        monkeypatch.setattr(simulator, "_step_single", nan_in_second_group)
+        cfg = SimConfig(dt=1e-3, t_end=0.05, seed=2, n_paths=2500)
+        errors = []
+        for n in (1, 2):
+            with pytest.raises(SimulationError) as info:
+                self.run(monkeypatch, n, lambda: simulate_ensemble(self.MODEL, 1.0, cfg))
+            errors.append(str(info.value))
+        assert errors[0] == errors[1] == "single-path Euler step produced a NaN state"
+
+    def test_first_failing_group_wins(self, monkeypatch):
+        # with two workers, group 2 fails in this process and group 1 in the child
+        def fail_from_second_group(x, g, dt, normals):
+            if g.cols.start >= 1024:
+                raise SimulationError(f"group at column {g.cols.start}")
+            return x
+
+        monkeypatch.setattr(simulator, "_step_single", fail_from_second_group)
+        cfg = SimConfig(dt=1e-3, t_end=0.01, n_paths=2500)
+        for n in (1, 2):
+            with pytest.raises(SimulationError, match="^group at column 1024$"):
+                self.run(monkeypatch, n, lambda: simulate_ensemble(self.MODEL, 1.0, cfg))
+
+    @pytest.mark.parametrize("action", ["always", "default"])
+    def test_warnings_come_back_in_group_order(self, monkeypatch, capfd, action):
+        step = simulator._step_single
+
+        def warning(x, g, dt, normals):
+            warnings.warn(f"group at column {g.cols.start}", RuntimeWarning)
+            return step(x, g, dt, normals)
+
+        monkeypatch.setattr(simulator, "_step_single", warning)
+        cfg = SimConfig(dt=1e-3, t_end=0.01, n_paths=2500)
+        shown = []
+        for n in (1, 2):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter(action)
+                self.run(monkeypatch, n, lambda: simulate_ensemble(self.MODEL, 1.0, cfg))
+            shown.append([(str(w.message), w.category, w.filename, w.lineno) for w in caught])
+        per_group = 10 if action == "always" else 1  # "default" shows each location once
+        assert [m for m, *_ in shown[0]] == [
+            f"group at column {c}" for c in (0, 1024, 2048) for _ in range(per_group)]
+        assert shown[0] == shown[1]
+        assert capfd.readouterr() == ("", "")  # the child wrote nothing itself
 
 
 class TestDtRefinement:
