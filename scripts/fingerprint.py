@@ -9,9 +9,10 @@ in a fresh directory, with ``DIR`` (default: this checkout's ``src``) on
 ``PYTHONPATH``.  One line is printed per output file, stdout, stderr and exit
 code: ``<config> <command> <item> <sha256>``.  Running the script against two
 source trees and diffing the two outputs shows whether a change left every
-output byte-identical.  The configs are the shipped ones plus three fixed
-models written below; every command runs on every config, and two runs of
-several 1024-path blocks on two of them.  Nothing is timed.
+output byte-identical.  The configs are the shipped ones plus four fixed
+models written below; every command runs on every config but the pure-jump
+one, which runs its own two starts at 0, and two runs of several 1024-path
+blocks on three of them.  Nothing is timed.
 """
 
 from __future__ import annotations
@@ -102,6 +103,32 @@ eps = 0.0
 weight = v1
 """
 
+# no immigration, no drift at 0, no Gaussian part and a competition that
+# vanishes identically (K = 0): a path started at 0 stays at 0, the edge
+# where the sign of a zero sum could show
+PURE_JUMP = """\
+[branching]
+b = 0.5
+c = 0.0
+mu = uniform rate=1.0 lo=0.0 hi=1.0
+
+[immigration]
+beta = 0.0
+nu = none
+
+[competition]
+g = power k=0.0 p=1.5
+
+[sim]
+dt = 1e-3
+t_end = 1.0
+paths = 1000
+seed = 13
+
+[certificate]
+weight = v1
+"""
+
 COMMANDS = (
     ("rate-v1", ["rate", "--grid", "31", "--weight", "v1"]),
     ("rate-vlog", ["rate", "--grid", "31", "--weight", "vlog"]),
@@ -114,10 +141,16 @@ COMMANDS = (
 
 # ensembles of several 1024-path blocks, whose groups are stepped in forked
 # worker processes on a host with more than one CPU
-WIDE_CONFIGS = ("nu_jump", "mixed_vlog")
+WIDE_CONFIGS = ("nu_jump", "mixed_vlog", "stable_power_vlog")
 WIDE_COMMANDS = (
     ("simulate-wide", ["simulate", "--paths", "2500", "--t-end", "0.05", "--dump"]),
     ("couple-wide", ["couple", "--paths", "2100", "--t-end", "0.05"]),
+)
+
+# the only runs of the pure-jump model: a single start and a follower at 0
+PURE_JUMP_COMMANDS = (
+    ("simulate-x0-0", ["simulate", "--x0", "0", "--paths", "200", "--t-end", "0.05", "--dump"]),
+    ("couple-x0-1-y0-0", ["couple", "--x0", "1", "--y0", "0", "--paths", "100", "--t-end", "0.05"]),
 )
 
 
@@ -126,8 +159,14 @@ def _configs():
     for name in SHIPPED:
         with open(os.path.join(ROOT, "configs", f"{name}.cfg")) as fh:
             out[name] = fh.read()
-    out.update(nu_jump=NU_JUMP, mixed_vlog=MIXED_VLOG, mixed_v1=MIXED_V1)
+    out.update(nu_jump=NU_JUMP, mixed_vlog=MIXED_VLOG, mixed_v1=MIXED_V1, pure_jump=PURE_JUMP)
     return out
+
+
+def _commands(cfg_name):
+    if cfg_name == "pure_jump":
+        return PURE_JUMP_COMMANDS
+    return COMMANDS + (WIDE_COMMANDS if cfg_name in WIDE_CONFIGS else ())
 
 
 def _sha(data: bytes) -> str:
@@ -166,7 +205,7 @@ def main(argv=None) -> int:
         runs = [
             (src, work, cfg_name, text, label, cmd)
             for cfg_name, text in _configs().items()
-            for label, cmd in COMMANDS + (WIDE_COMMANDS if cfg_name in WIDE_CONFIGS else ())
+            for label, cmd in _commands(cfg_name)
         ]
         with ThreadPoolExecutor(2) as pool:  # two CLI runs at a time
             for lines in pool.map(lambda r: _run(*r), runs):

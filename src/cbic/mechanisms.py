@@ -472,6 +472,11 @@ class CompetitionMechanism:
                 out = self.K * x * np.log1p(np.maximum(x, 0.0))
         return out if out.shape else float(out)
 
+    @property
+    def is_zero(self) -> bool:
+        """g vanishes identically: a zero slope, or K = 0."""
+        return (self.a if self.form == "linear" else self.K) == 0.0
+
     def linear_liminf(self) -> float:
         """liminf_{x->inf} g(x)/x (exact per form)."""
         if self.form == "linear":

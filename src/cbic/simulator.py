@@ -15,8 +15,10 @@ time the pair moves as one path.
 
 RNG: paths are partitioned into fixed 1024-path blocks; each block derives
 four Philox streams (Gaussian, branching jumps, immigration jumps,
-disassembly uniforms) from (seed, block).  A lane is one such stream set and
-its paths; lanes sharing a plan are stepped together as one array of at most
+disassembly uniforms) from (seed, block).  The Gaussian stream is drawn from
+only when the scheme has a Gaussian part: c > 0, or branching jumps below eps
+whose variance it stands in for.  A lane is one such stream set and its
+paths; lanes sharing a plan are stepped together as one array of at most
 1024 paths (the two 16-chain starts of a stationary run), but every lane
 draws only from its own streams, in the same sizes and order as alone.  The
 groups are stepped in forked worker processes, one per CPU the process may
@@ -338,6 +340,9 @@ class _Plan:
         self.x_max = cfg.x_max
         self.g = model.g
         self.c = model.c
+        # the terms a step draws and computes: Gaussian (c x, sub-eps variance), g
+        self.gaussian = self.c > 0 or self.mu_small_sq > 0
+        self.competes = not model.g.is_zero
 
     # drift coefficient multiplying -x dt in the generic scheme
     @property
@@ -397,10 +402,11 @@ def _drive(runs, fields, cfg: SimConfig, record_times, step, start=None, view=No
     paths.  A group starts from ``start(group, slices)``, or the list of its
     field slices, and ``step(state, group, k)`` advances it to step k;
     ``view(state)``, or the state itself, lists the field arrays recorded.
-    ``group.gauss`` yields ``gauss_rows`` rows of normals per step.  The groups
-    are dealt to ``_workers`` processes (see ``_pooled``).  Returns the record
-    times, one (n_times, n_runs * n_paths) record per field and the final
-    states.
+    ``group.gauss`` yields ``gauss_rows`` rows of normals per step, or none if
+    the plan has no Gaussian part: ``next(group.gauss, None)`` is then None.
+    The groups are dealt to ``_workers`` processes (see ``_pooled``).  Returns
+    the record times, one (n_times, n_runs * n_paths) record per field and the
+    final states.
     """
     n_steps = int(round(cfg.t_end / cfg.dt))
     rec = np.arange(n_steps + 1) if record_times is None else record_steps(cfg, record_times)
@@ -418,7 +424,7 @@ def _drive(runs, fields, cfg: SimConfig, record_times, step, start=None, view=No
 
     def run(i: int):
         g = groups[i]
-        g.gauss = g.normals(gauss_rows * n_steps)
+        g.gauss = g.normals(gauss_rows * n_steps if g.plan.gaussian else 0)
         state = [f[g.cols].copy() for f in fields]
         state = start(g, state) if start else state
         for k in range(n_steps + 1):
@@ -561,19 +567,32 @@ def _add_jumps(xn: np.ndarray, g: _Group, which: str, lam, sampler) -> None:
         np.add.at(xn, np.repeat(np.arange(xn.size), _cat(counts)), z)
 
 
-def _step_single(x: np.ndarray, g: _Group, dt: float, normals: np.ndarray) -> np.ndarray:
-    """One Euler step of every path of the group, driven by the step's standard ``normals``."""
+def _drift(plan: _Plan, x: np.ndarray) -> np.ndarray:
+    """beta_eff - b_eff x - g(x) at finite states x, with g left out where it vanishes.
+
+    A term a plan lacks (g, or a Gaussian part) is +-0.0 there, and a +- (+-0.0)
+    is a bit for bit unless a is -0.0: beta_eff - b_eff x never is (beta_eff >= +0.0),
+    nor is x + drift (only -0.0 + -0.0 is -0.0; at x = +-0.0 the drift is >= +0.0).
+    """
+    drift = plan.beta_eff - plan.b_eff * x
+    return drift - plan.g(x) if plan.competes else drift
+
+
+def _step_single(x: np.ndarray, g: _Group, dt: float, normals: Optional[np.ndarray]) -> np.ndarray:
+    """One Euler step of every path of the group, driven by the step's standard
+    ``normals``, or ``None`` when the plan has no Gaussian part."""
     plan = g.plan
     live = np.isfinite(x)
     if plan.mu_rate > 0:
         live &= x * plan.mu_rate * dt <= _LAM_CAP
     xl = np.where(live, x, 0.0)
-    drift = (plan.beta_eff - plan.b_eff * xl - plan.g(xl)) * dt
-    # 2 c x dt; forming c x dt first keeps a huge c from overflowing at x = 0
-    var = 2.0 * (plan.c * xl * dt)
-    if plan.mu_small_sq > 0:
-        var = var + xl * plan.mu_small_sq * dt
-    xn = xl + drift + np.sqrt(np.maximum(var, 0.0)) * normals
+    xn = xl + _drift(plan, xl) * dt
+    if plan.gaussian:
+        # 2 c x dt; forming c x dt first keeps a huge c from overflowing at x = 0
+        var = 2.0 * (plan.c * xl * dt)
+        if plan.mu_small_sq > 0:
+            var = var + xl * plan.mu_small_sq * dt
+        xn = xn + np.sqrt(np.maximum(var, 0.0)) * normals
     if plan.stable_fast and plan.sigma > 0:
         draws = [_stable_draws(plan.alpha, s.mu, sl.stop - sl.start) for s, sl in g.lanes]
         inc = _stable_transform(plan.alpha, dt, *(_cat(d) for d in zip(*draws)))
@@ -649,7 +668,7 @@ def simulate_ensembles(
         cols.append(x0)
     times, (out,), _ = _drive(
         runs, [np.concatenate(cols)], cfg, record_times, gauss_rows=1,
-        step=lambda xs, g, k: [_step_single(xs[0], g, cfg.dt, next(g.gauss))],
+        step=lambda xs, g, k: [_step_single(xs[0], g, cfg.dt, next(g.gauss, None))],
     )
     return [EnsembleResult(times, v, ~np.isfinite(v[-1])) for v in np.split(out, len(starts), 1)]
 
@@ -781,23 +800,24 @@ def _step_coupled(state: _CoupledState, g: _Group, lasso_mu, lasso_nu, dt, t_now
         live &= state.x * plan.mu_rate * dt <= _LAM_CAP
     x = np.where(live, state.x, 0.0)
     y = np.where(live, state.y, 0.0)
-    gap0 = x - y
-    # Gaussian reflection: X gets G1 + G2, Y gets -G1 before coupling
-    n1, n2 = next(g.gauss), next(g.gauss)
-    g1 = np.sqrt(np.maximum(2.0 * (plan.c * y * dt), 0.0)) * n1
-    g2 = np.sqrt(np.maximum(2.0 * (plan.c * gap0 * dt), 0.0)) * n2
-    if plan.mu_small_sq > 0:
-        nc, nl = next(g.gauss), next(g.gauss)
-        gc = np.sqrt(np.maximum(y * plan.mu_small_sq * dt, 0.0)) * nc
-        gl = np.sqrt(np.maximum(gap0 * plan.mu_small_sq * dt, 0.0)) * nl
-    else:
-        gc = gl = 0.0
-    drift_x = (plan.beta_eff - plan.b_eff * x - plan.g(x)) * dt
-    drift_y = (plan.beta_eff - plan.b_eff * y - plan.g(y)) * dt
-    state.x = x + drift_x + g1 + g2 + gc + gl
-    # only the diffusion part is reflected; the truncated-small-jump
-    # correction gc stands in for shared jumps and is common to both
-    state.y = y + drift_y + np.where(state.coupled, g1, -g1) + gc
+    state.x = x + _drift(plan, x) * dt
+    state.y = y + _drift(plan, y) * dt
+    if plan.gaussian:  # all rows or none: with c = 0, n1 and n2 still go before nc, nl
+        gap0 = x - y
+        # Gaussian reflection: X gets G1 + G2, Y gets -G1 before coupling
+        n1, n2 = next(g.gauss), next(g.gauss)
+        g1 = np.sqrt(np.maximum(2.0 * (plan.c * y * dt), 0.0)) * n1
+        g2 = np.sqrt(np.maximum(2.0 * (plan.c * gap0 * dt), 0.0)) * n2
+        if plan.mu_small_sq > 0:
+            nc, nl = next(g.gauss), next(g.gauss)
+            gc = np.sqrt(np.maximum(y * plan.mu_small_sq * dt, 0.0)) * nc
+            gl = np.sqrt(np.maximum(gap0 * plan.mu_small_sq * dt, 0.0)) * nl
+        else:
+            gc = gl = 0.0
+        state.x = state.x + g1 + g2 + gc + gl
+        # only the diffusion part is reflected; the truncated-small-jump
+        # correction gc stands in for shared jumps and is common to both
+        state.y = state.y + np.where(state.coupled, g1, -g1) + gc
     # branching events (thinning at the step-start leader state)
     if plan.mu_rate > 0:
         lam = x * plan.mu_rate * dt
@@ -1004,9 +1024,9 @@ def mean_with_dt_refinement(model: ModelSpec, x0: float, cfg: SimConfig):
     dt2 = cfg.dt / 2.0
 
     def step(xs, g, k):
-        z1, z2 = next(g.gauss), next(g.gauss)
+        z1, z2 = next(g.gauss, None), next(g.gauss, None)
         xf = _step_single(_step_single(xs[1], g, dt2, z1), g, dt2, z2)
-        return _step_single(xs[0], g, cfg.dt, (z1 + z2) / math.sqrt(2.0)), xf
+        return _step_single(xs[0], g, cfg.dt, z1 if z1 is None else (z1 + z2) / math.sqrt(2.0)), xf
 
     x0s = np.full(cfg.n_paths, float(x0))
     _, (x_c, x_f), _ = _drive(

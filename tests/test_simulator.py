@@ -1,3 +1,4 @@
+import copy
 import math
 import os
 import warnings
@@ -552,6 +553,118 @@ class TestPooled:
             f"group at column {c}" for c in (0, 1024, 2048) for _ in range(per_group)]
         assert shown[0] == shown[1]
         assert capfd.readouterr() == ("", "")  # the child wrote nothing itself
+
+
+class TestPlanTerms:
+    """A step computes and draws only the terms its plan has, with the same results."""
+
+    PURE_JUMP = ModelSpec(
+        BranchingMechanism(0.5, 0.0, LevyMeasure.uniform(2.0, 0.0, 1.0)),
+        ImmigrationMechanism(0.3, LevyMeasure.uniform(1.0, 0.5, 1.5)),
+        CompetitionMechanism.power(0.0, 1.5),
+    )
+    STABLE = ModelSpec(
+        stable_to_generic(1.0, 0.0, 1.0, 0.5),
+        ImmigrationMechanism(0.5),
+        CompetitionMechanism.power(3.5, 1.5),
+    )
+    STATES = [0.0, -0.0, 5e-324, 1e308, 0, 1.0]
+    STEP_STATES = [0.0, -0.0, 5e-324, 0, 1.0, 1e6]  # a stable step from 1e308 is NaN
+
+    def test_zero_gaussian_term_leaves_the_sum(self):
+        xl, drift = (np.array(v, dtype=float) for v in zip(*[
+            (x, d) for x in self.STATES for d in self.STATES + [-5e-324, -1e308, -1.0]
+            # -0.0 + -0.0 is the one sum a +0.0 term changes; no stepper forms
+            # it (test_drift_at_a_zero_state_is_not_negative_zero)
+            if not (x == d == 0.0 and np.signbit(x) and np.signbit(d))
+        ]))
+        for z in (1.0, -1.0, 0.0, -0.0, 3.7, -1e300):
+            for dt in (1e-3, 5e-324, 1.0):
+                with np.errstate(over="ignore"):  # 1e308 + 1e308 is inf on both sides
+                    full = xl + drift + np.sqrt(np.maximum(2.0 * (0.0 * xl * dt), 0.0)) * z
+                    part = xl + drift
+                assert np.array_equal(full, part)
+                assert np.array_equal(np.signbit(full), np.signbit(part))
+
+    @pytest.mark.parametrize("beta", [0.0, -0.0, 0.3])
+    @pytest.mark.parametrize("b", [-0.5, 0.0, 0.5])
+    def test_drift_at_a_zero_state_is_not_negative_zero(self, beta, b):
+        model = ModelSpec(BranchingMechanism(b, 0.0), ImmigrationMechanism(beta),
+                          CompetitionMechanism.none())
+        plan = simulator._Plan(model, SimConfig(), 0.0)
+        for xl in (np.zeros(2), np.full(2, -0.0)):
+            drift = (plan.beta_eff - plan.b_eff * xl - plan.g(xl)) * 1e-3
+            assert not np.signbit(drift).any()
+            assert not np.signbit(xl + drift).any()
+
+    @staticmethod
+    def forced(plan):
+        """A copy of ``plan`` that computes every term, the zero ones included."""
+        full = copy.copy(plan)
+        full.gaussian = full.competes = True
+        return full
+
+    @pytest.mark.parametrize("model", [PURE_JUMP, STABLE], ids=["thinning", "stable"])
+    def test_single_step_equals_the_full_step(self, model):
+        cfg = SimConfig(dt=1e-3)
+        x = np.array(self.STEP_STATES * 3)
+        plan = simulator._Plan(model, cfg, 1.0)
+        assert not plan.gaussian
+        out = []
+        for p, normals in ((plan, None), (self.forced(plan), np.random.default_rng(1).standard_normal(x.size))):
+            g = simulator._Group(p, 0)
+            g.add(simulator._Streams(3, 0), x.size)
+            out.append([simulator._step_single(x, g, cfg.dt, normals) for _ in range(3)][-1])
+        assert np.array_equal(out[0], out[1])
+        assert np.array_equal(np.signbit(out[0]), np.signbit(out[1]))
+
+    def test_coupled_step_equals_the_full_step(self):
+        cfg = SimConfig(dt=1e-3)
+        x = np.array(self.STEP_STATES * 3)
+        y = np.minimum(x, np.array([0.0, -0.0, 0.5] * 6))
+        plan = simulator._Plan(self.PURE_JUMP, cfg, 1.0, force_thinning=True)
+        lasso = simulator._LassoRates(self.PURE_JUMP.mu, plan.eps_mu)
+        out = []
+        for p in (plan, self.forced(plan)):
+            g = simulator._Group(p, 0)
+            g.add(simulator._Streams(3, 0), x.size)
+            g.gauss = iter(np.random.default_rng(1).standard_normal((6, x.size)))
+            state = simulator._CoupledState(x, y, True)
+            for k in range(3):
+                state = simulator._step_coupled(state, g, lasso, lasso, cfg.dt, k * cfg.dt)
+            out.append(state)
+        assert out[0].events == out[1].events
+        for name in ("x", "y", "coupled", "t_couple"):
+            a, b = getattr(out[0], name), getattr(out[1], name)
+            assert np.array_equal(a, b), name
+            assert np.array_equal(np.signbit(a), np.signbit(b)), name
+
+    @staticmethod
+    def rows_per_step(monkeypatch, fn, n_steps):
+        """Rows of normals drawn per step by fn(), over its one group."""
+        rows, normals = [], simulator._Group.normals
+
+        def counting(self, n_rows):
+            for row in normals(self, n_rows):
+                rows.append(None)
+                yield row
+
+        monkeypatch.setattr(simulator._Group, "normals", counting)
+        fn()
+        return len(rows) / n_steps
+
+    CFG = SimConfig(dt=1e-3, t_end=0.05, seed=4, n_paths=16)
+
+    @pytest.mark.parametrize("model, single, coupled", [
+        (PURE_JUMP, 0, 0),
+        (STABLE, 0, 4),  # couple thins the jumps, so the sub-eps variance needs all four rows
+        (TestChunkIndependence.MODEL, 1, 2),  # c > 0
+    ], ids=["thinning-c0", "stable-c0", "diffusion"])
+    def test_rows_drawn(self, monkeypatch, model, single, coupled):
+        assert self.rows_per_step(
+            monkeypatch, lambda: simulate_ensemble(model, 1.0, self.CFG), 50) == single
+        assert self.rows_per_step(
+            monkeypatch, lambda: simulate_coupled_ensemble(model, 2.0, 0.5, self.CFG), 50) == coupled
 
 
 class TestDtRefinement:
