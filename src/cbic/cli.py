@@ -65,12 +65,30 @@ output files and columns:
   check_generator.csv    x, quadrature, closed_form, rel_err
   stationary.csv         atom, prob  (binned long-run law)
 
+[sim] overrides:
+  simulate, couple       --seed --dt --t-end --eps --paths
+  stationary             --seed --dt --eps; it runs 16 chains from each of the
+                         starts 0 and 8, and --burn-in and --samples set the horizon
+  rate, lyapunov, check-generator: none (the config's [sim] is still checked)
+
 exit codes: 0 success; 1 model/condition failure; 2 usage or config error.
 """
 
 
+# [sim] overrides: flag -> (SimConfig field, type)
+_SIM_FLAGS = {"seed": ("seed", int), "dt": ("dt", float), "t-end": ("t_end", float),
+              "eps": ("eps", float), "paths": ("n_paths", int)}
+
+
+class _Parser(argparse.ArgumentParser):
+    """Prints a usage error as one stderr line, without the usage block, and exits 2."""
+
+    def error(self, message):
+        self.exit(USAGE_ERROR, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser():
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="cbic",
         description=(
             "Simulate branching processes with immigration and competition, "
@@ -81,40 +99,38 @@ def _build_parser():
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, paths=True):
+    def common(sp, *overrides):
         sp.add_argument("--model", required=True, help="model configuration file")
         sp.add_argument("--out", default=".", help="output directory (CSV/report files)")
-        sp.add_argument("--seed", type=int, default=None, help="override [sim] seed")
-        sp.add_argument("--dt", type=float, default=None, help="override [sim] dt")
-        sp.add_argument("--t-end", type=float, default=None, help="override [sim] t_end")
-        sp.add_argument("--eps", type=float, default=None, help="override jump truncation")
-        if paths:
-            sp.add_argument("--paths", type=int, default=None, help="override [sim] paths")
+        for flag in overrides:
+            field, kind = _SIM_FLAGS[flag]
+            sp.add_argument(f"--{flag}", dest=field, type=kind,
+                            help=f"override [sim] {flag.replace('-', '_')}")
 
     sp = sub.add_parser("simulate", help="ensemble of single paths; writes simulate.csv")
-    common(sp)
+    common(sp, *_SIM_FLAGS)
     sp.add_argument("--x0", type=float, default=1.0, help="initial state")
     sp.add_argument("--dump", action="store_true", help="also write simulate.bin (raw paths)")
 
     sp = sub.add_parser(
         "couple", help="coupled-pair ensemble; writes couple.csv and decay.csv"
     )
-    common(sp)
+    common(sp, *_SIM_FLAGS)
     sp.add_argument("--x0", type=float, default=2.0)
     sp.add_argument("--y0", type=float, default=0.0)
     sp.add_argument("--weight", choices=("v1", "vlog"), default=None)
 
     sp = sub.add_parser("rate", help="rate certificate; writes certificate.txt and margins CSV")
-    common(sp, paths=False)
+    common(sp)
     sp.add_argument("--weight", choices=("v1", "vlog"), default=None)
     sp.add_argument("--grid", type=int, default=None, help="validation grid size per axis")
 
     sp = sub.add_parser("lyapunov", help="Lyapunov drift certificate for a weight")
-    common(sp, paths=False)
+    common(sp)
     sp.add_argument("--weight", choices=("v1", "vlog"), default=None)
 
     sp = sub.add_parser("check-generator", help="generator cross-checks; writes check_generator.csv")
-    common(sp, paths=False)
+    common(sp)
     sp.add_argument("--weight", choices=("v1", "vlog"), default=None)
     sp.add_argument("--grid", type=int, default=9)
 
@@ -123,31 +139,25 @@ def _build_parser():
     sp.add_argument("--eta", required=True, help="CSV with columns atom,prob")
     sp.add_argument("--weight", choices=("v1", "vlog"), default="v1")
 
-    sp = sub.add_parser("stationary", help="long-run law estimate with two-start diagnostic")
-    common(sp)
-    sp.add_argument("--burn-in", type=float, default=5.0)
-    sp.add_argument("--samples", type=int, default=2000)
+    sp = sub.add_parser(
+        "stationary",
+        help="long-run law from 16 chains started at each of 0 and 8, with a two-start diagnostic",
+    )
+    common(sp, "seed", "dt", "eps")
+    sp.add_argument("--burn-in", type=float, default=5.0, help="time before the first sample")
+    sp.add_argument("--samples", type=int, default=2000,
+                    help="samples per start, about every 0.25 time units after burn-in")
     return p
 
 
 def _load(args):
     run = load_config(args.model)
-    sim = run.sim
-    kw = {}
-    if getattr(args, "seed", None) is not None:
-        kw["seed"] = args.seed
-    if getattr(args, "dt", None) is not None:
-        kw["dt"] = args.dt
-    if getattr(args, "t_end", None) is not None:
-        kw["t_end"] = args.t_end
-    if getattr(args, "eps", None) is not None:
-        kw["eps"] = args.eps
-    if getattr(args, "paths", None) is not None:
-        kw["n_paths"] = args.paths
+    kw = {field: getattr(args, field) for field, _ in _SIM_FLAGS.values()
+          if getattr(args, field, None) is not None}
     if getattr(args, "grid", None) is not None and args.grid < 1:
         raise ConfigError("--grid must be >= 1")
     try:
-        sim = replace(sim, **kw)
+        sim = replace(run.sim, **kw)
     except SimulationError as exc:
         raise ConfigError(str(exc)) from exc
     weight = run.weight
@@ -221,12 +231,10 @@ def _cmd_couple(args):
 
 
 def _cmd_rate(args):
-    run, sim, weight = _load(args)
+    run, _, weight = _load(args)
     n = args.grid if args.grid else run.grid_nx
     try:
-        cert = compute_rate_certificate(
-            run.model, weight, lambda0=run.lambda0, c0=run.c0, grid=n
-        )
+        cert = compute_rate_certificate(run.model, weight, grid=n)
     except CertificateError as exc:
         print(f"rate certificate failed: {exc}", file=sys.stderr)
         return MODEL_ERROR

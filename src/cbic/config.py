@@ -21,9 +21,18 @@ declared by kind plus parameters.  Example::
     t_end = 1.0
     paths = 1000
     seed = 7
+    eps = auto
+    x_max = 1e8
 
     [certificate]
     weight = v1
+    grid_nx = 101
+
+An omitted [sim] key defaults to dt 1e-3, t_end 1, paths 1, seed 0, eps auto
+or x_max 1e8, and an omitted [certificate] key to weight v1 or grid_nx 101.
+``eps`` is the small-jump truncation level (``auto`` derives it), a state
+above ``x_max`` counts as an explosion, and ``grid_nx`` is the points per
+axis of the certificate's validation grid.  Keys not named here are ignored.
 
 Measure kinds: ``none``; ``stable alpha=1.5 sigma=1.0``; ``uniform rate=1.0
 lo=0.0 hi=1.0``; ``atoms 2.0:1.0, 3.0:0.5``.  A sum joins kinds with `` + ``
@@ -38,7 +47,6 @@ import configparser
 import math
 import re
 from dataclasses import dataclass
-from typing import Optional
 
 from .generator import WeightFunction
 from .mechanisms import (
@@ -142,8 +150,6 @@ class RunConfig:
     sim: SimConfig
     weight: WeightFunction
     grid_nx: int = 101
-    lambda0: Optional[float] = None
-    c0: Optional[float] = None
 
 
 def _getfloat(sec, key, default, where):
@@ -225,11 +231,4 @@ def load_config(path) -> RunConfig:
     grid_nx = _getint(csec, "grid_nx", 101, "[certificate]")
     if grid_nx < 1:
         raise ConfigError("[certificate]: grid_nx must be >= 1")
-    return RunConfig(
-        model=model,
-        sim=sim,
-        weight=weight,
-        grid_nx=grid_nx,
-        lambda0=_getfloat(csec, "lambda0", None, "[certificate]"),
-        c0=_getfloat(csec, "c0", None, "[certificate]"),
-    )
+    return RunConfig(model=model, sim=sim, weight=weight, grid_nx=grid_nx)

@@ -171,8 +171,9 @@ def _lambda0_candidates(model: ModelSpec):
     return [feas[i] for i in idx]
 
 
-def _overlap_table(model: ModelSpec, hi: float, n: int = 257):
-    xs = np.linspace(0.0, hi, n)
+def _overlap_table(model: ModelSpec):
+    """Overlap masses mu_x + nu_x at 257 equally spaced x in [0, 1]."""
+    xs = np.linspace(0.0, 1.0, 257)
     vals = np.array(
         [overlap_mass(model.mu, float(x)) + overlap_mass(model.nu, float(x)) for x in xs]
     )
@@ -272,14 +273,17 @@ def _pipeline_at(model, lambda0, x0, lam1, c1, table, sq_small, nu_cube):
     return _Constants(lam, kappa, q, r_star, r, H, theta, lam2)
 
 
-def _golden_x0(evaluate, lo, hi, iters=20, coarse=9):
-    """Golden-section maximization of evaluate(x0).lam, ties toward smaller x0."""
-    probes = np.linspace(lo, hi, coarse)
+def _golden_x0(evaluate, lo, hi):
+    """Golden-section maximization of evaluate(x0).lam, ties toward smaller x0.
+
+    20 golden-section steps refine the best of 9 equally spaced probes.
+    """
+    probes = np.linspace(lo, hi, 9)
     scored = [(evaluate(float(p)), float(p)) for p in probes]
     scored = [(c.lam if c else -math.inf, p, c) for c, p in scored]
     best_i = int(np.argmax([s[0] for s in scored]))
     a = probes[max(best_i - 1, 0)]
-    b = probes[min(best_i + 1, coarse - 1)]
+    b = probes[min(best_i + 1, probes.size - 1)]
     inv = (math.sqrt(5.0) - 1.0) / 2.0
     x1 = b - inv * (b - a)
     x2 = a + inv * (b - a)
@@ -287,7 +291,7 @@ def _golden_x0(evaluate, lo, hi, iters=20, coarse=9):
     c2 = evaluate(x2)
     f1 = c1.lam if c1 else -math.inf
     f2 = c2.lam if c2 else -math.inf
-    for _ in range(iters):
+    for _ in range(20):
         if f1 >= f2:  # ties toward the smaller x0
             b, x2, f2, c2 = x2, x1, f1, c1
             x1 = b - inv * (b - a)
@@ -307,43 +311,30 @@ def _golden_x0(evaluate, lo, hi, iters=20, coarse=9):
 
 
 def compute_rate_certificate(
-    model: ModelSpec,
-    weight: WeightFunction,
-    *,
-    lambda0: Optional[float] = None,
-    c0: Optional[float] = None,
-    grid: int = 101,
+    model: ModelSpec, weight: WeightFunction, *, grid: int = 101
 ) -> RateCertificate:
     """Run the full rate pipeline and validate the result on a grid x grid check."""
     # Condition 1.1
-    if lambda0 is None:
-        cand0 = _lambda0_candidates(model)
-    else:
-        psi0 = psi_eval(model.branching, lambda0)
-        feasible = psi0 > 0 and phi_eval(model.immigration, lambda0) > 0
-        cand0 = [(lambda0, psi0)] if feasible else []
+    cand0 = _lambda0_candidates(model)
     if not cand0:
         raise CertificateError(
             "non-triviality", "no lambda0 with Psi(lambda0) > 0 and Phi(lambda0) > 0"
         )
     # Condition 1.2
-    table = _overlap_table(model, 1.0)
-    if c0 is None:
-        if model.c > 0:
-            c0 = 1.0
-        else:
-            xs, vals = table
-            positive = vals[1:] > 1e-12
-            if not positive.any():
-                raise CertificateError(
-                    "fluctuation", "c = 0 and the overlap masses vanish near 0"
-                )
-            lastgood = np.nonzero(np.cumprod(positive))[0]
-            if lastgood.size == 0:
-                raise CertificateError(
-                    "fluctuation", "c = 0 and the overlap masses vanish arbitrarily close to 0"
-                )
-            c0 = float(xs[1:][lastgood[-1]])
+    table = _overlap_table(model)
+    if model.c > 0:
+        c0 = 1.0
+    else:
+        xs, vals = table
+        positive = vals[1:] > 1e-12
+        if not positive.any():
+            raise CertificateError("fluctuation", "c = 0 and the overlap masses vanish near 0")
+        lastgood = np.nonzero(np.cumprod(positive))[0]
+        if lastgood.size == 0:
+            raise CertificateError(
+                "fluctuation", "c = 0 and the overlap masses vanish arbitrarily close to 0"
+            )
+        c0 = float(xs[1:][lastgood[-1]])
     # Condition 1.3
     try:
         margin, ly_cands, drift = lyapunov_candidates(model, weight)
@@ -383,7 +374,7 @@ def compute_rate_certificate(
     lam, lam0, psi0, c1, c0_ly, l_cut, lam1, x0_opt, k = best
     cert = RateCertificate(
         lambda0=lam0,
-        c0=float(c0),
+        c0=c0,
         kappa=k.kappa,
         x0=x0_opt,
         l=l_cut,

@@ -90,8 +90,6 @@ class LevyMeasure:
     disc: Tuple[float, ...] = ()
     atom_data: Tuple[Tuple[float, float], ...] = ()
     parts: Tuple["LevyMeasure", ...] = ()
-    # declared small-z stable-equivalent exponent for asymptotic classification
-    stable_equiv_alpha: Optional[float] = None
 
     # -- constructors ------------------------------------------------------
 
@@ -115,14 +113,12 @@ class LevyMeasure:
         fn: Callable[[np.ndarray], np.ndarray],
         support: Tuple[float, float] = (0.0, math.inf),
         breakpoints: Sequence[float] = (),
-        stable_equiv_alpha: Optional[float] = None,
     ) -> "LevyMeasure":
         return cls(
             kind="density",
             fn=fn,
             support=_density_support(support),
             disc=tuple(float(b) for b in breakpoints),
-            stable_equiv_alpha=stable_equiv_alpha,
         )
 
     @classmethod
@@ -245,11 +241,9 @@ class LevyMeasure:
         return (0.0, 0.0)
 
     def stable_components(self) -> Tuple[Tuple[float, float], ...]:
-        """(alpha, sigma) pairs, including declared density equivalents."""
+        """(alpha, sigma) pairs of the stable parts, each with sigma > 0."""
         if self.kind == "stable":
             return ((self.alpha, self.sigma),)
-        if self.kind == "density" and self.stable_equiv_alpha is not None:
-            return ((float(self.stable_equiv_alpha), math.nan),)
         if self.kind == "sum":
             out: list = []
             for p in self.parts:
@@ -592,11 +586,6 @@ def psi_prime_at_zero(mech: BranchingMechanism) -> CriticalityReport:
     return CriticalityReport(value, label)
 
 
-def _positive_stable_sigmas(mu: LevyMeasure):
-    comps = [(a, s) for a, s in mu.stable_components() if (math.isnan(s) or s > 0)]
-    return comps
-
-
 def grey_condition(mech: BranchingMechanism) -> bool:
     """Whether int^inf dlam / Psi(lam) converges.
 
@@ -607,7 +596,7 @@ def grey_condition(mech: BranchingMechanism) -> bool:
     """
     if mech.c > 0:
         return True
-    comps = _positive_stable_sigmas(mech.mu)
+    comps = mech.mu.stable_components()
     if comps:
         amax = max(a for a, _ in comps)
         if amax > 1.0:
@@ -620,8 +609,8 @@ def grey_condition(mech: BranchingMechanism) -> bool:
         # Psi'(lam) <= b + int_0^1 z mu, so Psi grows at most linearly.
         return False
     raise InconclusiveError(
-        "cannot classify the tail of Psi: no diffusion part, no stable component, "
-        "infinite-activity density without a declared stable-equivalent index"
+        "cannot classify the tail of Psi: no diffusion part, no stable component "
+        "and an infinite-activity density"
     )
 
 
@@ -631,7 +620,7 @@ def conservative_condition(mech: BranchingMechanism) -> bool:
     if np.isfinite(crit.value):
         # -Psi(lam) <= (|Psi'(0+)| + o(1)) lam near 0, so the integral diverges.
         return True
-    comps = _positive_stable_sigmas(mech.mu)
+    comps = mech.mu.stable_components()
     if comps:
         amin = min(a for a, _ in comps)
         if amin < 1.0:
@@ -639,8 +628,8 @@ def conservative_condition(mech: BranchingMechanism) -> bool:
         if amin == 1.0:
             return True  # -Psi ~ sigma*lam*log(1/lam): loglog divergence
     raise InconclusiveError(
-        "cannot classify Psi near 0: infinite first moment without a declared "
-        "stable-equivalent index"
+        "cannot classify Psi near 0: the first moment diverges, but not through a "
+        "stable component of index <= 1"
     )
 
 

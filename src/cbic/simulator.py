@@ -233,13 +233,15 @@ def _density_component(part: LevyMeasure, eps: float) -> Optional[_Component]:
     else:
         # cap where all but 1e-12 of the truncated mass lives
         total = part.mass_above(lo)
-        zcap = hi
         probe = max(lo, 1.0)
         while part.mass_above(probe) > 1e-12 * total:
             probe *= 4.0
             if probe > 1e30:
                 break
-        zs = np.geomspace(lo, probe, 4097)
+        if lo > 0.0:
+            zs = np.geomspace(lo, probe, 4097)
+        else:  # geometric from 1e-12 probe, after a first cell that starts at 0
+            zs = np.concatenate([[0.0], np.geomspace(1e-12 * probe, probe, 4096)])
     dens = part.density(zs)
     cdf = np.concatenate([[0.0], np.cumsum(0.5 * (dens[1:] + dens[:-1]) * np.diff(zs))])
     mass = part.mass_above(lo)
@@ -382,19 +384,19 @@ class _Group:
         self.lanes.append((streams, slice(b - a, b - a + width)))
         self.cols = slice(a, b + width)
 
-    def normals(self, n_rows: int):
+    def normals(self):
         """Rows of standard normals, each lane's from its own Gaussian stream.
 
+        Rows are drawn in chunks of about _PREDRAW numbers as they are taken;
         k rows drawn at once fill in row order, exactly as k one-row draws.
         """
-        chunk = max(1, _PREDRAW // (self.cols.stop - self.cols.start))
-        for r in range(0, n_rows, chunk):
-            k = min(chunk, n_rows - r)
+        k = max(1, _PREDRAW // (self.cols.stop - self.cols.start))
+        while True:
             yield from _cat([s.gauss.standard_normal((k, sl.stop - sl.start))
                              for s, sl in self.lanes])
 
 
-def _drive(runs, fields, cfg: SimConfig, record_times, step, start=None, view=None, gauss_rows=0):
+def _drive(runs, fields, cfg: SimConfig, record_times, step, start=None, view=None):
     """Step ``runs``, ensembles [(plan, seed)] of cfg.n_paths paths, from ``fields``.
 
     ``fields`` holds arrays of n_runs * n_paths start values.  Consecutive
@@ -402,8 +404,8 @@ def _drive(runs, fields, cfg: SimConfig, record_times, step, start=None, view=No
     paths.  A group starts from ``start(group, slices)``, or the list of its
     field slices, and ``step(state, group, k)`` advances it to step k;
     ``view(state)``, or the state itself, lists the field arrays recorded.
-    ``group.gauss`` yields ``gauss_rows`` rows of normals per step, or none if
-    the plan has no Gaussian part: ``next(group.gauss, None)`` is then None.
+    ``group.gauss`` yields rows of normals (``_Group.normals``); a step takes
+    rows only if its plan has a Gaussian part, so other groups draw none.
     The groups are dealt to ``_workers`` processes (see ``_pooled``).  Returns
     the record times, one (n_times, n_runs * n_paths) record per field and the
     final states.
@@ -424,7 +426,7 @@ def _drive(runs, fields, cfg: SimConfig, record_times, step, start=None, view=No
 
     def run(i: int):
         g = groups[i]
-        g.gauss = g.normals(gauss_rows * n_steps if g.plan.gaussian else 0)
+        g.gauss = g.normals()
         state = [f[g.cols].copy() for f in fields]
         state = start(g, state) if start else state
         for k in range(n_steps + 1):
@@ -667,8 +669,9 @@ def simulate_ensembles(
         runs.append((plans.setdefault(plan.eps_mu, plan), seed))
         cols.append(x0)
     times, (out,), _ = _drive(
-        runs, [np.concatenate(cols)], cfg, record_times, gauss_rows=1,
-        step=lambda xs, g, k: [_step_single(xs[0], g, cfg.dt, next(g.gauss, None))],
+        runs, [np.concatenate(cols)], cfg, record_times,
+        step=lambda xs, g, k: [
+            _step_single(xs[0], g, cfg.dt, next(g.gauss) if g.plan.gaussian else None)],
     )
     return [EnsembleResult(times, v, ~np.isfinite(v[-1])) for v in np.split(out, len(starts), 1)]
 
@@ -899,7 +902,7 @@ def simulate_coupled_ensemble(
         [(plan, cfg.seed)], [x0, y0], cfg, record_times,
         start=lambda g, f: _CoupledState(f[0], f[1], _record_events),
         step=lambda st, g, k: _step_coupled(st, g, lasso_mu, lasso_nu, cfg.dt, (k - 1) * cfg.dt),
-        view=lambda st: (st.x, st.y), gauss_rows=4 if plan.mu_small_sq > 0 else 2,
+        view=lambda st: (st.x, st.y),
     )
     t_couple = np.concatenate([st.t_couple for st in finals])
     events = [e for st in finals for e in st.events or ()]
@@ -1024,13 +1027,13 @@ def mean_with_dt_refinement(model: ModelSpec, x0: float, cfg: SimConfig):
     dt2 = cfg.dt / 2.0
 
     def step(xs, g, k):
-        z1, z2 = next(g.gauss, None), next(g.gauss, None)
+        z1, z2 = (next(g.gauss), next(g.gauss)) if g.plan.gaussian else (None, None)
         xf = _step_single(_step_single(xs[1], g, dt2, z1), g, dt2, z2)
         return _step_single(xs[0], g, cfg.dt, z1 if z1 is None else (z1 + z2) / math.sqrt(2.0)), xf
 
     x0s = np.full(cfg.n_paths, float(x0))
     _, (x_c, x_f), _ = _drive(
-        [(_Plan(model, cfg, float(x0)), cfg.seed)], [x0s, x0s], cfg, [cfg.t_end], step, gauss_rows=2
+        [(_Plan(model, cfg, float(x0)), cfg.seed)], [x0s, x0s], cfg, [cfg.t_end], step
     )
     x_c, x_f = x_c[-1], x_f[-1]
     se = float(np.std(x_c, ddof=1) / math.sqrt(cfg.n_paths))

@@ -109,8 +109,6 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("text", [
         "[branching]\nb = 0.5\n[sim]\neps = foo\n",
-        "[branching]\nb = 0.5\n[certificate]\nlambda0 = bar\n",
-        "[branching]\nb = 0.5\n[certificate]\nc0 = baz\n",
         "b = 0.5\n",
         "[branching]\nb = 0.5\nb = 0.6\n",
         "[branching]\nb = 0.5\n[immigration]\nbeta = 5%\n",
@@ -125,7 +123,7 @@ class TestExitCodes:
         "[branching]\nb = 0.5\nmu = uniform rate=nan lo=0 hi=1\n",
         "[branching]\nb = 0.5\nmu = atoms 2.0:inf\n",
         "[branching]\nb = 0.5\n[certificate]\ngrid_nx = 0\n",
-    ], ids=["eps", "lambda0", "c0", "no-section-header", "duplicate-option",
+    ], ids=["eps", "no-section-header", "duplicate-option",
             "interpolation", "atom-mass", "fractional-paths", "fractional-seed",
             "zero-dt", "nan-dt", "negative-seed", "nan-b", "inf-c", "nan-rate", "inf-atom",
             "zero-grid"])
@@ -157,6 +155,47 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("config error: ")
         assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["rate", "--seed", "1"],
+        ["lyapunov", "--dt", "1e-3"],
+        ["check-generator", "--eps", "0.1"],
+        ["stationary", "--paths", "8"],
+        ["stationary", "--t-end", "1"],
+        ["simulate", "--paths", "abc"],
+    ], ids=lambda argv: " ".join(argv))
+    def test_usage_error_is_one_line(self, ergodic_cfg, tmp_path, capsys, argv):
+        # a flag the subcommand does not take, or a value of the wrong type
+        code = run([*argv, "--model", ergodic_cfg, "--out", str(tmp_path)])
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("cbic") and "error: " in err and argv[1] in err
+        assert len(err.strip().splitlines()) == 1, err
+        assert "usage:" not in err
+
+    def test_missing_model_is_one_line(self, capsys):
+        assert run(["simulate"]) == 2
+        err = capsys.readouterr().err
+        assert err == "cbic simulate: error: the following arguments are required: --model\n"
+
+    def test_help_exits_zero(self, capsys):
+        assert run(["rate", "--help"]) == 0
+        assert capsys.readouterr().out.startswith("usage: cbic rate [-h] --model MODEL")
+
+    def test_certificate_ignores_removed_keys(self, tmp_path, capsys):
+        # lambda0 and c0 always come from the search; a config that still sets
+        # them loads them as unknown keys
+        with open(os.path.join(CONFIGS, "ergodic_v1.cfg")) as fh:
+            text = fh.read()
+        path = tmp_path / "model.cfg"
+        assert "[certificate]" in text
+        path.write_text(text.replace("[certificate]", "[certificate]\nlambda0 = bar\nc0 = 0.5"))
+        outs = []
+        for model in (os.path.join(CONFIGS, "ergodic_v1.cfg"), str(path)):
+            assert run(["rate", "--model", model, "--out", str(tmp_path), "--grid", "5"]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
 
     @pytest.mark.parametrize("command", ["lyapunov", "check-generator"])
     def test_weight_outside_domain_exits_one(self, tmp_path, capsys, command):

@@ -1,4 +1,5 @@
 import copy
+import itertools
 import math
 import os
 import warnings
@@ -218,6 +219,23 @@ class TestSimulatePath:
         # events-per-step budget holds at the reference scale
         assert LevyMeasure.stable(1.5, 1.0).mass_above(eps) * cfg.dt * 10.0 <= 10.0 * 1.01
 
+    def test_density_from_zero_with_infinite_support(self):
+        # the sampler's grid starts at 0 with the support; its draws follow Exp(1)
+        from scipy.stats import kstest
+
+        exp1 = LevyMeasure.from_density(lambda z: np.exp(-z), (0.0, math.inf))
+        sampler = simulator._MeasureSampler(exp1, 0.0)
+        assert sampler.total == pytest.approx(1.0, rel=1e-9)
+        rng = np.random.default_rng(5)
+        z = sampler.draw(rng.random(20000), rng.random(20000))
+        assert kstest(z, "expon").pvalue > 0.01
+        model = ModelSpec(BranchingMechanism(0.5, 0.0, exp1), ImmigrationMechanism(0.3, exp1),
+                          CompetitionMechanism.none())
+        cfg = SimConfig(dt=1e-3, t_end=0.1, seed=2, n_paths=32)
+        assert np.isfinite(simulate_ensemble(model, 1.0, cfg).values).all()
+        res = simulate_coupled_ensemble(model, 2.0, 0.5, cfg)
+        assert np.isfinite(res.x_values).all() and (res.x_values >= res.y_values).all()
+
 
 class TestSimulateCoupled:
     def test_equal_start_couples_immediately(self, ergodic_v1_model):
@@ -225,17 +243,22 @@ class TestSimulateCoupled:
         assert cp.coupling_time == 0.0
         assert np.array_equal(cp.x_values, cp.y_values)
 
-    def test_order_and_merge(self, ergodic_v1_model):
-        cfg = SimConfig(dt=2e-3, t_end=10.0, seed=4, n_paths=128)
-        res = simulate_coupled_ensemble(ergodic_v1_model, 2.0, 0.5, cfg,
-                                        record_times=np.arange(0.0, 10.01, 0.1))
-        assert np.isfinite(res.coupling_times).any()
+    @staticmethod
+    def check_order_and_merge(res):
+        """Leader above follower, and one path once coupled, at every recorded time."""
         for i, t in enumerate(res.times):
             x, y = res.x_values[i], res.y_values[i]
             ok = np.isfinite(x)
             assert (x[ok] >= y[ok]).all()
             done = ok & (res.coupling_times <= t)
             assert np.array_equal(x[done], y[done])
+
+    def test_order_and_merge(self, ergodic_v1_model):
+        cfg = SimConfig(dt=2e-3, t_end=10.0, seed=4, n_paths=128)
+        res = simulate_coupled_ensemble(ergodic_v1_model, 2.0, 0.5, cfg,
+                                        record_times=np.arange(0.0, 10.01, 0.1))
+        assert np.isfinite(res.coupling_times).any()
+        self.check_order_and_merge(res)
 
     def test_lasso_event_structure(self, ergodic_v1_model):
         cfg = SimConfig(dt=2e-3, t_end=10.0, seed=15, n_paths=64)
@@ -251,6 +274,18 @@ class TestSimulateCoupled:
                 assert dy - dx == pytest.approx(gap, rel=1e-12, abs=1e-12)
             else:
                 assert dx - dy == pytest.approx(gap, rel=1e-12, abs=1e-12)
+
+    def test_sub_eps_lasso_corrections_fire(self):
+        # jumps below eps merge a pair (leader jump 0.0) or double its gap (a
+        # leader jump of at most eps; thinned jumps all exceed eps)
+        model = ModelSpec(stable_to_generic(1.0, 0.0, 1.0, 0.5), ImmigrationMechanism(0.5),
+                          CompetitionMechanism.none())
+        eps = 0.05
+        cfg = SimConfig(dt=1e-3, t_end=0.5, eps=eps, seed=3, n_paths=64)
+        res = simulate_coupled_ensemble(model, 1.0, 0.99, cfg, _record_events=True)
+        assert any(sign == "+" and dx == 0.0 for _, sign, _, dx, _ in res.lasso_events)
+        assert any(sign == "-" and dx <= eps for _, sign, _, dx, _ in res.lasso_events)
+        self.check_order_and_merge(res)
 
     def test_merge_is_exact_equality(self, ergodic_v1_model):
         cp = simulate_coupled(ergodic_v1_model, 2.0, 0.5, SimConfig(dt=2e-3, t_end=12.0, seed=8))
@@ -426,7 +461,7 @@ class TestLockstep:
         group = simulator._Group(None, 0)
         for block, width in ((0, 16), (1, 7)):
             group.add(simulator._Streams(9, block), width)
-        rows = np.array(list(group.normals(1000)))  # three pre-draw chunks of <= 356 rows
+        rows = np.array(list(itertools.islice(group.normals(), 1000)))  # chunks of 356 rows
         fresh = [simulator._Streams(9, block) for block in (0, 1)]
         steps = np.array([
             np.concatenate([fresh[0].gauss.standard_normal(16), fresh[1].gauss.standard_normal(7)])
@@ -531,6 +566,20 @@ class TestPooled:
         for n in (1, 2):
             with pytest.raises(SimulationError, match="^group at column 1024$"):
                 self.run(monkeypatch, n, lambda: simulate_ensemble(self.MODEL, 1.0, cfg))
+
+    def test_interrupt_reaps_the_workers(self, monkeypatch):
+        # run() checks that one child was forked and that it was reaped
+        step = simulator._step_single
+
+        def interrupt_in_this_process(x, g, dt, normals):
+            if g.cols.start == 0:  # group 0 is stepped by the calling process
+                raise KeyboardInterrupt
+            return step(x, g, dt, normals)
+
+        monkeypatch.setattr(simulator, "_step_single", interrupt_in_this_process)
+        cfg = SimConfig(dt=1e-3, t_end=0.05, seed=2, n_paths=2048)
+        with pytest.raises(KeyboardInterrupt):
+            self.run(monkeypatch, 2, lambda: simulate_ensemble(self.MODEL, 1.0, cfg))
 
     @pytest.mark.parametrize("action", ["always", "default"])
     def test_warnings_come_back_in_group_order(self, monkeypatch, capfd, action):
@@ -641,17 +690,32 @@ class TestPlanTerms:
 
     @staticmethod
     def rows_per_step(monkeypatch, fn, n_steps):
-        """Rows of normals drawn per step by fn(), over its one group."""
-        rows, normals = [], simulator._Group.normals
+        """(rows of normals taken per step, calls on any Gaussian stream) of fn()."""
+        rows, calls, normals, streams = [], [], simulator._Group.normals, simulator._Streams
 
-        def counting(self, n_rows):
-            for row in normals(self, n_rows):
+        def counting(self):
+            for row in normals(self):
                 rows.append(None)
                 yield row
 
-        monkeypatch.setattr(simulator._Group, "normals", counting)
-        fn()
-        return len(rows) / n_steps
+        class Gauss:
+            def __init__(self, gen):
+                self.gen = gen
+
+            def standard_normal(self, size):
+                calls.append(size)
+                return self.gen.standard_normal(size)
+
+        def counting_streams(seed, block):
+            s = streams(seed, block)
+            s.gauss = Gauss(s.gauss)
+            return s
+
+        with monkeypatch.context() as m:
+            m.setattr(simulator._Group, "normals", counting)
+            m.setattr(simulator, "_Streams", counting_streams)
+            fn()
+        return len(rows) / n_steps, len(calls)
 
     CFG = SimConfig(dt=1e-3, t_end=0.05, seed=4, n_paths=16)
 
@@ -661,10 +725,12 @@ class TestPlanTerms:
         (TestChunkIndependence.MODEL, 1, 2),  # c > 0
     ], ids=["thinning-c0", "stable-c0", "diffusion"])
     def test_rows_drawn(self, monkeypatch, model, single, coupled):
-        assert self.rows_per_step(
-            monkeypatch, lambda: simulate_ensemble(model, 1.0, self.CFG), 50) == single
-        assert self.rows_per_step(
-            monkeypatch, lambda: simulate_coupled_ensemble(model, 2.0, 0.5, self.CFG), 50) == coupled
+        for fn, taken in ((lambda: simulate_ensemble(model, 1.0, self.CFG), single),
+                          (lambda: simulate_coupled_ensemble(model, 2.0, 0.5, self.CFG), coupled)):
+            rows, calls = self.rows_per_step(monkeypatch, fn, 50)
+            assert rows == taken
+            # a plan without a Gaussian part makes no call on any Gaussian stream
+            assert (calls == 0) == (taken == 0)
 
 
 class TestDtRefinement:
