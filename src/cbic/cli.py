@@ -123,7 +123,7 @@ def _build_parser():
     sp = sub.add_parser("rate", help="rate certificate; writes certificate.txt and margins CSV")
     common(sp)
     sp.add_argument("--weight", choices=("v1", "vlog"), default=None)
-    sp.add_argument("--grid", type=int, default=None, help="validation grid size per axis")
+    sp.add_argument("--grid", type=int, default=101, help="validation grid size per axis")
 
     sp = sub.add_parser("lyapunov", help="Lyapunov drift certificate for a weight")
     common(sp)
@@ -154,7 +154,7 @@ def _load(args):
     run = load_config(args.model)
     kw = {field: getattr(args, field) for field, _ in _SIM_FLAGS.values()
           if getattr(args, field, None) is not None}
-    if getattr(args, "grid", None) is not None and args.grid < 1:
+    if getattr(args, "grid", 1) < 1:
         raise ConfigError("--grid must be >= 1")
     try:
         sim = replace(run.sim, **kw)
@@ -232,9 +232,8 @@ def _cmd_couple(args):
 
 def _cmd_rate(args):
     run, _, weight = _load(args)
-    n = args.grid if args.grid else run.grid_nx
     try:
-        cert = compute_rate_certificate(run.model, weight, grid=n)
+        cert = compute_rate_certificate(run.model, weight, grid=args.grid)
     except CertificateError as exc:
         print(f"rate certificate failed: {exc}", file=sys.stderr)
         return MODEL_ERROR

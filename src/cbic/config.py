@@ -26,13 +26,11 @@ declared by kind plus parameters.  Example::
 
     [certificate]
     weight = v1
-    grid_nx = 101
 
 An omitted [sim] key defaults to dt 1e-3, t_end 1, paths 1, seed 0, eps auto
-or x_max 1e8, and an omitted [certificate] key to weight v1 or grid_nx 101.
-``eps`` is the small-jump truncation level (``auto`` derives it), a state
-above ``x_max`` counts as an explosion, and ``grid_nx`` is the points per
-axis of the certificate's validation grid.  Keys not named here are ignored.
+or x_max 1e8, and an omitted [certificate] weight to v1.  ``eps`` is the
+small-jump truncation level (``auto`` derives it), and a state above
+``x_max`` counts as an explosion.  Keys not named here are ignored.
 
 Measure kinds: ``none``; ``stable alpha=1.5 sigma=1.0``; ``uniform rate=1.0
 lo=0.0 hi=1.0``; ``atoms 2.0:1.0, 3.0:0.5``.  A sum joins kinds with `` + ``
@@ -149,7 +147,6 @@ class RunConfig:
     model: ModelSpec
     sim: SimConfig
     weight: WeightFunction
-    grid_nx: int = 101
 
 
 def _getfloat(sec, key, default, where):
@@ -228,7 +225,4 @@ def load_config(path) -> RunConfig:
         weight = WeightFunction.vlog()
     else:
         raise ConfigError(f"[certificate]: weight must be v1 or vlog, got {wname!r}")
-    grid_nx = _getint(csec, "grid_nx", 101, "[certificate]")
-    if grid_nx < 1:
-        raise ConfigError("[certificate]: grid_nx must be >= 1")
-    return RunConfig(model=model, sim=sim, weight=weight, grid_nx=grid_nx)
+    return RunConfig(model=model, sim=sim, weight=weight)

@@ -212,40 +212,22 @@ def _q_and_rstar(model: ModelSpec, x0: float, nu_cube: float):
         r_star = lo
     if r_star <= 0.0:
         return None, None
-    q = -D(r_star * x0)
-    if q <= 0.0:
-        return None, None
-    return q, r_star
-
-
-@dataclass
-class _Constants:
-    lam: float
-    kappa: float
-    q: float
-    r_star: float
-    r: float
-    H: float
-    theta: float
-    lambda2: float
+    return -D(r_star * x0), r_star
 
 
 def _pipeline_at(model, lambda0, x0, lam1, c1, table, sq_small, nu_cube):
+    """Steps (1), (4)-(7) at one x0: the RateCertificate fields that depend on x0, or None."""
     xs, vals = table
     c_lam2 = model.c * lambda0**2
     if not math.isfinite(c_lam2):  # kappa's grid below is not representable
         return None
     a_vals = c_lam2 * np.exp(-lambda0 * xs) + vals
-    sel = a_vals[xs <= x0]
-    if sel.size == 0:
-        return None
-    kappa = 0.5 * float(np.min(sel)) * 0.995  # grid-resolution shave
+    kappa = 0.5 * float(np.min(a_vals[xs <= x0])) * 0.995  # grid-resolution shave
     if not kappa > 0.0:
         return None
-    qr = _q_and_rstar(model, x0, nu_cube)
-    if qr[0] is None:
+    q, r_star = _q_and_rstar(model, x0, nu_cube)
+    if q is None:
         return None
-    q, r_star = qr
     denom = 2.0 * model.c + sq_small
     r = r_star if denom <= 0.0 else min(r_star, x0 * q / (6.0 * denom))
     if not r > 0.0:
@@ -269,45 +251,38 @@ def _pipeline_at(model, lambda0, x0, lam1, c1, table, sq_small, nu_cube):
     )
     if not lam2 > 0.0:
         return None
-    lam = min(c1, lam2) / 2.0
-    return _Constants(lam, kappa, q, r_star, r, H, theta, lam2)
+    return dict(lam=min(c1, lam2) / 2.0, x0=x0, kappa=kappa, q=q, r_star=r_star, r=r, H=H,
+                theta=theta, lambda2=lam2)
 
 
 def _golden_x0(evaluate, lo, hi):
-    """Golden-section maximization of evaluate(x0).lam, ties toward smaller x0.
+    """The constants of the x0 in [lo, hi] that maximizes lam, or None.
 
-    20 golden-section steps refine the best of 9 equally spaced probes.
+    20 golden-section steps refine the best of 9 equally spaced probes.  Each
+    point is scored (lam or -inf, -x0, constants), so ties go to the smaller x0.
     """
+
+    def score(x0):
+        consts = evaluate(x0)
+        return (consts["lam"] if consts else -math.inf, -x0, consts)
+
     probes = np.linspace(lo, hi, 9)
-    scored = [(evaluate(float(p)), float(p)) for p in probes]
-    scored = [(c.lam if c else -math.inf, p, c) for c, p in scored]
+    scored = [score(float(p)) for p in probes]
     best_i = int(np.argmax([s[0] for s in scored]))
     a = probes[max(best_i - 1, 0)]
     b = probes[min(best_i + 1, probes.size - 1)]
     inv = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = b - inv * (b - a)
-    x2 = a + inv * (b - a)
-    c1 = evaluate(x1)
-    c2 = evaluate(x2)
-    f1 = c1.lam if c1 else -math.inf
-    f2 = c2.lam if c2 else -math.inf
+    s1 = score(b - inv * (b - a))
+    s2 = score(a + inv * (b - a))
     for _ in range(20):
-        if f1 >= f2:  # ties toward the smaller x0
-            b, x2, f2, c2 = x2, x1, f1, c1
-            x1 = b - inv * (b - a)
-            c1 = evaluate(x1)
-            f1 = c1.lam if c1 else -math.inf
+        if s1[0] >= s2[0]:  # ties toward the smaller x0
+            b, s2 = -s2[1], s1
+            s1 = score(b - inv * (b - a))
         else:
-            a, x1, f1, c1 = x1, x2, f2, c2
-            x2 = a + inv * (b - a)
-            c2 = evaluate(x2)
-            f2 = c2.lam if c2 else -math.inf
-    cands = [(f1, x1, c1), (f2, x2, c2), (scored[best_i][0], scored[best_i][1], scored[best_i][2])]
-    cands = [c for c in cands if c[2] is not None]
-    if not cands:
-        return None, None
-    f, x0, consts = max(cands, key=lambda t: (t[0], -t[1]))
-    return x0, consts
+            a, s1 = -s1[1], s2
+            s2 = score(a + inv * (b - a))
+    cands = [s for s in (s1, s2, scored[best_i]) if s[2] is not None]
+    return max(cands, key=lambda s: s[:2])[2] if cands else None
 
 
 def compute_rate_certificate(
@@ -337,7 +312,7 @@ def compute_rate_certificate(
         c0 = float(xs[1:][lastgood[-1]])
     # Condition 1.3
     try:
-        margin, ly_cands, drift = lyapunov_candidates(model, weight)
+        margin, ly_cands, drift, _ = lyapunov_candidates(model, weight)
     except GeneratorDomainError as exc:
         raise CertificateError("lyapunov", str(exc)) from exc
     if margin <= 0 or not ly_cands:
@@ -352,7 +327,7 @@ def compute_rate_certificate(
     hi = min(c0, 1.0) * (1.0 - 1e-9)
     lo = min(1e-4, hi / 8.0)
 
-    best = None  # (lam, lambda0, Psi(lambda0), c1, c0_ly, l, lambda1, x0, constants)
+    best = None  # the constants of the largest lam so far; the first of equals wins
     for lam0, psi0 in cand0:
         for c1, c0_ly in ly_cands:
             l_cut = max(1.0, weight.inverse(12.0 * c0_ly / c1))
@@ -362,36 +337,15 @@ def compute_rate_certificate(
             if lam1 < 1e-280:  # certificate would be denormal-degenerate
                 continue
             ev = lambda x0: _pipeline_at(model, lam0, x0, lam1, c1, table, sq_small, nu_cube)
-            x0_opt, consts = _golden_x0(ev, lo, hi)
-            if consts is None:
-                continue
-            if best is None or consts.lam > best[0]:
-                best = (consts.lam, lam0, psi0, c1, c0_ly, l_cut, lam1, x0_opt, consts)
+            k = _golden_x0(ev, lo, hi)
+            if k is not None and (best is None or k["lam"] > best["lam"]):
+                best = dict(k, lambda0=lam0, psi_at_lambda0=psi0, C0=c0_ly, C1=c1, l=l_cut,
+                            lambda1=lam1, epsilon=4.0 * c0_ly / (k["lambda2"] * k["theta"]))
     if best is None:
         raise CertificateError(
             "contraction", "every (lambda0, C1, x0) combination degenerated to lambda <= 0"
         )
-    lam, lam0, psi0, c1, c0_ly, l_cut, lam1, x0_opt, k = best
-    cert = RateCertificate(
-        lambda0=lam0,
-        c0=c0,
-        kappa=k.kappa,
-        x0=x0_opt,
-        l=l_cut,
-        lambda1=lam1,
-        q=k.q,
-        r_star=k.r_star,
-        r=k.r,
-        H=k.H,
-        theta=k.theta,
-        lambda2=k.lambda2,
-        C0=c0_ly,
-        C1=c1,
-        epsilon=4.0 * c0_ly / (k.lambda2 * k.theta),
-        lam=lam,
-        psi_at_lambda0=psi0,
-        weight=weight,
-    )
+    cert = RateCertificate(c0=c0, weight=weight, **best)
     report = validate_certificate(model, cert, grid=grid)
     cert.validation = report
     if not report.passed:
@@ -419,33 +373,32 @@ def validate_certificate(
     drift = LyapunovDrift(model, weight)
     xs = np.geomspace(1e-4, 1e4, grid)
     gaps = np.geomspace(1e-4, 2.0 * cert.l, grid)
-    mu_ov = {float(g): overlap_mass(model.mu, float(g)) for g in gaps}
-    nu_ov = {float(g): overlap_mass(model.nu, float(g)) for g in gaps}
+    mu_ov = [overlap_mass(model.mu, float(g)) for g in gaps]
+    nu_ov = [overlap_mass(model.nu, float(g)) for g in gaps]
     sq_small = model.mu.moment(2.0, 0.0, 1.0)
     rows = []
+    n_fail = 0
+    worst = math.inf
     for x in xs:
         x = float(x)
         lv_x = drift(x)
         nu_sweep = sweep_nu_row_term(model, ctrl, x)
-        for g in gaps:
+        for j, g in enumerate(gaps):
             if g > x:
                 continue
             y = float(x - g)
             f0 = coupling_generator_F0(
                 model, ctrl, x, y,
-                mu_overlap=mu_ov[float(g)], nu_overlap=nu_ov[float(g)],
+                mu_overlap=mu_ov[j], nu_overlap=nu_ov[j],
                 mu_sq_small=sq_small, nu_sweep=nu_sweep,
             )
             lhs = cert.epsilon * f0 + lv_x + drift(y)
             rhs = -cert.lam * ctrl.G0(weight, x, y)
             rows.append((x, y, lhs, rhs))
-    n_fail = 0
-    worst = math.inf
-    for x, y, lhs, rhs in rows:
-        margin = rhs - lhs + 1e-6 * abs(rhs) + 1e-12
-        worst = min(worst, margin)
-        if margin < 0:
-            n_fail += 1
+            margin = rhs - lhs + 1e-6 * abs(rhs) + 1e-12
+            worst = min(worst, margin)
+            if margin < 0:
+                n_fail += 1
     return ValidationReport(n_fail == 0, len(rows), n_fail, worst, rows)
 
 

@@ -18,7 +18,6 @@ the two-dimensional generator (exact mode, for cross-checking).
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -152,28 +151,26 @@ def _vlog_mu_integral(mu: LevyMeasure, w: float) -> float:
 
 
 class LyapunovDrift:
-    """Memoized LV(x) evaluator through the per-weight closed decompositions.
+    """LV(x) through the per-weight closed decompositions.
 
     V1 reduces to constants; Vlog splits into the compensated small-jump
     integral, the log tail and the immigration log moment (a deliberately
     different assembly from apply_generator's single composite integrand, so
-    the two routes cross-check each other).  Values are cached per
-    coordinate since grid checks revisit them heavily.
+    the two routes cross-check each other).  Every call evaluates afresh: a
+    caller that needs the values twice keeps them, as lyapunov_candidates
+    does for its grid.
     """
 
     def __init__(self, model: ModelSpec, weight: WeightFunction):
         _check_tail_flags(model, weight)
         self.model = model
         self.weight = weight
-        self._cache: dict = {}
         if weight.kind == "v1":
             self._mu_tail = model.mu.linear_tail()
             self._nu_mean = model.nu.moment(1.0, 0.0, math.inf)
 
     def __call__(self, x: float) -> float:
         x = float(x)
-        if x in self._cache:
-            return self._cache[x]
         m = self.model
         if self.weight.kind == "v1":
             val = (m.beta - m.b * x - float(m.g(x))) + x * self._mu_tail + self._nu_mean
@@ -189,7 +186,6 @@ class LyapunovDrift:
             raise GeneratorDomainError(
                 f"{self.weight.kind} drift LV({x:g}) = {val} is not a finite number"
             )
-        self._cache[x] = val
         return val
 
     def many(self, xs) -> np.ndarray:
@@ -260,11 +256,14 @@ def _feasible_c0(weight: WeightFunction, c1: float, grid, lv_vals):
 
 
 def lyapunov_candidates(model: ModelSpec, weight: WeightFunction):
-    """(margin, [(c1, c0), ...]) with c1 swept geometrically below the margin."""
+    """(margin, [(c1, c0), ...], drift, LV on the grid) with c1 swept below the margin.
+
+    Nothing is evaluated on the grid when the margin is not positive: LV is then None.
+    """
     drift = LyapunovDrift(model, weight)
     margin = lyapunov_margin(model, weight)
     if margin <= 0:
-        return margin, [], drift
+        return margin, [], drift, None
     c1max = min(margin, _C1_CAP) if np.isfinite(margin) else _C1_CAP
     grid = _lyapunov_grid()
     lv_vals = drift.many(grid)
@@ -274,14 +273,15 @@ def lyapunov_candidates(model: ModelSpec, weight: WeightFunction):
         c0 = _feasible_c0(weight, c1, grid, lv_vals)
         if c0 is not None:
             out.append((c1, c0))
-    return margin, out, drift
+    return margin, out, drift, lv_vals
 
 
 def lyapunov_certify(model: ModelSpec, weight: WeightFunction):
     """Largest-C1 Lyapunov certificate, or a :class:`LyapunovFailure` report."""
-    margin, cands, drift = lyapunov_candidates(model, weight)
+    margin, cands, drift, lv_vals = lyapunov_candidates(model, weight)
     grid = _lyapunov_grid()
-    lv_vals = drift.many(grid)  # memoized when the sweep already ran
+    if lv_vals is None:
+        lv_vals = drift.many(grid)
     if margin <= 0:
         reason = "asymptotic drift margin is not positive"
         if float(lv_vals.min()) > 0:
@@ -499,10 +499,7 @@ def _coupling_F0_exact(model: ModelSpec, ctrl: CouplingControl, x: float, y: flo
 
 def write_margin_csv(path, rows) -> None:
     """Margin report: columns x, y, lhs, rhs, margin."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["x", "y", "lhs", "rhs", "margin"])
+    with open(path, "w") as fh:
+        fh.write("x,y,lhs,rhs,margin\n")
         for x, y, lhs, rhs in rows:
-            w.writerow(
-                [format(v, ".17g") for v in (x, y, lhs, rhs, rhs - lhs)]
-            )
+            fh.write(",".join(format(v, ".17g") for v in (x, y, lhs, rhs, rhs - lhs)) + "\n")

@@ -758,8 +758,6 @@ def _apply_jump_events(state, counts, sampler, has_u, x_start, plan, s, t_now):
     for k in range(kmax):
         act = counts > k
         na = int(act.sum())
-        if na == 0:
-            continue
         src = s.mu if has_u else s.nu
         z = sampler.draw(src.random(na), src.random(na))
         u = src.random(na) * x_start[act] if has_u else None

@@ -122,11 +122,9 @@ class TestExitCodes:
         "[branching]\nb = 0.5\nc = inf\n",
         "[branching]\nb = 0.5\nmu = uniform rate=nan lo=0 hi=1\n",
         "[branching]\nb = 0.5\nmu = atoms 2.0:inf\n",
-        "[branching]\nb = 0.5\n[certificate]\ngrid_nx = 0\n",
     ], ids=["eps", "no-section-header", "duplicate-option",
             "interpolation", "atom-mass", "fractional-paths", "fractional-seed",
-            "zero-dt", "nan-dt", "negative-seed", "nan-b", "inf-c", "nan-rate", "inf-atom",
-            "zero-grid"])
+            "zero-dt", "nan-dt", "negative-seed", "nan-b", "inf-c", "nan-rate", "inf-atom"])
     def test_config_error_is_one_line(self, tmp_path, capsys, text):
         bad = tmp_path / "bad.cfg"
         bad.write_text(text)
@@ -184,18 +182,20 @@ class TestExitCodes:
         assert capsys.readouterr().out.startswith("usage: cbic rate [-h] --model MODEL")
 
     def test_certificate_ignores_removed_keys(self, tmp_path, capsys):
-        # lambda0 and c0 always come from the search; a config that still sets
-        # them loads them as unknown keys
-        with open(os.path.join(CONFIGS, "ergodic_v1.cfg")) as fh:
+        # lambda0 and c0 always come from the search, and the grid from `rate
+        # --grid`; a config that still sets them loads them as unknown keys
+        shipped = os.path.join(CONFIGS, "ergodic_v1.cfg")
+        with open(shipped) as fh:
             text = fh.read()
         path = tmp_path / "model.cfg"
         assert "[certificate]" in text
-        path.write_text(text.replace("[certificate]", "[certificate]\nlambda0 = bar\nc0 = 0.5"))
-        outs = []
-        for model in (os.path.join(CONFIGS, "ergodic_v1.cfg"), str(path)):
-            assert run(["rate", "--model", model, "--out", str(tmp_path), "--grid", "5"]) == 0
-            outs.append(capsys.readouterr().out)
-        assert outs[0] == outs[1]
+        for keys, argv in (("lambda0 = bar\nc0 = 0.5", ["--grid", "5"]), ("grid_nx = 5", [])):
+            path.write_text(text.replace("[certificate]", "[certificate]\n" + keys))
+            outs = []
+            for model in (shipped, str(path)):
+                assert run(["rate", "--model", model, "--out", str(tmp_path), *argv]) == 0
+                outs.append(capsys.readouterr().out)
+            assert outs[0] == outs[1]
 
     @pytest.mark.parametrize("command", ["lyapunov", "check-generator"])
     def test_weight_outside_domain_exits_one(self, tmp_path, capsys, command):
@@ -306,6 +306,7 @@ class TestSubcommands:
         assert "lambda" in text and "PASS" in text
         header = (out / "certificate_margins.csv").read_text().splitlines()[0]
         assert header == "x,y,lhs,rhs,margin"
+        assert b"\r" not in (out / "certificate_margins.csv").read_bytes()
 
     def test_rate_failure_exits_one(self, tmp_path, capsys):
         code = run([

@@ -7,6 +7,7 @@ from scipy.integrate import quad
 
 from cbic.mechanisms import (
     BranchingMechanism,
+    CompetitionMechanism,
     ImmigrationMechanism,
     InconclusiveError,
     LevyMeasure,
@@ -181,6 +182,30 @@ class TestConservativeCondition:
 
     def test_neveu_conservative(self):
         assert conservative_condition(stable_to_generic(0.0, 0.0, 1.0, 1.0)) is True
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
+def test_stable_part_of_a_sum_decides_the_conditions(alpha):
+    # a finite uniform part added to a stable mu changes neither tail verdict
+    mech = stable_to_generic(0.0, 0.0, 1.0, alpha)
+    mu = LevyMeasure.sum_of([mech.mu, LevyMeasure.uniform(1.0, 0.0, 1.0)])
+    assert mu.kind == "sum"
+    with_uniform = BranchingMechanism(mech.b, mech.c, mu)
+    assert grey_condition(with_uniform) is grey_condition(mech)
+    assert conservative_condition(with_uniform) is conservative_condition(mech)
+
+
+@pytest.mark.parametrize("g, want", [
+    (CompetitionMechanism.power(2.0, 1.5), math.inf),
+    (CompetitionMechanism.power(0.0, 1.5), 0.0),
+    (CompetitionMechanism.power(0.7, 1.0), 0.7),
+    (CompetitionMechanism.power(2.0, 0.5), 0.0),
+    (CompetitionMechanism.xlog(1.0), math.inf),
+    (CompetitionMechanism.xlog(0.0), 0.0),
+], ids=["power-superlinear", "power-zero", "power-linear", "power-sublinear", "xlog",
+        "xlog-zero"])
+def test_competition_linear_liminf(g, want):
+    assert g.linear_liminf() == want
 
 
 class TestStableToGeneric:

@@ -10,6 +10,7 @@ import pytest
 
 from cbic import ergodicity, simulator
 from cbic.ergodicity import estimate_stationary
+from cbic.measures import overlap_mass
 from cbic.mechanisms import (
     BranchingMechanism,
     CompetitionMechanism,
@@ -220,21 +221,24 @@ class TestSimulatePath:
         assert LevyMeasure.stable(1.5, 1.0).mass_above(eps) * cfg.dt * 10.0 <= 10.0 * 1.01
 
     def test_density_from_zero_with_infinite_support(self):
-        # the sampler's grid starts at 0 with the support; its draws follow Exp(1)
+        # the sampler's grid starts with the support: at 0 for Exp(1), and
+        # geometric from 1 for the Pareto density 1.5 z^-2.5 on (1, inf)
         from scipy.stats import kstest
 
-        exp1 = LevyMeasure.from_density(lambda z: np.exp(-z), (0.0, math.inf))
-        sampler = simulator._MeasureSampler(exp1, 0.0)
-        assert sampler.total == pytest.approx(1.0, rel=1e-9)
-        rng = np.random.default_rng(5)
-        z = sampler.draw(rng.random(20000), rng.random(20000))
-        assert kstest(z, "expon").pvalue > 0.01
-        model = ModelSpec(BranchingMechanism(0.5, 0.0, exp1), ImmigrationMechanism(0.3, exp1),
-                          CompetitionMechanism.none())
-        cfg = SimConfig(dt=1e-3, t_end=0.1, seed=2, n_paths=32)
-        assert np.isfinite(simulate_ensemble(model, 1.0, cfg).values).all()
-        res = simulate_coupled_ensemble(model, 2.0, 0.5, cfg)
-        assert np.isfinite(res.x_values).all() and (res.x_values >= res.y_values).all()
+        for fn, lo, law, args in ((lambda z: np.exp(-z), 0.0, "expon", ()),
+                                  (lambda z: 1.5 * z**-2.5, 1.0, "pareto", (1.5,))):
+            m = LevyMeasure.from_density(fn, (lo, math.inf))
+            sampler = simulator._MeasureSampler(m, 0.0)
+            assert sampler.total == pytest.approx(1.0, rel=1e-9)
+            rng = np.random.default_rng(5)
+            z = sampler.draw(rng.random(20000), rng.random(20000))
+            assert kstest(z, law, args=args).pvalue > 0.01
+            model = ModelSpec(BranchingMechanism(0.5, 0.0, m), ImmigrationMechanism(0.3, m),
+                              CompetitionMechanism.none())
+            cfg = SimConfig(dt=1e-3, t_end=0.1, seed=2, n_paths=32)
+            assert np.isfinite(simulate_ensemble(model, 1.0, cfg).values).all()
+            res = simulate_coupled_ensemble(model, 2.0, 0.5, cfg)
+            assert np.isfinite(res.x_values).all() and (res.x_values >= res.y_values).all()
 
 
 class TestSimulateCoupled:
@@ -286,6 +290,20 @@ class TestSimulateCoupled:
         assert any(sign == "+" and dx == 0.0 for _, sign, _, dx, _ in res.lasso_events)
         assert any(sign == "-" and dx <= eps for _, sign, _, dx, _ in res.lasso_events)
         self.check_order_and_merge(res)
+
+    def test_lasso_table_holds_the_sub_eps_overlap_masses(self):
+        # a sum measure is tabulated: at the table's gap nodes the rates are
+        # the overlap masses below eps, and no gap doubles from eps on
+        mu = LevyMeasure.sum_of([LevyMeasure.stable(0.6, 0.5), LevyMeasure.uniform(0.8, 0.1, 0.7)])
+        eps = 0.05
+        lasso = simulator._LassoRates(mu, eps)
+        gaps = lasso.table[0]
+        below = gaps < eps
+        assert below.any() and not below.all()
+        assert np.array_equal(lasso.up(gaps), [overlap_mass(mu, -g, 0.0, eps) for g in gaps])
+        assert np.array_equal(lasso.down(gaps[below]),
+                              [overlap_mass(mu, g, 0.0, eps) for g in gaps[below]])
+        assert np.array_equal(lasso.down(gaps[~below]), np.zeros(int((~below).sum())))
 
     def test_merge_is_exact_equality(self, ergodic_v1_model):
         cp = simulate_coupled(ergodic_v1_model, 2.0, 0.5, SimConfig(dt=2e-3, t_end=12.0, seed=8))
