@@ -36,7 +36,7 @@ from .generator import (
     GeneratorDomainError,
     LyapunovDrift,
     WeightFunction,
-    coupling_generator_F0,
+    _coupling_F0_bound,
     lyapunov_candidates,
     sweep_nu_row_term,
 )
@@ -387,11 +387,7 @@ def validate_certificate(
             if g > x:
                 continue
             y = float(x - g)
-            f0 = coupling_generator_F0(
-                model, ctrl, x, y,
-                mu_overlap=mu_ov[j], nu_overlap=nu_ov[j],
-                mu_sq_small=sq_small, nu_sweep=nu_sweep,
-            )
+            f0 = _coupling_F0_bound(model, ctrl, x, y, mu_ov[j], nu_ov[j], sq_small, nu_sweep)
             lhs = cert.epsilon * f0 + lv_x + drift(y)
             rhs = -cert.lam * ctrl.G0(weight, x, y)
             rows.append((x, y, lhs, rhs))

@@ -20,12 +20,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
 from .measures import overlap_integrate, overlap_mass
-from .mechanisms import LevyMeasure, ModelSpec
+from .mechanisms import LevyMeasure, ModelSpec, summed
 
 __all__ = [
     "WeightFunction",
@@ -128,6 +128,7 @@ def apply_generator(model: ModelSpec, f, x: float) -> float:
     return model.c * x * fpp + x * mu_int + drift * fp + nu_int
 
 
+@summed(sum)
 def _vlog_mu_integral(mu: LevyMeasure, w: float) -> float:
     """int [log(1 + z/w) - (z/w) 1{z<=1}] mu(dz), closed where possible.
 
@@ -137,10 +138,6 @@ def _vlog_mu_integral(mu: LevyMeasure, w: float) -> float:
     """
     from scipy.special import gamma as _gamma
 
-    if mu.is_zero:
-        return 0.0
-    if mu.kind == "sum":
-        return sum(_vlog_mu_integral(p, w) for p in mu.parts)
     if mu.kind == "stable" and mu.alpha < 1.0:
         a, s = mu.alpha, mu.sigma
         g = float(_gamma(1.0 - a))  # float arithmetic overflows to inf silently
@@ -407,32 +404,32 @@ def _sweep_nu_term(
 
 
 def coupling_generator_F0(
-    model: ModelSpec,
-    ctrl: CouplingControl,
-    x: float,
-    y: float,
-    *,
-    exact: bool = False,
-    mu_overlap: Optional[float] = None,
-    nu_overlap: Optional[float] = None,
-    mu_sq_small: Optional[float] = None,
-    nu_sweep: Optional[float] = None,
+    model: ModelSpec, ctrl: CouplingControl, x: float, y: float, *, exact: bool = False
 ) -> float:
     """Drift of F0 under the coupling generator at (x, y), x > y >= 0.
 
     Default mode evaluates the closed upper bound used by the certificate
     chain; ``exact=True`` integrates the two-dimensional generator literally.
-    The ``*_overlap``, ``mu_sq_small`` and ``nu_sweep`` keywords let grid
-    sweeps reuse cached overlap masses, the small-jump second moment and
-    :func:`sweep_nu_row_term` at x.
     """
     if not x > y >= 0:
         raise ValueError(f"coupling generator needs x > y >= 0, got ({x}, {y})")
-    gap = x - y
     if exact:
         return _coupling_F0_exact(model, ctrl, x, y)
-    mum = overlap_mass(model.mu, gap) if mu_overlap is None else mu_overlap
-    num = overlap_mass(model.nu, gap) if nu_overlap is None else nu_overlap
+    gap = x - y
+    return _coupling_F0_bound(
+        model, ctrl, x, y, overlap_mass(model.mu, gap), overlap_mass(model.nu, gap),
+        model.mu.moment(2.0, 0.0, 1.0), sweep_nu_row_term(model, ctrl, x),
+    )
+
+
+def _coupling_F0_bound(
+    model: ModelSpec, ctrl: CouplingControl, x: float, y: float,
+    mum: float, num: float, sq: float, nu_sweep: float,
+) -> float:
+    """The closed upper bound of :func:`coupling_generator_F0` at x > y >= 0, given
+    the overlap masses of mu and nu at the gap x - y, int_0^1 z^2 mu(dz) and
+    :func:`sweep_nu_row_term` at x, so that a grid check computes each once."""
+    gap = x - y
     psig = ctrl.psi(gap)
     theta = ctrl.theta
     ub = -model.c * ctrl.lambda0**2 * theta * y * math.exp(-ctrl.lambda0 * gap)
@@ -441,11 +438,8 @@ def coupling_generator_F0(
         ub -= ctrl.lambda1 * theta * psig
     if x <= ctrl.x0:
         i_term = (model.beta - model.b * x - float(model.g(x))) * ctrl.phi_prime(x)
-        sq = model.mu.moment(2.0, 0.0, 1.0) if mu_sq_small is None else mu_sq_small
         j_term = 3.0 * x / ctrl.x0**2 * (2.0 * model.c + sq)
         ub += (y * mum + i_term + j_term) * (1.0 + psig)
-        if nu_sweep is None:
-            nu_sweep = sweep_nu_row_term(model, ctrl, x)
         ub += (1.0 + psig) * _sweep_nu_term(model, ctrl, x, gap, nu_sweep)
     return ub
 

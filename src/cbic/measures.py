@@ -11,8 +11,11 @@ m_x(0, 0 v x] = 0, m_x(0, inf) = m_{-x}(0, inf) <= m(|x|, inf)/2.
 
 Atoms only pair under exact location equality after the shift (1e-12 slack):
 the infimum of measures is singular-part aware, and approximate matching
-would inflate the overlap.  Cross terms between atom and density parts are
-taken to be zero.
+would inflate the overlap.  A ``sum`` measure's overlap mass and overlap
+integrals are the sums of its parts' values (:func:`~cbic.mechanisms.summed`),
+so cross terms between any two parts, atoms against a density or one density
+against another, are dropped.  :func:`rn_ratio_many` instead uses the summed
+density and all the atoms of the measure.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import math
 import numpy as np
 
 from . import quadrature
-from .mechanisms import LevyMeasure, ModelSpec
+from .mechanisms import LevyMeasure, ModelSpec, summed
 
 ATOM_SLACK = 1e-12
 
@@ -61,6 +64,7 @@ def _overlap_dens1(base: LevyMeasure, x: float, z: float) -> float:
     return 0.5 * min(base._dens1(z), base._dens1(z - x))
 
 
+@summed(sum)
 def overlap_mass(base: LevyMeasure, x: float, lo: float = 0.0, hi: float = math.inf) -> float:
     """Total overlap mass over (lo, hi); may be inf (a valid, favorable flag).
 
@@ -68,10 +72,8 @@ def overlap_mass(base: LevyMeasure, x: float, lo: float = 0.0, hi: float = math.
     the base measure, which is exact for the stable family.
     """
     x = float(x)
-    if base.kind == "sum":
-        return sum(overlap_mass(p, x, lo, hi) for p in base.parts)
     if base.kind != "stable":
-        return _overlap_integral(base, x, None, lo, hi)
+        return overlap_integrate(base, x, None, lo, hi)
     # min(f(z), f(z-x)) = f(z - min(x, 0)) on the overlap region z > max(x, 0)
     lo, hi = max(float(lo), 0.0), float(hi)
     a, b = max(lo, x) - min(x, 0.0), hi - min(x, 0.0)
@@ -80,12 +82,8 @@ def overlap_mass(base: LevyMeasure, x: float, lo: float = 0.0, hi: float = math.
     return 0.5 * (base.mass_above(a) - (base.mass_above(b) if np.isfinite(b) else 0.0))
 
 
+@summed(sum)
 def overlap_integrate(base: LevyMeasure, x: float, fn, lo: float = 0.0, hi: float = math.inf) -> float:
-    """int fn(z) m_x(dz) over (lo, hi)."""
-    return _overlap_integral(base, x, fn, lo, hi)
-
-
-def _overlap_integral(base: LevyMeasure, x: float, fn, lo: float, hi: float) -> float:
     """int fn(z) m_x(dz) over (lo, hi); ``fn=None`` integrates 1.
 
     The unit case integrates the bare overlap density, one Python call per
@@ -96,8 +94,6 @@ def _overlap_integral(base: LevyMeasure, x: float, fn, lo: float, hi: float) -> 
     hi = float(hi)
     if base.is_zero or hi <= lo:
         return 0.0
-    if base.kind == "sum":
-        return sum(_overlap_integral(p, x, fn, lo, hi) for p in base.parts)
     total = sum(
         m if fn is None else m * float(fn(a)) for a, m in overlap_atoms(base, x) if lo < a <= hi
     )

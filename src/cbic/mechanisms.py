@@ -17,10 +17,16 @@ continuous g with g(0) = 0.  The stable family
 
 is carried parametrically and mapped to generic (b, c, mu) data by
 :func:`stable_to_generic`.
+
+:func:`summed` is the one place that knows ``sum`` measures: a functional
+it decorates is written for one part, and a sum's value is its parts' values
+added in part order.  The pointwise ``density`` and ``_dens1``, run once per
+quadrature node, add up their parts inline.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional, Sequence, Tuple
@@ -61,6 +67,33 @@ def stable_drift_shift(alpha: float) -> float:
     if alpha == 1.0:
         return EULER_GAMMA - 1.0
     return alpha / ((1.0 - alpha) * _gamma(1.0 - alpha))
+
+
+def summed(combine):
+    """Make ``fn(measure, ...)``, written for one part, return ``combine`` of the
+    parts' values, in part order, on a ``sum`` measure: ``sum`` (from int 0) for
+    numbers, :data:`concat` for tuples.  A part is never a sum (``sum_of`` flattens).
+    """
+
+    def decorate(fn):
+        @functools.wraps(fn)
+        def dispatch(measure, *args, **kwargs):
+            if measure.kind == "sum":
+                return combine(fn(p, *args, **kwargs) for p in measure.parts)
+            return fn(measure, *args, **kwargs)
+
+        return dispatch
+
+    return decorate
+
+
+concat = functools.partial(sum, start=())  # tuples joined in order
+
+
+def _each(results) -> None:
+    """Run a check on every part in order; the first failing part raises."""
+    for _ in results:
+        pass
 
 
 def _density_support(support) -> Tuple[float, float]:
@@ -160,15 +193,9 @@ class LevyMeasure:
     def is_zero(self) -> bool:
         return self.kind == "zero"
 
+    @summed(concat)
     def atoms(self) -> Tuple[Tuple[float, float], ...]:
-        if self.kind == "atoms":
-            return self.atom_data
-        if self.kind == "sum":
-            out: list = []
-            for p in self.parts:
-                out.extend(p.atoms())
-            return tuple(out)
-        return ()
+        return self.atom_data
 
     def density(self, z):
         """Density part evaluated at z (vectorized; 0 off support)."""
@@ -210,66 +237,42 @@ class LevyMeasure:
             return sum(p._dens1(z) for p in self.parts)
         return 0.0
 
+    @summed(concat)
     def breakpoints(self) -> Tuple[float, ...]:
-        if self.kind == "density":
-            lo, hi = self.support
-            pts = [p for p in (lo, hi) if np.isfinite(p) and p > 0]
-            return tuple(pts) + self.disc
-        if self.kind == "sum":
-            out: list = []
-            for p in self.parts:
-                out.extend(p.breakpoints())
-            return tuple(out)
-        return ()
+        if self.kind != "density":
+            return ()
+        lo, hi = self.support
+        return tuple(p for p in (lo, hi) if np.isfinite(p) and p > 0) + self.disc
 
     def density_support(self) -> Tuple[float, float]:
-        """Hull of the density part's support ((0, 0) if none)."""
+        """Hull of a part's density support ((0, 0) if none)."""
         if self.kind == "stable":
             return (0.0, math.inf)
         if self.kind == "density":
             return self.support
-        if self.kind == "sum":
-            los, his = [], []
-            for p in self.parts:
-                lo, hi = p.density_support()
-                if hi > lo:
-                    los.append(lo)
-                    his.append(hi)
-            if not los:
-                return (0.0, 0.0)
-            return (min(los), max(his))
         return (0.0, 0.0)
 
+    @summed(concat)
     def stable_components(self) -> Tuple[Tuple[float, float], ...]:
         """(alpha, sigma) pairs of the stable parts, each with sigma > 0."""
-        if self.kind == "stable":
-            return ((self.alpha, self.sigma),)
-        if self.kind == "sum":
-            out: list = []
-            for p in self.parts:
-                out.extend(p.stable_components())
-            return tuple(out)
-        return ()
+        return ((self.alpha, self.sigma),) if self.kind == "stable" else ()
 
     # -- integrals ---------------------------------------------------------
 
+    @summed(sum)
     def integrate(self, fn, lo: float = 0.0, hi: float = math.inf) -> float:
         """int_lo^hi fn(z) measure(dz): density quadrature plus atom sum."""
         total = 0.0
-        if self.kind == "sum":
-            total += sum(p.integrate(fn, lo, hi) for p in self.parts)
-            return total
-        for loc, mass in self.atoms():
+        for loc, mass in self.atom_data:
             if lo < loc <= hi:
                 total += mass * float(fn(loc))
-        if self.kind in ("stable", "density"):
-            slo, shi = self.density_support() if self.kind == "density" else (0.0, math.inf)
-            a, b = max(lo, slo), min(hi, shi)
-            if b > a:
-                pts = tuple(self.breakpoints()) + (1.0,)
-                total += quadrature.integrate(
-                    lambda z: float(fn(z)) * self._dens1(z), a, b, breakpoints=pts
-                )
+        slo, shi = self.density_support()
+        a, b = max(lo, slo), min(hi, shi)
+        if b > a:
+            pts = tuple(self.breakpoints()) + (1.0,)
+            total += quadrature.integrate(
+                lambda z: float(fn(z)) * self._dens1(z), a, b, breakpoints=pts
+            )
         return total
 
     def _density_integral(self, f, lo: float, hi: float) -> float:
@@ -295,21 +298,19 @@ class LevyMeasure:
             total += quadrature.integrate(f, a, b, breakpoints=self.breakpoints())
         return total
 
+    @summed(sum)
     def mass_above(self, z0: float) -> float:
         """measure((z0, inf)); may be inf."""
         z0 = max(float(z0), 0.0)
-        if self.kind == "zero":
-            return 0.0
         if self.kind == "stable":
             if z0 == 0.0:
                 return math.inf
             return self.sigma * stable_density_prefactor(self.alpha) * z0 ** (-self.alpha)
         if self.kind == "atoms":
             return sum(m for a, m in self.atom_data if a > z0)
-        if self.kind == "sum":
-            return sum(p.mass_above(z0) for p in self.parts)
         return self._density_integral(self._dens1, z0, math.inf)
 
+    @summed(sum)
     def moment(self, power: float, lo: float = 0.0, hi: float = math.inf) -> float:
         """int_lo^hi z^power measure(dz); may be inf."""
         lo = max(float(lo), 0.0)
@@ -332,8 +333,6 @@ class LevyMeasure:
                 return math.inf
         if self.kind == "atoms":
             return sum(m * a**power for a, m in self.atom_data if lo < a <= hi)
-        if self.kind == "sum":
-            return sum(p.moment(power, lo, hi) for p in self.parts)
         return self._density_integral(lambda z: z**power * self._dens1(z), lo, hi)
 
     def linear_tail(self) -> float:
@@ -352,44 +351,29 @@ class LevyMeasure:
     def has_finite_log_tail(self) -> bool:
         return bool(np.isfinite(self.log_tail()))
 
+    @summed(sum)
     def log_tail(self) -> float:
         """int_1^inf log(1+z) measure(dz); inf when divergent."""
-        if self.kind == "zero":
-            return 0.0
-        if self.kind == "sum":
-            return sum(p.log_tail() for p in self.parts)
-        total = sum(m * math.log1p(a) for a, m in self.atoms() if a > 1.0)
+        total = sum(m * math.log1p(a) for a, m in self.atom_data if a > 1.0)
         f = lambda z: math.log1p(z) * self._dens1(z)
         return total + self._density_integral(f, 1.0, math.inf)
 
+    @summed(_each)
     def check_branching_integrable(self) -> None:
         """(1 ^ z^2) measure must be finite."""
-        if self.kind in ("zero", "stable", "atoms"):
+        if self.kind != "density":
             return  # finite by construction (atoms lists are finite, alpha < 2)
-        if self.kind == "sum":
-            for p in self.parts:
-                p.check_branching_integrable()
-            return
         small = self.moment(2.0, 0.0, 1.0)
         tail = self.mass_above(1.0)
         if not (np.isfinite(small) and np.isfinite(tail)):
             raise MechanismError("(1 ^ z^2) integral of branching measure diverges")
 
+    @summed(_each)
     def check_immigration_integrable(self) -> None:
         """(1 ^ z) measure must be finite."""
-        if self.kind == "zero":
-            return
-        if self.kind == "stable":
-            if self.alpha >= 1.0:
-                raise MechanismError(
-                    f"(1 ^ z) integral diverges for stable index {self.alpha} >= 1"
-                )
-            return
-        if self.kind == "sum":
-            for p in self.parts:
-                p.check_immigration_integrable()
-            return
-        if self.kind == "atoms":
+        if self.kind == "stable" and self.alpha >= 1.0:
+            raise MechanismError(f"(1 ^ z) integral diverges for stable index {self.alpha} >= 1")
+        if self.kind != "density":
             return
         small = self.moment(1.0, 0.0, 1.0)
         tail = self.mass_above(1.0)
@@ -529,13 +513,12 @@ def stable_levy_exponent(alpha: float, sigma: float, lam: float) -> float:
     return -sigma * lam**alpha + lam * alpha * sigma / ((1.0 - alpha) * _gamma(1.0 - alpha))
 
 
+@summed(sum)
 def _psi_jump_integral(mu: LevyMeasure, lam: float) -> float:
     if mu.kind == "zero" or lam == 0.0:
         return 0.0
     if mu.kind == "stable":
         return stable_levy_exponent(mu.alpha, mu.sigma, lam)
-    if mu.kind == "sum":
-        return sum(_psi_jump_integral(p, lam) for p in mu.parts)
     return mu.integrate(lambda z: math.expm1(-lam * z) + lam * z * (z <= 1.0))
 
 
@@ -546,14 +529,13 @@ def psi_eval(mech: BranchingMechanism, lam: float) -> float:
     return mech.b * lam + mech.c * lam * lam + _psi_jump_integral(mech.mu, lam)
 
 
+@summed(sum)
 def _phi_jump_integral(nu: LevyMeasure, lam: float) -> float:
     if nu.kind == "zero" or lam == 0.0:
         return 0.0
     if nu.kind == "stable":
         # requires alpha < 1 (immigration integrability)
         return nu.sigma * lam**nu.alpha
-    if nu.kind == "sum":
-        return sum(_phi_jump_integral(p, lam) for p in nu.parts)
     return nu.integrate(lambda z: -math.expm1(-lam * z))
 
 

@@ -51,10 +51,12 @@ from .mechanisms import (
     LevyMeasure,
     MechanismError,
     ModelSpec,
+    concat,
     phi_eval,
     psi_eval,
     stable_density_prefactor,
     stable_drift_shift,
+    summed,
 )
 
 GAP_TOL = 1e-9
@@ -219,15 +221,22 @@ class _Component:
         self.draw = draw
 
 
-def _density_component(part: LevyMeasure, eps: float) -> Optional[_Component]:
+@summed(concat)
+def _components(part: LevyMeasure, eps: float) -> Tuple[_Component, ...]:
+    """A part's sampleable pieces above eps: its atoms, then its density."""
+    comps = tuple(
+        _Component(m, lambda u, loc=loc: np.full_like(u, loc))
+        for loc, m in part.atom_data
+        if loc > eps
+    )
     lo, hi = part.density_support()
     lo = max(lo, eps)
     if hi <= lo:
-        return None
+        return comps
     if part.kind == "stable":
         mass = part.mass_above(lo)
         alpha = part.alpha
-        return _Component(mass, lambda u, lo=lo, a=alpha: lo * (1.0 - u) ** (-1.0 / a))
+        return comps + (_Component(mass, lambda u, lo=lo, a=alpha: lo * (1.0 - u) ** (-1.0 / a)),)
     if np.isfinite(hi):
         zs = np.linspace(lo, hi, 4097)
     else:
@@ -246,26 +255,16 @@ def _density_component(part: LevyMeasure, eps: float) -> Optional[_Component]:
     cdf = np.concatenate([[0.0], np.cumsum(0.5 * (dens[1:] + dens[:-1]) * np.diff(zs))])
     mass = part.mass_above(lo)
     if cdf[-1] <= 0:
-        return None
+        return comps
     cdf /= cdf[-1]
-    return _Component(mass, lambda u, zs=zs, cdf=cdf: np.interp(u, cdf, zs))
+    return comps + (_Component(mass, lambda u, zs=zs, cdf=cdf: np.interp(u, cdf, zs)),)
 
 
 class _MeasureSampler:
     """Inverse-CDF / atom-mixture sampler for a measure truncated at eps."""
 
     def __init__(self, measure: LevyMeasure, eps: float):
-        comps: List[_Component] = []
-        parts = measure.parts if measure.kind == "sum" else (measure,)
-        for part in parts:
-            for loc, m in part.atoms():
-                if loc > eps:
-                    comps.append(_Component(m, lambda u, loc=loc: np.full_like(u, loc)))
-            if part.kind in ("stable", "density"):
-                comp = _density_component(part, eps)
-                if comp is not None:
-                    comps.append(comp)
-        self.components = comps
+        self.components = comps = _components(measure, eps)
         self.total = sum(c.mass for c in comps)
         self._cum = np.cumsum([c.mass for c in comps])
 

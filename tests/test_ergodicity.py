@@ -1,13 +1,16 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cbic import ergodicity
 from cbic.generator import WeightFunction
 from cbic.ergodicity import (
     CertificateError,
+    RateCertificate,
     _q_and_rstar,
     compute_rate_certificate,
     estimate_stationary,
@@ -55,6 +58,30 @@ class TestCertificatePipeline:
     def test_revalidation_on_denser_grid(self, ergodic_v1_model, ergodic_cert):
         rep = validate_certificate(ergodic_v1_model, ergodic_cert, grid=47)
         assert rep.passed
+
+    def test_grid_validation_fails_on_an_inflated_rate(
+        self, ergodic_v1_model, ergodic_cert, monkeypatch
+    ):
+        """The check that passes the certificate fails it with lambda2, C1 and lam
+        100 times larger and epsilon 100 times smaller (the invariants still hold)."""
+
+        def inflate(cert):
+            return replace(
+                cert, lambda2=100.0 * cert.lambda2, C1=100.0 * cert.C1,
+                lam=100.0 * cert.lam, epsilon=cert.epsilon / 100.0, validation=None,
+            )
+
+        assert validate_certificate(ergodic_v1_model, ergodic_cert, grid=31).passed
+        rep = validate_certificate(ergodic_v1_model, inflate(ergodic_cert), grid=31)
+        assert not rep.passed and 0 < rep.n_failures < rep.n_points
+        assert rep.worst_margin < 0.0
+        # the pipeline refuses to emit such a certificate
+        monkeypatch.setattr(
+            ergodicity, "RateCertificate", lambda **kw: inflate(RateCertificate(**kw))
+        )
+        with pytest.raises(CertificateError, match=f"{rep.n_failures}/{rep.n_points} grid") as err:
+            compute_rate_certificate(ergodic_v1_model, V1, grid=31)
+        assert err.value.step == "grid-validation"
 
     def test_report_renders_all_constants(self, ergodic_cert):
         text = render_certificate(ergodic_cert)

@@ -12,12 +12,14 @@ from cbic.generator import (
     LyapunovFailure,
     SmoothFunction,
     WeightFunction,
+    _coupling_F0_bound,
     apply_generator,
     coupling_generator_F0,
     lyapunov_certify,
     lyapunov_margin,
     sweep_nu_row_term,
 )
+from cbic.measures import overlap_mass
 from cbic.mechanisms import (
     BranchingMechanism,
     CompetitionMechanism,
@@ -238,6 +240,11 @@ class TestCouplingGeneratorF0:
                 ImmigrationMechanism(0.2, LevyMeasure.uniform(0.8, 0.0, 0.9)),
                 ergodic_v1_model.competition,
             ),
+            ModelSpec(  # branching jumps above 1 reach the leader jump's z > 1 branch
+                BranchingMechanism(2.0, 0.0, LevyMeasure.uniform(1.0, 0.0, 2.0)),
+                ergodic_v1_model.immigration,
+                ergodic_v1_model.competition,
+            ),
         ]
         for model in models:
             ctrl = _control(psi0=psi_eval(model.branching, 0.8))
@@ -268,7 +275,10 @@ class TestCouplingGeneratorF0:
                     if gap > x:
                         continue
                     y = x - gap
-                    got = coupling_generator_F0(model, ctrl, x, y, nu_sweep=row)
+                    got = _coupling_F0_bound(
+                        model, ctrl, x, y, overlap_mass(model.mu, x - y),
+                        overlap_mass(model.nu, x - y), model.mu.moment(2.0, 0.0, 1.0), row,
+                    )
                     assert got == coupling_generator_F0(model, ctrl, x, y)
 
     def test_nonpositive_beyond_l_away_from_origin(self, ergodic_v1_model):

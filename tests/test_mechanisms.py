@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from cbic.config import parse_measure
 from cbic.mechanisms import (
     BranchingMechanism,
     CompetitionMechanism,
@@ -193,6 +194,45 @@ def test_stable_part_of_a_sum_decides_the_conditions(alpha):
     with_uniform = BranchingMechanism(mech.b, mech.c, mu)
     assert grey_condition(with_uniform) is grey_condition(mech)
     assert conservative_condition(with_uniform) is conservative_condition(mech)
+
+
+class TestSumOfNormalForm:
+    """sum_of leaves no sum inside a sum and no zero part, the form that every
+    functional of a sum relies on when it hands each part to single-part code."""
+
+    ATOMS = LevyMeasure.from_atoms([(2.0, 1.0)])
+    UNI = LevyMeasure.uniform(1.0, 0.0, 1.0)
+    STABLE = LevyMeasure.stable(0.5, 1.0)
+    TEXT = {ATOMS: "atoms 2.0:1.0", UNI: "uniform rate=1.0 lo=0.0 hi=1.0",
+            STABLE: "stable alpha=0.5 sigma=1.0"}
+
+    def test_nested_sum_flattens(self):
+        inner = LevyMeasure.sum_of([self.ATOMS, self.UNI])
+        nested = LevyMeasure.sum_of([inner, self.STABLE])
+        assert nested.kind == "sum" and nested.parts == (self.ATOMS, self.UNI, self.STABLE)
+        parsed_inner = parse_measure(" + ".join(self.TEXT[m] for m in inner.parts), "test")
+        assert parsed_inner == inner
+        parsed_stable = parse_measure(self.TEXT[self.STABLE], "test")
+        assert LevyMeasure.sum_of([parsed_inner, parsed_stable]) == nested
+        assert parse_measure(" + ".join(self.TEXT.values()), "test") == nested
+        assert nested.atoms() == ((2.0, 1.0),)
+        assert nested.stable_components() == ((0.5, 1.0),)
+        assert nested.mass_above(1.5) == 1.0 + self.STABLE.mass_above(1.5)
+
+    def test_none_plus_none_is_zero(self):
+        zero = LevyMeasure.zero()
+        assert LevyMeasure.sum_of([zero, zero]) == zero
+        assert LevyMeasure.sum_of([]) == zero
+        assert parse_measure("none + none", "test") == zero
+
+    @pytest.mark.parametrize("which", ["ATOMS", "UNI", "STABLE"])
+    def test_x_plus_none_is_x(self, which):
+        x = getattr(self, which)
+        zero = LevyMeasure.zero()
+        assert LevyMeasure.sum_of([x, zero]) is x
+        assert LevyMeasure.sum_of([zero, LevyMeasure.sum_of([x])]) is x
+        assert parse_measure(f"{self.TEXT[x]} + none", "test") == x
+        assert parse_measure(f"none + {self.TEXT[x]}", "test") == x
 
 
 @pytest.mark.parametrize("g, want", [
