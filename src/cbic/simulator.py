@@ -18,12 +18,15 @@ four Philox streams (Gaussian, branching jumps, immigration jumps,
 disassembly uniforms) from (seed, block).  The Gaussian stream is drawn from
 only when the scheme has a Gaussian part: c > 0, or branching jumps below eps
 whose variance it stands in for.  A lane is one such stream set and its
-paths; lanes sharing a plan are stepped together as one array of at most
-1024 paths (the two 16-chain starts of a stationary run), but every lane
-draws only from its own streams, in the same sizes and order as alone.  The
-groups are stepped in forked worker processes, one per CPU the process may
-run on.  Ensembles are therefore bit-identical for a given (seed, config,
-model) regardless of how the work is chunked, grouped or dealt to workers.
+paths.  Lanes sharing a plan are stepped together as one array, a group, of
+at most 1024 paths and at most one worker's share of all the paths: on one
+CPU the two 16-chain starts of a stationary run are one 32-wide group, on two
+CPUs two 16-wide ones.  Every lane draws only from its own streams, in the
+same sizes and order as alone; a group transforms the stable increments of a
+chunk of steps at once.  The groups are stepped in forked worker processes,
+one per CPU the process may run on.  Ensembles are therefore bit-identical
+for a given (seed, config, model) regardless of how the work is chunked,
+grouped or dealt to workers.
 """
 
 from __future__ import annotations
@@ -310,24 +313,25 @@ class _Plan:
         if self.stable_fast:
             self.alpha = mu.alpha
             self.sigma = mu.sigma
-            # alpha != 1: the raw increment is (un)compensated stable noise and
-            # the drift absorbs the z <= 1 compensation shift.  alpha = 1: the
-            # increment's exponent and the x log(sigma x) term already carry
-            # the full compensation, so the generator drift b applies as is.
+            # b_eff multiplies -x dt in the drift.  alpha != 1: the raw
+            # increment is (un)compensated stable noise and the drift absorbs
+            # the z <= 1 compensation shift.  alpha = 1: the increment's
+            # exponent and the x log(sigma x) term already carry the full
+            # compensation, so the generator drift b applies as is.
             if self.alpha == 1.0:
-                self.a_drift = model.b
+                self.b_eff = model.b
             else:
-                self.a_drift = model.b + self.sigma * stable_drift_shift(self.alpha)
+                self.b_eff = model.b + self.sigma * stable_drift_shift(self.alpha)
             self.mu_rate = 0.0
             self.mu_sampler = None
-            self.mu_comp_lin = 0.0
             self.mu_small_sq = 0.0
         else:
             if not np.isfinite(mu.mass_above(self.eps_mu)):
                 raise SimulationError("branching measure needs eps > 0 (infinite activity)")
             self.mu_rate = mu.mass_above(self.eps_mu)
             self.mu_sampler = _MeasureSampler(mu, self.eps_mu) if self.mu_rate > 0 else None
-            self.mu_comp_lin = mu.moment(1.0, self.eps_mu, 1.0) if self.eps_mu < 1.0 else 0.0
+            # the compensator of the jumps in (eps, 1] joins the linear drift
+            self.b_eff = model.b + (mu.moment(1.0, self.eps_mu, 1.0) if self.eps_mu < 1.0 else 0.0)
             self.mu_small_sq = mu.moment(2.0, 0.0, self.eps_mu) if self.eps_mu > 0 else 0.0
         if not np.isfinite(nu.mass_above(self.eps_nu)):
             raise SimulationError("immigration measure needs eps > 0 (infinite activity)")
@@ -344,13 +348,6 @@ class _Plan:
         # the terms a step draws and computes: Gaussian (c x, sub-eps variance), g
         self.gaussian = self.c > 0 or self.mu_small_sq > 0
         self.competes = not model.g.is_zero
-
-    # drift coefficient multiplying -x dt in the generic scheme
-    @property
-    def b_eff(self) -> float:
-        if self.stable_fast:
-            return self.a_drift
-        return self.model.b + self.mu_comp_lin
 
 
 class _Streams:
@@ -394,38 +391,59 @@ class _Group:
             yield from _cat([s.gauss.standard_normal((k, sl.stop - sl.start))
                              for s, sl in self.lanes])
 
+    def increments(self, dt: float, n_steps: int):
+        """Rows of stable increments over dt, one row for each of ``n_steps`` steps.
+
+        Each row's draws are the ones a step makes, lane by lane from its own
+        mu stream (``_stable_draws``); chunks of about _PREDRAW numbers, never
+        past the last step, are transformed at once.
+        """
+        alpha, width = self.plan.alpha, self.cols.stop - self.cols.start
+        k = max(1, _PREDRAW // width)
+        while n_steps > 0:
+            rows = min(k, n_steps)
+            n_steps -= rows
+            u, w = np.empty((rows, width)), np.empty((rows, width))
+            for r in range(rows):
+                for s, sl in self.lanes:
+                    u[r, sl], w[r, sl] = _stable_draws(alpha, s.mu, sl.stop - sl.start)
+            yield from _stable_transform(alpha, dt, u, w)
+
 
 def _drive(runs, fields, cfg: SimConfig, record_times, step, start=None, view=None):
     """Step ``runs``, ensembles [(plan, seed)] of cfg.n_paths paths, from ``fields``.
 
     ``fields`` holds arrays of n_runs * n_paths start values.  Consecutive
-    1024-path blocks sharing a plan are packed into groups of at most _BLOCK
-    paths.  A group starts from ``start(group, slices)``, or the list of its
-    field slices, and ``step(state, group, k)`` advances it to step k;
-    ``view(state)``, or the state itself, lists the field arrays recorded.
-    ``group.gauss`` yields rows of normals (``_Group.normals``); a step takes
-    rows only if its plan has a Gaussian part, so other groups draw none.
-    The groups are dealt to ``_workers`` processes (see ``_pooled``).  Returns
-    the record times, one (n_times, n_runs * n_paths) record per field and the
-    final states.
+    lanes (1024-path blocks) sharing a plan are packed into groups of at most
+    min(_BLOCK, ceil(n_runs * n_paths / _workers(n_lanes))) paths, so that
+    narrow lanes spread over the CPUs; a lane is never split.  A group starts
+    from ``start(group, slices)``, or the list of its field slices, and
+    ``step(state, group, k)`` advances it to step k; ``view(state)``, or the
+    state itself, lists the field arrays recorded.  ``group.gauss`` yields
+    rows of normals (``_Group.normals``) and ``group.inc`` rows of stable
+    increments over cfg.dt (``_Group.increments``); a step takes rows only of
+    the terms its plan has, so other groups draw none.  The groups are dealt
+    to ``_workers`` processes (see ``_pooled``).  Returns the record times,
+    one (n_times, n_runs * n_paths) record per field and the final states.
     """
     n_steps = int(round(cfg.t_end / cfg.dt))
     rec = np.arange(n_steps + 1) if record_times is None else record_steps(cfg, record_times)
     rec_row = {int(i): r for r, i in enumerate(rec)}
+    lanes = [(plan, seed, a) for plan, seed in runs for a in range(0, cfg.n_paths, _BLOCK)]
+    cap = min(_BLOCK, -(-len(runs) * cfg.n_paths // _workers(len(lanes))))
     groups: List[_Group] = []
-    for plan, seed in runs:
-        for a in range(0, cfg.n_paths, _BLOCK):
-            width = min(_BLOCK, cfg.n_paths - a)
-            g = groups[-1] if groups else None
-            if g is None or g.plan is not plan or g.cols.stop - g.cols.start + width > _BLOCK:
-                groups.append(_Group(plan, g.cols.stop if g else 0))
-            groups[-1].add(_Streams(seed, a // _BLOCK), width)
+    for plan, seed, a in lanes:
+        width = min(_BLOCK, cfg.n_paths - a)
+        g = groups[-1] if groups else None
+        if g is None or g.plan is not plan or g.cols.stop - g.cols.start + width > cap:
+            groups.append(_Group(plan, g.cols.stop if g else 0))
+        groups[-1].add(_Streams(seed, a // _BLOCK), width)
     n_workers = _workers(len(groups))
     out = [_records((len(rec), f.size), n_workers > 1) for f in fields]
 
     def run(i: int):
         g = groups[i]
-        g.gauss = g.normals()
+        g.gauss, g.inc = g.normals(), g.increments(cfg.dt, n_steps)
         state = [f[g.cols].copy() for f in fields]
         state = start(g, state) if start else state
         for k in range(n_steps + 1):
@@ -434,7 +452,7 @@ def _drive(runs, fields, cfg: SimConfig, record_times, step, start=None, view=No
             if k in rec_row:
                 for o, v in zip(out, view(state) if view else state):
                     o[rec_row[k], g.cols] = v
-        g.gauss = None  # frees the last pre-drawn chunk
+        g.gauss = g.inc = None  # frees the last pre-drawn chunks
         return state
 
     # a state, variance, stable increment or competition term beyond the float
@@ -581,7 +599,8 @@ def _drift(plan: _Plan, x: np.ndarray) -> np.ndarray:
 
 def _step_single(x: np.ndarray, g: _Group, dt: float, normals: Optional[np.ndarray]) -> np.ndarray:
     """One Euler step of every path of the group, driven by the step's standard
-    ``normals``, or ``None`` when the plan has no Gaussian part."""
+    ``normals``, or ``None`` when the plan has no Gaussian part, and on the
+    stable fast path by the group's next row of increments (``g.inc``)."""
     plan = g.plan
     live = np.isfinite(x)
     if plan.mu_rate > 0:
@@ -595,8 +614,7 @@ def _step_single(x: np.ndarray, g: _Group, dt: float, normals: Optional[np.ndarr
             var = var + xl * plan.mu_small_sq * dt
         xn = xn + np.sqrt(np.maximum(var, 0.0)) * normals
     if plan.stable_fast and plan.sigma > 0:
-        draws = [_stable_draws(plan.alpha, s.mu, sl.stop - sl.start) for s, sl in g.lanes]
-        inc = _stable_transform(plan.alpha, dt, *(_cat(d) for d in zip(*draws)))
+        inc = next(g.inc)
         if plan.alpha == 1.0:
             scale = plan.sigma * xl
             logdrift = np.where(
@@ -698,7 +716,8 @@ class _LassoRates:
         if self.zero:
             return
         if measure.kind == "stable":
-            self.measure = measure
+            self.alpha = measure.alpha
+            self.scale = measure.sigma * stable_density_prefactor(measure.alpha)
             self.table = None
         else:
             gaps = np.geomspace(1e-10, 10.0, 97)
@@ -712,28 +731,19 @@ class _LassoRates:
         if self.zero:
             return np.zeros_like(gap)
         if self.table is None:
-            m = self.measure
+            a = self.alpha
             return 0.5 * np.maximum(
-                m.sigma
-                * stable_density_prefactor(m.alpha)
-                * (np.maximum(gap, 1e-300) ** -m.alpha - (gap + self.eps) ** -m.alpha),
-                0.0,
-            )
+                self.scale * (np.maximum(gap, 1e-300) ** -a - (gap + self.eps) ** -a), 0.0)
         return np.interp(gap, self.table[0], self.table[1])
 
     def down(self, gap: np.ndarray) -> np.ndarray:
         if self.zero:
             return np.zeros_like(gap)
         if self.table is None:
-            m = self.measure
             out = np.zeros_like(gap)
             mask = (gap < self.eps) & (gap > 0.0)
             if mask.any():
-                out[mask] = 0.5 * (
-                    m.sigma
-                    * stable_density_prefactor(m.alpha)
-                    * (gap[mask] ** -m.alpha - self.eps**-m.alpha)
-                )
+                out[mask] = 0.5 * (self.scale * (gap[mask] ** -self.alpha - self.eps**-self.alpha))
             return out
         return np.where(gap < self.eps, np.interp(gap, self.table[0], self.table[2]), 0.0)
 

@@ -2,6 +2,7 @@ import copy
 import itertools
 import math
 import os
+import types
 import warnings
 from dataclasses import replace
 
@@ -434,6 +435,7 @@ class TestLockstep:
             return step(x, g, dt, normals)
 
         monkeypatch.setattr(simulator, "_step_single", recording)
+        monkeypatch.setattr(simulator, "_workers", lambda n_groups: 1)  # one CPU: one group
         cfg = SimConfig(dt=1e-3, t_end=0.3, n_paths=16)
         starts = [(0.0, 11), (8.0, 12)]
         together = simulate_ensembles(model, starts, cfg, record_times=[0.1, 0.2, 0.3])
@@ -474,6 +476,23 @@ class TestLockstep:
         u, w = (np.concatenate(parts) for parts in zip(*draws))
         split = simulator._stable_transform(alpha, 1e-3, u, w)
         assert np.array_equal(per_lane, split)
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
+    def test_chunked_stable_increments_equal_per_step_draws(self, alpha):
+        for n_steps in (1000, 7):  # chunks of 390 rows: three, the last cut short; one of 7
+            group = simulator._Group(types.SimpleNamespace(alpha=alpha), 0)
+            for block, width in ((0, 16), (1, 5)):
+                group.add(simulator._Streams(9, block), width)
+            rows = np.array(list(group.increments(1e-3, n_steps)))
+            fresh = [simulator._Streams(9, block).mu for block in (0, 1)]
+            steps = []
+            for _ in range(n_steps):
+                draws = [simulator._stable_draws(alpha, rng, n) for rng, n in zip(fresh, (16, 5))]
+                u, w = (np.concatenate(parts) for parts in zip(*draws))
+                steps.append(simulator._stable_transform(alpha, 1e-3, u, w))
+            assert np.array_equal(rows, np.array(steps))
+            # each mu stream stands where the run's own steps leave it: no draws beyond them
+            assert [s.mu.random() for s, _ in group.lanes] == [rng.random() for rng in fresh]
 
     def test_predrawn_normals_equal_per_step_draws(self):
         group = simulator._Group(None, 0)
@@ -543,6 +562,26 @@ class TestPooled:
         for a, b in zip(one, two):
             assert np.array_equal(a.values, b.values)
             assert np.array_equal(a.exploded, b.exploded)
+
+    @pytest.mark.parametrize("model", [MODEL, TestLockstep.STABLE], ids=["thinning", "stable"])
+    def test_stationary_starts_step_in_two_workers(self, monkeypatch, model):
+        made, group = [], simulator._Group
+
+        def recording(*args):
+            made.append(group(*args))
+            return made[-1]
+
+        monkeypatch.setattr(simulator, "_Group", recording)
+        cfg = SimConfig(dt=1e-3, seed=5)
+        ests, widths = [], []
+        for n in (1, 2):
+            made.clear()
+            ests.append(self.run(monkeypatch, n, lambda: estimate_stationary(model, cfg, 0.5, 64)))
+            widths.append([g.cols.stop - g.cols.start for g in made])
+        assert widths == [[32], [16, 16]]  # one group per worker
+        for name in ("atoms", "probs", "sample_mean", "sample_mean_se", "two_start_distance",
+                     "threshold", "converged", "n_samples"):
+            assert np.array_equal(getattr(ests[0], name), getattr(ests[1], name)), name
 
     def test_dt_refinement(self, monkeypatch):
         model = ModelSpec(BranchingMechanism(1.0, 0.3), ImmigrationMechanism(0.4),
@@ -681,6 +720,7 @@ class TestPlanTerms:
         for p, normals in ((plan, None), (self.forced(plan), np.random.default_rng(1).standard_normal(x.size))):
             g = simulator._Group(p, 0)
             g.add(simulator._Streams(3, 0), x.size)
+            g.inc = g.increments(cfg.dt, 3)
             out.append([simulator._step_single(x, g, cfg.dt, normals) for _ in range(3)][-1])
         assert np.array_equal(out[0], out[1])
         assert np.array_equal(np.signbit(out[0]), np.signbit(out[1]))
