@@ -11,8 +11,9 @@ code: ``<config> <command> <item> <sha256>``.  Running the script against two
 source trees and diffing the two outputs shows whether a change left every
 output byte-identical.  The configs are the shipped ones plus four fixed
 models written below; every command runs on every config but the pure-jump
-one, which runs its own two starts at 0, and two runs of several 1024-path
-blocks on three of them.  Nothing is timed.
+one, which runs its own two starts at 0, two runs of several 1024-path
+blocks on three of them, and ``rate`` at the benchmark's grid of 101 on two.
+Nothing is timed.
 """
 
 from __future__ import annotations
@@ -147,6 +148,10 @@ WIDE_COMMANDS = (
     ("couple-wide", ["couple", "--paths", "2100", "--t-end", "0.05"]),
 )
 
+# the benchmark's certificate grid, on the search-bound and the validation-bound model
+GRID_CONFIGS = ("ergodic_v1", "nu_jump")
+GRID_COMMANDS = (("rate-grid101", ["rate", "--grid", "101"]),)
+
 # the only runs of the pure-jump model: a single start and a follower at 0
 PURE_JUMP_COMMANDS = (
     ("simulate-x0-0", ["simulate", "--x0", "0", "--paths", "200", "--t-end", "0.05", "--dump"]),
@@ -166,7 +171,11 @@ def _configs():
 def _commands(cfg_name):
     if cfg_name == "pure_jump":
         return PURE_JUMP_COMMANDS
-    return COMMANDS + (WIDE_COMMANDS if cfg_name in WIDE_CONFIGS else ())
+    return (
+        COMMANDS
+        + (WIDE_COMMANDS if cfg_name in WIDE_CONFIGS else ())
+        + (GRID_COMMANDS if cfg_name in GRID_CONFIGS else ())
+    )
 
 
 def _sha(data: bytes) -> str:

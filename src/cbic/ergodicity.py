@@ -37,8 +37,10 @@ from .generator import (
     LyapunovDrift,
     WeightFunction,
     _coupling_F0_bound,
+    _f0_consts,
+    _f0_row,
+    _gap_terms,
     lyapunov_candidates,
-    sweep_nu_row_term,
 )
 from .measures import overlap_mass
 from .mechanisms import ModelSpec, phi_eval, psi_eval
@@ -215,16 +217,30 @@ def _q_and_rstar(model: ModelSpec, x0: float, nu_cube: float):
     return -D(r_star * x0), r_star
 
 
-def _pipeline_at(model, lambda0, x0, lam1, c1, table, sq_small, nu_cube):
-    """Steps (1), (4)-(7) at one x0: the RateCertificate fields that depend on x0, or None."""
+def _kappa_minima(model: ModelSpec, lambda0: float, table):
+    """Step (1) at one lambda0: running minima of c lam0^2 e^(-lam0 x) + mu_x + nu_x
+    over the overlap table's x, or None when c lam0^2 is not representable.
+
+    min is exact, so the entry at the last table x <= x0 is the minimum over
+    [0, x0]: one exponential per lambda0 serves every x0.
+    """
     xs, vals = table
     c_lam2 = model.c * lambda0**2
-    if not math.isfinite(c_lam2):  # kappa's grid below is not representable
+    if not math.isfinite(c_lam2):
         return None
-    a_vals = c_lam2 * np.exp(-lambda0 * xs) + vals
-    kappa = 0.5 * float(np.min(a_vals[xs <= x0])) * 0.995  # grid-resolution shave
-    if not kappa > 0.0:
-        return None
+    return np.minimum.accumulate(c_lam2 * np.exp(-lambda0 * xs) + vals)
+
+
+def _kappa(minima, xs, x0: float) -> float:
+    """kappa at x0 from :func:`_kappa_minima`, shaved for the grid resolution."""
+    return 0.5 * float(minima[np.searchsorted(xs, x0, "right") - 1]) * 0.995
+
+
+def _x0_constants(model: ModelSpec, x0: float, nu_cube: float, sq_small: float):
+    """Steps (4) and H of (5) at one x0: (q, r_star, r, H), or None.
+
+    None of them depends on lambda0 or C1, so a search computes them once per x0.
+    """
     q, r_star = _q_and_rstar(model, x0, nu_cube)
     if q is None:
         return None
@@ -235,6 +251,20 @@ def _pipeline_at(model, lambda0, x0, lam1, c1, table, sq_small, nu_cube):
     H = 3.0 / x0 * (2.0 * model.c + abs(model.b) * x0 + float(model.g(x0)) + sq_small)
     if not H > 0.0:
         return None
+    return q, r_star, r, H
+
+
+def _pipeline_at(lambda0, x0, lam1, c1, kappa, x0_constants):
+    """Steps (5)-(7) at one x0: the RateCertificate fields that depend on x0, or None.
+
+    ``kappa`` is step (1) at x0 and ``x0_constants(x0)`` gives :func:`_x0_constants`.
+    """
+    if not kappa > 0.0:
+        return None
+    consts = x0_constants(x0)
+    if consts is None:
+        return None
+    q, r_star, r, H = consts
     psi_a = -math.expm1(-lambda0 * x0 / 2.0)
     psi_rb = -math.expm1(-lambda0 * r * x0 / 2.0)
     if psi_rb <= 0.0 or lam1 * psi_rb <= 0.0:
@@ -288,7 +318,22 @@ def _golden_x0(evaluate, lo, hi):
 def compute_rate_certificate(
     model: ModelSpec, weight: WeightFunction, *, grid: int = 101
 ) -> RateCertificate:
-    """Run the full rate pipeline and validate the result on a grid x grid check."""
+    """Run the full rate pipeline and validate the result on a grid x grid check.
+
+    The search visits each (lambda0, C1) pair and golden-section searches x0
+    within it.  Each quantity is computed once for the values it depends on,
+    and nothing is kept beyond this call:
+
+    - per lambda0: the running minima of kappa's table (:func:`_kappa_minima`),
+      which every x0 reads at its last table point;
+    - per (lambda0, C1): l and lambda1;
+    - per distinct x0: q, r_star, r and H (:func:`_x0_constants`), which
+      depend on neither lambda0 nor C1;
+    - per (lambda0, C1, x0): kappa, theta, lambda2 and lambda.
+
+    :func:`validate_certificate` lists what the grid check computes per row
+    and per gap.
+    """
     # Condition 1.1
     cand0 = _lambda0_candidates(model)
     if not cand0:
@@ -327,8 +372,19 @@ def compute_rate_certificate(
     hi = min(c0, 1.0) * (1.0 - 1e-9)
     lo = min(1e-4, hi / 8.0)
 
+    per_x0 = {}  # x0 -> _x0_constants(x0), for this call only
+
+    def x0_constants(x0):
+        if x0 not in per_x0:
+            per_x0[x0] = _x0_constants(model, x0, nu_cube, sq_small)
+        return per_x0[x0]
+
+    xs = table[0]
     best = None  # the constants of the largest lam so far; the first of equals wins
     for lam0, psi0 in cand0:
+        minima = _kappa_minima(model, lam0, table)
+        if minima is None:  # kappa's grid is not representable
+            continue
         for c1, c0_ly in ly_cands:
             l_cut = max(1.0, weight.inverse(12.0 * c0_ly / c1))
             if not np.isfinite(l_cut):
@@ -336,7 +392,7 @@ def compute_rate_certificate(
             lam1 = math.exp(-lam0 * l_cut) * psi0 / lam0
             if lam1 < 1e-280:  # certificate would be denormal-degenerate
                 continue
-            ev = lambda x0: _pipeline_at(model, lam0, x0, lam1, c1, table, sq_small, nu_cube)
+            ev = lambda x0: _pipeline_at(lam0, x0, lam1, c1, _kappa(minima, xs, x0), x0_constants)
             k = _golden_x0(ev, lo, hi)
             if k is not None and (best is None or k["lam"] > best["lam"]):
                 best = dict(k, lambda0=lam0, psi_at_lambda0=psi0, C0=c0_ly, C1=c1, l=l_cut,
@@ -362,34 +418,52 @@ def validate_certificate(
 ) -> ValidationReport:
     """Check eps*LF0 + LV(x) + LV(y) <= -lam G0(x, y) with 1e-6 slack.
 
-    The check runs over ``grid`` log-spaced x times ``grid`` log-spaced gaps.
+    The check runs over ``grid`` log-spaced x times ``grid`` log-spaced gaps,
+    with y = x - gap.  Every constant is read from ``cert``.  Each quantity is
+    computed once for the values it depends on:
 
-    Quantities that do not depend on the point are computed once: overlap
-    masses per gap, the small-jump second moment, and per x-row LV(x) and
-    the gap-free half of the immigration sweep term.
+    - once per call: lambda1 and the bound's other point-free factors
+      (:func:`~cbic.generator._f0_consts`) and int_0^1 z^2 mu;
+    - per gap: the overlap masses of mu and nu, psi(gap) and e^(-lambda0 gap);
+    - per x-row: LV(x), V(x), phi(x), phi'(x), g(x), the bound's i and j terms
+      and the gap-free half of the immigration sweep term
+      (:func:`~cbic.generator._f0_row`);
+    - per point: LV(y), V(y), the sweep term's overlap half and, where
+      rounding makes x - y differ from the grid gap, psi and the exponential
+      at x - y.
     """
     ctrl = cert.control()
     weight = cert.weight
     drift = LyapunovDrift(model, weight)
     xs = np.geomspace(1e-4, 1e4, grid)
-    gaps = np.geomspace(1e-4, 2.0 * cert.l, grid)
-    mu_ov = [overlap_mass(model.mu, float(g)) for g in gaps]
-    nu_ov = [overlap_mass(model.nu, float(g)) for g in gaps]
+    gaps = [float(g) for g in np.geomspace(1e-4, 2.0 * cert.l, grid)]
+    per_gap = [
+        (g, *_gap_terms(ctrl, g), overlap_mass(model.mu, g), overlap_mass(model.nu, g))
+        for g in gaps
+    ]
     sq_small = model.mu.moment(2.0, 0.0, 1.0)
+    k = _f0_consts(model, ctrl)
     rows = []
     n_fail = 0
     worst = math.inf
     for x in xs:
         x = float(x)
         lv_x = drift(x)
-        nu_sweep = sweep_nu_row_term(model, ctrl, x)
-        for j, g in enumerate(gaps):
+        row = _f0_row(model, ctrl, x, sq_small)
+        v_x = float(weight.value(x))
+        for g, psi_g, e_g, mum, num in per_gap:
             if g > x:
                 continue
             y = float(x - g)
-            f0 = _coupling_F0_bound(model, ctrl, x, y, mu_ov[j], nu_ov[j], sq_small, nu_sweep)
+            gap = x - y
+            psig, eg = (psi_g, e_g) if gap == g else _gap_terms(ctrl, gap)
+            f0 = _coupling_F0_bound(model, ctrl, k, row, y, gap, psig, eg, mum, num)
             lhs = cert.epsilon * f0 + lv_x + drift(y)
-            rhs = -cert.lam * ctrl.G0(weight, x, y)
+            # -lam G0(x, y) = -lam (eps F0(x, y) + V(x) + V(y)), F0 = phi(x) (1 + psi(x - y))
+            g0 = 0.0 if x == y else (
+                ctrl.epsilon * (row.phi * (1.0 + psig)) + (v_x + float(weight.value(y)))
+            )
+            rhs = -cert.lam * g0
             rows.append((x, y, lhs, rhs))
             margin = rhs - lhs + 1e-6 * abs(rhs) + 1e-12
             worst = min(worst, margin)

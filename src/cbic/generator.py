@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -128,19 +128,27 @@ def apply_generator(model: ModelSpec, f, x: float) -> float:
     return model.c * x * fpp + x * mu_int + drift * fp + nu_int
 
 
+def _vlog_gammas(mu: LevyMeasure) -> dict:
+    """Gamma(1 - alpha) of each stable part of mu with alpha < 1, keyed by alpha:
+    the alpha-only factor of :func:`_vlog_mu_integral`, computed once per drift."""
+    from scipy.special import gamma as _gamma
+
+    # float arithmetic on the result overflows to inf silently
+    return {a: float(_gamma(1.0 - a)) for a, _ in mu.stable_components() if a < 1.0}
+
+
 @summed(sum)
-def _vlog_mu_integral(mu: LevyMeasure, w: float) -> float:
+def _vlog_mu_integral(mu: LevyMeasure, w: float, gammas: dict) -> float:
     """int [log(1 + z/w) - (z/w) 1{z<=1}] mu(dz), closed where possible.
 
     Stable components with index <= 1 reduce through the log-moment identity
     int_0^inf log(1+z/w) z^(-1-a) dz = pi / (a sin(a pi) w^a); everything
     else integrates numerically with the compensation split at z = 1.
+    ``gammas`` is :func:`_vlog_gammas` of the measure.
     """
-    from scipy.special import gamma as _gamma
-
     if mu.kind == "stable" and mu.alpha < 1.0:
         a, s = mu.alpha, mu.sigma
-        g = float(_gamma(1.0 - a))  # float arithmetic overflows to inf silently
+        g = gammas[a]
         return s * math.pi / (g * math.sin(a * math.pi) * w**a) - a * s / ((1.0 - a) * g * w)
     if mu.kind == "stable" and mu.alpha == 1.0:
         return mu.sigma * (1.0 + math.log(w)) / w
@@ -165,6 +173,8 @@ class LyapunovDrift:
         if weight.kind == "v1":
             self._mu_tail = model.mu.linear_tail()
             self._nu_mean = model.nu.moment(1.0, 0.0, math.inf)
+        else:
+            self._mu_gammas = _vlog_gammas(model.mu)
 
     def __call__(self, x: float) -> float:
         x = float(x)
@@ -175,7 +185,7 @@ class LyapunovDrift:
             w = 1.0 + x
             val = (
                 -m.c * x / w**2
-                + x * _vlog_mu_integral(m.mu, w)
+                + x * _vlog_mu_integral(m.mu, w, self._mu_gammas)
                 + (m.beta - m.b * x - float(m.g(x))) / w
                 + m.nu.integrate(lambda z: math.log1p(z / w))
             )
@@ -389,18 +399,55 @@ def sweep_nu_row_term(model: ModelSpec, ctrl: CouplingControl, x: float) -> floa
 
 
 def _sweep_nu_term(
-    model: ModelSpec, ctrl: CouplingControl, x: float, gap: float, t_nu: float
+    model: ModelSpec, ctrl: CouplingControl, x: float, phix: float, gap: float, t_nu: float
 ) -> float:
     """int [phi(x+z) - phi(x)] (nu - nu_{y-x})(dz) for x <= x0 (else 0), given
-    the nu half ``t_nu`` from :func:`sweep_nu_row_term`."""
+    phix = phi(x) and the nu half ``t_nu`` from :func:`sweep_nu_row_term`."""
     if x >= ctrl.x0 or model.nu.is_zero:
         return 0.0
-    phix = ctrl.phi(x)
     cut = ctrl.x0 - x
     t_ov = overlap_integrate(model.nu, -gap, lambda z: ctrl.phi(x + z) - phix, 0.0, cut) + (
         ctrl.theta - phix
     ) * overlap_mass(model.nu, -gap, cut, math.inf)
     return t_nu - t_ov
+
+
+class _F0Consts(NamedTuple):
+    """The point-free factors of the F0 bound, once per control."""
+
+    exp_coef: float  # -c lambda0^2 theta
+    lam1_theta: float  # lambda1 theta
+
+
+class _F0Row(NamedTuple):
+    """The gap-free terms of the F0 bound at one leader state x, once per x.
+
+    ``i_term`` and ``j_term`` are None beyond x0, where the bound has no such terms.
+    """
+
+    x: float
+    phi: float
+    i_term: Optional[float]
+    j_term: Optional[float]
+    nu_sweep: float  # sweep_nu_row_term at x
+
+
+def _f0_consts(model: ModelSpec, ctrl: CouplingControl) -> _F0Consts:
+    return _F0Consts(-model.c * ctrl.lambda0**2 * ctrl.theta, ctrl.lambda1 * ctrl.theta)
+
+
+def _f0_row(model: ModelSpec, ctrl: CouplingControl, x: float, sq: float) -> _F0Row:
+    """The row of x, given sq = int_0^1 z^2 mu(dz)."""
+    i_term = j_term = None
+    if x <= ctrl.x0:
+        i_term = (model.beta - model.b * x - float(model.g(x))) * ctrl.phi_prime(x)
+        j_term = 3.0 * x / ctrl.x0**2 * (2.0 * model.c + sq)
+    return _F0Row(x, ctrl.phi(x), i_term, j_term, sweep_nu_row_term(model, ctrl, x))
+
+
+def _gap_terms(ctrl: CouplingControl, gap: float) -> Tuple[float, float]:
+    """psi(gap) and e^(-lambda0 gap), the gap's factors of the F0 bound."""
+    return ctrl.psi(gap), math.exp(-ctrl.lambda0 * gap)
 
 
 def coupling_generator_F0(
@@ -416,31 +463,27 @@ def coupling_generator_F0(
     if exact:
         return _coupling_F0_exact(model, ctrl, x, y)
     gap = x - y
+    row = _f0_row(model, ctrl, x, model.mu.moment(2.0, 0.0, 1.0))
     return _coupling_F0_bound(
-        model, ctrl, x, y, overlap_mass(model.mu, gap), overlap_mass(model.nu, gap),
-        model.mu.moment(2.0, 0.0, 1.0), sweep_nu_row_term(model, ctrl, x),
+        model, ctrl, _f0_consts(model, ctrl), row, y, gap, *_gap_terms(ctrl, gap),
+        overlap_mass(model.mu, gap), overlap_mass(model.nu, gap),
     )
 
 
 def _coupling_F0_bound(
-    model: ModelSpec, ctrl: CouplingControl, x: float, y: float,
-    mum: float, num: float, sq: float, nu_sweep: float,
+    model: ModelSpec, ctrl: CouplingControl, k: _F0Consts, row: _F0Row, y: float,
+    gap: float, psig: float, eg: float, mum: float, num: float,
 ) -> float:
-    """The closed upper bound of :func:`coupling_generator_F0` at x > y >= 0, given
-    the overlap masses of mu and nu at the gap x - y, int_0^1 z^2 mu(dz) and
-    :func:`sweep_nu_row_term` at x, so that a grid check computes each once."""
-    gap = x - y
-    psig = ctrl.psi(gap)
-    theta = ctrl.theta
-    ub = -model.c * ctrl.lambda0**2 * theta * y * math.exp(-ctrl.lambda0 * gap)
-    ub -= theta * (y * mum + num)
+    """The closed upper bound of :func:`coupling_generator_F0` at (row.x, y), given
+    the gap row.x - y with its :func:`_gap_terms`, and the overlap masses of mu
+    and nu, so that a grid check computes each of them once."""
+    ub = k.exp_coef * y * eg
+    ub -= ctrl.theta * (y * mum + num)
     if gap <= ctrl.l:
-        ub -= ctrl.lambda1 * theta * psig
-    if x <= ctrl.x0:
-        i_term = (model.beta - model.b * x - float(model.g(x))) * ctrl.phi_prime(x)
-        j_term = 3.0 * x / ctrl.x0**2 * (2.0 * model.c + sq)
-        ub += (y * mum + i_term + j_term) * (1.0 + psig)
-        ub += (1.0 + psig) * _sweep_nu_term(model, ctrl, x, gap, nu_sweep)
+        ub -= k.lam1_theta * psig
+    if row.i_term is not None:
+        ub += (y * mum + row.i_term + row.j_term) * (1.0 + psig)
+        ub += (1.0 + psig) * _sweep_nu_term(model, ctrl, row.x, row.phi, gap, row.nu_sweep)
     return ub
 
 
@@ -496,4 +539,4 @@ def write_margin_csv(path, rows) -> None:
     with open(path, "w") as fh:
         fh.write("x,y,lhs,rhs,margin\n")
         for x, y, lhs, rhs in rows:
-            fh.write(",".join(format(v, ".17g") for v in (x, y, lhs, rhs, rhs - lhs)) + "\n")
+            fh.write("%.17g,%.17g,%.17g,%.17g,%.17g\n" % (x, y, lhs, rhs, rhs - lhs))

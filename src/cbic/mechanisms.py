@@ -124,6 +124,12 @@ class LevyMeasure:
     atom_data: Tuple[Tuple[float, float], ...] = ()
     parts: Tuple["LevyMeasure", ...] = ()
 
+    def __post_init__(self):
+        if self.kind == "stable":  # the density's alpha-only factor, once per measure
+            object.__setattr__(
+                self, "_dens_scale", self.alpha * self.sigma * stable_density_prefactor(self.alpha)
+            )
+
     # -- constructors ------------------------------------------------------
 
     @classmethod
@@ -205,8 +211,7 @@ class LevyMeasure:
         if self.kind == "stable":
             out = np.zeros_like(z)
             pos = z > 0
-            c = self.alpha * self.sigma * stable_density_prefactor(self.alpha)
-            out[pos] = c * z[pos] ** (-1.0 - self.alpha)
+            out[pos] = self._dens_scale * z[pos] ** (-1.0 - self.alpha)
             return out
         if self.kind == "density":
             lo, hi = self.support
@@ -224,8 +229,7 @@ class LevyMeasure:
         if z <= 0.0:
             return 0.0
         if self.kind == "stable":
-            c = self.alpha * self.sigma * stable_density_prefactor(self.alpha)
-            return c * z ** (-1.0 - self.alpha)
+            return self._dens_scale * z ** (-1.0 - self.alpha)
         if self.kind == "density":
             lo, hi = self.support
             if not (lo < z < hi):
@@ -318,7 +322,7 @@ class LevyMeasure:
         if self.kind == "zero" or hi <= lo:
             return 0.0
         if self.kind == "stable":
-            c = self.alpha * self.sigma * stable_density_prefactor(self.alpha)
+            c = self._dens_scale
             p = power - self.alpha
             if not np.isfinite(hi) and p >= 0:
                 return math.inf
@@ -439,15 +443,21 @@ class CompetitionMechanism:
         return cls(form="xlog", K=float(K))
 
     def __call__(self, x):
+        if self.form == "linear":
+            return self._unguarded(x)
+        with np.errstate(over="ignore"):  # K x^p, K x log(1+x) beyond the float range is +inf
+            return self._unguarded(x)
+
+    def _unguarded(self, x):
+        """g(x) outside any np.errstate: for callers that already run under
+        np.errstate(over="ignore"), as the simulator's steps do."""
         x = np.asarray(x, dtype=float)
         if self.form == "linear":
             out = self.a * x
         elif self.form == "power":
-            with np.errstate(over="ignore"):  # K x^p beyond the float range is +inf
-                out = self.K * np.power(np.maximum(x, 0.0), self.p)
+            out = self.K * np.power(np.maximum(x, 0.0), self.p)
         else:
-            with np.errstate(over="ignore"):  # K x log(1+x) beyond the float range is +inf
-                out = self.K * x * np.log1p(np.maximum(x, 0.0))
+            out = self.K * x * np.log1p(np.maximum(x, 0.0))
         return out if out.shape else float(out)
 
     @property

@@ -343,7 +343,7 @@ class _Plan:
                                   f"nu: {self.eps_nu:g}) have an infinite moment")
         self.beta_eff = model.beta + self.nu_small_lin
         self.x_max = cfg.x_max
-        self.g = model.g
+        self.g = model.g._unguarded  # steps run inside _drive's np.errstate
         self.c = model.c
         # the terms a step draws and computes: Gaussian (c x, sub-eps variance), g
         self.gaussian = self.c > 0 or self.mu_small_sq > 0

@@ -7,10 +7,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cbic import ergodicity
-from cbic.generator import WeightFunction
+from cbic.generator import (
+    LyapunovDrift,
+    WeightFunction,
+    _coupling_F0_bound,
+    _f0_consts,
+    _f0_row,
+    _gap_terms,
+)
 from cbic.ergodicity import (
     CertificateError,
     RateCertificate,
+    _kappa,
+    _kappa_minima,
+    _lambda0_candidates,
+    _overlap_table,
     _q_and_rstar,
     compute_rate_certificate,
     estimate_stationary,
@@ -19,6 +30,7 @@ from cbic.ergodicity import (
     validate_certificate,
     wv_exact_discrete,
 )
+from cbic.measures import overlap_mass
 from cbic.mechanisms import (
     BranchingMechanism,
     CompetitionMechanism,
@@ -35,6 +47,14 @@ VLOG = WeightFunction.vlog()
 @pytest.fixture(scope="module")
 def ergodic_cert(ergodic_v1_model):
     return compute_rate_certificate(ergodic_v1_model, V1, grid=31)
+
+
+def _nu_jump_model():
+    return ModelSpec(
+        BranchingMechanism(0.6, 0.0, LevyMeasure.uniform(1.0, 0.0, 1.0)),
+        ImmigrationMechanism(0.2, LevyMeasure.uniform(0.8, 0.0, 0.9)),
+        CompetitionMechanism.none(),
+    )
 
 
 class TestCertificatePipeline:
@@ -173,6 +193,109 @@ class TestCertificatePipeline:
             assert q is not None
             qs.append(q)
         assert qs[0] >= qs[1] >= qs[2]
+
+
+@pytest.fixture(scope="module")
+def kappa_tables(ergodic_v1_model, stable_power_model):
+    """(xs, minima, the per-x0 values) for every lambda0 candidate of three models."""
+    out = []
+    for model in (ergodic_v1_model, _nu_jump_model(), stable_power_model):
+        table = _overlap_table(model)
+        xs, vals = table
+        for lam0, _ in _lambda0_candidates(model):
+            a_vals = model.c * lam0**2 * np.exp(-lam0 * xs) + vals
+            out.append((xs, _kappa_minima(model, lam0, table), a_vals))
+    return out
+
+
+_TABLE_XS = np.linspace(0.0, 1.0, 257)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    x0=st.one_of(st.floats(0.0, 1.0), st.sampled_from([float(x) for x in _TABLE_XS]),
+                 st.sampled_from([0.0, 5e-324, float(np.nextafter(1.0, 0.0)), 1.0])),
+    i=st.integers(0, 10_000),
+)
+def test_kappa_minima_equal_the_masked_min(kappa_tables, x0, i):
+    """kappa from the running minima equals the minimum over the table's x <= x0."""
+    xs, minima, a_vals = kappa_tables[i % len(kappa_tables)]
+    assert np.array_equal(xs, _TABLE_XS)
+    assert _kappa(minima, xs, x0) == 0.5 * float(np.min(a_vals[xs <= x0])) * 0.995
+
+
+def test_kappa_minima_need_a_finite_c_lambda0_squared():
+    model = ModelSpec(BranchingMechanism(0.5, 1e308, LevyMeasure.uniform(1.0, 0.0, 1.0)),
+                      ImmigrationMechanism(0.3))
+    assert _kappa_minima(model, 10.0, _overlap_table(model)) is None
+
+
+@pytest.mark.parametrize("weight", [V1, VLOG])
+def test_x0_constants_computed_once_per_x0_and_call(stable_power_model, weight, monkeypatch):
+    """Each x0's (q, r_star, r, H) is computed once per certificate call and equals
+    a fresh _q_and_rstar with the provenance formulas for r and H."""
+    model = _nu_jump_model() if weight is V1 else stable_power_model
+    calls, visits = [], []
+    real_constants, real_pipeline = ergodicity._x0_constants, ergodicity._pipeline_at
+
+    def constants(model_, x0, nu_cube, sq_small):
+        out = real_constants(model_, x0, nu_cube, sq_small)
+        calls.append((x0, nu_cube, sq_small, out))
+        return out
+
+    def pipeline(lambda0, x0, *args):
+        visits.append(x0)
+        return real_pipeline(lambda0, x0, *args)
+
+    monkeypatch.setattr(ergodicity, "_x0_constants", constants)
+    monkeypatch.setattr(ergodicity, "_pipeline_at", pipeline)
+    cert = compute_rate_certificate(model, weight, grid=5)
+    x0s = [c[0] for c in calls]
+    assert len(set(x0s)) == len(x0s) == len(set(visits)) < len(visits)
+    for x0, nu_cube, sq_small, out in calls:
+        q, r_star = _q_and_rstar(model, x0, nu_cube)
+        denom = 2.0 * model.c + sq_small
+        r = r_star if denom <= 0.0 else min(r_star, x0 * q / (6.0 * denom))
+        H = 3.0 / x0 * (2.0 * model.c + abs(model.b) * x0 + float(model.g(x0)) + sq_small)
+        assert out == (q, r_star, r, H)
+    assert (cert.q, cert.r_star) == _q_and_rstar(model, cert.x0, calls[0][1])
+    # nothing is kept between calls: a second call computes every x0 again
+    n = len(calls)
+    compute_rate_certificate(model, weight, grid=5)
+    assert [c[0] for c in calls[n:]] == x0s
+
+
+@pytest.mark.parametrize("name", ["ergodic_v1", "nu_jump", "stable_power_vlog"])
+def test_validation_rows_equal_per_point_recomputation(name, ergodic_v1_model, stable_power_model):
+    """Every row of the grid check equals the bound rebuilt at that point alone:
+    coupling_generator_F0's pieces (with the grid gap's overlap masses), drift(y)
+    and ctrl.G0."""
+    model, weight = {
+        "ergodic_v1": (ergodic_v1_model, V1),
+        "nu_jump": (_nu_jump_model(), V1),
+        "stable_power_vlog": (stable_power_model, VLOG),
+    }[name]
+    cert = compute_rate_certificate(model, weight, grid=31)
+    ctrl = cert.control()
+    drift = LyapunovDrift(model, weight)
+    sq = model.mu.moment(2.0, 0.0, 1.0)
+    want, exact_gap = [], set()
+    for x in np.geomspace(1e-4, 1e4, 31):
+        x = float(x)
+        for g in np.geomspace(1e-4, 2.0 * cert.l, 31):
+            if g > x:
+                continue
+            y = float(x - g)
+            exact_gap.add(x - y == g)
+            f0 = _coupling_F0_bound(
+                model, ctrl, _f0_consts(model, ctrl), _f0_row(model, ctrl, x, sq), y, x - y,
+                *_gap_terms(ctrl, x - y), overlap_mass(model.mu, float(g)),
+                overlap_mass(model.nu, float(g)),
+            )
+            lhs = cert.epsilon * f0 + drift(x) + drift(y)
+            want.append((x, y, lhs, -cert.lam * ctrl.G0(weight, x, y)))
+    assert cert.validation.rows == want
+    assert exact_gap == {True, False}  # per-gap values used, and recomputed, somewhere
 
 
 _COMPETITION = st.one_of(

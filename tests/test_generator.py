@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.special import gamma
 
 from cbic.generator import (
     CouplingControl,
@@ -13,11 +16,17 @@ from cbic.generator import (
     SmoothFunction,
     WeightFunction,
     _coupling_F0_bound,
+    _f0_consts,
+    _f0_row,
+    _gap_terms,
+    _vlog_gammas,
+    _vlog_mu_integral,
     apply_generator,
     coupling_generator_F0,
     lyapunov_certify,
     lyapunov_margin,
     sweep_nu_row_term,
+    write_margin_csv,
 )
 from cbic.measures import overlap_mass
 from cbic.mechanisms import (
@@ -268,16 +277,18 @@ class TestCouplingGeneratorF0:
                 ergodic_v1_model.competition,
             )
             ctrl = _control(psi0=psi_eval(model.branching, 0.8))
+            k = _f0_consts(model, ctrl)
             for x in (1e-4, 0.01, 0.1, 0.2, 0.25, 0.6):
-                row = sweep_nu_row_term(model, ctrl, x)
-                assert (row == 0.0) == (x >= ctrl.x0)
+                row = _f0_row(model, ctrl, x, model.mu.moment(2.0, 0.0, 1.0))
+                assert row.nu_sweep == sweep_nu_row_term(model, ctrl, x)
+                assert (row.nu_sweep == 0.0) == (x >= ctrl.x0)
                 for gap in (1e-4, 0.005, 0.05, 0.1, 0.2):
                     if gap > x:
                         continue
                     y = x - gap
                     got = _coupling_F0_bound(
-                        model, ctrl, x, y, overlap_mass(model.mu, x - y),
-                        overlap_mass(model.nu, x - y), model.mu.moment(2.0, 0.0, 1.0), row,
+                        model, ctrl, k, row, y, x - y, *_gap_terms(ctrl, x - y),
+                        overlap_mass(model.mu, x - y), overlap_mass(model.nu, x - y),
                     )
                     assert got == coupling_generator_F0(model, ctrl, x, y)
 
@@ -301,3 +312,53 @@ class TestCouplingGeneratorF0:
         lv = lambda u: 0.3 - 0.5 * u
         got = ctrl.epsilon * f0 + drift(x) + drift(y)
         assert got == pytest.approx(ctrl.epsilon * f0 + lv(x) + lv(y), rel=1e-9)
+
+
+class TestHoistedConstants:
+    """Values computed once per drift or per call equal their per-call forms."""
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
+    def test_vlog_mu_integral_equals_the_per_call_gamma(self, alpha):
+        for mu in (
+            LevyMeasure.stable(alpha, 0.7),
+            LevyMeasure.sum_of([LevyMeasure.stable(alpha, 0.7), LevyMeasure.stable(0.3, 0.2),
+                                LevyMeasure.uniform(0.5, 0.0, 1.0)]),
+        ):
+            gammas = _vlog_gammas(mu)
+            for w in (1.0, 1.0 + 1e-4, 2.0, 17.5, 1e4, 1e6):
+                want = 0  # summed parts add up from int 0, in part order
+                for part in mu.parts if mu.kind == "sum" else (mu,):
+                    a, s_ = part.alpha, part.sigma
+                    if part.kind == "stable" and a < 1.0:
+                        g = float(gamma(1.0 - a))
+                        v = s_ * math.pi / (g * math.sin(a * math.pi) * w**a) - a * s_ / (
+                            (1.0 - a) * g * w)
+                    elif part.kind == "stable" and a == 1.0:
+                        v = s_ * (1.0 + math.log(w)) / w
+                    else:
+                        v = part.integrate(lambda z: math.log1p(z / w) - z / w * (z <= 1.0))
+                    want = v if mu.kind != "sum" else want + v
+                assert _vlog_mu_integral(mu, w, gammas) == want
+
+    def test_margin_csv_equals_per_value_format(self, tmp_path):
+        specials = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 1e308, -1e308,
+                    0.1, 1.0 / 3.0, np.float64(2.0 / 3.0), np.float64(-1e-300), 123456789.0]
+        rows = [(specials[i], specials[(i + 1) % 14], specials[(i + 5) % 14],
+                 specials[(i + 9) % 14]) for i in range(14)]
+        rows += [(a, b, 1.0, 2.0) for a in specials for b in specials]
+        self._check(tmp_path / "m.csv", rows)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(*[st.floats(allow_nan=True, allow_infinity=True)] * 4),
+                    max_size=20))
+    def test_margin_csv_equals_per_value_format_on_random_rows(self, tmp_path_factory, rows):
+        self._check(tmp_path_factory.mktemp("csv") / "m.csv", rows)
+
+    @staticmethod
+    def _check(path, rows):
+        write_margin_csv(path, rows)
+        want = "x,y,lhs,rhs,margin\n" + "".join(
+            ",".join(format(v, ".17g") for v in (x, y, lhs, rhs, rhs - lhs)) + "\n"
+            for x, y, lhs, rhs in rows
+        )
+        assert path.read_bytes() == want.encode()

@@ -14,6 +14,7 @@ from cbic.measures import (
     overlap_mass,
     rn_ratio_many,
 )
+from cbic import quadrature
 from cbic.mechanisms import (
     BranchingMechanism,
     CompetitionMechanism,
@@ -73,6 +74,35 @@ class TestScalarOverlapDensity:
         base = LevyMeasure.sum_of([LevyMeasure.uniform(rate, lo, lo + width), ATOMS])
         for zz in (z, lo, lo + width, lo + x, lo + width + x):
             assert _overlap_dens1(base, x, zz) == overlap_density(base, x, zz)[0]
+
+
+class TestOverlapIntegrand:
+    """overlap_integrate's quadrature integrands inline _overlap_dens1 bit for bit."""
+
+    @pytest.mark.parametrize(
+        "base", [b for b in TestScalarOverlapDensity.BASES if b.kind == "density"] + [STABLE]
+    )
+    def test_integrands_equal_the_scalar_overlap_density(self, base, monkeypatch):
+        seen = []
+        capture = lambda fn, *args, **kwargs: seen.append(fn) or 0.0
+        monkeypatch.setattr(quadrature, "integrate", capture)
+        monkeypatch.setattr(quadrature, "tail_integral", capture)
+        zs = [-1.0, -0.0, 0.0, 1e-12, 0.05, 0.45, 0.7, 0.9, 1.0, 1.3, 3.0]
+        fn = lambda z: 1.0 + z * z
+        checked = 0
+        for x in (0.0, 0.3, -0.3, 1.0, -1.0):
+            for f in (None, fn):
+                for hi in (5.0, math.inf):
+                    seen.clear()
+                    overlap_integrate(base, x, f, 0.0, hi)
+                    for integrand in seen:  # none when the overlap has no density part
+                        for z in zs + [x, x + 0.2, -x]:
+                            want = _overlap_dens1(base, x, z)
+                            if f is not None:
+                                want = float(f(z)) * want
+                            assert integrand(z) == want
+                        checked += 1
+        assert checked >= 12
 
 
 class TestOverlapMass:

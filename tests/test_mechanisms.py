@@ -18,6 +18,7 @@ from cbic.mechanisms import (
     phi_eval,
     psi_eval,
     psi_prime_at_zero,
+    stable_density_prefactor,
     stable_to_generic,
 )
 
@@ -38,6 +39,56 @@ class TestUniformDensity:
         m = LevyMeasure.uniform(0.8, 0.0, 0.9)
         assert m.fn is None
         assert pickle.loads(pickle.dumps(m)) == m
+
+
+class TestStableDensityScale:
+    """The stable density's factor alpha sigma C_alpha is computed once per measure."""
+
+    ZS = [-1.0, -0.0, 0.0, 1e-12, 0.3, 1.0, 2.5, 1e6, 1e300]
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
+    def test_density_equals_the_per_call_factor(self, alpha):
+        m = LevyMeasure.stable(alpha, 0.7)
+        for z in self.ZS:
+            want = 0.0
+            if z > 0:
+                want = alpha * 0.7 * stable_density_prefactor(alpha) * z ** (-1.0 - alpha)
+            assert m._dens1(z) == want
+            assert m.density(z)[0] == want
+        zs = np.array(self.ZS)
+        pos = zs > 0
+        want = np.zeros_like(zs)
+        want[pos] = alpha * 0.7 * stable_density_prefactor(alpha) * zs[pos] ** (-1.0 - alpha)
+        assert np.array_equal(m.density(zs), want)
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
+    def test_moment_equals_the_per_call_factor(self, alpha):
+        m = LevyMeasure.stable(alpha, 0.7)
+        c = alpha * 0.7 * stable_density_prefactor(alpha)
+        p = 2.0 - alpha
+        assert m.moment(2.0, 0.0, 1.0) == c * (1.0 ** p - 0.0 ** p) / p
+
+
+class TestCompetitionGuard:
+    FORMS = [CompetitionMechanism.linear(0.7), CompetitionMechanism.power(1.3, 1.5),
+             CompetitionMechanism.xlog(1.3), CompetitionMechanism.power(1e308, 2.0),
+             CompetitionMechanism.xlog(1e308)]
+    XS = [0.0, 1e-3, 0.5, 2.0, 1e3, 1e200, math.inf]
+
+    @pytest.mark.parametrize("g", FORMS)
+    def test_unguarded_equals_call(self, g):
+        """The simulator's g, run inside its errstate, is g's own arithmetic."""
+        with np.errstate(over="ignore"):
+            got = g._unguarded(np.array(self.XS))
+            assert [g._unguarded(x) for x in self.XS] == [g(x) for x in self.XS]
+        assert np.array_equal(got, g(np.array(self.XS)))
+
+    @pytest.mark.parametrize("g", FORMS[1:])
+    def test_call_guards_overflow(self, g):
+        with np.errstate(over="raise"):
+            assert g(np.array([1e308]))[0] == math.inf
+            with pytest.raises(FloatingPointError):
+                g._unguarded(np.array([1e308]))
 
 
 class TestDensityIntegral:
