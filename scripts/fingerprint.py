@@ -7,13 +7,14 @@ Usage::
 Each corpus run is ``python -m cbic.cli <command> --model <config> --out out``
 in a fresh directory, with ``DIR`` (default: this checkout's ``src``) on
 ``PYTHONPATH``.  One line is printed per output file, stdout, stderr and exit
-code: ``<config> <command> <item> <sha256>``.  Running the script against two
-source trees and diffing the two outputs shows whether a change left every
-output byte-identical.  The configs are the shipped ones plus four fixed
-models written below; every command runs on every config but the pure-jump
-one, which runs its own two starts at 0, two runs of several 1024-path
-blocks on three of them, and ``rate`` at the benchmark's grid of 101 on two.
-Nothing is timed.
+code: ``<config> <command> <item> <sha256>``.  ``wv`` runs under the name
+``laws``: on two fixed laws under both weights, and on a malformed law, which
+exits 2.  Running the script against two source trees and diffing the two
+outputs shows whether a change left every output byte-identical.  The
+configs are the shipped ones plus four fixed models written below; every
+command runs on every config but the pure-jump one, which runs its own two
+starts at 0, two runs of several 1024-path blocks on three of them, and
+``rate`` at the benchmark's grid of 101 on two.  Nothing is timed.
 """
 
 from __future__ import annotations
@@ -159,6 +160,19 @@ PURE_JUMP_COMMANDS = (
 )
 
 
+# two fixed laws for ``wv``, and one that does not sum to 1
+LAWS = {
+    "gamma.csv": "atom,prob\n0,0.25\n0.5,0.25\n2,0.5\n",
+    "eta.csv": "atom,prob\n0,0.5\n1,0.25\n2,0.25\n",
+    "bad.csv": "atom,prob\n0,0.5\n1,0.75\n",
+}
+WV_COMMANDS = (
+    ("wv-v1", ["wv", "--gamma", "gamma.csv", "--eta", "eta.csv", "--weight", "v1"]),
+    ("wv-vlog", ["wv", "--gamma", "gamma.csv", "--eta", "eta.csv", "--weight", "vlog"]),
+    ("wv-malformed", ["wv", "--gamma", "bad.csv", "--eta", "eta.csv"]),
+)
+
+
 def _configs():
     out = {}
     for name in SHIPPED:
@@ -182,15 +196,25 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _run(src, work, cfg_name, cfg_text, label, argv):
+def corpus():
+    """(name, {file name: text}, label, full CLI argv) of every corpus run."""
+    runs = [
+        (cfg_name, {"model.cfg": text}, label, [*cmd, "--model", "model.cfg", "--out", "out"])
+        for cfg_name, text in _configs().items()
+        for label, cmd in _commands(cfg_name)
+    ]
+    return runs + [("laws", LAWS, label, cmd) for label, cmd in WV_COMMANDS]
+
+
+def _run(src, work, cfg_name, files, label, argv):
     run_dir = os.path.join(work, f"{cfg_name}-{label}")
     os.makedirs(run_dir)
-    with open(os.path.join(run_dir, "model.cfg"), "w") as fh:
-        fh.write(cfg_text)
+    for name, text in files.items():
+        with open(os.path.join(run_dir, name), "w") as fh:
+            fh.write(text)
     env = dict(os.environ, PYTHONPATH=src, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1")
     proc = subprocess.run(
-        [sys.executable, "-m", "cbic.cli", *argv, "--model", "model.cfg", "--out", "out"],
-        cwd=run_dir, env=env, capture_output=True,
+        [sys.executable, "-m", "cbic.cli", *argv], cwd=run_dir, env=env, capture_output=True
     )
     lines = [
         f"{cfg_name} {label} exit {_sha(str(proc.returncode).encode())}",
@@ -211,13 +235,8 @@ def main(argv=None) -> int:
     args = p.parse_args(argv)
     src = os.path.abspath(args.src)
     with tempfile.TemporaryDirectory() as work:
-        runs = [
-            (src, work, cfg_name, text, label, cmd)
-            for cfg_name, text in _configs().items()
-            for label, cmd in _commands(cfg_name)
-        ]
         with ThreadPoolExecutor(2) as pool:  # two CLI runs at a time
-            for lines in pool.map(lambda r: _run(*r), runs):
+            for lines in pool.map(lambda r: _run(src, work, *r), corpus()):
                 print("\n".join(lines), flush=True)
     return 0
 

@@ -76,20 +76,20 @@ def _run_corpus():
 
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as work:
-        for cfg_name, text in fingerprint._configs().items():
-            for label, argv in fingerprint._commands(cfg_name):
-                run_dir = os.path.join(work, f"{cfg_name}-{label}")
-                os.makedirs(run_dir)
-                with open(os.path.join(run_dir, "model.cfg"), "w") as fh:
+        for name, files, label, argv in fingerprint.corpus():
+            run_dir = os.path.join(work, f"{name}-{label}")
+            os.makedirs(run_dir)
+            for file_name, text in files.items():
+                with open(os.path.join(run_dir, file_name), "w") as fh:
                     fh.write(text)
-                os.chdir(run_dir)
-                try:
-                    sink = io.StringIO()
-                    with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
-                        code = cli.run([*argv, "--model", "model.cfg", "--out", "out"])
-                finally:
-                    os.chdir(cwd)
-                print(f"corpus {cfg_name} {label}: exit {code}", file=sys.stderr)
+            os.chdir(run_dir)
+            try:
+                sink = io.StringIO()
+                with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+                    code = cli.run(argv)
+            finally:
+                os.chdir(cwd)
+            print(f"corpus {name} {label}: exit {code}", file=sys.stderr)
 
 
 def main() -> int:

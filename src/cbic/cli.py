@@ -27,6 +27,7 @@ from .generator import (
 )
 from .ergodicity import (
     CertificateError,
+    _as_dist,
     compute_rate_certificate,
     estimate_stationary,
     estimate_wv_decay,
@@ -167,18 +168,19 @@ def _load(args):
 
 
 def _read_dist_csv(path):
-    atoms, probs = [], []
-    with open(path) as fh:
-        header = fh.readline()
-        if "atom" not in header:
-            raise ConfigError(f"{path}: expected header atom,prob")
-        for line in fh:
-            if not line.strip():
-                continue
-            a, p = line.split(",")[:2]
-            atoms.append(float(a))
-            probs.append(float(p))
-    return np.asarray(atoms), np.asarray(probs)
+    """The law of a CSV file with header atom,prob; a bad file is a ConfigError."""
+    try:
+        with open(path) as fh:
+            if "atom" not in fh.readline():
+                raise ConfigError("expected header atom,prob")
+            rows = [line.split(",") for line in map(str.strip, fh) if line]
+        if any(len(r) < 2 for r in rows):
+            raise ConfigError("every row needs atom,prob")
+        return _as_dist(([float(r[0]) for r in rows], [float(r[1]) for r in rows]))
+    except OSError as exc:
+        raise ConfigError(f"{path}: {exc.strerror}") from exc
+    except ValueError as exc:  # ConfigError is a ValueError
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def _cmd_simulate(args):

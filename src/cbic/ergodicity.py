@@ -24,6 +24,7 @@ LP) and cross-checked in the tests.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 from typing import List, Optional, Tuple
@@ -35,12 +36,13 @@ from .generator import (
     CouplingControl,
     GeneratorDomainError,
     LyapunovDrift,
+    LyapunovFailure,
     WeightFunction,
     _coupling_F0_bound,
     _f0_consts,
     _f0_row,
     _gap_terms,
-    lyapunov_candidates,
+    lyapunov_certify,
 )
 from .measures import overlap_mass
 from .mechanisms import ModelSpec, phi_eval, psi_eval
@@ -320,6 +322,11 @@ def compute_rate_certificate(
 ) -> RateCertificate:
     """Run the full rate pipeline and validate the result on a grid x grid check.
 
+    Each condition fails by one raise of :class:`CertificateError` named after
+    its step (``non-triviality``, ``fluctuation``, ``lyapunov``); the
+    ``lyapunov`` one carries the report of :func:`~cbic.generator.lyapunov_certify`,
+    whose (C1, C0) pairs the search visits.
+
     The search visits each (lambda0, C1) pair and golden-section searches x0
     within it.  Each quantity is computed once for the values it depends on,
     and nothing is kept beyond this call:
@@ -340,52 +347,35 @@ def compute_rate_certificate(
         raise CertificateError(
             "non-triviality", "no lambda0 with Psi(lambda0) > 0 and Phi(lambda0) > 0"
         )
-    # Condition 1.2
+    # Condition 1.2: c0 is the last x of the leading run of positive overlap masses
     table = _overlap_table(model)
-    if model.c > 0:
-        c0 = 1.0
-    else:
-        xs, vals = table
+    xs, vals = table
+    c0 = 1.0
+    if model.c <= 0:
         positive = vals[1:] > 1e-12
-        if not positive.any():
+        if not positive[0]:
             raise CertificateError("fluctuation", "c = 0 and the overlap masses vanish near 0")
-        lastgood = np.nonzero(np.cumprod(positive))[0]
-        if lastgood.size == 0:
-            raise CertificateError(
-                "fluctuation", "c = 0 and the overlap masses vanish arbitrarily close to 0"
-            )
-        c0 = float(xs[1:][lastgood[-1]])
+        c0 = float(xs[int(np.cumprod(positive).sum())])
     # Condition 1.3
     try:
-        margin, ly_cands, drift, _ = lyapunov_candidates(model, weight)
+        ly = lyapunov_certify(model, weight)
     except GeneratorDomainError as exc:
         raise CertificateError("lyapunov", str(exc)) from exc
-    if margin <= 0 or not ly_cands:
-        lv_min = float(np.min(drift.many(np.geomspace(1e-3, 1e6, 64))))
-        msg = f"no Lyapunov pair: asymptotic margin {margin:.6g}"
-        if lv_min > 0:
-            msg += f"; LV >= {lv_min:.6g} > 0 on the grid"
-        raise CertificateError("lyapunov", msg)
+    if isinstance(ly, LyapunovFailure):
+        raise CertificateError("lyapunov", str(ly))
 
     sq_small = model.mu.moment(2.0, 0.0, 1.0)
     nu_cube = model.nu.integrate(lambda z: min(1.0, z**3))
     hi = min(c0, 1.0) * (1.0 - 1e-9)
     lo = min(1e-4, hi / 8.0)
+    x0_constants = functools.cache(lambda x0: _x0_constants(model, x0, nu_cube, sq_small))
 
-    per_x0 = {}  # x0 -> _x0_constants(x0), for this call only
-
-    def x0_constants(x0):
-        if x0 not in per_x0:
-            per_x0[x0] = _x0_constants(model, x0, nu_cube, sq_small)
-        return per_x0[x0]
-
-    xs = table[0]
     best = None  # the constants of the largest lam so far; the first of equals wins
     for lam0, psi0 in cand0:
         minima = _kappa_minima(model, lam0, table)
         if minima is None:  # kappa's grid is not representable
             continue
-        for c1, c0_ly in ly_cands:
+        for c1, c0_ly in ly.pairs:
             l_cut = max(1.0, weight.inverse(12.0 * c0_ly / c1))
             if not np.isfinite(l_cut):
                 continue
@@ -499,10 +489,12 @@ def _as_dist(d):
     probs = np.asarray(probs, dtype=float)
     if atoms.shape != probs.shape or atoms.ndim != 1:
         raise ValueError("a discrete distribution is (atoms, probs) of equal 1-d shape")
+    if not ((atoms >= 0.0) & (atoms < math.inf)).all():
+        raise ValueError("atoms must be finite states >= 0")
     if (probs < -1e-15).any():
         raise ValueError("negative probabilities")
-    if abs(probs.sum() - 1.0) > 1e-12:
-        raise ValueError(f"distribution not normalized: sum = {probs.sum()!r}")
+    if not abs(probs.sum() - 1.0) <= 1e-12:  # also refuses a nan probability
+        raise ValueError(f"distribution not normalized: sum = {float(probs.sum())!r}")
     return atoms, probs
 
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional, Tuple
+from typing import Callable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -162,7 +162,7 @@ class LyapunovDrift:
     integral, the log tail and the immigration log moment (a deliberately
     different assembly from apply_generator's single composite integrand, so
     the two routes cross-check each other).  Every call evaluates afresh: a
-    caller that needs the values twice keeps them, as lyapunov_candidates
+    caller that needs the values twice keeps them, as lyapunov_certify
     does for its grid.
     """
 
@@ -209,6 +209,7 @@ class LyapunovCertificate:
     margin: float
     grid_x: np.ndarray
     grid_margin: np.ndarray  # LV + C1 V - C0 (<= 0 everywhere)
+    pairs: List[Tuple[float, float]]  # every feasible (C1, C0), largest C1 first
 
 
 @dataclass(frozen=True)
@@ -262,43 +263,33 @@ def _feasible_c0(weight: WeightFunction, c1: float, grid, lv_vals):
     return max(sup * (1.0 + 1e-9) + 1e-300, 1e-12)
 
 
-def lyapunov_candidates(model: ModelSpec, weight: WeightFunction):
-    """(margin, [(c1, c0), ...], drift, LV on the grid) with c1 swept below the margin.
+def lyapunov_certify(model: ModelSpec, weight: WeightFunction):
+    """Largest-C1 Lyapunov certificate, or a :class:`LyapunovFailure` report.
 
-    Nothing is evaluated on the grid when the margin is not positive: LV is then None.
+    LV is evaluated once on the check grid, and C1 is swept geometrically below
+    the asymptotic margin; the certificate lists every feasible (C1, C0) pair.
     """
     drift = LyapunovDrift(model, weight)
     margin = lyapunov_margin(model, weight)
-    if margin <= 0:
-        return margin, [], drift, None
-    c1max = min(margin, _C1_CAP) if np.isfinite(margin) else _C1_CAP
     grid = _lyapunov_grid()
     lv_vals = drift.many(grid)
-    out = []
-    for k in range(_SWEEP_DEPTH):
-        c1 = c1max * 2.0**-k
-        c0 = _feasible_c0(weight, c1, grid, lv_vals)
-        if c0 is not None:
-            out.append((c1, c0))
-    return margin, out, drift, lv_vals
-
-
-def lyapunov_certify(model: ModelSpec, weight: WeightFunction):
-    """Largest-C1 Lyapunov certificate, or a :class:`LyapunovFailure` report."""
-    margin, cands, drift, lv_vals = lyapunov_candidates(model, weight)
-    grid = _lyapunov_grid()
-    if lv_vals is None:
-        lv_vals = drift.many(grid)
     if margin <= 0:
         reason = "asymptotic drift margin is not positive"
         if float(lv_vals.min()) > 0:
             reason += "; LV is bounded below by a positive constant on the grid"
         return LyapunovFailure(margin, float(lv_vals.min()), reason)
-    if not cands:
+    c1max = min(margin, _C1_CAP) if np.isfinite(margin) else _C1_CAP
+    pairs = []
+    for k in range(_SWEEP_DEPTH):
+        c1 = c1max * 2.0**-k
+        c0 = _feasible_c0(weight, c1, grid, lv_vals)
+        if c0 is not None:
+            pairs.append((c1, c0))
+    if not pairs:
         return LyapunovFailure(margin, float(lv_vals.min()), "no feasible C1 in the sweep")
-    c1, c0 = cands[0]
+    c1, c0 = pairs[0]
     h = lv_vals + c1 * np.asarray(weight.value(grid), dtype=float)
-    return LyapunovCertificate(c0, c1, weight, margin, grid, h - c0)
+    return LyapunovCertificate(c0, c1, weight, margin, grid, h - c0, pairs)
 
 
 # -- coupling control surface -------------------------------------------------

@@ -14,7 +14,6 @@ raises :class:`QuadratureError`.
 from __future__ import annotations
 
 import math
-import warnings
 
 import numpy as np
 from scipy import integrate as _sciint
@@ -43,11 +42,10 @@ def _pieces(lo, hi, breakpoints):
 
 
 def _quad_piece(fn, a, b):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", _sciint.IntegrationWarning)
-        val, err, info, *msg = _sciint.quad(
-            fn, a, b, epsabs=ABS_TOL, epsrel=REL_TOL, limit=_LIMIT, full_output=1
-        )
+    # with full_output, QUADPACK's complaint comes back as msg instead of a warning
+    val, err, info, *msg = _sciint.quad(
+        fn, a, b, epsabs=ABS_TOL, epsrel=REL_TOL, limit=_LIMIT, full_output=1
+    )
     if msg:
         # QUADPACK gave up; accept the value only if the error estimate is
         # still meaningfully below the result scale.

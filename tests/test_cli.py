@@ -19,6 +19,7 @@ from cbic import cli
 from cbic.cli import run
 from cbic.config import ConfigError, load_config, parse_measure
 from cbic.ergodicity import estimate_wv_decay, write_decay_csv, wv_exact_discrete
+from cbic.mechanisms import CompetitionMechanism
 from cbic.quadrature import QuadratureError
 from cbic.simulator import simulate_coupled_ensemble
 
@@ -425,6 +426,59 @@ class TestSubcommands:
             assert code == 0
             outs.append((out / "simulate.csv").read_bytes())
         assert outs[0] == outs[1]
+
+
+class TestWvInput:
+    """A malformed law exits 2 with one config-error line naming its file."""
+
+    @staticmethod
+    def _laws(tmp_path, gamma_text):
+        eta = tmp_path / "eta.csv"
+        eta.write_text("atom,prob\n0.0,0.75\n1.0,0.25\n")
+        if gamma_text is None:
+            return str(tmp_path / "missing.csv"), str(eta)
+        gamma = tmp_path / "gamma.csv"
+        gamma.write_text(gamma_text)
+        return str(gamma), str(eta)
+
+    @pytest.mark.parametrize("text, message", [
+        (None, "missing.csv: No such file or directory"),
+        ("atom,prob\n0.0 0.25\n1.0,0.75\n", "every row needs atom,prob"),
+        ("atom,prob\n0.0,x\n1.0,0.75\n", "could not convert string to float: 'x'"),
+        ("atom,prob\n0.0,-0.25\n1.0,1.25\n", "negative probabilities"),
+        ("atom,prob\n0.0,0.5\n1.0,0.75\n", "not normalized: sum = 1.25"),
+        ("atom,prob\n0.0,nan\n", "not normalized: sum = nan"),
+        ("atom,prob\n-1.0,1.0\n", "atoms must be finite states >= 0"),
+        ("x,p\n0.0,0.25\n1.0,0.75\n", "expected header atom,prob"),
+    ], ids=["missing-file", "no-comma", "non-numeric", "negative-prob", "sum-not-1", "nan-prob",
+            "negative-atom", "header"])
+    def test_bad_law_is_one_config_line(self, tmp_path, text, message):
+        gamma, eta = self._laws(tmp_path, text)
+        code, err, runtime = _run_recording(["wv", "--gamma", gamma, "--eta", eta])
+        assert not runtime, runtime
+        assert code == 2
+        assert err.startswith(f"config error: {gamma}: ") and message in err, err
+        assert len(err.strip().splitlines()) == 1
+
+    def test_blank_lines_are_skipped(self, tmp_path, capsys):
+        outs = []
+        for text in ("atom,prob\n0.0,0.25\n1.0,0.75\n", "atom,prob\n\n0.0,0.25\n \n1.0,0.75\n\n"):
+            gamma, eta = self._laws(tmp_path, text)
+            assert run(["wv", "--gamma", gamma, "--eta", eta, "--weight", "vlog"]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1] and outs[0].startswith("wv_exact = ")
+
+
+def test_linear_competition_enters_the_lyapunov_constants(tmp_path, capsys):
+    """ergodic_v1 with g = 0.2 x: the sweep tops out at C1 = b + a = 0.7."""
+    with open(os.path.join(CONFIGS, "ergodic_v1.cfg")) as fh:
+        text = fh.read()
+    assert "g = none" in text
+    path = tmp_path / "model.cfg"
+    path.write_text(text.replace("g = none", "g = linear a=0.2"))
+    assert load_config(str(path)).model.g == CompetitionMechanism.linear(0.2)
+    assert run(["lyapunov", "--model", str(path)]) == 0
+    assert capsys.readouterr().out.startswith("Lyapunov certificate: C0 = 0.3000000003, C1 = 0.7 ")
 
 
 def _numeric_fields():

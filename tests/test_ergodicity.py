@@ -14,6 +14,7 @@ from cbic.generator import (
     _f0_consts,
     _f0_row,
     _gap_terms,
+    lyapunov_certify,
 )
 from cbic.ergodicity import (
     CertificateError,
@@ -141,6 +142,41 @@ class TestCertificatePipeline:
         with pytest.raises(CertificateError) as err:
             compute_rate_certificate(model, V1, grid=11)
         assert err.value.step == "fluctuation"
+
+    @pytest.mark.parametrize("atoms, positive", [
+        ([(0.5, 1.0)], []),
+        ([(1.0, 1.0), (2.0, 1.0)], [1.0]),
+    ], ids=["no-overlap", "overlap-only-at-1"])
+    def test_fluctuation_fails_without_overlap_next_to_zero(self, atoms, positive):
+        model = ModelSpec(
+            BranchingMechanism(1.0, 0.0, LevyMeasure.from_atoms(atoms)), ImmigrationMechanism(0.3)
+        )
+        xs, vals = _overlap_table(model)
+        assert list(xs[1:][vals[1:] > 1e-12]) == positive  # x = 0 overlaps all of mu
+        with pytest.raises(CertificateError, match="overlap masses vanish near 0") as err:
+            compute_rate_certificate(model, V1, grid=11)
+        assert err.value.step == "fluctuation"
+
+    def test_c0_ends_the_leading_run_of_overlap(self):
+        # the uniform part overlaps on (0, 1/4), the atoms again at x = 1/2 only
+        atoms = LevyMeasure.from_atoms([(0.25, 1.0), (0.75, 1.0)])
+        mu = LevyMeasure.sum_of([LevyMeasure.uniform(1.0, 0.0, 0.25), atoms])
+        model = ModelSpec(BranchingMechanism(1.0, 0.0, mu), ImmigrationMechanism(0.3))
+        xs, vals = _overlap_table(model)
+        assert (vals[1:64] > 1e-12).all() and not (vals[64:128] > 1e-12).any()
+        assert vals[128] > 1e-12 and xs[128] == 0.5
+        assert compute_rate_certificate(model, V1, grid=11).c0 == xs[63]
+
+    def test_no_feasible_c1_fails_at_lyapunov_step(self):
+        # g = 1e-4 x^1.1 outgrows no swept C1 x on the Lyapunov grid
+        model = ModelSpec(BranchingMechanism(0.0, 0.5), ImmigrationMechanism(0.3),
+                          CompetitionMechanism.power(1e-4, 1.1))
+        failure = lyapunov_certify(model, V1)
+        assert failure.reason == "no feasible C1 in the sweep"
+        with pytest.raises(CertificateError) as err:
+            compute_rate_certificate(model, V1, grid=11)
+        assert err.value.step == "lyapunov"
+        assert str(err.value) == f"[lyapunov] {failure}"
 
     def test_f0_contraction_below_threshold_gap(self, ergodic_v1_model, ergodic_cert):
         # the F0 drift alone contracts at rate lambda2 wherever the gap <= l

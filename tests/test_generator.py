@@ -184,6 +184,29 @@ class TestLyapunovCertify:
         assert res.lv_grid_min >= 0.5 * min(1.3, 0.7)
         assert "positive constant" in res.reason
 
+    def test_pairs_are_every_feasible_c1_largest_first(self, ergodic_v1_model):
+        cert = lyapunov_certify(ergodic_v1_model, V1)
+        assert (cert.c1, cert.c0) == cert.pairs[0]
+        c1s = [c1 for c1, _ in cert.pairs]
+        assert len(c1s) > 1 and c1s == sorted(c1s, reverse=True)
+        lv = LyapunovDrift(ergodic_v1_model, V1).many(cert.grid_x)
+        for c1, c0 in cert.pairs:
+            assert (lv + c1 * cert.grid_x <= c0).all()
+
+    def test_no_feasible_c1_in_the_sweep(self):
+        """g = 1e-4 x^1.1 makes the margin infinite, but it overtakes C1 x only
+        beyond x = 1e6 for every swept C1, so no sup closes on the grid; b = 0.5
+        closes it."""
+
+        def model(b):
+            return ModelSpec(BranchingMechanism(b, 0.5), ImmigrationMechanism(0.3),
+                             CompetitionMechanism.power(1e-4, 1.1))
+
+        res = lyapunov_certify(model(0.0), V1)
+        assert isinstance(res, LyapunovFailure)
+        assert res.reason == "no feasible C1 in the sweep" and res.margin == math.inf
+        assert isinstance(lyapunov_certify(model(0.5), V1), LyapunovCertificate)
+
 
 def _control(theta=6.0, lambda0=0.8, x0=0.25, l=2.0, psi0=0.5, eps=1.0):
     return CouplingControl(

@@ -1,10 +1,15 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from scipy import integrate as sciint
 
 from cbic.mechanisms import BranchingMechanism, LevyMeasure, psi_eval
-from cbic.quadrature import QuadratureError, integrate, lower_integral, tail_integral
+from cbic.quadrature import (
+    ABS_TOL, REL_TOL, QuadratureError, _LIMIT, _quad_piece, integrate, lower_integral,
+    tail_integral,
+)
 
 
 class TestIntegrate:
@@ -70,3 +75,31 @@ class TestLowerIntegral:
     def test_smooth_integrand(self):
         got = lower_integral(lambda z: math.cos(z), 0.0, 1.0)
         assert got == pytest.approx(math.sin(1.0), rel=1e-9)
+
+
+class TestQuadPiece:
+    """QUADPACK's complaints reach _quad_piece as a message, never as a warning."""
+
+    @staticmethod
+    def _message(fn):
+        out = sciint.quad(fn, 0.0, 1.0, epsabs=ABS_TOL, epsrel=REL_TOL, limit=_LIMIT,
+                          full_output=1)
+        return out[3] if len(out) > 3 else None
+
+    def test_non_convergent_piece_raises_only_quadrature_error(self):
+        assert self._message(lambda z: 1.0 / z) is not None
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(QuadratureError, match="did not converge") as err:
+                _quad_piece(lambda z: 1.0 / z, 0.0, 1.0)
+        assert err.value.interval == (0.0, 1.0)
+        assert len(str(err.value).splitlines()) == 1
+
+    def test_accepted_hard_piece_warns_nothing(self):
+        # sin(1/z) exhausts the subdivision limit with an acceptable error estimate
+        assert self._message(lambda z: math.sin(1.0 / z)) is not None
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _quad_piece(lambda z: math.sin(1.0 / z), 0.0, 1.0)
+        # int_0^1 sin(1/z) dz = sin(1) - Ci(1)
+        assert got == pytest.approx(0.5040670619069283, abs=1e-4)
