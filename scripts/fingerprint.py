@@ -14,7 +14,13 @@ outputs shows whether a change left every output byte-identical.  The
 configs are the shipped ones plus four fixed models written below; every
 command runs on every config but the pure-jump one, which runs its own two
 starts at 0, two runs of several 1024-path blocks on three of them, and
-``rate`` at the benchmark's grid of 101 on two.  Nothing is timed.
+``rate`` at the benchmark's grid of 101 on two.  No CLI output shows the
+coupled stepper's event log, so each ``couple`` run adds one more line,
+``<config> <label> lasso_events <sha256>``: the hash of ``repr`` of the
+``lasso_events`` of the same ensemble (config, overrides, seed, start, paths
+and t_end resolved as the CLI resolves them), run again in a fresh process
+through ``simulate_coupled_ensemble(..., _record_events=True)``.  Nothing is
+timed.
 """
 
 from __future__ import annotations
@@ -173,6 +179,20 @@ WV_COMMANDS = (
 )
 
 
+# the event log of a ``couple`` run: its argv resolved by the CLI's own parser
+EVENTS = """\
+import sys
+from cbic import cli, simulator
+args = cli._build_parser().parse_args(sys.argv[1:])
+run, sim, _ = cli._load(args)
+try:
+    res = simulator.simulate_coupled_ensemble(run.model, args.x0, args.y0, sim, _record_events=True)
+    print(repr(res.lasso_events))
+except simulator.SimulationError as exc:
+    print(f"SimulationError: {exc}")
+"""
+
+
 def _configs():
     out = {}
     for name in SHIPPED:
@@ -221,6 +241,11 @@ def _run(src, work, cfg_name, files, label, argv):
         f"{cfg_name} {label} stdout {_sha(proc.stdout)}",
         f"{cfg_name} {label} stderr {_sha(proc.stderr)}",
     ]
+    if label.startswith("couple"):
+        proc = subprocess.run(
+            [sys.executable, "-c", EVENTS, *argv], cwd=run_dir, env=env, capture_output=True
+        )
+        lines.append(f"{cfg_name} {label} lasso_events {_sha(proc.stdout + proc.stderr)}")
     out_dir = os.path.join(run_dir, "out")
     for name in sorted(os.listdir(out_dir)) if os.path.isdir(out_dir) else ():
         with open(os.path.join(out_dir, name), "rb") as fh:

@@ -414,23 +414,19 @@ def validate_certificate(
 
     - once per call: lambda1 and the bound's other point-free factors
       (:func:`~cbic.generator._f0_consts`) and int_0^1 z^2 mu;
-    - per gap: the overlap masses of mu and nu, psi(gap) and e^(-lambda0 gap);
+    - per gap: the overlap masses of mu and nu;
     - per x-row: LV(x), V(x), phi(x), phi'(x), g(x), the bound's i and j terms
       and the gap-free half of the immigration sweep term
       (:func:`~cbic.generator._f0_row`);
-    - per point: LV(y), V(y), the sweep term's overlap half and, where
-      rounding makes x - y differ from the grid gap, psi and the exponential
-      at x - y.
+    - per point: LV(y), V(y), the sweep term's overlap half, and psi and the
+      exponential at x - y.
     """
     ctrl = cert.control()
     weight = cert.weight
     drift = LyapunovDrift(model, weight)
     xs = np.geomspace(1e-4, 1e4, grid)
     gaps = [float(g) for g in np.geomspace(1e-4, 2.0 * cert.l, grid)]
-    per_gap = [
-        (g, *_gap_terms(ctrl, g), overlap_mass(model.mu, g), overlap_mass(model.nu, g))
-        for g in gaps
-    ]
+    per_gap = [(g, overlap_mass(model.mu, g), overlap_mass(model.nu, g)) for g in gaps]
     sq_small = model.mu.moment(2.0, 0.0, 1.0)
     k = _f0_consts(model, ctrl)
     rows = []
@@ -441,12 +437,12 @@ def validate_certificate(
         lv_x = drift(x)
         row = _f0_row(model, ctrl, x, sq_small)
         v_x = float(weight.value(x))
-        for g, psi_g, e_g, mum, num in per_gap:
+        for g, mum, num in per_gap:
             if g > x:
                 continue
             y = float(x - g)
             gap = x - y
-            psig, eg = (psi_g, e_g) if gap == g else _gap_terms(ctrl, gap)
+            psig, eg = _gap_terms(ctrl, gap)
             f0 = _coupling_F0_bound(model, ctrl, k, row, y, gap, psig, eg, mum, num)
             lhs = cert.epsilon * f0 + lv_x + drift(y)
             # -lam G0(x, y) = -lam (eps F0(x, y) + V(x) + V(y)), F0 = phi(x) (1 + psi(x - y))

@@ -676,10 +676,8 @@ def simulate_ensembles(
     runs, cols = [], []
     for x0, seed in starts:
         x0 = np.broadcast_to(np.asarray(x0, dtype=float), (cfg.n_paths,))
-        if (x0 < 0).any():
-            raise SimulationError("initial states must be >= 0")
-        if (x0 > cfg.x_max).any():
-            raise SimulationError("initial states must not exceed x_max")
+        if not ((0 <= x0) & (x0 <= cfg.x_max)).all():  # NaN fails too
+            raise SimulationError(f"initial states must lie in [0, x_max = {cfg.x_max:g}]")
         # x_ref enters a plan only through eps_mu: starts resolving the same
         # level share one plan, so their lanes can be stepped together
         plan = _Plan(model, cfg, float(np.max(x0)))
@@ -712,7 +710,7 @@ class _LassoRates:
 
     def __init__(self, measure: LevyMeasure, eps: float):
         self.zero = measure.is_zero or eps <= 0.0
-        self.eps = eps
+        self.eps = 0.0 if self.zero else eps  # no sub-eps gap doubling without rates
         if self.zero:
             return
         if measure.kind == "stable":
@@ -760,46 +758,48 @@ class _CoupledState:
         self.events: Optional[list] = [] if record_events else None
 
 
-def _apply_jump_events(state, counts, sampler, has_u, x_start, plan, s, t_now):
-    """Disassemble jump events sequentially; returns nothing (in-place)."""
-    mu = plan.model.mu if has_u else plan.model.nu
-    kmax = int(counts.max()) if counts.size else 0
-    for k in range(kmax):
+def _log_events(events: list, t_now: float, sign: str, gap, dx, dy) -> None:
+    """Log one lasso event (t_now, sign, pre-event gap, leader jump, follower
+    jump) per entry of the arrays ``gap``, ``dx`` and ``dy``."""
+    events.extend((t_now, sign, float(a), float(b), float(c)) for a, b, c in zip(gap, dx, dy))
+
+
+def _apply_jump_events(state, counts, measure, sampler, src, dis, x_start, t_now):
+    """Disassemble ``counts[i]`` jump events of path i, one pass per event index, in place.
+
+    The events are of one kind, branching or immigration, with jumps z from
+    ``measure`` above eps.  Each event draws z with ``sampler``, from a
+    selector and a position uniform of the kind's stream ``src``.  A branching
+    event then draws u from ``src``, uniform on (0, x_start] with ``x_start``
+    the leader's step-start state: for u in the strip (Y, X] the leader jumps
+    alone.  Immigration events, ``x_start`` None, have no strip.  Every event
+    draws v from the disassembly stream ``dis``: v <= rho_up merges the pair,
+    rho_up < v <= rho_up + rho_dn doubles the gap, and otherwise the pair
+    shares z.  rho_up and rho_dn are the overlap-measure ratios at -gap and
+    gap (``rn_ratio_many``).  The follower's new state is one of these four
+    cases; merges and doublings of an open gap are logged when events are
+    recorded.
+    """
+    for k in range(int(counts.max())):
         act = counts > k
         na = int(act.sum())
-        src = s.mu if has_u else s.nu
+        xa, ya = state.x[act], state.y[act]
         z = sampler.draw(src.random(na), src.random(na))
-        u = src.random(na) * x_start[act] if has_u else None
-        v = s.dis.random(na)
-        xa = state.x[act]
-        ya = state.y[act]
+        alone = np.zeros(na, dtype=bool) if x_start is None else src.random(na) * x_start[act] > ya
+        v = dis.random(na)
         gap = xa - ya
-        if has_u:
-            leader_only = u > ya  # u in (Y, X]: leader jumps alone
-        else:
-            leader_only = np.zeros(na, dtype=bool)
-        rho_up = rn_ratio_many(mu, -gap, z)
-        rho_dn = rn_ratio_many(mu, gap, z)
-        merge = (~leader_only) & (v <= rho_up)
-        down = (~leader_only) & (v > rho_up) & (v <= rho_up + rho_dn)
-        xa_new = xa + z
-        ya_new = ya.copy()
-        shared = ~(leader_only | merge | down)
-        ya_new[shared] += z[shared]
-        ya_new[merge] = xa_new[merge]
-        ya_new[down] += z[down] - gap[down]
-        if state.events is not None:
-            # (time, sign, pre-event gap, leader jump, follower jump)
-            for i in np.nonzero(merge & (gap > GAP_TOL))[0]:
-                state.events.append(
-                    (t_now, "+", float(gap[i]), float(z[i]), float(ya_new[i] - ya[i]))
-                )
-            for i in np.nonzero(down & (gap > GAP_TOL))[0]:
-                state.events.append(
-                    (t_now, "-", float(gap[i]), float(z[i]), float(ya_new[i] - ya[i]))
-                )
-        state.x[act] = xa_new
+        rho_up = rn_ratio_many(measure, -gap, z)
+        rho_dn = rn_ratio_many(measure, gap, z)
+        merge = ~alone & (v <= rho_up)
+        down = ~alone & (v > rho_up) & (v <= rho_up + rho_dn)
+        state.x[act] = xa_new = xa + z
+        # nested np.where: np.select costs several times as much on a pass's few events
+        ya_new = np.where(alone, ya, np.where(merge, xa_new, np.where(down, ya + (z - gap), ya + z)))
         state.y[act] = ya_new
+        if state.events is not None:
+            for sign, m in (("+", merge), ("-", down)):
+                m = m & (gap > GAP_TOL)
+                _log_events(state.events, t_now, sign, gap[m], z[m], ya_new[m] - ya[m])
 
 
 def _step_coupled(state: _CoupledState, g: _Group, lasso_mu, lasso_nu, dt, t_now):
@@ -830,52 +830,37 @@ def _step_coupled(state: _CoupledState, g: _Group, lasso_mu, lasso_nu, dt, t_now
         state.y = state.y + np.where(state.coupled, g1, -g1) + gc
     # branching events (thinning at the step-start leader state)
     if plan.mu_rate > 0:
-        lam = x * plan.mu_rate * dt
-        counts = s.mu.poisson(np.where(live, lam, 0.0))
-        _apply_jump_events(state, counts, plan.mu_sampler, True, x, plan, s, t_now)
+        counts = s.mu.poisson(np.where(live, x * plan.mu_rate * dt, 0.0))
+        _apply_jump_events(state, counts, plan.model.mu, plan.mu_sampler, s.mu, s.dis, x, t_now)
     # immigration events
     if plan.nu_rate > 0:
-        counts = s.nu.poisson(plan.nu_rate * dt, size=n)
-        counts = np.where(live, counts, 0)
-        _apply_jump_events(state, counts, plan.nu_sampler, False, x, plan, s, t_now)
+        counts = np.where(live, s.nu.poisson(plan.nu_rate * dt, size=n), 0)
+        _apply_jump_events(state, counts, plan.model.nu, plan.nu_sampler, s.nu, s.dis, None, t_now)
     # sub-eps lasso corrections (merge / gap doubling carried by small jumps)
     if not (lasso_mu.zero and lasso_nu.zero):
-        u_up = s.dis.random(n)
-        u_dn = s.dis.random(n)
-        z_dn = s.dis.random(n)
+        u_up, u_dn, z_dn = s.dis.random(n), s.dis.random(n), s.dis.random(n)
         gap = state.x - state.y
         open_mask = live & ~state.coupled & (gap > GAP_TOL)
-        rate_up = state.y * lasso_mu.up(np.maximum(gap, 0.0)) + lasso_nu.up(np.maximum(gap, 0.0))
+        gap_c = np.maximum(gap, 0.0)
+        rate_up = state.y * lasso_mu.up(gap_c) + lasso_nu.up(gap_c)
         fire_up = open_mask & (u_up < np.minimum(rate_up * dt, 1.0))
-        if fire_up.any():
-            if state.events is not None:
-                for i in np.nonzero(fire_up)[0]:
-                    state.events.append((t_now, "+", float(gap[i]), 0.0, float(gap[i])))
-            state.y[fire_up] = state.x[fire_up]
-        rate_dn = state.y * lasso_mu.down(np.maximum(gap, 0.0)) + lasso_nu.down(
-            np.maximum(gap, 0.0)
-        )
+        if state.events is not None:
+            _log_events(state.events, t_now, "+", gap[fire_up], np.zeros(n)[fire_up], gap[fire_up])
+        state.y[fire_up] = state.x[fire_up]
+        rate_dn = state.y * lasso_mu.down(gap_c) + lasso_nu.down(gap_c)
         fire_dn = open_mask & ~fire_up & (u_dn < np.minimum(rate_dn * dt, 1.0))
-        if fire_dn.any():
-            eps_m = max(lasso_mu.eps if not lasso_mu.zero else 0.0,
-                        lasso_nu.eps if not lasso_nu.zero else 0.0)
-            zz = gap[fire_dn] + (eps_m - gap[fire_dn]) * z_dn[fire_dn]
-            if state.events is not None:
-                for i_local, i in enumerate(np.nonzero(fire_dn)[0]):
-                    state.events.append(
-                        (t_now, "-", float(gap[i]), float(zz[i_local]),
-                         float(zz[i_local] - gap[i]))
-                    )
-            state.x[fire_dn] += zz
-            state.y[fire_dn] += zz - gap[fire_dn]
+        gap_dn = gap[fire_dn]
+        zz = gap_dn + (max(lasso_mu.eps, lasso_nu.eps) - gap_dn) * z_dn[fire_dn]
+        if state.events is not None:
+            _log_events(state.events, t_now, "-", gap_dn, zz, zz - gap_dn)
+        state.x[fire_dn] += zz
+        state.y[fire_dn] += zz - gap_dn
     # clamp, merge detection, explosion
     state.x = np.maximum(state.x, 0.0)
     state.y = np.maximum(state.y, 0.0)
     crossed = live & ~state.coupled & (state.y >= state.x - GAP_TOL)
-    if crossed.any():
-        state.y[crossed] = state.x[crossed]
-        state.coupled |= crossed
-        state.t_couple[crossed] = t_now + dt
+    state.coupled |= crossed
+    state.t_couple[crossed] = t_now + dt
     state.y = np.where(state.coupled, state.x, state.y)
     boom = live & ~((state.x <= plan.x_max) & (state.y <= plan.x_max))  # exploded or NaN
     if boom.any():
@@ -899,8 +884,8 @@ def simulate_coupled_ensemble(
     """Coupled-pair ensemble; leader starts at x0 >= follower y0."""
     x0 = np.broadcast_to(np.asarray(x0, dtype=float), (cfg.n_paths,))
     y0 = np.broadcast_to(np.asarray(y0, dtype=float), (cfg.n_paths,))
-    if (y0 < 0).any() or (x0 < y0).any():
-        raise SimulationError("coupled start needs x0 >= y0 >= 0")
+    if not ((0 <= y0) & (y0 <= x0) & (x0 <= cfg.x_max)).all():  # NaN fails too
+        raise SimulationError(f"coupled start needs 0 <= y0 <= x0 <= x_max = {cfg.x_max:g}")
     # coupling always runs on the thinning representation of the jumps
     plan = _Plan(model, cfg, float(np.max(x0)) if x0.size else 1.0, force_thinning=True)
     lasso_mu = _LassoRates(model.mu, plan.eps_mu)

@@ -123,9 +123,27 @@ class TestExitCodes:
         "[branching]\nb = 0.5\nc = inf\n",
         "[branching]\nb = 0.5\nmu = uniform rate=nan lo=0 hi=1\n",
         "[branching]\nb = 0.5\nmu = atoms 2.0:inf\n",
+        "[branching]\nb = 0.5\nmu = uniform rate\n",
+        "[branching]\nb = 0.5\nmu =\n",
+        "[branching]\nb = 0.5\nmu = uniform rate=1 lo=0\n",
+        "[branching]\nb = 0.5\nmu = atoms 2.0\n",
+        "[branching]\nb = 0.5\nmu = atoms\n",
+        "[branching]\nb = 0.5\nmu = stable alpha=1.5 sigma=-1\n",
+        "[branching]\nb = 0.5\n[competition]\ng =\n",
+        "[branching]\nb = 0.5\n[competition]\ng = power k=1\n",
+        "[branching]\nb = 0.5\n[competition]\ng = xlog\n",
+        "[branching]\nb = 0.5\n[competition]\ng = cubic\n",
+        "[branching]\nb = 0.5\n[competition]\ng = linear a=-1\n",
+        "[branching]\nb = 0.5\n[competition]\ng = power k=-1 p=1.5\n",
+        "[branching]\nb = 0.5\n[sim]\nx_max = 0\n",
+        "[branching]\nb = 0.5\n[certificate]\nweight = v2\n",
     ], ids=["eps", "no-section-header", "duplicate-option",
             "interpolation", "atom-mass", "fractional-paths", "fractional-seed",
-            "zero-dt", "nan-dt", "negative-seed", "nan-b", "inf-c", "nan-rate", "inf-atom"])
+            "zero-dt", "nan-dt", "negative-seed", "nan-b", "inf-c", "nan-rate", "inf-atom",
+            "key-without-value", "empty-measure", "uniform-without-hi", "atom-without-mass",
+            "atoms-without-entries", "negative-sigma", "empty-competition",
+            "power-without-p", "xlog-without-k", "unknown-competition", "negative-slope",
+            "negative-power-k", "zero-x-max", "unknown-weight"])
     def test_config_error_is_one_line(self, tmp_path, capsys, text):
         bad = tmp_path / "bad.cfg"
         bad.write_text(text)
@@ -177,6 +195,34 @@ class TestExitCodes:
         assert run(["simulate"]) == 2
         err = capsys.readouterr().err
         assert err == "cbic simulate: error: the following arguments are required: --model\n"
+
+    def test_missing_config_file_is_one_line(self, tmp_path, capsys):
+        code = run(["lyapunov", "--model", str(tmp_path / "absent.cfg")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: cannot read config file ")
+        assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--x0", "-1"],
+        ["simulate", "--x0", "nan"],
+        ["simulate", "--x0", "1e9"],
+        ["couple", "--y0", "-1"],
+        ["couple", "--x0", "1", "--y0", "2"],
+        ["couple", "--x0", "nan"],
+        ["couple", "--y0", "nan"],
+        ["couple", "--x0", "1e9"],
+    ], ids=lambda argv: " ".join(argv))
+    def test_bad_start_is_one_line(self, ergodic_cfg, tmp_path, capsys, argv):
+        # x_max is 1e8; the start is refused before any step or output file
+        out = tmp_path / "out"
+        code = run([*argv, "--model", ergodic_cfg, "--out", str(out),
+                    "--paths", "4", "--t-end", "0.002"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "x_max" in err
+        assert len(err.strip().splitlines()) == 1
+        assert not out.exists()
 
     def test_help_exits_zero(self, capsys):
         assert run(["rate", "--help"]) == 0
@@ -414,6 +460,17 @@ class TestSubcommands:
         wv_exact_discrete((np.array(atoms), np.array(probs)),
                           (np.array(atoms), np.array(probs)),
                           load_config(ergodic_cfg).weight)
+
+    def test_stationary_not_converged_exits_one(self, ergodic_cfg, tmp_path, capsys):
+        # the same run passes the two-start check after a burn-in of 20 and
+        # fails it after 0.1, when the chains started at 8 have not come down
+        for burn_in, code in (("20", 0), ("0.1", 1)):
+            got = run(["stationary", "--model", ergodic_cfg, "--out", str(tmp_path),
+                       "--samples", "64", "--dt", "1e-2", "--seed", "1", "--burn-in", burn_in])
+            err = capsys.readouterr().err
+            assert got == code, err
+            assert err == ("" if code == 0 else
+                           "stationary: two-start diagnostic ABOVE threshold (not converged)\n")
 
     def test_reruns_are_byte_identical(self, ergodic_cfg, tmp_path):
         outs = []
