@@ -13,8 +13,9 @@ exits 2.  Running the script against two source trees and diffing the two
 outputs shows whether a change left every output byte-identical.  The
 configs are the shipped ones plus four fixed models written below; every
 command runs on every config but the pure-jump one, which runs its own two
-starts at 0, two runs of several 1024-path blocks on three of them, and
-``rate`` at the benchmark's grid of 101 on two.  No CLI output shows the
+starts at 0, two runs of several 1024-path blocks on three of them,
+``rate`` at the benchmark's grid of 101 on two, and a ``couple`` start with
+a gap of 0.01 (x0 = 1, y0 = 0.99) on two stable ones.  No CLI output shows the
 coupled stepper's event log, so each ``couple`` run adds one more line,
 ``<config> <label> lasso_events <sha256>``: the hash of ``repr`` of the
 ``lasso_events`` of the same ensemble (config, overrides, seed, start, paths
@@ -159,6 +160,14 @@ WIDE_COMMANDS = (
 GRID_CONFIGS = ("ergodic_v1", "nu_jump")
 GRID_COMMANDS = (("rate-grid101", ["rate", "--grid", "101"]),)
 
+# a small-gap start on two stable configs: a gap of 0.01 merges and doubles
+# within 50 steps, so these runs' event logs are not empty
+SMALL_GAP_CONFIGS = ("stable_power_vlog", "mixed_vlog")
+SMALL_GAP_COMMANDS = (
+    ("couple-x0-1-y0-0.99",
+     ["couple", "--x0", "1", "--y0", "0.99", "--paths", "100", "--t-end", "0.05"]),
+)
+
 # the only runs of the pure-jump model: a single start and a follower at 0
 PURE_JUMP_COMMANDS = (
     ("simulate-x0-0", ["simulate", "--x0", "0", "--paths", "200", "--t-end", "0.05", "--dump"]),
@@ -209,6 +218,7 @@ def _commands(cfg_name):
         COMMANDS
         + (WIDE_COMMANDS if cfg_name in WIDE_CONFIGS else ())
         + (GRID_COMMANDS if cfg_name in GRID_CONFIGS else ())
+        + (SMALL_GAP_COMMANDS if cfg_name in SMALL_GAP_CONFIGS else ())
     )
 
 

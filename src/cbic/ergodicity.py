@@ -89,7 +89,7 @@ class ValidationReport:
 # how each certificate constant is obtained, printed next to it in the report
 _PROVENANCE = {
     "lambda0": "non-triviality search over a geometric grid",
-    "c0": "largest radius with positive overlap mass (1.0 when c > 0)",
+    "c0": "end of the leading run of positive overlap masses (1.0 when c > 0)",
     "kappa": "half the grid minimum of c lam0^2 e^(-lam0 x) + overlap masses on [0, x0]",
     "x0": "golden-section search maximizing lambda",
     "l": "smallest level >= 1 with V > 12 C0/C1 beyond it",

@@ -112,7 +112,8 @@ def overlap_integrate(base: LevyMeasure, x: float, fn, lo: float = 0.0, hi: floa
     if not np.isfinite(b):
         return total + quadrature.tail_integral(integrand, a)
     pts = tuple(base.breakpoints()) + tuple(p + x for p in base.breakpoints())
-    return total + quadrature.integrate(integrand, a, b, breakpoints=pts)
+    return total + quadrature.integrate(integrand, a, b, breakpoints=pts,
+                                        singular_at_0=base.singular_at_0)
 
 
 def kappa(model: ModelSpec, x: float) -> float:

@@ -199,6 +199,11 @@ class LevyMeasure:
     def is_zero(self) -> bool:
         return self.kind == "zero"
 
+    @property
+    def singular_at_0(self) -> bool:
+        """Stable and ``from_density`` densities may blow up at 0+; a uniform one cannot."""
+        return self.kind == "stable" or self.fn is not None
+
     @summed(concat)
     def atoms(self) -> Tuple[Tuple[float, float], ...]:
         return self.atom_data
@@ -274,9 +279,8 @@ class LevyMeasure:
         a, b = max(lo, slo), min(hi, shi)
         if b > a:
             pts = tuple(self.breakpoints()) + (1.0,)
-            total += quadrature.integrate(
-                lambda z: float(fn(z)) * self._dens1(z), a, b, breakpoints=pts
-            )
+            total += quadrature.integrate(lambda z: float(fn(z)) * self._dens1(z), a, b,
+                                          breakpoints=pts, singular_at_0=self.singular_at_0)
         return total
 
     def _density_integral(self, f, lo: float, hi: float) -> float:
@@ -299,7 +303,8 @@ class LevyMeasure:
         if not np.isfinite(b):
             return total + quadrature.tail_integral(f, a)
         if b > a:
-            total += quadrature.integrate(f, a, b, breakpoints=self.breakpoints())
+            total += quadrature.integrate(f, a, b, breakpoints=self.breakpoints(),
+                                          singular_at_0=self.singular_at_0)
         return total
 
     @summed(sum)

@@ -3,10 +3,11 @@
 Every integral against a Levy measure in this package funnels through
 :func:`integrate`, so tolerances and singularity handling live in one place.
 Integrands are split at caller-supplied breakpoints (support edges, the z = 1
-compensation threshold, density discontinuities) and the piece touching zero
-is further subdivided geometrically, which keeps scipy's QUADPACK happy on
-integrable power singularities.  :func:`lower_integral` and
-:func:`tail_integral` return a plain float that is ``inf`` when the edge
+compensation threshold, density discontinuities).  Where the integrand may be
+singular at 0+ (stable and ``from_density`` densities, time integrals; not a
+uniform density), the piece touching zero is subdivided geometrically, which
+keeps QUADPACK happy on integrable power singularities.  :func:`lower_integral`
+and :func:`tail_integral` return a plain float that is ``inf`` when the edge
 singularity or the tail is not integrable; a quadrature failure on a piece
 raises :class:`QuadratureError`.
 """
@@ -62,15 +63,14 @@ def _quad_piece(fn, a, b):
     return val
 
 
-def integrate(fn, lo, hi, *, breakpoints=()):
+def integrate(fn, lo, hi, *, breakpoints=(), singular_at_0):
     """Integrate ``fn`` over (lo, hi), hi may be ``np.inf``.
 
-    The interval is split at interior ``breakpoints``; a piece with endpoint 0
-    is subdivided geometrically toward the origin so integrable singularities
-    at 0+ converge without QUADPACK roundoff complaints.
+    The interval is split at interior ``breakpoints``.  With ``singular_at_0``,
+    a finite piece starting at 0 is cut geometrically toward the origin (7
+    QUADPACK calls), so integrable singularities at 0+ converge; else it is one.
     """
-    lo = float(lo)
-    hi = float(hi)
+    lo, hi = float(lo), float(hi)
     if hi <= lo:
         return 0.0
     if np.isfinite(hi) and hi > 1e3 * max(lo, 1.0):
@@ -80,7 +80,7 @@ def integrate(fn, lo, hi, *, breakpoints=()):
         breakpoints = tuple(breakpoints) + tuple(decades)
     total = 0.0
     for a, b in _pieces(lo, hi, breakpoints):
-        if a == 0.0 and np.isfinite(b):
+        if a == 0.0 and np.isfinite(b) and singular_at_0:
             # geometric subdivision toward the origin-side singularity
             cuts = [b * 10.0**-k for k in range(6, 0, -1) if b * 10.0**-k > 0]
             prev = 0.0
@@ -134,7 +134,7 @@ def tail_integral(fn, lo):
     """
     lo = max(float(lo), 0.0)
     horizons = [max(lo, 1.0) * 10.0**k for k in range(0, 12)]
-    total = integrate(fn, lo, horizons[0])
+    total = integrate(fn, lo, horizons[0], singular_at_0=True)  # stable or from_density support
     incs = []
     for a, b in zip(horizons[:-1], horizons[1:]):
         incs.append(_quad_piece(fn, a, b))

@@ -953,9 +953,8 @@ def cbi_laplace(
     if t == 0.0:
         return math.exp(-x * lam)
     vt, sol = solve_vt(branching, lam, t, dense=True)
-    accum = quadrature.integrate(
-        lambda s: phi_eval(immigration, float(np.clip(sol.sol(s)[0], 0.0, 1e14))), 0.0, t
-    )
+    phi_at = lambda s: phi_eval(immigration, float(np.clip(sol.sol(s)[0], 0.0, 1e14)))
+    accum = quadrature.integrate(phi_at, 0.0, t, singular_at_0=True)
     return math.exp(-x * vt - accum)
 
 

@@ -165,7 +165,10 @@ class TestCertificatePipeline:
         xs, vals = _overlap_table(model)
         assert (vals[1:64] > 1e-12).all() and not (vals[64:128] > 1e-12).any()
         assert vals[128] > 1e-12 and xs[128] == 0.5
-        assert compute_rate_certificate(model, V1, grid=11).c0 == xs[63]
+        cert = compute_rate_certificate(model, V1, grid=11)
+        assert cert.c0 == xs[63]
+        assert f"      c0 = {cert.c0:.10g}    [end of the leading run of positive overlap " \
+            "masses (1.0 when c > 0)]" in render_certificate(cert).splitlines()
 
     def test_no_feasible_c1_fails_at_lyapunov_step(self):
         # g = 1e-4 x^1.1 outgrows no swept C1 x on the Lyapunov grid

@@ -19,6 +19,7 @@ from cbic.generator import (
     _f0_consts,
     _f0_row,
     _gap_terms,
+    _sweep_nu_term,
     _vlog_gammas,
     _vlog_mu_integral,
     apply_generator,
@@ -127,7 +128,7 @@ class TestIdentities:
         # int_0^inf log(1 + z/(1+x)) z^(-1-alpha) dz = pi / (alpha sin(alpha pi) (1+x)^alpha)
         w = 1.0 + x
         val = quadrature.integrate(
-            lambda z: math.log1p(z / w) * z ** (-1.0 - alpha), 0.0, math.inf
+            lambda z: math.log1p(z / w) * z ** (-1.0 - alpha), 0.0, math.inf, singular_at_0=True
         )
         want = math.pi / (alpha * math.sin(alpha * math.pi) * w**alpha)
         assert val == pytest.approx(want, rel=1e-6)
@@ -314,6 +315,33 @@ class TestCouplingGeneratorF0:
                         overlap_mass(model.mu, x - y), overlap_mass(model.nu, x - y),
                     )
                     assert got == coupling_generator_F0(model, ctrl, x, y)
+
+    def test_sweep_nu_term_closed_form_on_nu_jump(self):
+        # nu = 0.8 on (0, 0.9); its overlap at shift -gap is 0.4 on (0, 0.9 - gap).
+        # Below the cut x0 - x, phi(x+z) - phi(x) = (w - z/x0)^3 - w^3 with
+        # w = 1 - x/x0, so each piece of the term integrates in closed form.
+        # theta = 4 keeps the cancellation in phi(x+z) - phi(x) near 1e-16.
+        model = ModelSpec(
+            BranchingMechanism(0.6, 0.0, LevyMeasure.uniform(1.0, 0.0, 1.0)),
+            ImmigrationMechanism(0.2, LevyMeasure.uniform(0.8, 0.0, 0.9)),
+            CompetitionMechanism.none(),
+        )
+        ctrl = _control(theta=4.0, psi0=psi_eval(model.branching, 0.8))
+        x0 = ctrl.x0
+        for x in (0.0, 0.01, 0.1, 0.2):
+            w, cut = 1.0 - x / x0, x0 - x
+
+            def lebesgue(hi):  # int_0^hi [phi(x+z) - phi(x)] dz for hi <= cut
+                return x0 / 4.0 * (w**4 - (w - hi / x0) ** 4) - w**3 * hi
+
+            t_nu = 0.8 * (lebesgue(cut) - w**3 * (0.9 - cut))
+            for gap in (1e-3, 0.1, 0.6, 0.7, 0.85, 1.5):
+                top = max(0.0, 0.9 - gap)
+                t_ov = 0.4 * (lebesgue(min(cut, top)) - w**3 * max(0.0, top - cut))
+                got = _sweep_nu_term(
+                    model, ctrl, x, ctrl.phi(x), gap, sweep_nu_row_term(model, ctrl, x)
+                )
+                assert got == pytest.approx(t_nu - t_ov, rel=1e-12), (x, gap)
 
     def test_nonpositive_beyond_l_away_from_origin(self, ergodic_v1_model):
         ctrl = _control(psi0=psi_eval(ergodic_v1_model.branching, 0.8))

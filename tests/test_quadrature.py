@@ -5,24 +5,30 @@ import numpy as np
 import pytest
 from scipy import integrate as sciint
 
-from cbic.mechanisms import BranchingMechanism, LevyMeasure, psi_eval
+from cbic import quadrature
+from cbic.generator import _vlog_mu_integral
+from cbic.measures import overlap_integrate, overlap_mass
+from cbic.mechanisms import (
+    BranchingMechanism, ImmigrationMechanism, LevyMeasure, phi_eval, psi_eval,
+)
 from cbic.quadrature import (
     ABS_TOL, REL_TOL, QuadratureError, _LIMIT, _quad_piece, integrate, lower_integral,
     tail_integral,
 )
+from cbic.simulator import cbi_laplace
 
 
 class TestIntegrate:
     def test_polynomial_with_breakpoints(self):
-        got = integrate(lambda z: z * z, 0.0, 2.0, breakpoints=(0.5, 1.0))
+        got = integrate(lambda z: z * z, 0.0, 2.0, breakpoints=(0.5, 1.0), singular_at_0=True)
         assert got == pytest.approx(8.0 / 3.0, rel=1e-12)
 
     def test_improper_upper_limit(self):
-        got = integrate(lambda z: math.exp(-z), 1.0, math.inf)
+        got = integrate(lambda z: math.exp(-z), 1.0, math.inf, singular_at_0=True)
         assert got == pytest.approx(math.exp(-1.0), rel=1e-10)
 
     def test_integrable_power_singularity_at_zero(self):
-        got = integrate(lambda z: z**-0.5, 0.0, 1.0)
+        got = integrate(lambda z: z**-0.5, 0.0, 1.0, singular_at_0=True)
         assert got == pytest.approx(2.0, rel=1e-8)
 
     def test_non_finite_integrand_raises_with_interval(self):
@@ -30,7 +36,7 @@ class TestIntegrate:
             return math.nan if z > 0.5 else 1.0
 
         with pytest.raises(QuadratureError) as err:
-            integrate(bad, 0.0, 1.0)
+            integrate(bad, 0.0, 1.0, singular_at_0=True)
         assert err.value.interval is not None
 
     def test_pathological_density_surfaces_failing_subinterval(self):
@@ -52,7 +58,7 @@ class TestTailIntegral:
         # log(1+z) z^-1.5 declines slowly at first but is integrable
         val = tail_integral(lambda z: math.log1p(z) * z**-1.5, 1.0)
         assert val == pytest.approx(
-            integrate(lambda z: math.log1p(z) * z**-1.5, 1.0, 1e12), rel=1e-3
+            integrate(lambda z: math.log1p(z) * z**-1.5, 1.0, 1e12, singular_at_0=True), rel=1e-3
         )
 
     def test_harmonic_tail_diverges(self):
@@ -103,3 +109,71 @@ class TestQuadPiece:
             got = _quad_piece(lambda z: math.sin(1.0 / z), 0.0, 1.0)
         # int_0^1 sin(1/z) dz = sin(1) - Ci(1)
         assert got == pytest.approx(0.5040670619069283, abs=1e-4)
+
+
+class TestSplitTowardZero:
+    """Only an integrand that may be singular at 0+ gets the geometric cuts toward 0."""
+
+    UNIFORM = LevyMeasure.uniform(0.8, 0.0, 0.9)
+    STABLE = LevyMeasure.stable(0.5, 1.0)
+    FROM_DENSITY = LevyMeasure.from_density(lambda z: np.full_like(z, 0.8), support=(0.0, 0.9))
+
+    @pytest.fixture
+    def pieces(self, monkeypatch):
+        calls = []
+        inner = quadrature._quad_piece
+
+        def counted(fn, a, b):
+            calls.append((a, b))
+            return inner(fn, a, b)
+
+        monkeypatch.setattr(quadrature, "_quad_piece", counted)
+        return calls
+
+    @pytest.mark.parametrize(
+        "measure, n", [(UNIFORM, 1), (STABLE, 7), (FROM_DENSITY, 7)],
+        ids=["uniform", "stable", "from_density"],
+    )
+    def test_quadpack_calls_on_a_piece_from_zero(self, pieces, measure, n):
+        measure.integrate(lambda z: z * z, 0.0, 0.5)
+        assert len(pieces) == n
+        del pieces[:]
+        overlap_integrate(measure, -0.1, lambda z: z * z, 0.0, 0.5)
+        assert len(pieces) == n
+
+    def test_sum_decides_per_part(self, pieces):
+        LevyMeasure.sum_of([self.UNIFORM, self.STABLE]).integrate(lambda z: z * z, 0.0, 0.5)
+        assert len(pieces) == 1 + 7
+
+    def test_time_integral_keeps_the_split(self, pieces):
+        # no jump measure: the time integral of Phi is cbi_laplace's only quadrature
+        cbi_laplace(BranchingMechanism(0.5, 0.0), ImmigrationMechanism(0.3), 1.0, 0.7, 2.0)
+        assert len(pieces) == 7 and pieces[0][0] == 0.0
+
+    @staticmethod
+    def _values(m):
+        """Psi, Phi, the vlog log integrals and overlap integrals against ``m``."""
+        out = []
+        for lam in (0.01, 1.0, 50.0):
+            out.append(psi_eval(BranchingMechanism(0.5, 0.0, m), lam))
+            out.append(phi_eval(ImmigrationMechanism(0.3, m), lam))
+        for w in np.geomspace(1e-6, 1e3, 10):
+            out.append(_vlog_mu_integral(m, float(w), {}))
+            out.append(m.integrate(lambda z: math.log1p(z / w)))
+        for gap in (1e-3, 0.05, 0.3, 0.7):
+            for shift in (gap, -gap):
+                out.append(overlap_mass(m, shift))
+                out.append(overlap_integrate(m, shift, lambda z: (1.0 - z) ** 3))
+        return out
+
+    @pytest.mark.parametrize("m", [
+        LevyMeasure.uniform(1.0, 0.0, 1.0),
+        LevyMeasure.uniform(0.8, 0.0, 0.9),
+        LevyMeasure.uniform(0.6, 0.0, 0.5),
+        LevyMeasure.uniform(0.8, 0.1, 0.7),
+    ], ids=["ergodic_v1-mu", "nu_jump-nu", "mixed_v1-nu", "mixed_vlog-mu"])
+    def test_uniform_integrals_match_the_split(self, monkeypatch, m):
+        new = self._values(m)
+        monkeypatch.setattr(LevyMeasure, "singular_at_0", property(lambda self: True))
+        old = self._values(m)
+        assert new == pytest.approx(old, rel=REL_TOL, abs=ABS_TOL)
