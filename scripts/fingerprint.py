@@ -14,8 +14,10 @@ outputs shows whether a change left every output byte-identical.  The
 configs are the shipped ones plus four fixed models written below; every
 command runs on every config but the pure-jump one, which runs its own two
 starts at 0, two runs of several 1024-path blocks on three of them,
-``rate`` at the benchmark's grid of 101 on two, and a ``couple`` start with
-a gap of 0.01 (x0 = 1, y0 = 0.99) on two stable ones.  No CLI output shows the
+``rate`` at the benchmark's grid of 101 on two, a ``couple`` start with
+a gap of 0.01 (x0 = 1, y0 = 0.99) on two stable ones, and a small-gap
+``couple`` on the same two at an eps where jumps below eps merge pairs and
+double gaps.  No CLI output shows the
 coupled stepper's event log, so each ``couple`` run adds one more line,
 ``<config> <label> lasso_events <sha256>``: the hash of ``repr`` of the
 ``lasso_events`` of the same ensemble (config, overrides, seed, start, paths
@@ -168,6 +170,19 @@ SMALL_GAP_COMMANDS = (
      ["couple", "--x0", "1", "--y0", "0.99", "--paths", "100", "--t-end", "0.05"]),
 )
 
+# an eps at which jumps below it carry merges and gap doublings: the small-gap
+# runs above log no such sub-eps lasso event
+SUB_EPS_COMMANDS = {
+    "stable_power_vlog": (
+        ("couple-sub-eps", ["couple", "--eps", "0.05", "--dt", "1e-3", "--x0", "1", "--y0", "0.99",
+                            "--paths", "64", "--t-end", "0.1"]),
+    ),
+    "mixed_vlog": (
+        ("couple-sub-eps", ["couple", "--eps", "0.2", "--x0", "1", "--y0", "0.95",
+                            "--paths", "1024", "--t-end", "0.2"]),
+    ),
+}
+
 # the only runs of the pure-jump model: a single start and a follower at 0
 PURE_JUMP_COMMANDS = (
     ("simulate-x0-0", ["simulate", "--x0", "0", "--paths", "200", "--t-end", "0.05", "--dump"]),
@@ -219,6 +234,7 @@ def _commands(cfg_name):
         + (WIDE_COMMANDS if cfg_name in WIDE_CONFIGS else ())
         + (GRID_COMMANDS if cfg_name in GRID_CONFIGS else ())
         + (SMALL_GAP_COMMANDS if cfg_name in SMALL_GAP_CONFIGS else ())
+        + SUB_EPS_COMMANDS.get(cfg_name, ())
     )
 
 

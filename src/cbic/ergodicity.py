@@ -44,7 +44,7 @@ from .generator import (
     _gap_terms,
     lyapunov_certify,
 )
-from .measures import overlap_mass
+from .measures import kappa, overlap_mass
 from .mechanisms import ModelSpec, phi_eval, psi_eval
 from .simulator import (
     CoupledEnsembleResult,
@@ -176,12 +176,10 @@ def _lambda0_candidates(model: ModelSpec):
 
 
 def _overlap_table(model: ModelSpec):
-    """Overlap masses mu_x + nu_x at 257 equally spaced x in [0, 1]."""
+    """Overlap masses mu_x + nu_x, half the fluctuation function, at 257 equally
+    spaced x in [0, 1]."""
     xs = np.linspace(0.0, 1.0, 257)
-    vals = np.array(
-        [overlap_mass(model.mu, float(x)) + overlap_mass(model.nu, float(x)) for x in xs]
-    )
-    return xs, vals
+    return xs, np.array([0.5 * kappa(model, float(x)) for x in xs])
 
 
 def _q_and_rstar(model: ModelSpec, x0: float, nu_cube: float):

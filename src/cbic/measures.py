@@ -9,6 +9,10 @@ gap-doubling jump rates of the coupled process, and the normalized ratio
 m_x(dz)/m(dz) supplies the disassembly thresholds.  Key facts used below:
 m_x(0, 0 v x] = 0, m_x(0, inf) = m_{-x}(0, inf) <= m(|x|, inf)/2.
 
+:func:`overlap_mass` is the one implementation of that mass, a closed form per
+part kind evaluated elementwise over shifts: the coupled stepper takes its
+sub-eps lasso rates from it per pair, :func:`kappa` and the certificate per shift.
+
 Atoms only pair under exact location equality after the shift (1e-12 slack):
 the infimum of measures is singular-part aware, and approximate matching
 would inflate the overlap.  A ``sum`` measure's overlap mass and overlap
@@ -25,26 +29,24 @@ import math
 import numpy as np
 
 from . import quadrature
-from .mechanisms import LevyMeasure, ModelSpec, summed
+from .mechanisms import LevyMeasure, ModelSpec, stable_density_prefactor, summed
 
 ATOM_SLACK = 1e-12
 
 
-def _atom_mass_at(base: LevyMeasure, loc: float) -> float:
-    for a, m in base.atoms():
-        if abs(a - loc) <= ATOM_SLACK * max(1.0, abs(a)):
-            return m
-    return 0.0
+def _atom_mass_at(base: LevyMeasure, loc):
+    """Mass of the first atom of ``base`` at ``loc``, elementwise; 0 where none is."""
+    loc = np.asarray(loc, dtype=float)
+    out = np.zeros(loc.shape)
+    for a, m in reversed(base.atoms()):  # the first match is written last
+        out[(np.abs(a - loc) <= ATOM_SLACK * max(1.0, abs(a))) & (loc > 0)] = m
+    return out[()]
 
 
 def overlap_atoms(base: LevyMeasure, x: float):
     """Atoms of the overlap measure: (loc, min(m(loc), m(loc-x))/2) pairs."""
-    out = []
-    for a, m in base.atoms():
-        shifted = _atom_mass_at(base, a - x) if a - x > 0 else 0.0
-        if shifted > 0:
-            out.append((a, 0.5 * min(m, shifted)))
-    return tuple(out)
+    pairs = ((a, m, float(_atom_mass_at(base, a - x))) for a, m in base.atoms())
+    return tuple((a, 0.5 * min(m, shifted)) for a, m, shifted in pairs if shifted > 0)
 
 
 def overlap_density(base: LevyMeasure, x: float, z):
@@ -66,38 +68,56 @@ def _overlap_dens1(base: LevyMeasure, x: float, z: float) -> float:
 
 
 @summed(sum)
-def overlap_mass(base: LevyMeasure, x: float, lo: float = 0.0, hi: float = math.inf) -> float:
-    """Total overlap mass over (lo, hi); may be inf (a valid, favorable flag).
-
-    For a monotone-decreasing density the mass reduces to half a tail mass of
-    the base measure, which is exact for the stable family.
-    """
-    x = float(x)
-    if base.kind != "stable":
-        return overlap_integrate(base, x, None, lo, hi)
-    # min(f(z), f(z-x)) = f(z - min(x, 0)) on the overlap region z > max(x, 0)
-    lo, hi = max(float(lo), 0.0), float(hi)
-    a, b = max(lo, x) - min(x, 0.0), hi - min(x, 0.0)
-    if b <= a:
+def _part_overlap_mass(base: LevyMeasure, x, lo: float, hi: float):
+    """One part's :func:`overlap_mass` for lo < hi, elementwise over the shift
+    ``x`` (a numpy scalar or an array); 0.0 for a part without overlap there."""
+    if base.kind == "atoms":
+        return sum((0.5 * np.minimum(m, _atom_mass_at(base, a - x))
+                    for a, m in base.atom_data if lo < a <= hi), 0.0)
+    if base.fn is not None:
+        one = lambda z: 1.0
+        return np.vectorize(lambda s: overlap_integrate(base, s, one, lo, hi), otypes=[float])(x)
+    if base.kind == "stable":
+        # min(f(z), f(z-x)) = f(z - min(x, 0)) on the overlap region z > max(x, 0)
+        s = np.minimum(x, 0.0)
+        a, b = np.maximum(lo, x) - s, hi - s
+        half = 0.5 * base.sigma * stable_density_prefactor(base.alpha)  # of the tail mass
+        with np.errstate(divide="ignore"):  # a = 0: the infinite mass at 0+
+            v = half * a ** -base.alpha - half * b ** -base.alpha
+    elif base.kind == "density":  # uniform
+        slo, shi = base.support
+        a, b = np.maximum(max(lo, slo), slo + x), np.minimum(min(hi, shi), shi + x)
+        v = 0.5 * base.rate * (b - a)
+    else:
         return 0.0
-    return 0.5 * (base.mass_above(a) - (base.mass_above(b) if np.isfinite(b) else 0.0))
+    return np.maximum(v, 0.0)  # v <= 0 where the range is empty, b <= a
+
+
+def overlap_mass(base: LevyMeasure, x, lo: float = 0.0, hi: float = math.inf):
+    """Total overlap mass over (lo, hi), elementwise over the shifts ``x``; may be inf
+    (a valid, favorable flag).
+
+    A float shift gives a float, an array of shifts an array of its shape.
+    Each part kind has a closed form: a stable part's monotone density makes
+    the mass half a tail mass, a uniform part's is half its rate times the
+    length of (lo, hi) ^ (slo, shi) ^ (slo + x, shi + x), and atoms pair at
+    exactly shifted locations.  Only a ``from_density`` part integrates.
+    """
+    x = np.asarray(x, dtype=float)[()]  # a float stays a scalar: array power rounds differently
+    lo, hi = max(float(lo), 0.0), float(hi)
+    v = _part_overlap_mass(base, x, lo, hi) if hi > lo else 0.0
+    return float(v) if np.ndim(x) == 0 else np.full(x.shape, v)
 
 
 @summed(sum)
 def overlap_integrate(base: LevyMeasure, x: float, fn, lo: float = 0.0, hi: float = math.inf) -> float:
-    """int fn(z) m_x(dz) over (lo, hi); ``fn=None`` integrates 1.
-
-    The unit case integrates the bare overlap density, one Python call per
-    quadrature node fewer than a constant ``fn``.
-    """
+    """int fn(z) m_x(dz) over (lo, hi)."""
     x = float(x)
     lo = max(float(lo), 0.0)
     hi = float(hi)
     if base.is_zero or hi <= lo:
         return 0.0
-    total = sum(
-        m if fn is None else m * float(fn(a)) for a, m in overlap_atoms(base, x) if lo < a <= hi
-    )
+    total = sum(m * float(fn(a)) for a, m in overlap_atoms(base, x) if lo < a <= hi)
     slo, shi = base.density_support()
     a = max(lo, slo, slo + x, 0.0 if x <= 0 else x)
     b = min(hi, shi, shi + x)
@@ -105,10 +125,7 @@ def overlap_integrate(base: LevyMeasure, x: float, fn, lo: float = 0.0, hi: floa
         return total
     # _overlap_dens1 inlined: one Python call per quadrature node fewer
     dens = base._dens1
-    if fn is None:
-        integrand = lambda z: 0.0 if z <= 0.0 else 0.5 * min(dens(z), dens(z - x))
-    else:
-        integrand = lambda z: float(fn(z)) * (0.0 if z <= 0.0 else 0.5 * min(dens(z), dens(z - x)))
+    integrand = lambda z: float(fn(z)) * (0.0 if z <= 0.0 else 0.5 * min(dens(z), dens(z - x)))
     if not np.isfinite(b):
         return total + quadrature.tail_integral(integrand, a)
     pts = tuple(base.breakpoints()) + tuple(p + x for p in base.breakpoints())
@@ -139,15 +156,9 @@ def rn_ratio_many(base: LevyMeasure, x, z):
     out = np.zeros_like(fz)
     pos = fz > 0
     out[pos] = 0.5 * np.minimum(1.0, fzx[pos] / fz[pos])
-    atoms = base.atoms()
-    for a, m in atoms:
+    for a, m in base.atoms():
         mask = np.abs(z - a) <= ATOM_SLACK * max(1.0, abs(a))
         if mask.any():
-            shifted = np.zeros(int(mask.sum()))
-            target = a - x[mask]
-            for b_loc, b_mass in atoms:
-                hit = (np.abs(target - b_loc) <= ATOM_SLACK * max(1.0, abs(b_loc))) & (target > 0)
-                shifted[hit] = b_mass
-            out[mask] = 0.5 * np.minimum(1.0, shifted / m)
+            out[mask] = 0.5 * np.minimum(1.0, _atom_mass_at(base, a - x[mask]) / m)
     out[z <= np.maximum(0.0, x)] = 0.0
     return out

@@ -286,15 +286,16 @@ class LevyMeasure:
     def _density_integral(self, f, lo: float, hi: float) -> float:
         """int f(z) dz over (lo, hi) clipped to the density support; may be inf.
 
-        The density may be singular at its lower support edge, so a range
-        starting there opens with an edge integral over at most unit width.
+        A density that may be singular at its lower support edge (stable or
+        ``from_density``, not uniform) opens a range starting there with an
+        edge integral over at most unit width.
         """
         slo, shi = self.density_support()
         a, b = max(lo, slo), min(hi, shi)
         if b <= a:
             return 0.0
         total = 0.0
-        if a == slo:
+        if a == slo and self.singular_at_0:
             mid = min(b, a + 1.0)
             total = quadrature.lower_integral(f, a, mid)
             if total == math.inf:

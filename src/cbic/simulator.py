@@ -10,8 +10,10 @@ draw spectrally positive alpha-stable increments directly.
 The coupled pair reflects the shared Gaussian component and disassembles
 every jump event by an independent uniform into merge / gap-doubling /
 shared outcomes with thresholds given by the overlap-measure ratios; jumps
-landing in the u-strip (Y, X] move the leader alone.  After the coupling
-time the pair moves as one path.
+landing in the u-strip (Y, X] move the leader alone.  The jumps below eps
+merge an open pair or double its gap at the rates y mu_x(0, eps) + nu_x(0, eps)
+of the overlap masses at x = -gap and x = gap (``measures.overlap_mass``).
+After the coupling time the pair moves as one path.
 
 RNG: paths are partitioned into fixed 1024-path blocks; each block derives
 four Philox streams (Gaussian, branching jumps, immigration jumps,
@@ -57,7 +59,6 @@ from .mechanisms import (
     concat,
     phi_eval,
     psi_eval,
-    stable_density_prefactor,
     stable_drift_shift,
     summed,
 )
@@ -705,47 +706,6 @@ def simulate_path(model: ModelSpec, x0: float, cfg: SimConfig) -> Path:
 # -- coupled stepping -----------------------------------------------------------
 
 
-class _LassoRates:
-    """Sub-eps merge / gap-doubling rates as functions of the gap."""
-
-    def __init__(self, measure: LevyMeasure, eps: float):
-        self.zero = measure.is_zero or eps <= 0.0
-        self.eps = 0.0 if self.zero else eps  # no sub-eps gap doubling without rates
-        if self.zero:
-            return
-        if measure.kind == "stable":
-            self.alpha = measure.alpha
-            self.scale = measure.sigma * stable_density_prefactor(measure.alpha)
-            self.table = None
-        else:
-            gaps = np.geomspace(1e-10, 10.0, 97)
-            self.table = (
-                gaps,
-                np.array([overlap_mass(measure, -g, 0.0, eps) for g in gaps]),
-                np.array([overlap_mass(measure, g, 0.0, eps) for g in gaps]),
-            )
-
-    def up(self, gap: np.ndarray) -> np.ndarray:
-        if self.zero:
-            return np.zeros_like(gap)
-        if self.table is None:
-            a = self.alpha
-            return 0.5 * np.maximum(
-                self.scale * (np.maximum(gap, 1e-300) ** -a - (gap + self.eps) ** -a), 0.0)
-        return np.interp(gap, self.table[0], self.table[1])
-
-    def down(self, gap: np.ndarray) -> np.ndarray:
-        if self.zero:
-            return np.zeros_like(gap)
-        if self.table is None:
-            out = np.zeros_like(gap)
-            mask = (gap < self.eps) & (gap > 0.0)
-            if mask.any():
-                out[mask] = 0.5 * (self.scale * (gap[mask] ** -self.alpha - self.eps**-self.alpha))
-            return out
-        return np.where(gap < self.eps, np.interp(gap, self.table[0], self.table[2]), 0.0)
-
-
 class _CoupledState:
     __slots__ = ("x", "y", "coupled", "t_couple", "events")
 
@@ -802,7 +762,9 @@ def _apply_jump_events(state, counts, measure, sampler, src, dis, x_start, t_now
                 _log_events(state.events, t_now, sign, gap[m], z[m], ya_new[m] - ya[m])
 
 
-def _step_coupled(state: _CoupledState, g: _Group, lasso_mu, lasso_nu, dt, t_now):
+def _step_coupled(state: _CoupledState, g: _Group, eps_mu, eps_nu, dt, t_now):
+    """One Euler step of the coupled pairs, in place; the sub-eps lasso rates
+    are the overlap masses below eps (``overlap_mass``) of the open pairs."""
     plan, s = g.plan, g.lanes[0][0]  # the blocks of one ensemble never share a group
     n = state.x.size
     live = np.isfinite(state.x)
@@ -836,23 +798,24 @@ def _step_coupled(state: _CoupledState, g: _Group, lasso_mu, lasso_nu, dt, t_now
     if plan.nu_rate > 0:
         counts = np.where(live, s.nu.poisson(plan.nu_rate * dt, size=n), 0)
         _apply_jump_events(state, counts, plan.model.nu, plan.nu_sampler, s.nu, s.dis, None, t_now)
-    # sub-eps lasso corrections (merge / gap doubling carried by small jumps)
-    if not (lasso_mu.zero and lasso_nu.zero):
+    # sub-eps lasso corrections: merges and gap doublings carried by small jumps
+    if eps_mu > 0.0 or eps_nu > 0.0:
         u_up, u_dn, z_dn = s.dis.random(n), s.dis.random(n), s.dis.random(n)
         gap = state.x - state.y
-        open_mask = live & ~state.coupled & (gap > GAP_TOL)
-        gap_c = np.maximum(gap, 0.0)
-        rate_up = state.y * lasso_mu.up(gap_c) + lasso_nu.up(gap_c)
-        fire_up = open_mask & (u_up < np.minimum(rate_up * dt, 1.0))
+        op = np.flatnonzero(live & ~state.coupled & (gap > GAP_TOL))
+        gap = gap[op]
+        x2 = np.concatenate([-gap, gap])  # merge rates at -gap, doubling rates at gap
+        mu, nu = plan.model.mu, plan.model.nu
+        rate_up, rate_dn = (state.y[op] * overlap_mass(mu, x2, 0.0, eps_mu).reshape(2, -1)
+                            + overlap_mass(nu, x2, 0.0, eps_nu).reshape(2, -1))
+        up = u_up[op] < rate_up * dt  # u < 1: a probability rate * dt needs no cap at 1
+        dn = ~up & (u_dn[op] < rate_dn * dt)
+        fire_up, fire_dn, gap_dn = op[up], op[dn], gap[dn]
+        zz = gap_dn + (max(eps_mu, eps_nu) - gap_dn) * z_dn[fire_dn]
         if state.events is not None:
-            _log_events(state.events, t_now, "+", gap[fire_up], np.zeros(n)[fire_up], gap[fire_up])
-        state.y[fire_up] = state.x[fire_up]
-        rate_dn = state.y * lasso_mu.down(gap_c) + lasso_nu.down(gap_c)
-        fire_dn = open_mask & ~fire_up & (u_dn < np.minimum(rate_dn * dt, 1.0))
-        gap_dn = gap[fire_dn]
-        zz = gap_dn + (max(lasso_mu.eps, lasso_nu.eps) - gap_dn) * z_dn[fire_dn]
-        if state.events is not None:
+            _log_events(state.events, t_now, "+", gap[up], np.zeros(fire_up.size), gap[up])
             _log_events(state.events, t_now, "-", gap_dn, zz, zz - gap_dn)
+        state.y[fire_up] = state.x[fire_up]
         state.x[fire_dn] += zz
         state.y[fire_dn] += zz - gap_dn
     # clamp, merge detection, explosion
@@ -888,12 +851,13 @@ def simulate_coupled_ensemble(
         raise SimulationError(f"coupled start needs 0 <= y0 <= x0 <= x_max = {cfg.x_max:g}")
     # coupling always runs on the thinning representation of the jumps
     plan = _Plan(model, cfg, float(np.max(x0)) if x0.size else 1.0, force_thinning=True)
-    lasso_mu = _LassoRates(model.mu, plan.eps_mu)
-    lasso_nu = _LassoRates(model.nu, plan.eps_nu)
+    # the sub-eps lasso levels: 0 for a zero measure, which has no small jumps
+    eps_mu = 0.0 if model.mu.is_zero else plan.eps_mu
+    eps_nu = 0.0 if model.nu.is_zero else plan.eps_nu
     times, (xs, ys), finals = _drive(
         [(plan, cfg.seed)], [x0, y0], cfg, record_times,
         start=lambda g, f: _CoupledState(f[0], f[1], _record_events),
-        step=lambda st, g, k: _step_coupled(st, g, lasso_mu, lasso_nu, cfg.dt, (k - 1) * cfg.dt),
+        step=lambda st, g, k: _step_coupled(st, g, eps_mu, eps_nu, cfg.dt, (k - 1) * cfg.dt),
         view=lambda st: (st.x, st.y),
     )
     t_couple = np.concatenate([st.t_couple for st in finals])

@@ -91,16 +91,13 @@ class TestOverlapIntegrand:
         fn = lambda z: 1.0 + z * z
         checked = 0
         for x in (0.0, 0.3, -0.3, 1.0, -1.0):
-            for f in (None, fn):
+            for f in (lambda z: 1.0, fn):  # the unit one is overlap_mass's on from_density
                 for hi in (5.0, math.inf):
                     seen.clear()
                     overlap_integrate(base, x, f, 0.0, hi)
                     for integrand in seen:  # none when the overlap has no density part
                         for z in zs + [x, x + 0.2, -x]:
-                            want = _overlap_dens1(base, x, z)
-                            if f is not None:
-                                want = float(f(z)) * want
-                            assert integrand(z) == want
+                            assert integrand(z) == float(f(z)) * _overlap_dens1(base, x, z)
                         checked += 1
         assert checked >= 12
 
@@ -134,6 +131,43 @@ class TestOverlapMass:
         assert pairs == ((1.5, 0.5 * 0.4),)
         assert overlap_mass(ATOMS, 0.5) == pytest.approx(0.2)
         assert overlap_mass(ATOMS, 0.25) == 0.0
+
+
+class TestOverlapMassShifts:
+    """A float shift and an array of shifts give the same overlap masses."""
+
+    # both signs, 0, atom spacings, and shifts beyond every support
+    SHIFTS = [-3.0, -1.2, -0.5, -0.3, -0.05, -1e-3, 0.0, 1e-3, 0.05, 0.3, 0.5, 1.2, 3.0]
+    WINDOWS = [(0.0, math.inf), (0.0, 0.05), (0.0, 0.6), (0.2, 1.1), (0.4, 0.4)]
+    ATOMS_CLOSE = LevyMeasure.from_atoms([(0.5, 0.3), (0.55, 0.2), (1.0, 0.6), (1.5, 0.4)])
+    BASES = {
+        "stable": STABLE,
+        "uniform": LevyMeasure.uniform(0.8, 0.1, 0.9),
+        "atoms": ATOMS_CLOSE,
+        "from_density": LevyMeasure.from_density(lambda z: 1.0 / np.sqrt(z), support=(0.0, 2.0)),
+        "zero": LevyMeasure.zero(),
+        "sum": LevyMeasure.sum_of([LevyMeasure.stable(0.6, 0.5), ATOMS_CLOSE,
+                                   LevyMeasure.uniform(0.8, 0.1, 0.7)]),
+    }
+
+    @pytest.mark.parametrize("name", list(BASES))
+    def test_array_equals_float_shifts(self, name):
+        base = self.BASES[name]
+        xs = np.array(self.SHIFTS)
+        for lo, hi in self.WINDOWS:
+            each = [overlap_mass(base, x, lo, hi) for x in self.SHIFTS]
+            assert all(type(v) is float for v in each)
+            many = overlap_mass(base, xs, lo, hi)
+            assert isinstance(many, np.ndarray) and many.shape == xs.shape
+            if base.stable_components():
+                np.testing.assert_allclose(many, each, rtol=1e-14, atol=0.0)
+            else:
+                assert np.array_equal(many, each)
+
+    def test_atoms_pair_at_shifted_locations(self):
+        xs = np.array([0.5, 0.05, -0.5, 0.45, 1.0])
+        want = [0.5 * 0.3 + 0.5 * 0.4, 0.5 * 0.2, 0.5 * 0.3 + 0.5 * 0.4, 0.5 * 0.2, 0.5 * 0.3]
+        assert overlap_mass(self.ATOMS_CLOSE, xs).tolist() == want
 
 
 class TestKappa:

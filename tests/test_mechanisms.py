@@ -107,6 +107,19 @@ class TestDensityIntegral:
     def test_mass_equals_zeroth_moment(self, m, z0):
         assert m.mass_above(z0) == m.moment(0.0, z0)
 
+    @pytest.mark.parametrize("rate, lo, hi", [(1.0, 0.0, 1.0), (0.8, 0.0, 0.9), (0.7, 0.2, 2.5)])
+    def test_uniform_masses_and_moments_are_the_closed_forms(self, rate, lo, hi):
+        # a uniform density is not singular at its support edge: a range that
+        # starts there is one quadrature, with no edge shells left out
+        m = LevyMeasure.uniform(rate, lo, hi)
+        close = lambda got, want: abs(got - want) <= 4 * np.spacing(want)
+        for z0 in (0.0, lo, 0.5 * (lo + hi)):
+            assert close(m.mass_above(z0), rate * (hi - max(z0, lo)))
+            for p in (1.0, 2.0):
+                a, b = max(z0, lo), min(hi, 1.0)
+                want = rate * (b ** (p + 1) - a ** (p + 1)) / (p + 1) if b > a else 0.0
+                assert close(m.moment(p, z0, 1.0), want)
+
     def test_harmonic_tail_mass_diverges(self):
         m = LevyMeasure.from_density(lambda z: 1.0 / z, support=(1.0, math.inf))
         assert m.mass_above(1.0) == math.inf

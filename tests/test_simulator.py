@@ -292,19 +292,39 @@ class TestSimulateCoupled:
         assert any(sign == "-" and dx <= eps for _, sign, _, dx, _ in res.lasso_events)
         self.check_order_and_merge(res)
 
-    def test_lasso_table_holds_the_sub_eps_overlap_masses(self):
-        # a sum measure is tabulated: at the table's gap nodes the rates are
-        # the overlap masses below eps, and no gap doubles from eps on
+    def test_lasso_rates_are_the_sub_eps_overlap_masses(self, monkeypatch):
+        # at open gaps on no fixed grid, a step merges a pair when u_up < rate_up dt
+        # and doubles the gap of an unmerged one when u_dn < rate_dn dt, the rates
+        # y mu_x + nu_x of the overlap masses below eps at x = -gap and x = gap
         mu = LevyMeasure.sum_of([LevyMeasure.stable(0.6, 0.5), LevyMeasure.uniform(0.8, 0.1, 0.7)])
-        eps = 0.05
-        lasso = simulator._LassoRates(mu, eps)
-        gaps = lasso.table[0]
-        below = gaps < eps
-        assert below.any() and not below.all()
-        assert np.array_equal(lasso.up(gaps), [overlap_mass(mu, -g, 0.0, eps) for g in gaps])
-        assert np.array_equal(lasso.down(gaps[below]),
-                              [overlap_mass(mu, g, 0.0, eps) for g in gaps[below]])
-        assert np.array_equal(lasso.down(gaps[~below]), np.zeros(int((~below).sum())))
+        nu = LevyMeasure.sum_of([LevyMeasure.stable(0.5, 0.2), LevyMeasure.uniform(0.5, 0.0, 1.0)])
+        model = ModelSpec(BranchingMechanism(0.4, 0.0, mu), ImmigrationMechanism(0.3, nu),
+                          CompetitionMechanism.none())
+        eps, dt = 0.05, 0.2
+        y = np.linspace(0.5, 2.0, 40)
+        x = y + np.geomspace(3e-3, 0.2, y.size)
+        # the lasso block alone: no drift, a zero Gaussian part, no jump events
+        monkeypatch.setattr(simulator, "_drift", lambda plan, x: np.zeros_like(x))
+        monkeypatch.setattr(simulator, "_apply_jump_events", lambda *args: None)
+        plan = simulator._Plan(model, SimConfig(dt=dt, eps=eps), 1.0, force_thinning=True)
+        g = simulator._Group(plan, 0)
+        g.add(simulator._Streams(5, 0), x.size)
+        g.gauss = itertools.repeat(np.zeros(x.size))
+        state = simulator._step_coupled(simulator._CoupledState(x, y, True), g, eps, eps, dt, 0.0)
+        dis = simulator._Streams(5, 0).dis
+        u_up, u_dn, z_dn = dis.random(x.size), dis.random(x.size), dis.random(x.size)
+        gap = x - y
+        rate_up = y * overlap_mass(mu, -gap, 0.0, eps) + overlap_mass(nu, -gap, 0.0, eps)
+        rate_dn = y * overlap_mass(mu, gap, 0.0, eps) + overlap_mass(nu, gap, 0.0, eps)
+        up = u_up < np.minimum(rate_up * dt, 1.0)
+        dn = ~up & (u_dn < np.minimum(rate_dn * dt, 1.0))
+        assert up.any() and dn.any() and not (up | dn).all()
+        assert not dn[gap >= eps].any()
+        zz = gap[dn] + (eps - gap[dn]) * z_dn[dn]
+        assert state.events == (
+            [(0.0, "+", a, 0.0, a) for a in gap[up]]
+            + [(0.0, "-", a, b, b - a) for a, b in zip(gap[dn], zz)]
+        )
 
     def test_merge_is_exact_equality(self, ergodic_v1_model):
         cp = simulate_coupled(ergodic_v1_model, 2.0, 0.5, SimConfig(dt=2e-3, t_end=12.0, seed=8))
@@ -730,7 +750,6 @@ class TestPlanTerms:
         x = np.array(self.STEP_STATES * 3)
         y = np.minimum(x, np.array([0.0, -0.0, 0.5] * 6))
         plan = simulator._Plan(self.PURE_JUMP, cfg, 1.0, force_thinning=True)
-        lasso = simulator._LassoRates(self.PURE_JUMP.mu, plan.eps_mu)
         out = []
         for p in (plan, self.forced(plan)):
             g = simulator._Group(p, 0)
@@ -738,7 +757,7 @@ class TestPlanTerms:
             g.gauss = iter(np.random.default_rng(1).standard_normal((6, x.size)))
             state = simulator._CoupledState(x, y, True)
             for k in range(3):
-                state = simulator._step_coupled(state, g, lasso, lasso, cfg.dt, k * cfg.dt)
+                state = simulator._step_coupled(state, g, plan.eps_mu, plan.eps_nu, cfg.dt, k * cfg.dt)
             out.append(state)
         assert out[0].events == out[1].events
         for name in ("x", "y", "coupled", "t_couple"):
