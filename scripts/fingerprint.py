@@ -17,13 +17,13 @@ starts at 0, two runs of several 1024-path blocks on three of them,
 ``rate`` at the benchmark's grid of 101 on two, a ``couple`` start with
 a gap of 0.01 (x0 = 1, y0 = 0.99) on two stable ones, and a small-gap
 ``couple`` on the same two at an eps where jumps below eps merge pairs and
-double gaps.  No CLI output shows the
-coupled stepper's event log, so each ``couple`` run adds one more line,
-``<config> <label> lasso_events <sha256>``: the hash of ``repr`` of the
-``lasso_events`` of the same ensemble (config, overrides, seed, start, paths
-and t_end resolved as the CLI resolves them), run again in a fresh process
-through ``simulate_coupled_ensemble(..., _record_events=True)``.  Nothing is
-timed.
+double gaps, once more on mixed_vlog with five 1024-path lanes.  No CLI
+output shows the coupled stepper's event log, so each ``couple`` run adds one
+more line, ``<config> <label> lasso_events <sha256>``: the hash of ``repr`` of
+the ``lasso_events`` of the same ensemble (config, overrides, seed, start,
+paths and t_end resolved as the CLI resolves them), run again in a fresh
+process through ``simulate_coupled_ensemble(..., _record_events=True)``.
+Nothing is timed.
 """
 
 from __future__ import annotations
@@ -180,6 +180,10 @@ SUB_EPS_COMMANDS = {
     "mixed_vlog": (
         ("couple-sub-eps", ["couple", "--eps", "0.2", "--x0", "1", "--y0", "0.95",
                             "--paths", "1024", "--t-end", "0.2"]),
+        # five lanes: a worker's share of them is one group whose event passes
+        # merge lanes, so the event log shows whether it keeps lane order
+        ("couple-sub-eps-wide", ["couple", "--eps", "0.2", "--x0", "1", "--y0", "0.95",
+                                 "--paths", "4100", "--t-end", "0.05"]),
     ),
 }
 

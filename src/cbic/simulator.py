@@ -20,15 +20,18 @@ four Philox streams (Gaussian, branching jumps, immigration jumps,
 disassembly uniforms) from (seed, block).  The Gaussian stream is drawn from
 only when the scheme has a Gaussian part: c > 0, or branching jumps below eps
 whose variance it stands in for.  A lane is one such stream set and its
-paths.  Lanes sharing a plan are stepped together as one array, a group, of
-at most 1024 paths and at most one worker's share of all the paths: on one
-CPU the two 16-chain starts of a stationary run are one 32-wide group, on two
-CPUs two 16-wide ones.  Every lane draws only from its own streams, in the
-same sizes and order as alone; a group transforms the stable increments of a
-chunk of steps at once.  The groups are stepped in forked worker processes,
-one per CPU the process may run on.  Ensembles are therefore bit-identical
-for a given (seed, config, model) regardless of how the work is chunked,
-grouped or dealt to workers.
+paths; the block size fixes the streams, and so the outputs, not the
+arrays stepped.  Lanes sharing a plan are stepped together as one array, a
+group, of at most one worker's share of all the paths and 2^18 paths: 4100
+paths are one group on one CPU and groups of 2048, 2048 and 4 on two; the two
+16-chain starts of a stationary run are one 32-wide group or two 16-wide
+ones.  Every lane draws only from its own streams, in the same sizes and
+order as alone; a group transforms the stable increments of a chunk of steps
+at once, and each coupled event pass handles all its lanes' events at once.
+The groups are stepped in forked worker processes, one per CPU the process
+may run on.  Ensembles, and the coupled event log, which lists lane after
+lane, are therefore bit-identical for a given (seed, config, model)
+regardless of how the work is chunked, grouped or dealt to workers.
 """
 
 from __future__ import annotations
@@ -65,6 +68,7 @@ from .mechanisms import (
 
 GAP_TOL = 1e-9
 _BLOCK = 1024
+_GROUP_MAX = 1 << 18  # wider groups stepped slower per path on stable and xlog models
 _EVENT_BUDGET = 10.0  # expected jump events per step at the reference scale
 # a path needing more than this many jump events in one step is treated as
 # exploded (its jump intensity alone certifies divergence before x_max)
@@ -381,6 +385,10 @@ class _Group:
         self.lanes.append((streams, slice(b - a, b - a + width)))
         self.cols = slice(a, b + width)
 
+    def per_lane(self, which: str, draw):
+        """Each lane's ``draw(rng, sl)`` from its own ``which`` stream, joined on the last axis."""
+        return _cat([draw(getattr(s, which), sl) for s, sl in self.lanes])
+
     def normals(self):
         """Rows of standard normals, each lane's from its own Gaussian stream.
 
@@ -389,8 +397,7 @@ class _Group:
         """
         k = max(1, _PREDRAW // (self.cols.stop - self.cols.start))
         while True:
-            yield from _cat([s.gauss.standard_normal((k, sl.stop - sl.start))
-                             for s, sl in self.lanes])
+            yield from self.per_lane("gauss", lambda r, sl: r.standard_normal((k, sl.stop - sl.start)))
 
     def increments(self, dt: float, n_steps: int):
         """Rows of stable increments over dt, one row for each of ``n_steps`` steps.
@@ -415,10 +422,11 @@ def _drive(runs, fields, cfg: SimConfig, record_times, step, start=None, view=No
     """Step ``runs``, ensembles [(plan, seed)] of cfg.n_paths paths, from ``fields``.
 
     ``fields`` holds arrays of n_runs * n_paths start values.  Consecutive
-    lanes (1024-path blocks) sharing a plan are packed into groups of at most
-    min(_BLOCK, ceil(n_runs * n_paths / _workers(n_lanes))) paths, so that
-    narrow lanes spread over the CPUs; a lane is never split.  A group starts
-    from ``start(group, slices)``, or the list of its field slices, and
+    lanes (the 1024-path RNG blocks) sharing a plan are packed into groups of
+    at most ceil(n_runs * n_paths / _workers(n_lanes)) paths, one worker's
+    share, so that a step's numpy dispatch is paid once per share, and at
+    most _GROUP_MAX; a lane is never split.  A group starts from
+    ``start(group, slices)``, or the list of its field slices, and
     ``step(state, group, k)`` advances it to step k; ``view(state)``, or the
     state itself, lists the field arrays recorded.  ``group.gauss`` yields
     rows of normals (``_Group.normals``) and ``group.inc`` rows of stable
@@ -431,7 +439,7 @@ def _drive(runs, fields, cfg: SimConfig, record_times, step, start=None, view=No
     rec = np.arange(n_steps + 1) if record_times is None else record_steps(cfg, record_times)
     rec_row = {int(i): r for r, i in enumerate(rec)}
     lanes = [(plan, seed, a) for plan, seed in runs for a in range(0, cfg.n_paths, _BLOCK)]
-    cap = min(_BLOCK, -(-len(runs) * cfg.n_paths // _workers(len(lanes))))
+    cap = min(_GROUP_MAX, -(-len(runs) * cfg.n_paths // _workers(len(lanes))))
     groups: List[_Group] = []
     for plan, seed, a in lanes:
         width = min(_BLOCK, cfg.n_paths - a)
@@ -573,18 +581,12 @@ def _add_jumps(xn: np.ndarray, g: _Group, which: str, lam, sampler) -> None:
     """Add jump events to ``xn``: per lane, Poisson counts at rates ``lam`` (one
     per path, or a float for all) and then a selector and a position uniform
     per event, all from its ``which`` stream."""
-    counts, u_sel, u_pos = [], [], []
     scalar = isinstance(lam, float)
-    for s, sl in g.lanes:
-        rng = getattr(s, which)
-        counts.append(rng.poisson(lam, sl.stop - sl.start) if scalar else rng.poisson(lam[sl]))
-        total = int(counts[-1].sum())
-        if total:
-            u_sel.append(rng.random(total))
-            u_pos.append(rng.random(total))
-    if u_sel:
-        z = sampler.draw(_cat(u_sel), _cat(u_pos))
-        np.add.at(xn, np.repeat(np.arange(xn.size), _cat(counts)), z)
+    counts = g.per_lane(which, lambda r, sl: r.poisson(lam, sl.stop - sl.start) if scalar
+                        else r.poisson(lam[sl]))
+    if np.count_nonzero(counts):
+        u = g.per_lane(which, lambda r, sl: r.random((2, int(counts[sl].sum()))))
+        np.add.at(xn, np.repeat(np.arange(xn.size), counts), sampler.draw(u[0], u[1]))
 
 
 def _drift(plan: _Plan, x: np.ndarray) -> np.ndarray:
@@ -707,7 +709,7 @@ def simulate_path(model: ModelSpec, x0: float, cfg: SimConfig) -> Path:
 
 
 class _CoupledState:
-    __slots__ = ("x", "y", "coupled", "t_couple", "events")
+    __slots__ = ("x", "y", "coupled", "t_couple", "logs")
 
     def __init__(self, x0, y0, record_events):
         self.x = x0.copy()
@@ -715,58 +717,69 @@ class _CoupledState:
         self.coupled = np.isclose(x0, y0, rtol=0.0, atol=GAP_TOL) | (x0 == y0)
         self.t_couple = np.where(self.coupled, 0.0, np.inf)
         self.y[self.coupled] = self.x[self.coupled]
-        self.events: Optional[list] = [] if record_events else None
+        self.logs: Optional[dict] = {} if record_events else None  # lane index: its events
+
+    @property
+    def events(self) -> Optional[list]:
+        """The lasso events, lane after lane, each lane's in the order it logged them."""
+        return None if self.logs is None else [e for i in sorted(self.logs) for e in self.logs[i]]
 
 
-def _log_events(events: list, t_now: float, sign: str, gap, dx, dy) -> None:
+def _log_events(state: _CoupledState, g: _Group, cols, t_now: float, sign: str, gap, dx, dy):
     """Log one lasso event (t_now, sign, pre-event gap, leader jump, follower
-    jump) per entry of the arrays ``gap``, ``dx`` and ``dy``."""
-    events.extend((t_now, sign, float(a), float(b), float(c)) for a, b, c in zip(gap, dx, dy))
+    jump) per entry of the arrays ``gap``, ``dx`` and ``dy``, in the log of
+    the lane holding that entry's group column ``cols``."""
+    lanes = np.searchsorted([sl.stop for _, sl in g.lanes], cols, side="right")
+    for i, a, b, c in zip(lanes.tolist(), gap, dx, dy):
+        state.logs.setdefault(i, []).append((t_now, sign, float(a), float(b), float(c)))
 
 
-def _apply_jump_events(state, counts, measure, sampler, src, dis, x_start, t_now):
+def _apply_jump_events(state, g, counts, measure, sampler, which, x_start, t_now):
     """Disassemble ``counts[i]`` jump events of path i, one pass per event index, in place.
 
     The events are of one kind, branching or immigration, with jumps z from
     ``measure`` above eps.  Each event draws z with ``sampler``, from a
-    selector and a position uniform of the kind's stream ``src``.  A branching
-    event then draws u from ``src``, uniform on (0, x_start] with ``x_start``
-    the leader's step-start state: for u in the strip (Y, X] the leader jumps
-    alone.  Immigration events, ``x_start`` None, have no strip.  Every event
-    draws v from the disassembly stream ``dis``: v <= rho_up merges the pair,
-    rho_up < v <= rho_up + rho_dn doubles the gap, and otherwise the pair
-    shares z.  rho_up and rho_dn are the overlap-measure ratios at -gap and
-    gap (``rn_ratio_many``).  The follower's new state is one of these four
-    cases; merges and doublings of an open gap are logged when events are
-    recorded.
+    selector and a position uniform of the kind's stream ``which``.  A
+    branching event then draws u from that stream, uniform on (0, x_start]
+    with ``x_start`` the leader's step-start state: for u in the strip (Y, X]
+    the leader jumps alone.  Immigration events, ``x_start`` None, have no
+    strip.  Every event draws v from the disassembly stream: v <= rho_up
+    merges the pair, rho_up < v <= rho_up + rho_dn doubles the gap, and
+    otherwise the pair shares z.  rho_up and rho_dn are the overlap-measure
+    ratios at -gap and gap (``rn_ratio_many``).  The follower's new state is
+    one of these four cases; merges and doublings of an open gap are logged
+    when events are recorded.  A pass draws each lane's uniforms from its own
+    streams, in the sizes and order of the lane alone, and samples and
+    disassembles the events of all lanes at once.
     """
+    rows = 2 if x_start is None else 3
     for k in range(int(counts.max())):
         act = counts > k
-        na = int(act.sum())
-        xa, ya = state.x[act], state.y[act]
-        z = sampler.draw(src.random(na), src.random(na))
-        alone = np.zeros(na, dtype=bool) if x_start is None else src.random(na) * x_start[act] > ya
-        v = dis.random(na)
+        cols = np.flatnonzero(act)
+        xa, ya = state.x[cols], state.y[cols]
+        u = g.per_lane(which, lambda r, sl: r.random((rows, np.count_nonzero(act[sl]))))
+        z = sampler.draw(u[0], u[1])
+        alone = np.zeros(cols.size, dtype=bool) if x_start is None else u[2] * x_start[cols] > ya
+        v = g.per_lane("dis", lambda r, sl: r.random(np.count_nonzero(act[sl])))
         gap = xa - ya
         rho_up = rn_ratio_many(measure, -gap, z)
         rho_dn = rn_ratio_many(measure, gap, z)
         merge = ~alone & (v <= rho_up)
         down = ~alone & (v > rho_up) & (v <= rho_up + rho_dn)
-        state.x[act] = xa_new = xa + z
+        state.x[cols] = xa_new = xa + z
         # nested np.where: np.select costs several times as much on a pass's few events
         ya_new = np.where(alone, ya, np.where(merge, xa_new, np.where(down, ya + (z - gap), ya + z)))
-        state.y[act] = ya_new
-        if state.events is not None:
+        state.y[cols] = ya_new
+        if state.logs is not None:
             for sign, m in (("+", merge), ("-", down)):
                 m = m & (gap > GAP_TOL)
-                _log_events(state.events, t_now, sign, gap[m], z[m], ya_new[m] - ya[m])
+                _log_events(state, g, cols[m], t_now, sign, gap[m], z[m], ya_new[m] - ya[m])
 
 
 def _step_coupled(state: _CoupledState, g: _Group, eps_mu, eps_nu, dt, t_now):
     """One Euler step of the coupled pairs, in place; the sub-eps lasso rates
     are the overlap masses below eps (``overlap_mass``) of the open pairs."""
-    plan, s = g.plan, g.lanes[0][0]  # the blocks of one ensemble never share a group
-    n = state.x.size
+    plan = g.plan
     live = np.isfinite(state.x)
     if plan.mu_rate > 0:
         live &= state.x * plan.mu_rate * dt <= _LAM_CAP
@@ -792,15 +805,16 @@ def _step_coupled(state: _CoupledState, g: _Group, eps_mu, eps_nu, dt, t_now):
         state.y = state.y + np.where(state.coupled, g1, -g1) + gc
     # branching events (thinning at the step-start leader state)
     if plan.mu_rate > 0:
-        counts = s.mu.poisson(np.where(live, x * plan.mu_rate * dt, 0.0))
-        _apply_jump_events(state, counts, plan.model.mu, plan.mu_sampler, s.mu, s.dis, x, t_now)
+        lam = np.where(live, x * plan.mu_rate * dt, 0.0)
+        counts = g.per_lane("mu", lambda r, sl: r.poisson(lam[sl]))
+        _apply_jump_events(state, g, counts, plan.model.mu, plan.mu_sampler, "mu", x, t_now)
     # immigration events
     if plan.nu_rate > 0:
-        counts = np.where(live, s.nu.poisson(plan.nu_rate * dt, size=n), 0)
-        _apply_jump_events(state, counts, plan.model.nu, plan.nu_sampler, s.nu, s.dis, None, t_now)
+        counts = g.per_lane("nu", lambda r, sl: r.poisson(plan.nu_rate * dt, sl.stop - sl.start))
+        _apply_jump_events(state, g, counts * live, plan.model.nu, plan.nu_sampler, "nu", None, t_now)
     # sub-eps lasso corrections: merges and gap doublings carried by small jumps
     if eps_mu > 0.0 or eps_nu > 0.0:
-        u_up, u_dn, z_dn = s.dis.random(n), s.dis.random(n), s.dis.random(n)
+        u_up, u_dn, z_dn = g.per_lane("dis", lambda r, sl: r.random((3, sl.stop - sl.start)))
         gap = state.x - state.y
         op = np.flatnonzero(live & ~state.coupled & (gap > GAP_TOL))
         gap = gap[op]
@@ -812,9 +826,9 @@ def _step_coupled(state: _CoupledState, g: _Group, eps_mu, eps_nu, dt, t_now):
         dn = ~up & (u_dn[op] < rate_dn * dt)
         fire_up, fire_dn, gap_dn = op[up], op[dn], gap[dn]
         zz = gap_dn + (max(eps_mu, eps_nu) - gap_dn) * z_dn[fire_dn]
-        if state.events is not None:
-            _log_events(state.events, t_now, "+", gap[up], np.zeros(fire_up.size), gap[up])
-            _log_events(state.events, t_now, "-", gap_dn, zz, zz - gap_dn)
+        if state.logs is not None:
+            _log_events(state, g, fire_up, t_now, "+", gap[up], np.zeros(fire_up.size), gap[up])
+            _log_events(state, g, fire_dn, t_now, "-", gap_dn, zz, zz - gap_dn)
         state.y[fire_up] = state.x[fire_up]
         state.x[fire_dn] += zz
         state.y[fire_dn] += zz - gap_dn

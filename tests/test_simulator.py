@@ -485,6 +485,38 @@ class TestLockstep:
                      "threshold", "converged", "n_samples"):
             assert np.array_equal(getattr(together, name), getattr(alone, name)), name
 
+    def test_coupled_lanes_equal_one_lane_per_group(self, monkeypatch):
+        # every draw site of the coupled step: a Gaussian part (c > 0), the
+        # event passes of a stable + uniform + atoms mu and of a uniform nu,
+        # and the sub-eps lasso block, whose rates are positive at gaps < eps
+        mu = LevyMeasure.sum_of([LevyMeasure.stable(0.6, 0.5), LevyMeasure.uniform(0.8, 0.1, 0.7),
+                                 LevyMeasure.from_atoms([(1.5, 0.3)])])
+        model = ModelSpec(BranchingMechanism(0.4, 0.2, mu),
+                          ImmigrationMechanism(0.3, LevyMeasure.uniform(0.5, 0.0, 1.0)),
+                          CompetitionMechanism.none())
+        eps = 0.05
+        cfg = SimConfig(dt=1e-3, t_end=0.05, eps=eps, seed=3, n_paths=2500)  # three lanes
+        widths, step = [], simulator._step_coupled
+
+        def recording(state, g, *args):
+            widths.append(g.cols.stop - g.cols.start)
+            return step(state, g, *args)
+
+        monkeypatch.setattr(simulator, "_step_coupled", recording)
+        results = []
+        for n in (1, 3):  # one 2500-wide group; one lane per group, one worker each
+            widths.clear()
+            monkeypatch.setattr(simulator, "_workers", lambda n_groups, n=n: min(n, n_groups))
+            results.append(simulate_coupled_ensemble(
+                model, 1.0, 0.97, cfg, record_times=np.linspace(0.0, 0.05, 6), _record_events=True))
+            assert set(widths) == {2500 if n == 1 else 1024}  # the other lanes step in children
+        one, per_lane = results
+        for name in ("times", "x_values", "y_values", "coupling_times", "exploded"):
+            assert np.array_equal(getattr(one, name), getattr(per_lane, name)), name
+        assert one.lasso_events == per_lane.lasso_events  # in order: lane after lane
+        assert any(dx == 0.0 for _, _, _, dx, _ in one.lasso_events)  # a sub-eps merge
+        assert any(dx > eps for _, _, _, dx, _ in one.lasso_events)  # a jump event's
+
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
     def test_split_stable_increments_equal_per_lane_draws(self, alpha):
         rngs = lambda: [np.random.default_rng(s) for s in (3, 4)]
@@ -616,13 +648,24 @@ class TestPooled:
                      for n in (1, 5))
         assert np.array_equal(one.values, five.values)
 
+    @staticmethod
+    def lane_starts(g):
+        """The column of the driven fields at which each lane of group ``g`` starts."""
+        return [g.cols.start + sl.start for _, sl in g.lanes]
+
     def test_nan_in_a_child_raises_the_serial_error(self, monkeypatch):
+        # the lane at column 1024 alone gets NaN normals: with two workers its
+        # group is stepped in the child
         step = simulator._step_single
 
-        def nan_in_second_group(x, g, dt, normals):
-            return step(x, g, dt, normals * np.nan if g.cols.start == 1024 else normals)
+        def nan_in_second_lane(x, g, dt, normals):
+            normals = normals.copy()
+            for (_, sl), col in zip(g.lanes, self.lane_starts(g)):
+                if col == 1024:
+                    normals[sl] = np.nan
+            return step(x, g, dt, normals)
 
-        monkeypatch.setattr(simulator, "_step_single", nan_in_second_group)
+        monkeypatch.setattr(simulator, "_step_single", nan_in_second_lane)
         cfg = SimConfig(dt=1e-3, t_end=0.05, seed=2, n_paths=2500)
         errors = []
         for n in (1, 2):
@@ -632,17 +675,56 @@ class TestPooled:
         assert errors[0] == errors[1] == "single-path Euler step produced a NaN state"
 
     def test_first_failing_group_wins(self, monkeypatch):
-        # with two workers, group 2 fails in this process and group 1 in the child
-        def fail_from_second_group(x, g, dt, normals):
-            if g.cols.start >= 1024:
-                raise SimulationError(f"group at column {g.cols.start}")
+        # a group fails at its first lane from column 1024 on: with two workers,
+        # group 2 (the lane at 2048) fails in this process and group 1 (the lane
+        # at 1024) in the child; one worker steps all three lanes as one group
+        def fail_from_second_lane(x, g, dt, normals):
+            failing = [col for col in self.lane_starts(g) if col >= 1024]
+            if failing:
+                raise SimulationError(f"lane at column {failing[0]}")
             return x
 
-        monkeypatch.setattr(simulator, "_step_single", fail_from_second_group)
+        monkeypatch.setattr(simulator, "_step_single", fail_from_second_lane)
         cfg = SimConfig(dt=1e-3, t_end=0.01, n_paths=2500)
         for n in (1, 2):
-            with pytest.raises(SimulationError, match="^group at column 1024$"):
+            with pytest.raises(SimulationError, match="^lane at column 1024$"):
                 self.run(monkeypatch, n, lambda: simulate_ensemble(self.MODEL, 1.0, cfg))
+
+    def test_nan_in_a_coupled_child_raises_the_serial_error(self, monkeypatch):
+        # c = 1e308 makes both Gaussian parts of a pair 10 apart near 1e4
+        # infinite, of either sign, so the leader's sum is NaN; only the pairs
+        # of the lane at column 1024 start there, and with two workers its
+        # group is stepped in the child
+        model = ModelSpec(BranchingMechanism(0.5, 1e308, LevyMeasure.uniform(2.0, 0.0, 1.0)),
+                          ImmigrationMechanism(0.3), CompetitionMechanism.none())
+        x0, y0 = np.full(2100, 2.0), np.full(2100, 0.5)
+        x0[1024:2048], y0[1024:2048] = 1e4, 1e4 - 10.0
+        cfg = SimConfig(dt=1e-3, t_end=0.01, seed=1, n_paths=2100)
+        errors, shown = [], []
+        for n in (1, 2):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                with pytest.raises(SimulationError) as info:
+                    self.run(monkeypatch, n, lambda: simulate_coupled_ensemble(model, x0, y0, cfg))
+            errors.append(str(info.value))
+            shown.append([(str(w.message), w.category) for w in caught])
+        assert errors[0] == errors[1] == "coupled Euler step produced a NaN state"
+        assert shown[0] == shown[1]
+
+    def test_a_worker_ending_without_results_is_an_error(self, monkeypatch):
+        parent, run_share = os.getpid(), simulator._run_share
+
+        def exit_in_the_child(run, share):
+            if os.getpid() != parent:
+                os._exit(1)  # before it writes anything to its pipe
+            return run_share(run, share)
+
+        monkeypatch.setattr(simulator, "_run_share", exit_in_the_child)
+        cfg = SimConfig(dt=1e-3, t_end=0.01, seed=2, n_paths=2048)
+        # run() checks that the child was forked and reaped
+        with pytest.raises(SimulationError, match=r"^a simulation worker process ended without "
+                                                  r"results \(wait status 256\)$"):
+            self.run(monkeypatch, 2, lambda: simulate_ensemble(self.MODEL, 1.0, cfg))
 
     def test_interrupt_reaps_the_workers(self, monkeypatch):
         # run() checks that one child was forked and that it was reaped
@@ -660,10 +742,16 @@ class TestPooled:
 
     @pytest.mark.parametrize("action", ["always", "default"])
     def test_warnings_come_back_in_group_order(self, monkeypatch, capfd, action):
-        step = simulator._step_single
+        # at its group's first step each lane warns three times, so the lanes
+        # warn in column order whether one group or three hold them
+        step, stepped = simulator._step_single, []
 
         def warning(x, g, dt, normals):
-            warnings.warn(f"group at column {g.cols.start}", RuntimeWarning)
+            if all(h is not g for h in stepped):
+                stepped.append(g)
+                for col in self.lane_starts(g):
+                    for _ in range(3):
+                        warnings.warn(f"lane at column {col}", RuntimeWarning)
             return step(x, g, dt, normals)
 
         monkeypatch.setattr(simulator, "_step_single", warning)
@@ -674,9 +762,9 @@ class TestPooled:
                 warnings.simplefilter(action)
                 self.run(monkeypatch, n, lambda: simulate_ensemble(self.MODEL, 1.0, cfg))
             shown.append([(str(w.message), w.category, w.filename, w.lineno) for w in caught])
-        per_group = 10 if action == "always" else 1  # "default" shows each location once
+        per_lane = 3 if action == "always" else 1  # "default" shows each message once
         assert [m for m, *_ in shown[0]] == [
-            f"group at column {c}" for c in (0, 1024, 2048) for _ in range(per_group)]
+            f"lane at column {c}" for c in (0, 1024, 2048) for _ in range(per_lane)]
         assert shown[0] == shown[1]
         assert capfd.readouterr() == ("", "")  # the child wrote nothing itself
 
