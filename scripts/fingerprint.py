@@ -11,10 +11,11 @@ code: ``<config> <command> <item> <sha256>``.  ``wv`` runs under the name
 ``laws``: on two fixed laws under both weights, and on a malformed law, which
 exits 2.  Running the script against two source trees and diffing the two
 outputs shows whether a change left every output byte-identical.  The
-configs are the shipped ones plus four fixed models written below; every
-command runs on every config but the pure-jump one, which runs its own two
-starts at 0, two runs of several 1024-path blocks on three of them,
-``rate`` at the benchmark's grid of 101 on two, a ``couple`` start with
+configs are the shipped ones plus five fixed models written below.  Every
+command runs on every config but two: the pure-jump one runs its own two
+starts at 0, and the small-stable-index one only ``check-generator`` and
+``lyapunov``.  There are also two runs of several 1024-path blocks on three
+configs, ``rate`` at the benchmark's grid of 101 on two, a ``couple`` start with
 a gap of 0.01 (x0 = 1, y0 = 0.99) on two stable ones, and a small-gap
 ``couple`` on the same two at an eps where jumps below eps merge pairs and
 double gaps, once more on mixed_vlog with five 1024-path lanes.  No CLI
@@ -140,6 +141,27 @@ seed = 13
 weight = v1
 """
 
+# a stable index of 1/20 under the logarithmic weight, whose log tail is
+# finite; it runs only the two log-weight checks, check-generator and lyapunov
+SMALL_ALPHA_VLOG = """\
+[branching]
+kind = stable
+a = 1.0
+c = 0.0
+sigma = 1.0
+alpha = 0.05
+
+[immigration]
+beta = 0.5
+nu = none
+
+[competition]
+g = power k=3.0 p=1.5
+
+[certificate]
+weight = vlog
+"""
+
 COMMANDS = (
     ("rate-v1", ["rate", "--grid", "31", "--weight", "v1"]),
     ("rate-vlog", ["rate", "--grid", "31", "--weight", "vlog"]),
@@ -194,6 +216,12 @@ PURE_JUMP_COMMANDS = (
 )
 
 
+SMALL_ALPHA_COMMANDS = (
+    ("check-generator", ["check-generator"]),
+    ("lyapunov", ["lyapunov"]),
+)
+
+
 # two fixed laws for ``wv``, and one that does not sum to 1
 LAWS = {
     "gamma.csv": "atom,prob\n0,0.25\n0.5,0.25\n2,0.5\n",
@@ -226,13 +254,16 @@ def _configs():
     for name in SHIPPED:
         with open(os.path.join(ROOT, "configs", f"{name}.cfg")) as fh:
             out[name] = fh.read()
-    out.update(nu_jump=NU_JUMP, mixed_vlog=MIXED_VLOG, mixed_v1=MIXED_V1, pure_jump=PURE_JUMP)
+    out.update(nu_jump=NU_JUMP, mixed_vlog=MIXED_VLOG, mixed_v1=MIXED_V1, pure_jump=PURE_JUMP,
+               small_alpha_vlog=SMALL_ALPHA_VLOG)
     return out
 
 
 def _commands(cfg_name):
     if cfg_name == "pure_jump":
         return PURE_JUMP_COMMANDS
+    if cfg_name == "small_alpha_vlog":
+        return SMALL_ALPHA_COMMANDS
     return (
         COMMANDS
         + (WIDE_COMMANDS if cfg_name in WIDE_CONFIGS else ())

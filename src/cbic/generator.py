@@ -254,8 +254,6 @@ def _lyapunov_grid() -> np.ndarray:
 def _feasible_c0(weight: WeightFunction, c1: float, grid, lv_vals):
     """Minimal C0 for this C1, or None when the sup is not closed by the tail."""
     h = lv_vals + c1 * np.asarray(weight.value(grid), dtype=float)
-    if not np.all(np.isfinite(h)):
-        return None
     tail = h[grid >= 1e3]
     if len(tail) >= 3 and not (np.diff(tail) <= 1e-9 * np.maximum(1.0, np.abs(tail[:-1]))).all():
         return None

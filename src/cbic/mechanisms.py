@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.special import gamma as _gamma
+from scipy.special import digamma as _digamma, gamma as _gamma
 
 from . import quadrature
 
@@ -286,9 +286,9 @@ class LevyMeasure:
     def _density_integral(self, f, lo: float, hi: float) -> float:
         """int f(z) dz over (lo, hi) clipped to the density support; may be inf.
 
-        A density that may be singular at its lower support edge (stable or
-        ``from_density``, not uniform) opens a range starting there with an
-        edge integral over at most unit width.
+        A ``from_density`` part, which may be singular at its lower support
+        edge (a uniform one is not), opens a range starting there with an edge
+        integral over at most unit width.  Stable parts use closed forms.
         """
         slo, shi = self.density_support()
         a, b = max(lo, slo), min(hi, shi)
@@ -358,12 +358,21 @@ class LevyMeasure:
         return bool(np.isfinite(self.linear_tail()))
 
     @property
+    @summed(all)
     def has_finite_log_tail(self) -> bool:
-        return bool(np.isfinite(self.log_tail()))
+        # finite for every stable part, also where its closed form overflows (alpha -> 0)
+        return self.kind == "stable" or bool(np.isfinite(self.log_tail()))
 
     @summed(sum)
     def log_tail(self) -> float:
-        """int_1^inf log(1+z) measure(dz); inf when divergent."""
+        """int_1^inf log(1+z) measure(dz); inf when divergent.
+
+        Closed for a stable part: sigma*C_alpha*(log 2 + beta(alpha)), by parts, with
+        beta(alpha) = int_0^1 t^(alpha-1)/(1+t) dt = (psi((alpha+1)/2) - psi(alpha/2))/2.
+        """
+        if self.kind == "stable":
+            beta = 0.5 * float(_digamma(0.5 * (self.alpha + 1.0)) - _digamma(0.5 * self.alpha))
+            return self.sigma * stable_density_prefactor(self.alpha) * (math.log(2.0) + beta)
         total = sum(m * math.log1p(a) for a, m in self.atom_data if a > 1.0)
         f = lambda z: math.log1p(z) * self._dens1(z)
         return total + self._density_integral(f, 1.0, math.inf)

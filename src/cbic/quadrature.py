@@ -7,8 +7,10 @@ compensation threshold, density discontinuities).  Where the integrand may be
 singular at 0+ (stable and ``from_density`` densities, time integrals; not a
 uniform density), the piece touching zero is subdivided geometrically, which
 keeps QUADPACK happy on integrable power singularities.  :func:`lower_integral`
-and :func:`tail_integral` return a plain float that is ``inf`` when the edge
-singularity or the tail is not integrable; a quadrature failure on a piece
+and :func:`tail_integral` sum geometric shells toward a singular edge or toward
+infinity through one routine, :func:`_shell_sum`, and return ``inf`` when the
+edge or the tail is not integrable; only ``from_density`` parts reach them, as
+every other part has closed forms there.  A quadrature failure on a piece
 raises :class:`QuadratureError`.
 """
 
@@ -92,64 +94,38 @@ def integrate(fn, lo, hi, *, breakpoints=(), singular_at_0):
     return total
 
 
-def lower_integral(fn, lo, hi):
-    """Integrate ``fn`` over (lo, hi] when fn may blow up at lo+.
+def _shell_sum(fn, edges):
+    """Sum ``fn`` over the shells between consecutive ``edges``, which shrink
+    geometrically toward an end where ``fn`` may be singular; may be inf.
 
-    Dyadic shells shrinking toward ``lo`` must decline geometrically,
-    otherwise the singularity is non-integrable and ``inf`` is returned.
+    Once the sum is nonzero, a negligible shell from the fourth on ends it.
+    The rest is bounded by the geometric series of the last shell ratio; a
+    ratio of 0.95 or more means the shells stopped shrinking, and the end is
+    not integrable.
     """
-    lo = float(lo)
-    hi = float(hi)
-    if hi <= lo:
-        return 0.0
-    w = hi - lo
-    total = 0.0
-    incs = []
-    for k in range(48):
-        a = lo + w * 2.0 ** -(k + 1)
-        b = lo + w * 2.0**-k
-        inc = _quad_piece(fn, a, b)
-        incs.append(inc)
+    total, incs = 0.0, []
+    for a, b in zip(edges[:-1], edges[1:]):
+        inc = _quad_piece(fn, min(a, b), max(a, b))
         total += inc
-        if k >= 3 and abs(inc) < max(ABS_TOL, 1e-13 * abs(total)):
-            return total
-        if k >= 6:
-            ratios = [
-                abs(i2) / abs(i1) for i1, i2 in zip(incs[-4:-1], incs[-3:]) if abs(i1) > 0
-            ]
-            if ratios and min(ratios) >= 0.95:
-                return math.inf
-    rho = abs(incs[-1]) / abs(incs[-2]) if abs(incs[-2]) > 0 else 0.0
+        incs.append(abs(inc))
+        if len(incs) > 3 and total != 0.0 and incs[-1] < max(ABS_TOL, 1e-13 * abs(total)):
+            break
+    rho = incs[-1] / incs[-2] if len(incs) > 1 and incs[-2] > 0 else 0.0
     if rho >= 0.95:
         return math.inf
-    total += abs(incs[-1]) * rho / (1.0 - rho) if rho > 0 else 0.0
-    return total
+    return total + incs[-1] * rho / (1.0 - rho)
+
+
+def lower_integral(fn, lo, hi):
+    """Integrate ``fn`` over (lo, hi], hi > lo, when fn may blow up at lo+: 48
+    dyadic shells toward ``lo`` (see :func:`_shell_sum`); a divergent edge is ``inf``."""
+    return _shell_sum(fn, [lo + (hi - lo) * 2.0**-k for k in range(49)])
 
 
 def tail_integral(fn, lo):
-    """Integrate ``fn`` over (lo, inf); a divergent tail returns ``inf``.
-
-    Decade increments over (H, 10H) must settle into a geometric decline;
-    a final decade ratio at or above ~1 (the 1/z boundary) is divergent.
-    """
+    """Integrate ``fn`` over (lo, inf): up to max(lo, 1), then 11 decade shells
+    (see :func:`_shell_sum`); a divergent tail returns ``inf``."""
     lo = max(float(lo), 0.0)
-    horizons = [max(lo, 1.0) * 10.0**k for k in range(0, 12)]
-    total = integrate(fn, lo, horizons[0], singular_at_0=True)  # stable or from_density support
-    incs = []
-    for a, b in zip(horizons[:-1], horizons[1:]):
-        incs.append(_quad_piece(fn, a, b))
-    scale = max(1.0, abs(total))
-    ratios = [
-        abs(i2) / abs(i1)
-        for i1, i2 in zip(incs[:-1], incs[1:])
-        if abs(i1) > 1e-13 * scale and abs(i2) > 1e-13 * scale
-    ]
-    total += sum(incs)
-    if not ratios or abs(incs[-1]) <= 1e-12 * scale:
-        return total
-    rho = ratios[-1]
-    if rho >= 0.95 or any(r >= 1.0 for r in ratios[-3:]):
-        return math.inf
-    # bound the remaining tail by the trailing geometric envelope
-    total += abs(incs[-1]) * rho / (1.0 - rho)
-    return total
+    h = max(lo, 1.0)
+    head = integrate(fn, lo, h, singular_at_0=True)  # fn may be singular at 0+
+    return head + _shell_sum(fn, [h * 10.0**k for k in range(12)])

@@ -465,8 +465,9 @@ def _drive(runs, fields, cfg: SimConfig, record_times, step, start=None, view=No
         return state
 
     # a state, variance, stable increment or competition term beyond the float
-    # range is +inf, its exact limit: the path explodes or a -inf drift clamps it
-    with np.errstate(over="ignore"):
+    # range is +inf, its exact limit: the path explodes or a -inf drift clamps it;
+    # inf - inf is a NaN state, which each step reports as a one-line error
+    with np.errstate(over="ignore", invalid="ignore"):
         finals = _pooled(run, len(groups), n_workers)
     return rec * cfg.dt, out, finals
 
@@ -619,14 +620,10 @@ def _step_single(x: np.ndarray, g: _Group, dt: float, normals: Optional[np.ndarr
     if plan.stable_fast and plan.sigma > 0:
         inc = next(g.inc)
         if plan.alpha == 1.0:
-            scale = plan.sigma * xl
             logdrift = np.where(
                 xl > 0, plan.sigma * xl * np.log(np.maximum(plan.sigma * xl, 1e-300)), 0.0
             )
-            # an infinite sigma x meets an increment of either sign: inf - inf is
-            # a NaN state, which the check below reports as a one-line error
-            with np.errstate(invalid="ignore"):
-                xn = xn + scale * inc + logdrift * dt
+            xn = xn + plan.sigma * xl * inc + logdrift * dt
         else:
             # increments carry the lam^alpha exponent normalization, so the
             # state factor is (sigma x)^(1/alpha): the conditional branching
@@ -835,11 +832,12 @@ def _step_coupled(state: _CoupledState, g: _Group, eps_mu, eps_nu, dt, t_now):
     # clamp, merge detection, explosion
     state.x = np.maximum(state.x, 0.0)
     state.y = np.maximum(state.y, 0.0)
-    crossed = live & ~state.coupled & (state.y >= state.x - GAP_TOL)
+    inside = state.x <= plan.x_max  # False where the leader exploded or is NaN
+    crossed = live & inside & ~state.coupled & (state.y >= state.x - GAP_TOL)
     state.coupled |= crossed
     state.t_couple[crossed] = t_now + dt
     state.y = np.where(state.coupled, state.x, state.y)
-    boom = live & ~((state.x <= plan.x_max) & (state.y <= plan.x_max))  # exploded or NaN
+    boom = live & ~(inside & (state.y <= plan.x_max))  # exploded or NaN
     if boom.any():
         if np.isnan(state.x[boom]).any() or np.isnan(state.y[boom]).any():
             raise SimulationError("coupled Euler step produced a NaN state")

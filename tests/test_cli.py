@@ -327,6 +327,33 @@ class TestExitCodes:
         assert len(err.strip().splitlines()) == 1
         assert "Traceback" not in err
 
+    # c = 1e308 overflows the Gaussian parts of most pairs within a step
+    EXPLODING = ("[branching]\nb = 0.5\nc = 1e308\nmu = uniform rate=2.0 lo=0.0 hi=1.0\n\n"
+                 "[immigration]\nbeta = 0.3\n")
+
+    @pytest.mark.parametrize("start, code, err", [
+        (["--x0", "1e-300", "--y0", "0"], 0, ""),
+        # a pair 10 apart near 1e4 gets infinite Gaussian parts of either sign
+        (["--x0", "1e4", "--y0", "9990"], 1, "error: coupled Euler step produced a NaN state\n"),
+    ], ids=["explodes", "nan"])
+    def test_overflowing_coupled_steps_warn_nothing(self, tmp_path, start, code, err):
+        path = tmp_path / "model.cfg"
+        path.write_text(self.EXPLODING)
+        got = _run_recording(["couple", "--model", str(path), *start, "--dt", "1e-3",
+                              "--t-end", "0.01", "--paths", "100", "--out", str(tmp_path)])
+        assert got == (code, err, [])
+
+    def test_small_stable_index_has_a_log_generator(self, tmp_path):
+        # the log tail of a stable part is finite for every index
+        with open(os.path.join(CONFIGS, "stable_power_vlog.cfg")) as fh:
+            text = fh.read()
+        path = tmp_path / "model.cfg"
+        path.write_text(text.replace("alpha = 0.5", "alpha = 0.05")
+                        .replace("k=3.544907701811032", "k=3.0"))
+        code, err, runtime = _run_recording(["check-generator", "--model", str(path),
+                                             "--weight", "vlog", "--out", str(tmp_path)])
+        assert (code, err, runtime) == (0, "", [])
+
     def test_quadrature_failure_exits_one(self, ergodic_cfg, tmp_path, capsys, monkeypatch):
         def fail(*args, **kwargs):
             raise QuadratureError("quadrature did not converge on [0, 1]", interval=(0.0, 1.0))

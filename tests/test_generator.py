@@ -194,6 +194,16 @@ class TestLyapunovCertify:
         for c1, c0 in cert.pairs:
             assert (lv + c1 * cert.grid_x <= c0).all()
 
+    @pytest.mark.xfail(strict=True, raises=quadrature.QuadratureError,
+                       reason="lyapunov_margin's vlog ladder integrates the z^(-1-alpha) tail "
+                       "on (1, inf) with QUADPACK, which does not converge")
+    @pytest.mark.parametrize("alpha", [0.1, 0.05])
+    def test_small_stable_index_reaches_a_verdict(self, alpha):
+        model = ModelSpec(stable_to_generic(1.0, 0.0, 1.0, alpha), ImmigrationMechanism(0.5),
+                          CompetitionMechanism.power(3.0, 1.5))
+        res = lyapunov_certify(model, VLOG)
+        assert isinstance(res, (LyapunovCertificate, LyapunovFailure))
+
     def test_no_feasible_c1_in_the_sweep(self):
         """g = 1e-4 x^1.1 makes the margin infinite, but it overtakes C1 x only
         beyond x = 1e6 for every swept C1, so no sup closes on the grid; b = 0.5

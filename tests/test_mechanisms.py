@@ -130,6 +130,35 @@ class TestDensityIntegral:
         assert m.log_tail() == pytest.approx(2.0 * math.log(2.0), rel=1e-6)
         assert m.has_finite_log_tail
 
+    def test_edge_shells_keep_the_geometric_rest(self):
+        # the shells toward 0 stop early, and the geometric series of their
+        # ratio bounds what lies below the last one
+        one = LevyMeasure.from_density(lambda z: np.ones_like(z), support=(0.0, 1.0))
+        assert one.mass_above(0.0) == pytest.approx(1.0, rel=0, abs=1e-15)
+        assert one.moment(1.0, 0.0, 1.0) == pytest.approx(0.5, rel=0, abs=1e-15)
+        root = LevyMeasure.from_density(lambda z: z**-0.5, support=(0.0, 1.0))
+        assert root.moment(1.0, 0.0, 1.0) == pytest.approx(2.0 / 3.0, rel=0, abs=1e-15)
+
+    def test_mass_beyond_empty_edge_shells_is_summed(self):
+        # nine empty shells from 1 down before the mass below 1e-3
+        m = LevyMeasure.from_density(lambda z: (z < 1e-3).astype(float), support=(0.0, 1.0))
+        assert m.mass_above(0.0) == pytest.approx(1e-3, rel=1e-6)
+
+
+class TestStableLogTail:
+    """int_1^inf log(1+z) of a stable part is the closed form sigma C_alpha (log 2 + beta)."""
+
+    @pytest.mark.parametrize("alpha", [0.01, 0.05, 0.5, 1.0, 1.5])
+    def test_closed_form(self, alpha):
+        beta, _ = quad(lambda t: 1.0 / (1.0 + t), 0.0, 1.0, weight="alg", wvar=(alpha - 1.0, 0.0))
+        want = stable_density_prefactor(alpha) * (math.log(2.0) + beta)
+        assert LevyMeasure.stable(alpha, 1.0).log_tail() == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("alpha", [0.05, 5e-324])
+    def test_finite_for_every_index(self, alpha):
+        # at alpha = 5e-324 the closed form overflows, yet the integral is finite
+        assert LevyMeasure.stable(alpha, 1.0).has_finite_log_tail
+
 
 class TestPsiEval:
     def test_vanishes_at_zero(self):

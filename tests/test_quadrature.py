@@ -67,6 +67,10 @@ class TestTailIntegral:
     def test_slow_power_tail_diverges(self):
         assert tail_integral(lambda z: z**-0.9, 1.0) == math.inf
 
+    def test_mass_beyond_empty_decades_is_summed(self):
+        # four empty decades before the mass: a zero sum never stops the shells
+        assert tail_integral(lambda z: 1.0 if 1e5 < z < 1e6 else 0.0, 1.0) == 9e5
+
 
 class TestLowerIntegral:
     def test_integrable_singularity(self):

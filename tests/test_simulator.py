@@ -221,6 +221,14 @@ class TestSimulatePath:
         # events-per-step budget holds at the reference scale
         assert LevyMeasure.stable(1.5, 1.0).mass_above(eps) * cfg.dt * 10.0 <= 10.0 * 1.01
 
+    @pytest.mark.xfail(strict=True, reason="the 4097-node trapezoid table of a uniform part "
+                       "gives its two edge cells half weight")
+    def test_uniform_part_samples_its_edge_cells_in_full(self):
+        sampler = simulator._MeasureSampler(LevyMeasure.uniform(1.0, 0.0, 1.0), 0.0)
+        n = 2**20
+        z = sampler.draw(np.zeros(n), (np.arange(n) + 0.5) / n)  # quantiles of a uniform u
+        assert np.mean(z < 1.0 / 4096) == pytest.approx(1.0 / 4096, rel=1e-2)
+
     def test_density_from_zero_with_infinite_support(self):
         # the sampler's grid starts with the support: at 0 for Exp(1), and
         # geometric from 1 for the Pareto density 1.5 z^-2.5 on (1, inf)
@@ -247,6 +255,19 @@ class TestSimulateCoupled:
         cp = simulate_coupled(ergodic_v1_model, 1.0, 1.0, SimConfig(dt=1e-3, t_end=0.5, seed=9))
         assert cp.coupling_time == 0.0
         assert np.array_equal(cp.x_values, cp.y_values)
+
+    def test_a_pair_exploding_in_a_step_does_not_couple_in_it(self):
+        # c = 1e308: most pairs explode within a step, some with the follower
+        # ending above the leader; a pair couples only while its leader is inside x_max
+        model = ModelSpec(BranchingMechanism(0.5, 1e308, LevyMeasure.uniform(2.0, 0.0, 1.0)),
+                          ImmigrationMechanism(0.3), CompetitionMechanism.none())
+        cfg = SimConfig(dt=1e-3, t_end=0.01, seed=7, n_paths=100)
+        res = simulate_coupled_ensemble(model, 2.0, 0.5, cfg)  # every step recorded
+        coupled = np.flatnonzero(np.isfinite(res.coupling_times))
+        steps = np.rint(res.coupling_times[coupled] / cfg.dt).astype(int)
+        assert np.isfinite(res.x_values[steps, coupled]).all()
+        # pairs that couple and explode later keep their coupling times
+        assert res.exploded[coupled].any()
 
     @staticmethod
     def check_order_and_merge(res):
