@@ -37,8 +37,7 @@ from .ergodicity import (
 )
 from .ergodicity import write_decay_csv
 from .generator import WeightFunction
-from .mechanisms import MechanismError
-from .quadrature import QuadratureError
+from .mechanisms import MechanismError, QuadratureError
 from .simulator import (
     SimulationError,
     record_steps,

@@ -30,7 +30,6 @@ from dataclasses import dataclass, field, replace
 from typing import List, Optional, Tuple
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .generator import (
     CouplingControl,
@@ -510,6 +509,8 @@ def wv_ot_small(gamma, eta, weight: WeightFunction) -> float:
 
     Solves the transportation LP directly; supports at most 12 atoms a side.
     """
+    from scipy.optimize import linprog  # loaded at first use: only `wv` needs it
+
     ga, gp = _as_dist(gamma)
     ea, ep = _as_dist(eta)
     n, m = ga.size, ea.size

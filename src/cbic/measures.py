@@ -28,7 +28,6 @@ import math
 
 import numpy as np
 
-from . import quadrature
 from .mechanisms import LevyMeasure, ModelSpec, stable_density_prefactor, summed
 
 ATOM_SLACK = 1e-12
@@ -123,6 +122,8 @@ def overlap_integrate(base: LevyMeasure, x: float, fn, lo: float = 0.0, hi: floa
     b = min(hi, shi, shi + x)
     if b <= a:
         return total
+    from . import quadrature  # loads scipy at first use
+
     # _overlap_dens1 inlined: one Python call per quadrature node fewer
     dens = base._dens1
     integrand = lambda z: float(fn(z)) * (0.0 if z <= 0.0 else 0.5 * min(dens(z), dens(z - x)))

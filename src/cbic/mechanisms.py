@@ -22,6 +22,11 @@ is carried parametrically and mapped to generic (b, c, mu) data by
 it decorates is written for one part, and a sum's value is its parts' values
 added in part order.  The pointwise ``density`` and ``_dens1``, run once per
 quadrature node, add up their parts inline.
+
+Stable parts have closed forms for every mass, moment and log tail, and
+uniform parts for every mass and moment; only the rest reaches
+:mod:`cbic.quadrature`.  It and ``scipy.special`` are imported at first use,
+so a run whose measures never need them does not pay for loading scipy.
 """
 
 from __future__ import annotations
@@ -32,9 +37,6 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.special import digamma as _digamma, gamma as _gamma
-
-from . import quadrature
 
 EULER_GAMMA = float(np.euler_gamma)
 
@@ -43,8 +45,26 @@ class MechanismError(ValueError):
     """Invalid mechanism data (integrability, sign or range violations)."""
 
 
+class QuadratureError(RuntimeError):
+    """Adaptive quadrature failed to converge on a subinterval.
+
+    Defined here rather than in :mod:`cbic.quadrature`, which re-exports it, so
+    that catching it does not load scipy.
+    """
+
+    def __init__(self, message, interval=None):
+        super().__init__(message)
+        self.interval = interval
+
+
 class InconclusiveError(RuntimeError):
     """A tail/boundary classification could not be decided numerically."""
+
+
+def _gamma(x):
+    from scipy.special import gamma  # loaded at first use (module docstring)
+
+    return gamma(x)
 
 
 def stable_density_prefactor(alpha: float) -> float:
@@ -278,25 +298,31 @@ class LevyMeasure:
         slo, shi = self.density_support()
         a, b = max(lo, slo), min(hi, shi)
         if b > a:
+            from . import quadrature
+
             pts = tuple(self.breakpoints()) + (1.0,)
             total += quadrature.integrate(lambda z: float(fn(z)) * self._dens1(z), a, b,
                                           breakpoints=pts, singular_at_0=self.singular_at_0)
         return total
 
     def _density_integral(self, f, lo: float, hi: float) -> float:
-        """int f(z) dz over (lo, hi) clipped to the density support; may be inf.
+        """int f(z) dz over (lo, hi) clipped to the density support, by quadrature; may be inf.
 
         A ``from_density`` part, which may be singular at its lower support
         edge (a uniform one is not), opens a range starting there with an edge
-        integral over at most unit width.  Stable parts use closed forms.
+        integral up to its first breakpoint, over at most unit width; the rest
+        of the range is split at the breakpoints.  Stable parts, and the masses
+        and moments of uniform parts, use closed forms and never come here.
         """
         slo, shi = self.density_support()
         a, b = max(lo, slo), min(hi, shi)
         if b <= a:
             return 0.0
+        from . import quadrature
+
         total = 0.0
         if a == slo and self.singular_at_0:
-            mid = min(b, a + 1.0)
+            mid = min([b, a + 1.0] + [p for p in self.breakpoints() if p > a])
             total = quadrature.lower_integral(f, a, mid)
             if total == math.inf:
                 return total
@@ -318,6 +344,9 @@ class LevyMeasure:
             return self.sigma * stable_density_prefactor(self.alpha) * z0 ** (-self.alpha)
         if self.kind == "atoms":
             return sum(m for a, m in self.atom_data if a > z0)
+        if self.kind == "density" and self.fn is None:  # uniform
+            lo, hi = self.support
+            return self.rate * max(hi - max(z0, lo), 0.0)
         return self._density_integral(self._dens1, z0, math.inf)
 
     @summed(sum)
@@ -343,6 +372,15 @@ class LevyMeasure:
                 return math.inf
         if self.kind == "atoms":
             return sum(m * a**power for a, m in self.atom_data if lo < a <= hi)
+        if self.fn is None and power > -1.0:  # uniform, with z^power integrable at 0
+            a, b = max(lo, self.support[0]), min(hi, self.support[1])
+            if b <= a:
+                return 0.0
+            q = power + 1.0
+            try:
+                return self.rate * (b**q - a**q) / q
+            except OverflowError:  # the power beyond the float range dominates
+                return math.inf
         return self._density_integral(lambda z: z**power * self._dens1(z), lo, hi)
 
     def linear_tail(self) -> float:
@@ -371,6 +409,8 @@ class LevyMeasure:
         beta(alpha) = int_0^1 t^(alpha-1)/(1+t) dt = (psi((alpha+1)/2) - psi(alpha/2))/2.
         """
         if self.kind == "stable":
+            from scipy.special import digamma as _digamma
+
             beta = 0.5 * float(_digamma(0.5 * (self.alpha + 1.0)) - _digamma(0.5 * self.alpha))
             return self.sigma * stable_density_prefactor(self.alpha) * (math.log(2.0) + beta)
         total = sum(m * math.log1p(a) for a, m in self.atom_data if a > 1.0)

@@ -1,7 +1,11 @@
 """Shared adaptive quadrature for Levy-measure and generator integrals.
 
-Every integral against a Levy measure in this package funnels through
+Every integral against a Levy measure that has no closed form funnels through
 :func:`integrate`, so tolerances and singularity handling live in one place.
+Stable parts (masses, moments, log tails, overlap masses) and uniform parts
+(masses, moments, overlap masses) have closed forms and do not come here.
+Callers import this module at first use, so a run that needs no quadrature
+does not load ``scipy.integrate``.
 Integrands are split at caller-supplied breakpoints (support edges, the z = 1
 compensation threshold, density discontinuities).  Where the integrand may be
 singular at 0+ (stable and ``from_density`` densities, time integrals; not a
@@ -19,20 +23,14 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import integrate as _sciint
+from scipy import integrate as _sciint  # global: perfbench's tracer counts quad here
+
+from .mechanisms import QuadratureError  # re-exported
 
 # Tolerances of every QUADPACK piece, fixed at what the certificate pipeline needs.
 ABS_TOL = 1e-10
 REL_TOL = 1e-8
 _LIMIT = 200
-
-
-class QuadratureError(RuntimeError):
-    """Adaptive quadrature failed to converge on a subinterval."""
-
-    def __init__(self, message, interval=None):
-        super().__init__(message)
-        self.interval = interval
 
 
 def _pieces(lo, hi, breakpoints):

@@ -49,9 +49,7 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
-from . import quadrature
 from .measures import overlap_mass, rn_ratio_many
 from .mechanisms import (
     BranchingMechanism,
@@ -898,6 +896,8 @@ def simulate_coupled(model: ModelSpec, x0: float, y0: float, cfg: SimConfig) -> 
 
 def solve_vt(mech: BranchingMechanism, lam: float, t: float, dense: bool = False):
     """Backward flow dv/dt = -Psi(v), v_0 = lam, by adaptive Runge-Kutta."""
+    from scipy.integrate import solve_ivp  # loaded at first use: no CLI run needs it
+
     if lam <= 0:
         raise MechanismError("solve_vt needs lam > 0")
     if t == 0.0:
@@ -928,6 +928,8 @@ def cbi_laplace(
         raise MechanismError("cbi_laplace needs lam > 0")
     if t == 0.0:
         return math.exp(-x * lam)
+    from . import quadrature  # loads scipy at first use
+
     vt, sol = solve_vt(branching, lam, t, dense=True)
     phi_at = lambda s: phi_eval(immigration, float(np.clip(sol.sol(s)[0], 0.0, 1e14)))
     accum = quadrature.integrate(phi_at, 0.0, t, singular_at_0=True)

@@ -19,8 +19,7 @@ from cbic import cli
 from cbic.cli import run
 from cbic.config import ConfigError, load_config, parse_measure
 from cbic.ergodicity import estimate_wv_decay, write_decay_csv, wv_exact_discrete
-from cbic.mechanisms import CompetitionMechanism
-from cbic.quadrature import QuadratureError
+from cbic.mechanisms import CompetitionMechanism, QuadratureError
 from cbic.simulator import simulate_coupled_ensemble
 
 CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
@@ -267,7 +266,8 @@ class TestExitCodes:
         ("ergodic_v1", "c = 0.0", "c = 1e308", ["couple", "--paths", "4", "--t-end", "0.002"],
          0, ""),
         ("ergodic_v1", "c = 0.0", "c = 1e308", ["rate", "--grid", "11"], 1, "degenerated"),
-        ("ergodic_v1", "hi=1.0", "hi=1e308", ["lyapunov"], 1, "did not converge"),
+        ("ergodic_v1", "hi=1.0", "hi=1e308", ["lyapunov"], 1,
+         "linear-growth weight needs finite first-moment tails"),
         ("stable_power_vlog", "eps = 1e-4", "eps = 1e308",
          ["couple", "--paths", "4", "--t-end", "0.002", "--dt", "1e-3"], 1, "infinite moment"),
         ("neveu_xlog", "xlog k=1.0", "xlog k=1e308", ["lyapunov"], 1, "not a finite"),
@@ -304,6 +304,51 @@ class TestExitCodes:
         )
         assert proc.returncode == 0
         assert proc.stdout.startswith("usage: cbic")
+
+    # a fresh interpreter loads configs, runs CLI commands and prints, after
+    # each step, which of scipy's special, integrate and optimize it has loaded
+    STARTUP = """
+import contextlib, io, sys
+def loaded(step):
+    print(step + "=" + ",".join(m for m in ("scipy.special", "scipy.integrate",
+                                            "scipy.optimize") if m in sys.modules))
+import cbic.cli
+loaded("import")
+from cbic.config import load_config
+for name in sys.argv[3:]:
+    load_config(sys.argv[1] + "/" + name + ".cfg")
+loaded("load")
+for cmd, name in [c.split(":") for c in sys.argv[2].split(",")]:
+    argv = [cmd, "--model", sys.argv[1] + "/" + name + ".cfg", "--paths", "4",
+            "--t-end", "0.002", "--out", "."]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cbic.cli.run(argv) == 0
+    loaded(cmd + ":" + name)
+"""
+
+    def _startup(self, tmp_path, runs, configs=()):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", self.STARTUP, os.path.abspath(CONFIGS), ",".join(runs),
+             *configs],
+            capture_output=True, text=True, env=env, cwd=tmp_path, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        return dict(line.split("=") for line in proc.stdout.splitlines())
+
+    def test_startup_loads_no_scipy_submodule_a_run_does_not_need(self, tmp_path):
+        # uniform masses and moments are closed forms: no quadrature, no scipy.integrate;
+        # the stable config needs scipy.special
+        got = self._startup(tmp_path, ["simulate:ergodic_v1", "simulate:critical_cbi",
+                                       "couple:ergodic_v1"],
+                            ["ergodic_v1", "critical_cbi", "neveu_xlog", "stable_power_vlog"])
+        assert got == {"import": "", "load": "scipy.special",
+                       "simulate:ergodic_v1": "scipy.special",
+                       "simulate:critical_cbi": "scipy.special",
+                       "couple:ergodic_v1": "scipy.special"}
+        assert self._startup(tmp_path, ["simulate:neveu_xlog"]) == {
+            "import": "", "load": "", "simulate:neveu_xlog": ""}
 
     def test_lyapunov_failure_exits_one(self, capsys):
         code = run([

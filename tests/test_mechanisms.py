@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from cbic import quadrature
 from cbic.config import parse_measure
 from cbic.mechanisms import (
     BranchingMechanism,
@@ -143,6 +144,43 @@ class TestDensityIntegral:
         # nine empty shells from 1 down before the mass below 1e-3
         m = LevyMeasure.from_density(lambda z: (z < 1e-3).astype(float), support=(0.0, 1.0))
         assert m.mass_above(0.0) == pytest.approx(1e-3, rel=1e-6)
+
+    def test_edge_integral_ends_at_the_first_breakpoint(self):
+        # the mass below 1e-3 lies under the edge shells, the rest past a gap
+        m = LevyMeasure.from_density(lambda z: ((z < 1e-3) | (z > 0.5)).astype(float),
+                                     support=(0.0, 1.0), breakpoints=(1e-3, 0.5))
+        assert m.mass_above(0.0) == pytest.approx(0.501, rel=0, abs=1e-9)
+        assert m.moment(1.0, 0.0, 1.0) == pytest.approx(0.3750005, rel=0, abs=1e-9)
+
+
+class TestUniformClosedForms:
+    """Uniform masses and moments are closed forms, equal to quadrature of the
+    constant density to 1e-15 relative."""
+
+    @staticmethod
+    def _ranges(slo, shi):
+        w = shi - slo
+        return [(0.0, math.inf), (slo + 0.5 * w, math.inf), (shi + 1.0, math.inf),  # to inf
+                (slo + 0.3 * w, shi + 1.0), (0.0, slo + 0.6 * w),  # partial
+                (slo + 0.25 * w, slo + 0.5 * w),  # inside
+                (shi + 1.0, shi + 2.0), (0.0, slo)]  # empty
+
+    @pytest.mark.parametrize("rate", [0.3, 1.0, 7.5])
+    @pytest.mark.parametrize("slo, shi", [(0.0, 1.0), (0.2, 2.5), (1.5, 40.0)])
+    def test_equal_quadrature_of_the_constant_density(self, rate, slo, shi):
+        m = LevyMeasure.uniform(rate, slo, shi)
+        close = lambda got, want: abs(got - want) <= 1e-15 * abs(want)
+        for lo, hi in self._ranges(slo, shi):
+            a, b = max(lo, slo), min(hi, shi)
+            for p in (0.0, 1.0, 2.0):
+                want = quadrature.integrate(lambda z: rate * z**p, a, b, singular_at_0=False)
+                assert close(m.moment(p, lo, hi), want), (lo, hi, p)
+            if hi == math.inf:
+                want = quadrature.integrate(lambda z: rate, a, b, singular_at_0=False)
+                assert close(m.mass_above(lo), want), lo
+
+    def test_moment_beyond_the_float_range_is_inf(self):
+        assert LevyMeasure.uniform(1.0, 0.0, 1e308).moment(1.0, 1.0, math.inf) == math.inf
 
 
 class TestStableLogTail:
