@@ -73,9 +73,6 @@ def _part_overlap_mass(base: LevyMeasure, x, lo: float, hi: float):
     if base.kind == "atoms":
         return sum((0.5 * np.minimum(m, _atom_mass_at(base, a - x))
                     for a, m in base.atom_data if lo < a <= hi), 0.0)
-    if base.fn is not None:
-        one = lambda z: 1.0
-        return np.vectorize(lambda s: overlap_integrate(base, s, one, lo, hi), otypes=[float])(x)
     if base.kind == "stable":
         # min(f(z), f(z-x)) = f(z - min(x, 0)) on the overlap region z > max(x, 0)
         s = np.minimum(x, 0.0)
@@ -83,7 +80,7 @@ def _part_overlap_mass(base: LevyMeasure, x, lo: float, hi: float):
         half = 0.5 * base.sigma * stable_density_prefactor(base.alpha)  # of the tail mass
         with np.errstate(divide="ignore"):  # a = 0: the infinite mass at 0+
             v = half * a ** -base.alpha - half * b ** -base.alpha
-    elif base.kind == "density":  # uniform
+    elif base.kind == "uniform":
         slo, shi = base.support
         a, b = np.maximum(max(lo, slo), slo + x), np.minimum(min(hi, shi), shi + x)
         v = 0.5 * base.rate * (b - a)
@@ -100,7 +97,7 @@ def overlap_mass(base: LevyMeasure, x, lo: float = 0.0, hi: float = math.inf):
     Each part kind has a closed form: a stable part's monotone density makes
     the mass half a tail mass, a uniform part's is half its rate times the
     length of (lo, hi) ^ (slo, shi) ^ (slo + x, shi + x), and atoms pair at
-    exactly shifted locations.  Only a ``from_density`` part integrates.
+    exactly shifted locations.
     """
     x = np.asarray(x, dtype=float)[()]  # a float stays a scalar: array power rounds differently
     lo, hi = max(float(lo), 0.0), float(hi)

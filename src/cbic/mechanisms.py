@@ -23,8 +23,9 @@ it decorates is written for one part, and a sum's value is its parts' values
 added in part order.  The pointwise ``density`` and ``_dens1``, run once per
 quadrature node, add up their parts inline.
 
-Stable parts have closed forms for every mass, moment and log tail, and
-uniform parts for every mass and moment; only the rest reaches
+The measure kinds are the config grammar's: stable, uniform, atoms and
+their sums.  Every mass, moment and log tail of a part is a closed form;
+only :meth:`LevyMeasure.integrate` of an arbitrary function reaches
 :mod:`cbic.quadrature`.  It and ``scipy.special`` are imported at first use,
 so a run whose measures never need them does not pay for loading scipy.
 """
@@ -34,7 +35,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Optional, Sequence, Tuple
+from typing import NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -116,31 +117,35 @@ def _each(results) -> None:
         pass
 
 
-def _density_support(support) -> Tuple[float, float]:
-    lo, hi = float(support[0]), float(support[1])
-    if lo < 0.0 or hi <= lo:
-        raise MechanismError(f"density support must satisfy 0 <= lo < hi, got {support}")
-    return lo, hi
+def _power_integral(c: float, k: float, a: float, b: float) -> float:
+    """int_a^b c z^(k-1) dz for 0 <= a < b <= inf; inf where it diverges."""
+    if (b == math.inf and k >= 0) or (a == 0.0 and k <= 0):
+        return math.inf
+    if k == 0:
+        return c * math.log(b / a)
+    try:
+        top = 0.0 if b == math.inf else b**k
+        return c * (top - a**k) / k
+    except OverflowError:  # the power beyond the float range dominates
+        return math.inf
 
 
 @dataclass(frozen=True)
 class LevyMeasure:
     """Parametric sigma-finite measure on (0, inf).
 
-    Kinds: ``zero``; ``stable`` (alpha*sigma times the reference stable
-    measure, density alpha*sigma*C_alpha*z^{-1-alpha}); ``density`` (callable
-    on a support interval, or the constant ``rate`` there when ``fn`` is
-    None); ``atoms``; ``sum``.  Measures are immutable and safe to share
-    between workers.
+    Kinds, those of the config grammar: ``zero``; ``stable`` (alpha*sigma
+    times the reference stable measure, density alpha*sigma*C_alpha*z^{-1-alpha});
+    ``uniform`` (the constant density ``rate`` on the ``support`` interval);
+    ``atoms``; ``sum``.  Measures are immutable and safe to share between
+    workers.
     """
 
     kind: str = "zero"
     alpha: float = 0.0
     sigma: float = 0.0
-    fn: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    rate: float = 0.0  # constant density of a ``density`` measure with no fn
+    rate: float = 0.0  # constant density of a ``uniform`` measure
     support: Tuple[float, float] = (0.0, math.inf)
-    disc: Tuple[float, ...] = ()
     atom_data: Tuple[Tuple[float, float], ...] = ()
     parts: Tuple["LevyMeasure", ...] = ()
 
@@ -167,27 +172,16 @@ class LevyMeasure:
         return cls(kind="stable", alpha=float(alpha), sigma=float(sigma))
 
     @classmethod
-    def from_density(
-        cls,
-        fn: Callable[[np.ndarray], np.ndarray],
-        support: Tuple[float, float] = (0.0, math.inf),
-        breakpoints: Sequence[float] = (),
-    ) -> "LevyMeasure":
-        return cls(
-            kind="density",
-            fn=fn,
-            support=_density_support(support),
-            disc=tuple(float(b) for b in breakpoints),
-        )
-
-    @classmethod
     def uniform(cls, rate: float, lo: float, hi: float) -> "LevyMeasure":
         """Density rate * 1_{(lo, hi)}(z) dz."""
         if rate < 0:
             raise MechanismError("uniform rate must be >= 0")
         if rate == 0:
             return cls.zero()
-        return cls(kind="density", rate=float(rate), support=_density_support((lo, hi)))
+        lo, hi = float(lo), float(hi)
+        if lo < 0.0 or hi <= lo:
+            raise MechanismError(f"uniform support must satisfy 0 <= lo < hi, got {(lo, hi)}")
+        return cls(kind="uniform", rate=float(rate), support=(lo, hi))
 
     @classmethod
     def from_atoms(cls, pairs: Sequence[Tuple[float, float]]) -> "LevyMeasure":
@@ -221,8 +215,8 @@ class LevyMeasure:
 
     @property
     def singular_at_0(self) -> bool:
-        """Stable and ``from_density`` densities may blow up at 0+; a uniform one cannot."""
-        return self.kind == "stable" or self.fn is not None
+        """A stable density blows up at 0+; a uniform one cannot."""
+        return self.kind == "stable"
 
     @summed(concat)
     def atoms(self) -> Tuple[Tuple[float, float], ...]:
@@ -238,14 +232,10 @@ class LevyMeasure:
             pos = z > 0
             out[pos] = self._dens_scale * z[pos] ** (-1.0 - self.alpha)
             return out
-        if self.kind == "density":
+        if self.kind == "uniform":
             lo, hi = self.support
             out = np.zeros_like(z)
-            mask = (z > lo) & (z < hi) & (z > 0)
-            if self.fn is None:
-                out[mask] = self.rate
-            elif mask.any():
-                out[mask] = np.asarray(self.fn(z[mask]), dtype=float)
+            out[(z > lo) & (z < hi) & (z > 0)] = self.rate
             return out
         return sum(p.density(z) for p in self.parts)
 
@@ -255,29 +245,25 @@ class LevyMeasure:
             return 0.0
         if self.kind == "stable":
             return self._dens_scale * z ** (-1.0 - self.alpha)
-        if self.kind == "density":
+        if self.kind == "uniform":
             lo, hi = self.support
-            if not (lo < z < hi):
-                return 0.0
-            if self.fn is None:
-                return self.rate
-            return float(np.atleast_1d(np.asarray(self.fn(np.asarray([z]))))[0])
+            return self.rate if lo < z < hi else 0.0
         if self.kind == "sum":
             return sum(p._dens1(z) for p in self.parts)
         return 0.0
 
     @summed(concat)
     def breakpoints(self) -> Tuple[float, ...]:
-        if self.kind != "density":
+        if self.kind != "uniform":
             return ()
         lo, hi = self.support
-        return tuple(p for p in (lo, hi) if np.isfinite(p) and p > 0) + self.disc
+        return tuple(p for p in (lo, hi) if np.isfinite(p) and p > 0)
 
     def density_support(self) -> Tuple[float, float]:
         """Hull of a part's density support ((0, 0) if none)."""
         if self.kind == "stable":
             return (0.0, math.inf)
-        if self.kind == "density":
+        if self.kind == "uniform":
             return self.support
         return (0.0, 0.0)
 
@@ -305,35 +291,6 @@ class LevyMeasure:
                                           breakpoints=pts, singular_at_0=self.singular_at_0)
         return total
 
-    def _density_integral(self, f, lo: float, hi: float) -> float:
-        """int f(z) dz over (lo, hi) clipped to the density support, by quadrature; may be inf.
-
-        A ``from_density`` part, which may be singular at its lower support
-        edge (a uniform one is not), opens a range starting there with an edge
-        integral up to its first breakpoint, over at most unit width; the rest
-        of the range is split at the breakpoints.  Stable parts, and the masses
-        and moments of uniform parts, use closed forms and never come here.
-        """
-        slo, shi = self.density_support()
-        a, b = max(lo, slo), min(hi, shi)
-        if b <= a:
-            return 0.0
-        from . import quadrature
-
-        total = 0.0
-        if a == slo and self.singular_at_0:
-            mid = min([b, a + 1.0] + [p for p in self.breakpoints() if p > a])
-            total = quadrature.lower_integral(f, a, mid)
-            if total == math.inf:
-                return total
-            a = mid
-        if not np.isfinite(b):
-            return total + quadrature.tail_integral(f, a)
-        if b > a:
-            total += quadrature.integrate(f, a, b, breakpoints=self.breakpoints(),
-                                          singular_at_0=self.singular_at_0)
-        return total
-
     @summed(sum)
     def mass_above(self, z0: float) -> float:
         """measure((z0, inf)); may be inf."""
@@ -342,12 +299,12 @@ class LevyMeasure:
             if z0 == 0.0:
                 return math.inf
             return self.sigma * stable_density_prefactor(self.alpha) * z0 ** (-self.alpha)
-        if self.kind == "atoms":
-            return sum(m for a, m in self.atom_data if a > z0)
-        if self.kind == "density" and self.fn is None:  # uniform
+        if self.kind == "uniform":
             lo, hi = self.support
             return self.rate * max(hi - max(z0, lo), 0.0)
-        return self._density_integral(self._dens1, z0, math.inf)
+        if self.kind == "atoms":
+            return sum(m for a, m in self.atom_data if a > z0)
+        return 0.0
 
     @summed(sum)
     def moment(self, power: float, lo: float = 0.0, hi: float = math.inf) -> float:
@@ -357,31 +314,11 @@ class LevyMeasure:
         if self.kind == "zero" or hi <= lo:
             return 0.0
         if self.kind == "stable":
-            c = self._dens_scale
-            p = power - self.alpha
-            if not np.isfinite(hi) and p >= 0:
-                return math.inf
-            if lo == 0.0 and p <= 0:
-                return math.inf
-            if p == 0:
-                return c * math.log(hi / lo)
-            try:
-                top = 0.0 if not np.isfinite(hi) else hi**p
-                return c * (top - lo**p) / p
-            except OverflowError:  # the power beyond the float range dominates
-                return math.inf
-        if self.kind == "atoms":
-            return sum(m * a**power for a, m in self.atom_data if lo < a <= hi)
-        if self.fn is None and power > -1.0:  # uniform, with z^power integrable at 0
+            return _power_integral(self._dens_scale, power - self.alpha, lo, hi)
+        if self.kind == "uniform":
             a, b = max(lo, self.support[0]), min(hi, self.support[1])
-            if b <= a:
-                return 0.0
-            q = power + 1.0
-            try:
-                return self.rate * (b**q - a**q) / q
-            except OverflowError:  # the power beyond the float range dominates
-                return math.inf
-        return self._density_integral(lambda z: z**power * self._dens1(z), lo, hi)
+            return _power_integral(self.rate, power + 1.0, a, b) if b > a else 0.0
+        return sum(m * a**power for a, m in self.atom_data if lo < a <= hi)
 
     def linear_tail(self) -> float:
         """int_1^inf z measure(dz); inf when divergent."""
@@ -407,20 +344,23 @@ class LevyMeasure:
 
         Closed for a stable part: sigma*C_alpha*(log 2 + beta(alpha)), by parts, with
         beta(alpha) = int_0^1 t^(alpha-1)/(1+t) dt = (psi((alpha+1)/2) - psi(alpha/2))/2.
+        A uniform part gives rate*[F(hi) - F(max(lo, 1))], F(z) = (1+z) log(1+z) - z.
         """
         if self.kind == "stable":
             from scipy.special import digamma as _digamma
 
             beta = 0.5 * float(_digamma(0.5 * (self.alpha + 1.0)) - _digamma(0.5 * self.alpha))
             return self.sigma * stable_density_prefactor(self.alpha) * (math.log(2.0) + beta)
-        total = sum(m * math.log1p(a) for a, m in self.atom_data if a > 1.0)
-        f = lambda z: math.log1p(z) * self._dens1(z)
-        return total + self._density_integral(f, 1.0, math.inf)
+        if self.kind == "uniform":
+            a, b = max(self.support[0], 1.0), self.support[1]
+            F = lambda z: (1.0 + z) * math.log1p(z) - z if z < math.inf else z
+            return self.rate * (F(b) - F(a)) if b > a else 0.0
+        return sum(m * math.log1p(a) for a, m in self.atom_data if a > 1.0)
 
     @summed(_each)
     def check_branching_integrable(self) -> None:
         """(1 ^ z^2) measure must be finite."""
-        if self.kind != "density":
+        if self.kind != "uniform":
             return  # finite by construction (atoms lists are finite, alpha < 2)
         small = self.moment(2.0, 0.0, 1.0)
         tail = self.mass_above(1.0)
@@ -432,7 +372,7 @@ class LevyMeasure:
         """(1 ^ z) measure must be finite."""
         if self.kind == "stable" and self.alpha >= 1.0:
             raise MechanismError(f"(1 ^ z) integral diverges for stable index {self.alpha} >= 1")
-        if self.kind != "density":
+        if self.kind != "uniform":
             return
         small = self.moment(1.0, 0.0, 1.0)
         tail = self.mass_above(1.0)
@@ -637,28 +577,17 @@ def grey_condition(mech: BranchingMechanism) -> bool:
     """Whether int^inf dlam / Psi(lam) converges.
 
     Decided from the dominant tail term: a diffusion part or a stable
-    component with index > 1 gives convergence; a finite-mass jump measure
-    (Psi at most linear) or a stable index <= 1 gives divergence.  Measures
-    with none of those features raise :class:`InconclusiveError`.
+    component with index > 1 gives convergence; a stable index <= 1, or no
+    stable part at all, gives divergence.
     """
     if mech.c > 0:
         return True
-    comps = mech.mu.stable_components()
-    if comps:
-        amax = max(a for a, _ in comps)
-        if amax > 1.0:
-            return True
-        # lam^alpha (alpha <= 1) and lam*log(lam) tails both integrate to inf;
-        # if Psi is eventually negative the condition fails by convention too.
-        return False
-    total = mech.mu.mass_above(0.0)
-    if np.isfinite(total):
-        # Psi'(lam) <= b + int_0^1 z mu, so Psi grows at most linearly.
-        return False
-    raise InconclusiveError(
-        "cannot classify the tail of Psi: no diffusion part, no stable component "
-        "and an infinite-activity density"
-    )
+    # 1/Psi is not integrable at infinity for a lam^alpha (alpha <= 1) or
+    # lam*log(lam) tail, nor for the at most linear Psi of uniform and atom
+    # parts (Psi'(lam) <= b + int_0^1 z mu, also where their total mass
+    # overflows the float range).  If Psi is eventually negative the condition
+    # fails by convention too.
+    return any(a > 1.0 for a, _ in mech.mu.stable_components())
 
 
 def conservative_condition(mech: BranchingMechanism) -> bool:

@@ -2,20 +2,21 @@
 
 Every integral against a Levy measure that has no closed form funnels through
 :func:`integrate`, so tolerances and singularity handling live in one place.
-Stable parts (masses, moments, log tails, overlap masses) and uniform parts
-(masses, moments, overlap masses) have closed forms and do not come here.
+The masses, moments, log tails and overlap masses of every measure part
+(stable, uniform, atoms) have closed forms and do not come here; what does
+is an arbitrary integrand against a measure (the Psi, Phi and Lyapunov-drift
+integrals, overlap integrals) and the time integral of :func:`cbi_laplace`.
 Callers import this module at first use, so a run that needs no quadrature
 does not load ``scipy.integrate``.
 Integrands are split at caller-supplied breakpoints (support edges, the z = 1
-compensation threshold, density discontinuities).  Where the integrand may be
-singular at 0+ (stable and ``from_density`` densities, time integrals; not a
-uniform density), the piece touching zero is subdivided geometrically, which
-keeps QUADPACK happy on integrable power singularities.  :func:`lower_integral`
-and :func:`tail_integral` sum geometric shells toward a singular edge or toward
-infinity through one routine, :func:`_shell_sum`, and return ``inf`` when the
-edge or the tail is not integrable; only ``from_density`` parts reach them, as
-every other part has closed forms there.  A quadrature failure on a piece
-raises :class:`QuadratureError`.
+compensation threshold).  Where the integrand may be singular at 0+ (stable
+densities, time integrals; not a uniform density), the piece touching zero is
+subdivided geometrically, which keeps QUADPACK happy on integrable power
+singularities.  :func:`tail_integral` sums decade shells toward infinity
+(:func:`_shell_sum`) and returns ``inf`` when the tail is not integrable; its
+one caller is ``overlap_integrate`` on a stable part over an unbounded range,
+as the exact coupled generator's reference F0 evaluates it.  A quadrature
+failure on a piece raises :class:`QuadratureError`.
 """
 
 from __future__ import annotations
@@ -93,17 +94,17 @@ def integrate(fn, lo, hi, *, breakpoints=(), singular_at_0):
 
 
 def _shell_sum(fn, edges):
-    """Sum ``fn`` over the shells between consecutive ``edges``, which shrink
-    geometrically toward an end where ``fn`` may be singular; may be inf.
+    """Sum ``fn`` over the shells between consecutive ``edges``, which grow
+    geometrically toward infinity; may be inf.
 
     Once the sum is nonzero, a negligible shell from the fourth on ends it.
     The rest is bounded by the geometric series of the last shell ratio; a
-    ratio of 0.95 or more means the shells stopped shrinking, and the end is
-    not integrable.
+    ratio of 0.95 or more means the shells stopped shrinking, and the tail
+    is not integrable.
     """
     total, incs = 0.0, []
     for a, b in zip(edges[:-1], edges[1:]):
-        inc = _quad_piece(fn, min(a, b), max(a, b))
+        inc = _quad_piece(fn, a, b)
         total += inc
         incs.append(abs(inc))
         if len(incs) > 3 and total != 0.0 and incs[-1] < max(ABS_TOL, 1e-13 * abs(total)):
@@ -112,12 +113,6 @@ def _shell_sum(fn, edges):
     if rho >= 0.95:
         return math.inf
     return total + incs[-1] * rho / (1.0 - rho)
-
-
-def lower_integral(fn, lo, hi):
-    """Integrate ``fn`` over (lo, hi], hi > lo, when fn may blow up at lo+: 48
-    dyadic shells toward ``lo`` (see :func:`_shell_sum`); a divergent edge is ``inf``."""
-    return _shell_sum(fn, [lo + (hi - lo) * 2.0**-k for k in range(49)])
 
 
 def tail_integral(fn, lo):

@@ -240,34 +240,17 @@ def _components(part: LevyMeasure, eps: float) -> Tuple[_Component, ...]:
     if hi <= lo:
         return comps
     if part.kind == "stable":
-        mass = part.mass_above(lo)
-        alpha = part.alpha
-        return comps + (_Component(mass, lambda u, lo=lo, a=alpha: lo * (1.0 - u) ** (-1.0 / a)),)
-    if np.isfinite(hi):
-        zs = np.linspace(lo, hi, 4097)
-    else:
-        # cap where all but 1e-12 of the truncated mass lives
-        total = part.mass_above(lo)
-        probe = max(lo, 1.0)
-        while part.mass_above(probe) > 1e-12 * total:
-            probe *= 4.0
-            if probe > 1e30:
-                break
-        if lo > 0.0:
-            zs = np.geomspace(lo, probe, 4097)
-        else:  # geometric from 1e-12 probe, after a first cell that starts at 0
-            zs = np.concatenate([[0.0], np.geomspace(1e-12 * probe, probe, 4096)])
-    dens = part.density(zs)
-    cdf = np.concatenate([[0.0], np.cumsum(0.5 * (dens[1:] + dens[:-1]) * np.diff(zs))])
-    mass = part.mass_above(lo)
-    if cdf[-1] <= 0:
-        return comps
-    cdf /= cdf[-1]
-    return comps + (_Component(mass, lambda u, zs=zs, cdf=cdf: np.interp(u, cdf, zs)),)
+        draw = lambda u, lo=lo, a=part.alpha: lo * (1.0 - u) ** (-1.0 / a)
+    else:  # uniform
+        draw = lambda u, lo=lo, w=hi - lo: lo + w * u
+    return comps + (_Component(part.mass_above(lo), draw),)
 
 
 class _MeasureSampler:
-    """Inverse-CDF / atom-mixture sampler for a measure truncated at eps."""
+    """Exact sampler for a measure truncated at eps: u_select picks a part's
+    piece by mass, and u_pos gives its jump by the inverse CDF, the location of
+    an atom, lo*(1 - u)^(-1/alpha) for a stable part above lo, and
+    lo + (hi - lo)*u for a uniform part on (lo, hi)."""
 
     def __init__(self, measure: LevyMeasure, eps: float):
         self.components = comps = _components(measure, eps)

@@ -268,6 +268,8 @@ class TestExitCodes:
         ("ergodic_v1", "c = 0.0", "c = 1e308", ["rate", "--grid", "11"], 1, "degenerated"),
         ("ergodic_v1", "hi=1.0", "hi=1e308", ["lyapunov"], 1,
          "linear-growth weight needs finite first-moment tails"),
+        ("ergodic_v1", "hi=1.0", "hi=1e308", ["lyapunov", "--weight", "vlog"], 1,
+         "logarithmic weight needs finite log-moment tails"),
         ("stable_power_vlog", "eps = 1e-4", "eps = 1e308",
          ["couple", "--paths", "4", "--t-end", "0.002", "--dt", "1e-3"], 1, "infinite moment"),
         ("neveu_xlog", "xlog k=1.0", "xlog k=1e308", ["lyapunov"], 1, "not a finite"),
@@ -279,8 +281,8 @@ class TestExitCodes:
          ["stationary", "--samples", "32", "--burn-in", "0.01"], 1, "NaN state"),
     ], ids=["alpha-1e-6-simulate", "alpha-5e-324-lyapunov", "alpha-5e-324-rate",
             "c-1e308-simulate", "c-1e308-couple", "c-1e308-rate", "mu-hi-1e308-lyapunov",
-            "eps-1e308-couple", "xlog-k-1e308-lyapunov", "a-1e308-lyapunov",
-            "a-minus-1e308-lyapunov", "sigma-1e308-couple",
+            "mu-hi-1e308-lyapunov-vlog", "eps-1e308-couple", "xlog-k-1e308-lyapunov",
+            "a-1e308-lyapunov", "a-minus-1e308-lyapunov", "sigma-1e308-couple",
             "sigma-1e308-stationary"])
     def test_extreme_parameter_is_one_line(self, tmp_path, config, old, new, argv, code,
                                            message):

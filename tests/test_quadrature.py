@@ -12,8 +12,7 @@ from cbic.mechanisms import (
     BranchingMechanism, ImmigrationMechanism, LevyMeasure, phi_eval, psi_eval,
 )
 from cbic.quadrature import (
-    ABS_TOL, REL_TOL, QuadratureError, _LIMIT, _quad_piece, integrate, lower_integral,
-    tail_integral,
+    ABS_TOL, REL_TOL, QuadratureError, _LIMIT, _quad_piece, integrate, tail_integral,
 )
 from cbic.simulator import cbi_laplace
 
@@ -39,16 +38,6 @@ class TestIntegrate:
             integrate(bad, 0.0, 1.0, singular_at_0=True)
         assert err.value.interval is not None
 
-    def test_pathological_density_surfaces_failing_subinterval(self):
-        # the integrability check at construction already trips the diagnostic
-        mu = LevyMeasure.from_density(
-            lambda z: np.where(z > 0.7, np.nan, 1.0), support=(0.0, 1.0)
-        )
-        with pytest.raises(QuadratureError) as err:
-            mech = BranchingMechanism(0.0, 0.0, mu)
-            psi_eval(mech, 1.0)
-        assert err.value.interval is not None
-
 
 class TestTailIntegral:
     def test_exponential_tail_converges(self):
@@ -70,21 +59,6 @@ class TestTailIntegral:
     def test_mass_beyond_empty_decades_is_summed(self):
         # four empty decades before the mass: a zero sum never stops the shells
         assert tail_integral(lambda z: 1.0 if 1e5 < z < 1e6 else 0.0, 1.0) == 9e5
-
-
-class TestLowerIntegral:
-    def test_integrable_singularity(self):
-        assert lower_integral(lambda z: z**-0.5, 0.0, 1.0) == pytest.approx(2.0, rel=1e-6)
-
-    def test_borderline_divergence(self):
-        assert lower_integral(lambda z: 1.0 / z, 0.0, 1.0) == math.inf
-
-    def test_strong_divergence(self):
-        assert lower_integral(lambda z: z**-1.2, 0.0, 1.0) == math.inf
-
-    def test_smooth_integrand(self):
-        got = lower_integral(lambda z: math.cos(z), 0.0, 1.0)
-        assert got == pytest.approx(math.sin(1.0), rel=1e-9)
 
 
 class TestQuadPiece:
@@ -120,7 +94,6 @@ class TestSplitTowardZero:
 
     UNIFORM = LevyMeasure.uniform(0.8, 0.0, 0.9)
     STABLE = LevyMeasure.stable(0.5, 1.0)
-    FROM_DENSITY = LevyMeasure.from_density(lambda z: np.full_like(z, 0.8), support=(0.0, 0.9))
 
     @pytest.fixture
     def pieces(self, monkeypatch):
@@ -135,8 +108,7 @@ class TestSplitTowardZero:
         return calls
 
     @pytest.mark.parametrize(
-        "measure, n", [(UNIFORM, 1), (STABLE, 7), (FROM_DENSITY, 7)],
-        ids=["uniform", "stable", "from_density"],
+        "measure, n", [(UNIFORM, 1), (STABLE, 7)], ids=["uniform", "stable"],
     )
     def test_quadpack_calls_on_a_piece_from_zero(self, pieces, measure, n):
         measure.integrate(lambda z: z * z, 0.0, 0.5)

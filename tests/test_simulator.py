@@ -221,33 +221,20 @@ class TestSimulatePath:
         # events-per-step budget holds at the reference scale
         assert LevyMeasure.stable(1.5, 1.0).mass_above(eps) * cfg.dt * 10.0 <= 10.0 * 1.01
 
-    @pytest.mark.xfail(strict=True, reason="the 4097-node trapezoid table of a uniform part "
-                       "gives its two edge cells half weight")
     def test_uniform_part_samples_its_edge_cells_in_full(self):
         sampler = simulator._MeasureSampler(LevyMeasure.uniform(1.0, 0.0, 1.0), 0.0)
         n = 2**20
         z = sampler.draw(np.zeros(n), (np.arange(n) + 0.5) / n)  # quantiles of a uniform u
         assert np.mean(z < 1.0 / 4096) == pytest.approx(1.0 / 4096, rel=1e-2)
 
-    def test_density_from_zero_with_infinite_support(self):
-        # the sampler's grid starts with the support: at 0 for Exp(1), and
-        # geometric from 1 for the Pareto density 1.5 z^-2.5 on (1, inf)
-        from scipy.stats import kstest
-
-        for fn, lo, law, args in ((lambda z: np.exp(-z), 0.0, "expon", ()),
-                                  (lambda z: 1.5 * z**-2.5, 1.0, "pareto", (1.5,))):
-            m = LevyMeasure.from_density(fn, (lo, math.inf))
-            sampler = simulator._MeasureSampler(m, 0.0)
-            assert sampler.total == pytest.approx(1.0, rel=1e-9)
-            rng = np.random.default_rng(5)
-            z = sampler.draw(rng.random(20000), rng.random(20000))
-            assert kstest(z, law, args=args).pvalue > 0.01
-            model = ModelSpec(BranchingMechanism(0.5, 0.0, m), ImmigrationMechanism(0.3, m),
-                              CompetitionMechanism.none())
-            cfg = SimConfig(dt=1e-3, t_end=0.1, seed=2, n_paths=32)
-            assert np.isfinite(simulate_ensemble(model, 1.0, cfg).values).all()
-            res = simulate_coupled_ensemble(model, 2.0, 0.5, cfg)
-            assert np.isfinite(res.x_values).all() and (res.x_values >= res.y_values).all()
+    def test_uniform_part_above_eps_is_its_inverse_cdf(self):
+        m = LevyMeasure.sum_of([LevyMeasure.from_atoms([(2.0, 0.4)]),
+                                LevyMeasure.uniform(2.0, 0.3, 1.1)])
+        sampler = simulator._MeasureSampler(m, 0.5)
+        assert sampler.total == 0.4 + 2.0 * (1.1 - 0.5)
+        u = np.linspace(0.0, 1.0, 16, endpoint=False)
+        assert np.array_equal(sampler.draw(np.full_like(u, 0.1), u), np.full_like(u, 2.0))
+        assert np.array_equal(sampler.draw(np.full_like(u, 0.9), u), 0.5 + (1.1 - 0.5) * u)
 
 
 class TestSimulateCoupled:
