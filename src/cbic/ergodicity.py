@@ -38,9 +38,6 @@ from .generator import (
     LyapunovFailure,
     WeightFunction,
     _coupling_F0_bound,
-    _f0_consts,
-    _f0_row,
-    _gap_terms,
     lyapunov_certify,
 )
 from .measures import kappa, overlap_mass
@@ -362,7 +359,7 @@ def compute_rate_certificate(
         raise CertificateError("lyapunov", str(ly))
 
     sq_small = model.mu.moment(2.0, 0.0, 1.0)
-    nu_cube = model.nu.integrate(lambda z: min(1.0, z**3))
+    nu_cube = model.nu.moment(3.0, 0.0, 1.0) + model.nu.mass_above(1.0)  # int min(1, z^3) nu
     hi = min(c0, 1.0) * (1.0 - 1e-9)
     lo = min(1e-4, hi / 8.0)
     x0_constants = functools.cache(lambda x0: _x0_constants(model, x0, nu_cube, sq_small))
@@ -406,17 +403,10 @@ def validate_certificate(
     """Check eps*LF0 + LV(x) + LV(y) <= -lam G0(x, y) with 1e-6 slack.
 
     The check runs over ``grid`` log-spaced x times ``grid`` log-spaced gaps,
-    with y = x - gap.  Every constant is read from ``cert``.  Each quantity is
-    computed once for the values it depends on:
-
-    - once per call: lambda1 and the bound's other point-free factors
-      (:func:`~cbic.generator._f0_consts`) and int_0^1 z^2 mu;
-    - per gap: the overlap masses of mu and nu;
-    - per x-row: LV(x), V(x), phi(x), phi'(x), g(x), the bound's i and j terms
-      and the gap-free half of the immigration sweep term
-      (:func:`~cbic.generator._f0_row`);
-    - per point: LV(y), V(y), the sweep term's overlap half, and psi and the
-      exponential at x - y.
+    with y = x - gap.  Every constant is read from ``cert``.  The overlap
+    masses of mu and nu are computed once per gap, LV(x), V(x) and phi(x)
+    once per x-row, and the rest of the closed bound
+    (:func:`~cbic.generator._coupling_F0_bound`), LV(y) and V(y) per point.
     """
     ctrl = cert.control()
     weight = cert.weight
@@ -424,27 +414,23 @@ def validate_certificate(
     xs = np.geomspace(1e-4, 1e4, grid)
     gaps = [float(g) for g in np.geomspace(1e-4, 2.0 * cert.l, grid)]
     per_gap = [(g, overlap_mass(model.mu, g), overlap_mass(model.nu, g)) for g in gaps]
-    sq_small = model.mu.moment(2.0, 0.0, 1.0)
-    k = _f0_consts(model, ctrl)
     rows = []
     n_fail = 0
     worst = math.inf
     for x in xs:
         x = float(x)
         lv_x = drift(x)
-        row = _f0_row(model, ctrl, x, sq_small)
+        phi_x = ctrl.phi(x)
         v_x = float(weight.value(x))
         for g, mum, num in per_gap:
             if g > x:
                 continue
             y = float(x - g)
-            gap = x - y
-            psig, eg = _gap_terms(ctrl, gap)
-            f0 = _coupling_F0_bound(model, ctrl, k, row, y, gap, psig, eg, mum, num)
+            f0 = _coupling_F0_bound(model, ctrl, x, y, mum, num)
             lhs = cert.epsilon * f0 + lv_x + drift(y)
             # -lam G0(x, y) = -lam (eps F0(x, y) + V(x) + V(y)), F0 = phi(x) (1 + psi(x - y))
             g0 = 0.0 if x == y else (
-                ctrl.epsilon * (row.phi * (1.0 + psig)) + (v_x + float(weight.value(y)))
+                ctrl.epsilon * (phi_x * (1.0 + ctrl.psi(x - y))) + (v_x + float(weight.value(y)))
             )
             rhs = -cert.lam * g0
             rows.append((x, y, lhs, rhs))

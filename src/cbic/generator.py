@@ -14,18 +14,21 @@ drops from theta+1 to theta across (0, x0).  The drift of F0 under the
 coupling generator is evaluated either through the proof's closed upper bound
 (default; this is what the rate certificate needs) or by direct quadrature of
 the two-dimensional generator (exact mode, for cross-checking).
+
+:class:`LyapunovDrift` and the bound are closed forms; quadrature runs only in
+:func:`apply_generator`, the exact mode and the vlog ladder of :func:`lyapunov_margin`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, NamedTuple, Optional, Tuple
+from typing import Callable, List, Tuple
 
 import numpy as np
 
-from .measures import overlap_integrate, overlap_mass
-from .mechanisms import LevyMeasure, ModelSpec, summed
+from .measures import overlap_integrate, overlap_mass, overlap_moment
+from .mechanisms import ModelSpec, exp_quotient, log_jump_integral
 
 __all__ = [
     "WeightFunction",
@@ -39,7 +42,6 @@ __all__ = [
     "lyapunov_margin",
     "CouplingControl",
     "coupling_generator_F0",
-    "sweep_nu_row_term",
     "write_margin_csv",
 ]
 
@@ -128,42 +130,14 @@ def apply_generator(model: ModelSpec, f, x: float) -> float:
     return model.c * x * fpp + x * mu_int + drift * fp + nu_int
 
 
-def _vlog_gammas(mu: LevyMeasure) -> dict:
-    """Gamma(1 - alpha) of each stable part of mu with alpha < 1, keyed by alpha:
-    the alpha-only factor of :func:`_vlog_mu_integral`, computed once per drift."""
-    from scipy.special import gamma as _gamma
-
-    # float arithmetic on the result overflows to inf silently
-    return {a: float(_gamma(1.0 - a)) for a, _ in mu.stable_components() if a < 1.0}
-
-
-@summed(sum)
-def _vlog_mu_integral(mu: LevyMeasure, w: float, gammas: dict) -> float:
-    """int [log(1 + z/w) - (z/w) 1{z<=1}] mu(dz), closed where possible.
-
-    Stable components with index <= 1 reduce through the log-moment identity
-    int_0^inf log(1+z/w) z^(-1-a) dz = pi / (a sin(a pi) w^a); everything
-    else integrates numerically with the compensation split at z = 1.
-    ``gammas`` is :func:`_vlog_gammas` of the measure.
-    """
-    if mu.kind == "stable" and mu.alpha < 1.0:
-        a, s = mu.alpha, mu.sigma
-        g = gammas[a]
-        return s * math.pi / (g * math.sin(a * math.pi) * w**a) - a * s / ((1.0 - a) * g * w)
-    if mu.kind == "stable" and mu.alpha == 1.0:
-        return mu.sigma * (1.0 + math.log(w)) / w
-    return mu.integrate(lambda z: math.log1p(z / w) - z / w * (z <= 1.0))
-
-
 class LyapunovDrift:
     """LV(x) through the per-weight closed decompositions.
 
-    V1 reduces to constants; Vlog splits into the compensated small-jump
-    integral, the log tail and the immigration log moment (a deliberately
-    different assembly from apply_generator's single composite integrand, so
-    the two routes cross-check each other).  Every call evaluates afresh: a
-    caller that needs the values twice keeps them, as lyapunov_certify
-    does for its grid.
+    V1 reduces to constants; Vlog to the log integrals of mu (compensated) and
+    nu (:func:`~cbic.mechanisms.log_jump_integral`), closed per part kind, so
+    apply_generator's quadrature is an independent cross-check.  Every call
+    evaluates afresh: a caller that needs the values twice keeps them, as
+    lyapunov_certify does for its grid.
     """
 
     def __init__(self, model: ModelSpec, weight: WeightFunction):
@@ -173,8 +147,6 @@ class LyapunovDrift:
         if weight.kind == "v1":
             self._mu_tail = model.mu.linear_tail()
             self._nu_mean = model.nu.moment(1.0, 0.0, math.inf)
-        else:
-            self._mu_gammas = _vlog_gammas(model.mu)
 
     def __call__(self, x: float) -> float:
         x = float(x)
@@ -185,9 +157,9 @@ class LyapunovDrift:
             w = 1.0 + x
             val = (
                 -m.c * x / w**2
-                + x * _vlog_mu_integral(m.mu, w, self._mu_gammas)
+                + x * log_jump_integral(m.mu, w, 1)
                 + (m.beta - m.b * x - float(m.g(x))) / w
-                + m.nu.integrate(lambda z: math.log1p(z / w))
+                + log_jump_integral(m.nu, w, 0)
             )
         if not math.isfinite(val):
             raise GeneratorDomainError(
@@ -293,13 +265,6 @@ def lyapunov_certify(model: ModelSpec, weight: WeightFunction):
 # -- coupling control surface -------------------------------------------------
 
 
-def _em1pu(u: float) -> float:
-    """expm1(-u) + u, series-stable for small u (= u^2/2 - u^3/6 + ...)."""
-    if abs(u) < 1e-4:
-        return u * u * (0.5 - u / 6.0 + u * u / 24.0)
-    return math.expm1(-u) + u
-
-
 @dataclass(frozen=True)
 class CouplingControl:
     """Constants and evaluators of the off-diagonal control function F0.
@@ -372,71 +337,19 @@ def _phi_diff_minus_linear(ctrl: CouplingControl, x: float, z: float) -> float:
     return -(w**3) + 3.0 * w * w * z / x0
 
 
-def sweep_nu_row_term(model: ModelSpec, ctrl: CouplingControl, x: float) -> float:
-    """int [phi(x+z) - phi(x)] nu(dz) for x < x0 (else 0).
+def _sweep_nu_term(model: ModelSpec, ctrl: CouplingControl, x: float, gap: float) -> float:
+    """int [phi(x+z) - phi(x)] (nu - nu_{-gap})(dz) for x < x0 (else 0).
 
-    The gap-free half of the immigration sweep term, so a grid check can
-    compute it once per x-row.
+    With w = 1 - x/x0 and h = z/x0, phi(x+z) - phi(x) is -(3 w^2 h - 3 w h^2 + h^3)
+    below the cut x0 - x and -w^3 above it, so the term takes the moments 1 to 3
+    on (0, cut) and the mass above the cut of nu less its overlap at -gap.
     """
     if x >= ctrl.x0 or model.nu.is_zero:
         return 0.0
-    phix = ctrl.phi(x)
-    cut = ctrl.x0 - x
-    return model.nu.integrate(lambda z: ctrl.phi(x + z) - phix, 0.0, cut) + (
-        ctrl.theta - phix
-    ) * model.nu.mass_above(cut)
-
-
-def _sweep_nu_term(
-    model: ModelSpec, ctrl: CouplingControl, x: float, phix: float, gap: float, t_nu: float
-) -> float:
-    """int [phi(x+z) - phi(x)] (nu - nu_{y-x})(dz) for x <= x0 (else 0), given
-    phix = phi(x) and the nu half ``t_nu`` from :func:`sweep_nu_row_term`."""
-    if x >= ctrl.x0 or model.nu.is_zero:
-        return 0.0
-    cut = ctrl.x0 - x
-    t_ov = overlap_integrate(model.nu, -gap, lambda z: ctrl.phi(x + z) - phix, 0.0, cut) + (
-        ctrl.theta - phix
-    ) * overlap_mass(model.nu, -gap, cut, math.inf)
-    return t_nu - t_ov
-
-
-class _F0Consts(NamedTuple):
-    """The point-free factors of the F0 bound, once per control."""
-
-    exp_coef: float  # -c lambda0^2 theta
-    lam1_theta: float  # lambda1 theta
-
-
-class _F0Row(NamedTuple):
-    """The gap-free terms of the F0 bound at one leader state x, once per x.
-
-    ``i_term`` and ``j_term`` are None beyond x0, where the bound has no such terms.
-    """
-
-    x: float
-    phi: float
-    i_term: Optional[float]
-    j_term: Optional[float]
-    nu_sweep: float  # sweep_nu_row_term at x
-
-
-def _f0_consts(model: ModelSpec, ctrl: CouplingControl) -> _F0Consts:
-    return _F0Consts(-model.c * ctrl.lambda0**2 * ctrl.theta, ctrl.lambda1 * ctrl.theta)
-
-
-def _f0_row(model: ModelSpec, ctrl: CouplingControl, x: float, sq: float) -> _F0Row:
-    """The row of x, given sq = int_0^1 z^2 mu(dz)."""
-    i_term = j_term = None
-    if x <= ctrl.x0:
-        i_term = (model.beta - model.b * x - float(model.g(x))) * ctrl.phi_prime(x)
-        j_term = 3.0 * x / ctrl.x0**2 * (2.0 * model.c + sq)
-    return _F0Row(x, ctrl.phi(x), i_term, j_term, sweep_nu_row_term(model, ctrl, x))
-
-
-def _gap_terms(ctrl: CouplingControl, gap: float) -> Tuple[float, float]:
-    """psi(gap) and e^(-lambda0 gap), the gap's factors of the F0 bound."""
-    return ctrl.psi(gap), math.exp(-ctrl.lambda0 * gap)
+    x0, nu, w, cut = ctrl.x0, model.nu, 1.0 - x / ctrl.x0, ctrl.x0 - x
+    d1, d2, d3 = (nu.moment(k, 0.0, cut) - overlap_moment(nu, -gap, k, cut) for k in (1, 2, 3))
+    above = nu.mass_above(cut) - overlap_mass(nu, -gap, cut, math.inf)
+    return -(3.0 * w * w * d1 / x0 - 3.0 * w * d2 / x0**2 + d3 / x0**3) - w**3 * above
 
 
 def coupling_generator_F0(
@@ -451,28 +364,27 @@ def coupling_generator_F0(
         raise ValueError(f"coupling generator needs x > y >= 0, got ({x}, {y})")
     if exact:
         return _coupling_F0_exact(model, ctrl, x, y)
-    gap = x - y
-    row = _f0_row(model, ctrl, x, model.mu.moment(2.0, 0.0, 1.0))
-    return _coupling_F0_bound(
-        model, ctrl, _f0_consts(model, ctrl), row, y, gap, *_gap_terms(ctrl, gap),
-        overlap_mass(model.mu, gap), overlap_mass(model.nu, gap),
-    )
+    mum, num = overlap_mass(model.mu, x - y), overlap_mass(model.nu, x - y)
+    return _coupling_F0_bound(model, ctrl, x, y, mum, num)
 
 
 def _coupling_F0_bound(
-    model: ModelSpec, ctrl: CouplingControl, k: _F0Consts, row: _F0Row, y: float,
-    gap: float, psig: float, eg: float, mum: float, num: float,
+    model: ModelSpec, ctrl: CouplingControl, x: float, y: float, mum: float, num: float
 ) -> float:
-    """The closed upper bound of :func:`coupling_generator_F0` at (row.x, y), given
-    the gap row.x - y with its :func:`_gap_terms`, and the overlap masses of mu
-    and nu, so that a grid check computes each of them once."""
-    ub = k.exp_coef * y * eg
+    """The closed upper bound of :func:`coupling_generator_F0` at (x, y), given the
+    overlap masses of mu and nu at the gap, so that a grid check computes them
+    once per gap."""
+    gap = x - y
+    psig = ctrl.psi(gap)
+    ub = -model.c * ctrl.lambda0**2 * ctrl.theta * y * math.exp(-ctrl.lambda0 * gap)
     ub -= ctrl.theta * (y * mum + num)
     if gap <= ctrl.l:
-        ub -= k.lam1_theta * psig
-    if row.i_term is not None:
-        ub += (y * mum + row.i_term + row.j_term) * (1.0 + psig)
-        ub += (1.0 + psig) * _sweep_nu_term(model, ctrl, row.x, row.phi, gap, row.nu_sweep)
+        ub -= ctrl.lambda1 * ctrl.theta * psig
+    if x <= ctrl.x0:
+        i_term = (model.beta - model.b * x - float(model.g(x))) * ctrl.phi_prime(x)
+        j_term = 3.0 * x / ctrl.x0**2 * (2.0 * model.c + model.mu.moment(2.0, 0.0, 1.0))
+        ub += (y * mum + i_term + j_term) * (1.0 + psig)
+        ub += (1.0 + psig) * _sweep_nu_term(model, ctrl, x, gap)
     return ub
 
 
@@ -506,7 +418,7 @@ def _coupling_F0_exact(model: ModelSpec, ctrl: CouplingControl, x: float, y: flo
         if z <= 1.0:
             a = _phi_diff_minus_linear(ctrl, x, z) * (1.0 + psig + dpsi)
             b = phipx * z * dpsi
-            c_ = -phix * eg * _em1pu(lam0 * z)
+            c_ = -phix * eg * lam0 * z * exp_quotient(2, lam0 * z)
             return a + b + c_
         return phz * (1.0 + psig + dpsi) - phix * (1.0 + psig)
 

@@ -28,7 +28,7 @@ import math
 
 import numpy as np
 
-from .mechanisms import LevyMeasure, ModelSpec, stable_density_prefactor, summed
+from .mechanisms import LevyMeasure, ModelSpec, _power_integral, stable_density_prefactor, summed
 
 ATOM_SLACK = 1e-12
 
@@ -59,8 +59,8 @@ def overlap_density(base: LevyMeasure, x: float, z):
 
 
 def _overlap_dens1(base: LevyMeasure, x: float, z: float) -> float:
-    """Scalar overlap_density (same arithmetic); :func:`overlap_integrate`'s
-    integrands inline the same expression."""
+    """Scalar overlap_density through ``_dens1`` (within one ulp on a stable part);
+    :func:`overlap_integrate`'s integrands inline the same expression."""
     if z <= 0.0:
         return 0.0
     return 0.5 * min(base._dens1(z), base._dens1(z - x))
@@ -103,6 +103,43 @@ def overlap_mass(base: LevyMeasure, x, lo: float = 0.0, hi: float = math.inf):
     lo, hi = max(float(lo), 0.0), float(hi)
     v = _part_overlap_mass(base, x, lo, hi) if hi > lo else 0.0
     return float(v) if np.ndim(x) == 0 else np.full(x.shape, v)
+
+
+@summed(sum)
+def overlap_moment(base: LevyMeasure, x: float, k: int, hi: float) -> float:
+    """int_0^hi z^k m_x(dz) for an integer k >= 1 and a finite hi; may be inf.
+
+    A stable part (index a < 1, as in an immigration measure; density D z^(-1-a))
+    gives at x = -g < 0 (D/2) hi^(k-a) T^(1+a) 2F1(1+a, k+1; k+2; -T)/(k+1), T = hi/g.
+    Below g = 1e-100 hi, where 2F1 underflows, T^(1+a) 2F1 is its expansion at
+    T = inf, (k+1)/(k-a) + (k+1)! T^(a-k)/prod_{j=0..k} (a-j), exact there.
+    Uniform parts and atoms overlap as in :func:`overlap_mass`.
+    """
+    if base.kind == "atoms":
+        return sum(m * a**k for a, m in overlap_atoms(base, x) if a <= hi)
+    if base.kind == "uniform":
+        slo, shi = base.support
+        a, b = max(slo, slo + x), min(hi, shi, shi + x)
+        return _power_integral(0.5 * base.rate, k + 1.0, a, b) if b > a else 0.0
+    if base.kind != "stable":
+        return 0.0
+    if x >= 0.0:  # min(f(z), f(z - x)) = f(z) on z > x
+        return 0.5 * base.moment(k, x, hi)
+    from scipy.special import hyp2f1  # loaded with the stable part's density factor
+
+    a, g = base.alpha, -x
+    try:
+        if g < 1e-100 * hi:  # D = a sigma C_a, a taken into the bracket; g may be subnormal
+            tail = math.factorial(k + 1) / math.prod(a - j for j in range(1, k + 1))
+            v = a * (k + 1.0) / (k - a) * hi ** (k - a) + tail * g ** (k - a)
+            v *= base.sigma * float(stable_density_prefactor(a))
+        else:
+            T = hi / g
+            v = float(base._dens_scale) * hi ** (k - a) * T ** (1.0 + a)
+            v *= float(hyp2f1(1 + a, k + 1, k + 2, -T))
+    except OverflowError:  # a power beyond the float range dominates
+        return math.inf
+    return 0.5 * v / (k + 1.0)
 
 
 @summed(sum)

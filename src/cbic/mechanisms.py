@@ -24,10 +24,10 @@ added in part order.  The pointwise ``density`` and ``_dens1``, run once per
 quadrature node, add up their parts inline.
 
 The measure kinds are the config grammar's: stable, uniform, atoms and
-their sums.  Every mass, moment and log tail of a part is a closed form;
-only :meth:`LevyMeasure.integrate` of an arbitrary function reaches
-:mod:`cbic.quadrature`.  It and ``scipy.special`` are imported at first use,
-so a run whose measures never need them does not pay for loading scipy.
+their sums.  Every mass, moment, log tail, Psi, Phi and log integral of a part
+is closed; only :meth:`LevyMeasure.integrate` of a density against an arbitrary
+function reaches :mod:`cbic.quadrature`.  It and ``scipy.special`` are imported
+at first use, so a run whose measures never need them does not pay for loading scipy.
 """
 
 from __future__ import annotations
@@ -240,7 +240,8 @@ class LevyMeasure:
         return sum(p.density(z) for p in self.parts)
 
     def _dens1(self, z: float) -> float:
-        """Scalar density fast path for quadrature integrands."""
+        """Scalar density fast path for quadrature integrands; on a stable part within
+        one ulp of :meth:`density` (Python's float power against numpy's)."""
         if z <= 0.0:
             return 0.0
         if self.kind == "stable":
@@ -344,7 +345,7 @@ class LevyMeasure:
 
         Closed for a stable part: sigma*C_alpha*(log 2 + beta(alpha)), by parts, with
         beta(alpha) = int_0^1 t^(alpha-1)/(1+t) dt = (psi((alpha+1)/2) - psi(alpha/2))/2.
-        A uniform part gives rate*[F(hi) - F(max(lo, 1))], F(z) = (1+z) log(1+z) - z.
+        A uniform part gives rate*[P_0(hi) - P_0(max(lo, 1))] (:func:`_log_antiderivative`).
         """
         if self.kind == "stable":
             from scipy.special import digamma as _digamma
@@ -352,9 +353,8 @@ class LevyMeasure:
             beta = 0.5 * float(_digamma(0.5 * (self.alpha + 1.0)) - _digamma(0.5 * self.alpha))
             return self.sigma * stable_density_prefactor(self.alpha) * (math.log(2.0) + beta)
         if self.kind == "uniform":
-            a, b = max(self.support[0], 1.0), self.support[1]
-            F = lambda z: (1.0 + z) * math.log1p(z) - z if z < math.inf else z
-            return self.rate * (F(b) - F(a)) if b > a else 0.0
+            a, b, P = max(self.support[0], 1.0), self.support[1], _log_antiderivative
+            return self.rate * (P(b, 0) - P(a, 0)) if b > a else 0.0
         return sum(m * math.log1p(a) for a, m in self.atom_data if a > 1.0)
 
     @summed(_each)
@@ -518,12 +518,31 @@ def stable_levy_exponent(alpha: float, sigma: float, lam: float) -> float:
     return -sigma * lam**alpha + lam * alpha * sigma / ((1.0 - alpha) * _gamma(1.0 - alpha))
 
 
+def exp_quotient(n: int, u: float) -> float:
+    """Q_n(u) = R_n(u)/u for n = 2, 3 and 0 <= u <= inf, R_n(u) = e^-u minus its Taylor
+    polynomial of degree n - 1: int_a^b R_(n-1)(lam z) dz = a Q_n(lam a) - b Q_n(lam b).
+    Below u = 1 a series keeps the digits that expm1(-u)/u + 1 (- u/2) cancels."""
+    if u >= 1.0:
+        return math.expm1(-u) / u + (1.0 if n == 2 else 1.0 - 0.5 * u)
+    term = total = -((-u) ** (n - 1)) / math.factorial(n)
+    while abs(term) > 1e-17 * abs(total):
+        n += 1
+        term *= -u / n
+        total += term
+    return total
+
+
 @summed(sum)
 def _psi_jump_integral(mu: LevyMeasure, lam: float) -> float:
     if mu.kind == "zero" or lam == 0.0:
         return 0.0
     if mu.kind == "stable":
         return stable_levy_exponent(mu.alpha, mu.sigma, lam)
+    if mu.kind == "uniform":  # int R_2(lam z) dz below z = 1, int R_1(lam z) dz above
+        (lo, hi), Q = mu.support, exp_quotient
+        a, b, c, d = min(lo, 1.0), min(hi, 1.0), max(lo, 1.0), max(hi, 1.0)
+        return mu.rate * ((a * Q(3, lam * a) - b * Q(3, lam * b))
+                          + (c * Q(2, lam * c) - d * Q(2, lam * d)))
     return mu.integrate(lambda z: math.expm1(-lam * z) + lam * z * (z <= 1.0))
 
 
@@ -541,6 +560,9 @@ def _phi_jump_integral(nu: LevyMeasure, lam: float) -> float:
     if nu.kind == "stable":
         # requires alpha < 1 (immigration integrability)
         return nu.sigma * lam**nu.alpha
+    if nu.kind == "uniform":  # int -R_1(lam z) dz
+        lo, hi = nu.support
+        return nu.rate * (hi * exp_quotient(2, lam * hi) - lo * exp_quotient(2, lam * lo))
     return nu.integrate(lambda z: -math.expm1(-lam * z))
 
 
@@ -549,6 +571,44 @@ def phi_eval(mech: ImmigrationMechanism, lam: float) -> float:
     if lam < 0:
         raise MechanismError(f"phi_eval requires lam >= 0, got {lam}")
     return mech.beta * lam + _phi_jump_integral(mech.nu, lam)
+
+
+def _log_antiderivative(t: float, k: int) -> float:
+    """P_k(t) = int_0^t [log1p(s) - k s] ds = (1 + t) log1p(t) - t - k t^2/2 for t >= 0,
+    k in {0, 1} (k = 1 for t <= 1); P_0(inf) = inf.  Below t = 1/2 the series
+    sum_{m>k} (-t)^(m+1)/(m (m+1)) keeps the digits that the closed form cancels."""
+    if t >= 0.5:
+        return t if t == math.inf else (1.0 + t) * math.log1p(t) - t - (0.5 * t * t if k else 0.0)
+    m = k + 1
+    term = total = (-t) ** (m + 1) / (m * (m + 1))
+    while abs(term) > 1e-17 * abs(total):
+        term *= -t * m / (m + 2)
+        m += 1
+        total += term
+    return total
+
+
+@summed(sum)
+def log_jump_integral(m: LevyMeasure, w: float, k: int) -> float:
+    """int [log(1 + z/w) - k (z/w) 1{z<=1}] m(dz) for w >= 1, k in {0, 1}; closed per part.
+
+    k = 1 compensates a branching measure; k = 0 needs int_0^1 z m(dz) finite, as
+    for an immigration measure.  A stable part of index a != 1 gives
+    D_a (pi w^-a/(a sin(pi a)) + k/((a - 1) w)), D_a = a sigma C_a its density
+    factor; index 1 gives sigma (1 + log w)/w.  A uniform part takes
+    w P_k(z/w) below z = 1 and w P_0(z/w) above (:func:`_log_antiderivative`).
+    """
+    if m.kind == "stable":
+        a = m.alpha
+        if a == 1.0:
+            return m.sigma * (1.0 + math.log(w)) / w
+        dens = float(m._dens_scale)  # D_a/a first: a sin(pi a) underflows to 0 as a -> 0
+        return dens / a * math.pi / (math.sin(a * math.pi) * w**a) + k * dens / ((a - 1.0) * w)
+    if m.kind == "uniform":
+        (lo, hi), P = m.support, _log_antiderivative
+        a, b, c, d = (v / w for v in (min(lo, 1.0), min(hi, 1.0), max(lo, 1.0), max(hi, 1.0)))
+        return m.rate * (w * ((P(b, k) - P(a, k)) + (P(d, 0) - P(c, 0))))
+    return m.integrate(lambda z: math.log1p(z / w) - k * z / w * (z <= 1.0))
 
 
 class CriticalityReport(NamedTuple):

@@ -1,5 +1,6 @@
 import contextlib
 import io
+import json
 import math
 import os
 import re
@@ -270,6 +271,7 @@ class TestExitCodes:
          "linear-growth weight needs finite first-moment tails"),
         ("ergodic_v1", "hi=1.0", "hi=1e308", ["lyapunov", "--weight", "vlog"], 1,
          "logarithmic weight needs finite log-moment tails"),
+        ("ergodic_v1", "hi=1.0", "hi=1e308", ["rate", "--grid", "11"], 1, "non-triviality"),
         ("stable_power_vlog", "eps = 1e-4", "eps = 1e308",
          ["couple", "--paths", "4", "--t-end", "0.002", "--dt", "1e-3"], 1, "infinite moment"),
         ("neveu_xlog", "xlog k=1.0", "xlog k=1e308", ["lyapunov"], 1, "not a finite"),
@@ -281,7 +283,7 @@ class TestExitCodes:
          ["stationary", "--samples", "32", "--burn-in", "0.01"], 1, "NaN state"),
     ], ids=["alpha-1e-6-simulate", "alpha-5e-324-lyapunov", "alpha-5e-324-rate",
             "c-1e308-simulate", "c-1e308-couple", "c-1e308-rate", "mu-hi-1e308-lyapunov",
-            "mu-hi-1e308-lyapunov-vlog", "eps-1e308-couple", "xlog-k-1e308-lyapunov",
+            "mu-hi-1e308-lyapunov-vlog", "mu-hi-1e308-rate", "eps-1e308-couple", "xlog-k-1e308-lyapunov",
             "a-1e308-lyapunov", "a-minus-1e308-lyapunov", "sigma-1e308-couple",
             "sigma-1e308-stationary"])
     def test_extreme_parameter_is_one_line(self, tmp_path, config, old, new, argv, code,
@@ -307,10 +309,11 @@ class TestExitCodes:
         assert proc.returncode == 0
         assert proc.stdout.startswith("usage: cbic")
 
-    # a fresh interpreter loads configs, runs CLI commands and prints, after
-    # each step, which of scipy's special, integrate and optimize it has loaded
+    # a fresh interpreter loads configs, runs CLI commands, each with its
+    # arguments and expected exit code, and prints, after each step, which of
+    # scipy's special, integrate and optimize it has loaded
     STARTUP = """
-import contextlib, io, sys
+import contextlib, io, json, sys
 def loaded(step):
     print(step + "=" + ",".join(m for m in ("scipy.special", "scipy.integrate",
                                             "scipy.optimize") if m in sys.modules))
@@ -320,20 +323,23 @@ from cbic.config import load_config
 for name in sys.argv[3:]:
     load_config(sys.argv[1] + "/" + name + ".cfg")
 loaded("load")
-for cmd, name in [c.split(":") for c in sys.argv[2].split(",")]:
-    argv = [cmd, "--model", sys.argv[1] + "/" + name + ".cfg", "--paths", "4",
-            "--t-end", "0.002", "--out", "."]
-    with contextlib.redirect_stdout(io.StringIO()):
-        assert cbic.cli.run(argv) == 0
+for cmd, name, args, code in json.loads(sys.argv[2]):
+    argv = [cmd, "--model", sys.argv[1] + "/" + name + ".cfg", *args, "--out", "."]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert cbic.cli.run(argv) == code, argv
     loaded(cmd + ":" + name)
 """
+    STARTUP_ARGS = {"simulate": ["--paths", "4", "--t-end", "0.002"],
+                    "couple": ["--paths", "4", "--t-end", "0.002"],
+                    "rate": [], "lyapunov": []}
 
     def _startup(self, tmp_path, runs, configs=()):
+        """``runs`` are (command, config, exit code) triples."""
         src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        runs = json.dumps([(cmd, name, self.STARTUP_ARGS[cmd], code) for cmd, name, code in runs])
         proc = subprocess.run(
-            [sys.executable, "-c", self.STARTUP, os.path.abspath(CONFIGS), ",".join(runs),
-             *configs],
+            [sys.executable, "-c", self.STARTUP, os.path.abspath(CONFIGS), runs, *configs],
             capture_output=True, text=True, env=env, cwd=tmp_path, timeout=60,
         )
         assert proc.returncode == 0, proc.stderr
@@ -342,15 +348,22 @@ for cmd, name in [c.split(":") for c in sys.argv[2].split(",")]:
     def test_startup_loads_no_scipy_submodule_a_run_does_not_need(self, tmp_path):
         # uniform masses and moments are closed forms: no quadrature, no scipy.integrate;
         # the stable config needs scipy.special
-        got = self._startup(tmp_path, ["simulate:ergodic_v1", "simulate:critical_cbi",
-                                       "couple:ergodic_v1"],
+        got = self._startup(tmp_path, [("simulate", "ergodic_v1", 0),
+                                       ("simulate", "critical_cbi", 0),
+                                       ("couple", "ergodic_v1", 0)],
                             ["ergodic_v1", "critical_cbi", "neveu_xlog", "stable_power_vlog"])
         assert got == {"import": "", "load": "scipy.special",
                        "simulate:ergodic_v1": "scipy.special",
                        "simulate:critical_cbi": "scipy.special",
                        "couple:ergodic_v1": "scipy.special"}
-        assert self._startup(tmp_path, ["simulate:neveu_xlog"]) == {
+        assert self._startup(tmp_path, [("simulate", "neveu_xlog", 0)]) == {
             "import": "", "load": "", "simulate:neveu_xlog": ""}
+        # Psi, Phi, LV and the sweep term of uniform and atom parts are closed forms
+        # too; critical_cbi's certificate fails at its Lyapunov step
+        assert self._startup(tmp_path, [("rate", "ergodic_v1", 0), ("lyapunov", "ergodic_v1", 0),
+                                        ("rate", "critical_cbi", 1)]) == {
+            "import": "", "load": "", "rate:ergodic_v1": "", "lyapunov:ergodic_v1": "",
+            "rate:critical_cbi": ""}
 
     def test_lyapunov_failure_exits_one(self, capsys):
         code = run([

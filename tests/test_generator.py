@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
-from scipy.special import gamma
 
 from cbic.generator import (
     CouplingControl,
@@ -15,27 +14,20 @@ from cbic.generator import (
     LyapunovFailure,
     SmoothFunction,
     WeightFunction,
-    _coupling_F0_bound,
-    _f0_consts,
-    _f0_row,
-    _gap_terms,
     _sweep_nu_term,
-    _vlog_gammas,
-    _vlog_mu_integral,
     apply_generator,
     coupling_generator_F0,
     lyapunov_certify,
     lyapunov_margin,
-    sweep_nu_row_term,
     write_margin_csv,
 )
-from cbic.measures import overlap_mass
 from cbic.mechanisms import (
     BranchingMechanism,
     CompetitionMechanism,
     ImmigrationMechanism,
     LevyMeasure,
     ModelSpec,
+    log_jump_integral,
     psi_eval,
     stable_to_generic,
 )
@@ -300,32 +292,6 @@ class TestCouplingGeneratorF0:
                     exact = coupling_generator_F0(model, ctrl, x, y, exact=True)
                     assert exact <= ub + 1e-6 * abs(ub) + 1e-9
 
-    def test_row_sweep_term_matches_per_point(self, ergodic_v1_model):
-        for nu in (
-            LevyMeasure.uniform(0.8, 0.0, 0.9),
-            LevyMeasure.sum_of([LevyMeasure.from_atoms([(0.1, 0.4)]),
-                                LevyMeasure.uniform(0.5, 0.0, 0.7)]),
-        ):
-            model = ModelSpec(
-                ergodic_v1_model.branching, ImmigrationMechanism(0.2, nu),
-                ergodic_v1_model.competition,
-            )
-            ctrl = _control(psi0=psi_eval(model.branching, 0.8))
-            k = _f0_consts(model, ctrl)
-            for x in (1e-4, 0.01, 0.1, 0.2, 0.25, 0.6):
-                row = _f0_row(model, ctrl, x, model.mu.moment(2.0, 0.0, 1.0))
-                assert row.nu_sweep == sweep_nu_row_term(model, ctrl, x)
-                assert (row.nu_sweep == 0.0) == (x >= ctrl.x0)
-                for gap in (1e-4, 0.005, 0.05, 0.1, 0.2):
-                    if gap > x:
-                        continue
-                    y = x - gap
-                    got = _coupling_F0_bound(
-                        model, ctrl, k, row, y, x - y, *_gap_terms(ctrl, x - y),
-                        overlap_mass(model.mu, x - y), overlap_mass(model.nu, x - y),
-                    )
-                    assert got == coupling_generator_F0(model, ctrl, x, y)
-
     def test_sweep_nu_term_closed_form_on_nu_jump(self):
         # nu = 0.8 on (0, 0.9); its overlap at shift -gap is 0.4 on (0, 0.9 - gap).
         # Below the cut x0 - x, phi(x+z) - phi(x) = (w - z/x0)^3 - w^3 with
@@ -348,9 +314,7 @@ class TestCouplingGeneratorF0:
             for gap in (1e-3, 0.1, 0.6, 0.7, 0.85, 1.5):
                 top = max(0.0, 0.9 - gap)
                 t_ov = 0.4 * (lebesgue(min(cut, top)) - w**3 * max(0.0, top - cut))
-                got = _sweep_nu_term(
-                    model, ctrl, x, ctrl.phi(x), gap, sweep_nu_row_term(model, ctrl, x)
-                )
+                got = _sweep_nu_term(model, ctrl, x, gap)
                 assert got == pytest.approx(t_nu - t_ov, rel=1e-12), (x, gap)
 
     def test_nonpositive_beyond_l_away_from_origin(self, ergodic_v1_model):
@@ -375,31 +339,26 @@ class TestCouplingGeneratorF0:
         assert got == pytest.approx(ctrl.epsilon * f0 + lv(x) + lv(y), rel=1e-9)
 
 
+class TestLogJumpIntegral:
+    # J(alpha, w) = int [log(1 + z/w) - (z/w) 1{z<=1}] z^(-1-alpha) dz to 40 digits
+    J = {
+        0.5: (4.28318530717958648, 3.17383530631844049, 0.196691765315922025,
+              0.00628118530717958648),
+        1.3: (0.346239427601846291, 0.425665667849442969, 0.00295728049079924737,
+              3.2859910853689742e-6),
+        1.5: (-0.0943951023931954923, 0.270155292490874601, 0.00193376941156135933,
+              1.9979056048976068e-6),
+    }
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.3, 1.5])
+    def test_stable_part_equals_the_reference(self, alpha):
+        mu = LevyMeasure.stable(alpha, 1.0)
+        for w, j in zip((1.0, 2.5, 1e3, 1e6), self.J[alpha]):
+            assert log_jump_integral(mu, w, 1) == pytest.approx(mu._dens_scale * j, rel=1e-13)
+
+
 class TestHoistedConstants:
     """Values computed once per drift or per call equal their per-call forms."""
-
-    @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
-    def test_vlog_mu_integral_equals_the_per_call_gamma(self, alpha):
-        for mu in (
-            LevyMeasure.stable(alpha, 0.7),
-            LevyMeasure.sum_of([LevyMeasure.stable(alpha, 0.7), LevyMeasure.stable(0.3, 0.2),
-                                LevyMeasure.uniform(0.5, 0.0, 1.0)]),
-        ):
-            gammas = _vlog_gammas(mu)
-            for w in (1.0, 1.0 + 1e-4, 2.0, 17.5, 1e4, 1e6):
-                want = 0  # summed parts add up from int 0, in part order
-                for part in mu.parts if mu.kind == "sum" else (mu,):
-                    a, s_ = part.alpha, part.sigma
-                    if part.kind == "stable" and a < 1.0:
-                        g = float(gamma(1.0 - a))
-                        v = s_ * math.pi / (g * math.sin(a * math.pi) * w**a) - a * s_ / (
-                            (1.0 - a) * g * w)
-                    elif part.kind == "stable" and a == 1.0:
-                        v = s_ * (1.0 + math.log(w)) / w
-                    else:
-                        v = part.integrate(lambda z: math.log1p(z / w) - z / w * (z <= 1.0))
-                    want = v if mu.kind != "sum" else want + v
-                assert _vlog_mu_integral(mu, w, gammas) == want
 
     def test_margin_csv_equals_per_value_format(self, tmp_path):
         specials = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 1e308, -1e308,

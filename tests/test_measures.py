@@ -12,6 +12,7 @@ from cbic.measures import (
     overlap_density,
     overlap_integrate,
     overlap_mass,
+    overlap_moment,
     rn_ratio_many,
 )
 from cbic import quadrature
@@ -41,7 +42,9 @@ class TestOverlapDensity:
 
 
 class TestScalarOverlapDensity:
-    """The quadrature integrand repeats overlap_density's arithmetic bit for bit."""
+    """The quadrature integrand repeats overlap_density's arithmetic bit for bit on
+    uniform and atom parts; on a stable part, Python's scalar float power and
+    numpy's array power may differ in the last bit."""
 
     BASES = [
         UNI,
@@ -50,6 +53,7 @@ class TestScalarOverlapDensity:
         ATOMS,
         LevyMeasure.sum_of([ATOMS, LevyMeasure.uniform(0.5, 0.0, 0.7)]),
         LevyMeasure.sum_of([UNI, LevyMeasure.uniform(0.3, 0.4, 2.5)]),
+        LevyMeasure.stable(0.5, 1.0),
     ]
 
     @pytest.mark.parametrize("base", BASES)
@@ -59,7 +63,11 @@ class TestScalarOverlapDensity:
         for x in shifts:
             edges = [p for b in base.breakpoints() for p in (b, b + x, b - x)]
             for z in zs + edges + [a for a, _ in base.atoms()]:
-                assert _overlap_dens1(base, x, z) == overlap_density(base, x, z)[0]
+                got, want = _overlap_dens1(base, x, z), overlap_density(base, x, z)[0]
+                if base.kind == "stable":
+                    assert abs(got - want) <= math.ulp(want)
+                else:
+                    assert got == want
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -167,6 +175,30 @@ class TestOverlapMassShifts:
         xs = np.array([0.5, 0.05, -0.5, 0.45, 1.0])
         want = [0.5 * 0.3 + 0.5 * 0.4, 0.5 * 0.2, 0.5 * 0.3 + 0.5 * 0.4, 0.5 * 0.2, 0.5 * 0.3]
         assert overlap_mass(self.ATOMS_CLOSE, xs).tolist() == want
+
+
+class TestOverlapMoment:
+    NU = LevyMeasure.stable(0.5, 0.7)
+
+    def test_zero_measure_and_positive_shift(self):
+        assert overlap_moment(LevyMeasure.zero(), -0.1, 1, 0.5) == 0.0
+        for k in (1, 2, 3):  # a stable overlap at x > 0 is half the density above x
+            quad = overlap_integrate(self.NU, 0.05, lambda z: z**k, 0.0, 0.5)
+            assert overlap_moment(self.NU, 0.05, k, 0.5) == pytest.approx(
+                quad, rel=quadrature.REL_TOL, abs=quadrature.ABS_TOL)
+
+    @pytest.mark.parametrize("alpha, k, gap, hi, want", [
+        (0.999, 1, 1e-300, 0.05, 0.17328843138928584351),
+        (0.5, 2, 5e-324, 0.05, 0.00073591365225588002397),
+        (0.3, 3, 1e-200, 0.9, 0.022541722791900301335),
+    ])
+    def test_gap_beyond_the_hypergeometric_range(self, alpha, k, gap, hi, want):
+        # 40-digit (D/2) hi^(k-a) T^(1+a) 2F1(1+a, k+1; k+2; -T)/(k+1) at T = hi/gap > 1e100
+        got = overlap_moment(LevyMeasure.stable(alpha, 0.7), -gap, k, hi)
+        assert got == pytest.approx(want, rel=1e-12)
+
+    def test_power_beyond_the_float_range_is_inf(self):
+        assert overlap_moment(self.NU, -1.0, 2, 1e308) == math.inf
 
 
 class TestKappa:

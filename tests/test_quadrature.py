@@ -6,10 +6,10 @@ import pytest
 from scipy import integrate as sciint
 
 from cbic import quadrature
-from cbic.generator import _vlog_mu_integral
-from cbic.measures import overlap_integrate, overlap_mass
+from cbic.measures import overlap_integrate, overlap_moment
 from cbic.mechanisms import (
-    BranchingMechanism, ImmigrationMechanism, LevyMeasure, phi_eval, psi_eval,
+    BranchingMechanism, ImmigrationMechanism, LevyMeasure, _phi_jump_integral, _psi_jump_integral,
+    log_jump_integral,
 )
 from cbic.quadrature import (
     ABS_TOL, REL_TOL, QuadratureError, _LIMIT, _quad_piece, integrate, tail_integral,
@@ -127,19 +127,26 @@ class TestSplitTowardZero:
         assert len(pieces) == 7 and pieces[0][0] == 0.0
 
     @staticmethod
-    def _values(m):
-        """Psi, Phi, the vlog log integrals and overlap integrals against ``m``."""
+    def _pairs(m):
+        """(closed form, quadrature of the same integrand) pairs against ``m``: Psi,
+        Phi, the log integrals, int min(1, z^3) and overlap moments."""
         out = []
-        for lam in (0.01, 1.0, 50.0):
-            out.append(psi_eval(BranchingMechanism(0.5, 0.0, m), lam))
-            out.append(phi_eval(ImmigrationMechanism(0.3, m), lam))
-        for w in np.geomspace(1e-6, 1e3, 10):
-            out.append(_vlog_mu_integral(m, float(w), {}))
-            out.append(m.integrate(lambda z: math.log1p(z / w)))
+        for lam in (1e-3, 0.01, 1.0, 50.0):
+            out.append((_psi_jump_integral(m, lam),
+                        m.integrate(lambda z: math.expm1(-lam * z) + lam * z * (z <= 1.0))))
+            out.append((_phi_jump_integral(m, lam), m.integrate(lambda z: -math.expm1(-lam * z))))
+        for w in np.geomspace(1.0, 1e6, 10):
+            for k in (0, 1):
+                out.append((log_jump_integral(m, float(w), k),
+                            m.integrate(lambda z: math.log1p(z / w) - k * z / w * (z <= 1.0))))
+        out.append((m.moment(3.0, 0.0, 1.0) + m.mass_above(1.0),
+                    m.integrate(lambda z: min(1.0, z**3))))
         for gap in (1e-3, 0.05, 0.3, 0.7):
             for shift in (gap, -gap):
-                out.append(overlap_mass(m, shift))
-                out.append(overlap_integrate(m, shift, lambda z: (1.0 - z) ** 3))
+                for k in (1, 2, 3):
+                    for cut in (0.05, 0.5):
+                        out.append((overlap_moment(m, shift, k, cut),
+                                    overlap_integrate(m, shift, lambda z: z**k, 0.0, cut)))
         return out
 
     @pytest.mark.parametrize("m", [
@@ -147,9 +154,20 @@ class TestSplitTowardZero:
         LevyMeasure.uniform(0.8, 0.0, 0.9),
         LevyMeasure.uniform(0.6, 0.0, 0.5),
         LevyMeasure.uniform(0.8, 0.1, 0.7),
-    ], ids=["ergodic_v1-mu", "nu_jump-nu", "mixed_v1-nu", "mixed_vlog-mu"])
-    def test_uniform_integrals_match_the_split(self, monkeypatch, m):
-        new = self._values(m)
-        monkeypatch.setattr(LevyMeasure, "singular_at_0", property(lambda self: True))
-        old = self._values(m)
-        assert new == pytest.approx(old, rel=REL_TOL, abs=ABS_TOL)
+        LevyMeasure.from_atoms([(0.2, 0.5), (0.25, 0.3), (1.5, 0.4)]),
+        LevyMeasure.sum_of([LevyMeasure.from_atoms([(0.5, 0.4)]), LevyMeasure.uniform(0.5, 0.0, 1.0)]),
+    ], ids=["ergodic_v1-mu", "nu_jump-nu", "mixed_v1-nu", "mixed_vlog-mu", "atoms", "sum"])
+    def test_uniform_integrals_match_the_split(self, m):
+        # every closed form against quadrature of the same integrand
+        closed, quad = zip(*self._pairs(m))
+        assert closed == pytest.approx(quad, rel=REL_TOL, abs=ABS_TOL)
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.5])
+    def test_stable_overlap_moments_match_quadrature(self, alpha):
+        nu = LevyMeasure.stable(alpha, 0.7)
+        for gap in (1e-4, 0.05, 0.7, 10.0):
+            for cut in (1e-3, 0.05):
+                for k in (1, 2, 3):
+                    quad = overlap_integrate(nu, -gap, lambda z: z**k, 0.0, cut)
+                    assert overlap_moment(nu, -gap, k, cut) == pytest.approx(
+                        quad, rel=REL_TOL, abs=ABS_TOL)
