@@ -151,9 +151,11 @@ class LevyMeasure:
 
     def __post_init__(self):
         if self.kind == "stable":  # the density's alpha-only factor, once per measure
-            object.__setattr__(
-                self, "_dens_scale", self.alpha * self.sigma * stable_density_prefactor(self.alpha)
-            )
+            c = stable_density_prefactor(self.alpha)
+            scale = self.alpha * self.sigma * c
+            if math.isinf(scale):  # alpha*sigma overflowed before the small C_alpha (alpha -> 2)
+                scale = self.alpha * (self.sigma * c)
+            object.__setattr__(self, "_dens_scale", scale)
 
     # -- constructors ------------------------------------------------------
 
@@ -337,25 +339,30 @@ class LevyMeasure:
     @summed(all)
     def has_finite_log_tail(self) -> bool:
         # finite for every stable part, also where its closed form overflows (alpha -> 0)
-        return self.kind == "stable" or bool(np.isfinite(self.log_tail()))
+        return self.kind == "stable" or bool(np.isfinite(self.log_tail(1.0)))
 
     @summed(sum)
-    def log_tail(self) -> float:
-        """int_1^inf log(1+z) measure(dz); inf when divergent.
+    def log_tail(self, w: float) -> float:
+        """int_1^inf log(1 + z/w) measure(dz) for w >= 1; inf when divergent.
 
-        Closed for a stable part: sigma*C_alpha*(log 2 + beta(alpha)), by parts, with
-        beta(alpha) = int_0^1 t^(alpha-1)/(1+t) dt = (psi((alpha+1)/2) - psi(alpha/2))/2.
-        A uniform part gives rate*[P_0(hi) - P_0(max(lo, 1))] (:func:`_log_antiderivative`).
+        Closed for a stable part: sigma*C_alpha*(log1p(1/w) + I), by parts, with
+        I = int_0^1 t^(alpha-1)/(1+wt) dt = 2F1(1, alpha; alpha+1; -w)/alpha (Euler's
+        integral, DLMF 15.6.1), which is log1p(w)/w at alpha = 1.  A uniform part gives
+        rate*w*[P_0(hi/w) - P_0(max(lo, 1)/w)] (:func:`_log_antiderivative`).
         """
         if self.kind == "stable":
-            from scipy.special import digamma as _digamma
+            a = self.alpha
+            if a == 1.0:  # hyp2f1 loses digits here (8e-7 at w = 1e12), and is inf from 1e14
+                i = math.log1p(w) / w
+            else:
+                from scipy.special import hyp2f1  # loaded at first use (module docstring)
 
-            beta = 0.5 * float(_digamma(0.5 * (self.alpha + 1.0)) - _digamma(0.5 * self.alpha))
-            return self.sigma * stable_density_prefactor(self.alpha) * (math.log(2.0) + beta)
+                i = float(hyp2f1(1.0, a, a + 1.0, -w)) / a
+            return self.sigma * stable_density_prefactor(a) * (math.log1p(1.0 / w) + i)
         if self.kind == "uniform":
             a, b, P = max(self.support[0], 1.0), self.support[1], _log_antiderivative
-            return self.rate * (P(b, 0) - P(a, 0)) if b > a else 0.0
-        return sum(m * math.log1p(a) for a, m in self.atom_data if a > 1.0)
+            return self.rate * (w * (P(b / w, 0) - P(a / w, 0))) if b > a else 0.0
+        return sum(m * math.log1p(a / w) for a, m in self.atom_data if a > 1.0)
 
     @summed(_each)
     def check_branching_integrable(self) -> None:

@@ -3,11 +3,11 @@
 Every integral against a Levy measure that has no closed form funnels through
 :func:`integrate`, so tolerances and singularity handling live in one place.
 Every integral the rate certificate takes of a stable, uniform or atom part is
-closed and does not come here.  What does: the cross-check references
-(``apply_generator``, ``coupling_generator_F0(exact=True)`` with its overlap
-integrals, the time integral of :func:`cbi_laplace`) and the vlog ladder of
-``lyapunov_margin``.  Callers import this module at first use, so a run that
-needs no quadrature does not load ``scipy.integrate``.
+closed and does not come here.  What does are the cross-check references
+alone: ``apply_generator``, ``coupling_generator_F0(exact=True)`` with its
+overlap integrals, and the time integral of :func:`cbi_laplace`.  Callers
+import this module at first use, so a run that needs no quadrature, ``rate``
+and ``lyapunov`` among them, does not load ``scipy.integrate``.
 Integrands are split at caller-supplied breakpoints (support edges, the z = 1
 compensation threshold).  Where the integrand may be singular at 0+ (stable
 densities, time integrals; not a uniform density), the piece touching zero is

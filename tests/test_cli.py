@@ -364,6 +364,12 @@ for cmd, name, args, code in json.loads(sys.argv[2]):
                                         ("rate", "critical_cbi", 1)]) == {
             "import": "", "load": "", "rate:ergodic_v1": "", "lyapunov:ergodic_v1": "",
             "rate:critical_cbi": ""}
+        # the stable log tail of the vlog margin is closed (hyp2f1); neveu_xlog fails there
+        assert self._startup(tmp_path, [("rate", "stable_power_vlog", 0),
+                                        ("lyapunov", "stable_power_vlog", 0),
+                                        ("lyapunov", "neveu_xlog", 1)]) == {
+            "import": "", "load": "", "rate:stable_power_vlog": "scipy.special",
+            "lyapunov:stable_power_vlog": "scipy.special", "lyapunov:neveu_xlog": "scipy.special"}
 
     def test_lyapunov_failure_exits_one(self, capsys):
         code = run([

@@ -34,6 +34,12 @@ class TestExactDiscrete:
         with pytest.raises(ValueError, match="not normalized"):
             wv_exact_discrete(dist([1.0], [0.9]), dist([1.0], [1.0]), V1)
 
+    @pytest.mark.parametrize("atoms, probs", [([0.0, 1.0], [1.0]), ([[0.0, 1.0]], [[0.5, 0.5]])],
+                             ids=["lengths", "2-d"])
+    def test_rejects_a_malformed_law(self, atoms, probs):
+        with pytest.raises(ValueError, match="equal 1-d shape"):
+            wv_exact_discrete((atoms, probs), dist([1.0], [1.0]), V1)
+
 
 class TestTransportSmall:
     def test_identical_laws(self):

@@ -112,6 +112,10 @@ class TestApplyGenerator:
         with pytest.raises(GeneratorDomainError, match="z mu"):
             apply_generator(model, V1, 1.0)
 
+    def test_negative_state_is_outside_the_domain(self, ergodic_v1_model):
+        with pytest.raises(GeneratorDomainError, match="state must be >= 0"):
+            apply_generator(ergodic_v1_model, V1, -0.5)
+
 
 class TestIdentities:
     @pytest.mark.parametrize("alpha", [0.3, 0.7])
@@ -186,15 +190,21 @@ class TestLyapunovCertify:
         for c1, c0 in cert.pairs:
             assert (lv + c1 * cert.grid_x <= c0).all()
 
-    @pytest.mark.xfail(strict=True, raises=quadrature.QuadratureError,
-                       reason="lyapunov_margin's vlog ladder integrates the z^(-1-alpha) tail "
-                       "on (1, inf) with QUADPACK, which does not converge")
     @pytest.mark.parametrize("alpha", [0.1, 0.05])
     def test_small_stable_index_reaches_a_verdict(self, alpha):
+        # a failure: the x^(1-alpha) branching term of the margin outgrows the x^0.5
+        # competition
         model = ModelSpec(stable_to_generic(1.0, 0.0, 1.0, alpha), ImmigrationMechanism(0.5),
                           CompetitionMechanism.power(3.0, 1.5))
         res = lyapunov_certify(model, VLOG)
-        assert isinstance(res, (LyapunovCertificate, LyapunovFailure))
+        assert isinstance(res, LyapunovFailure) and res.margin < 0.0
+
+    def test_margin_sees_the_stable_tail_beyond_x_1e4(self):
+        # g/(x log x) = 30 x^0.2/log x wins at x = 1e3, but the stable term (x/log x)
+        # sqrt(pi) x^-0.5 (1 + o(1)) outgrows it by x = 1e6
+        model = ModelSpec(stable_to_generic(1.0, 0.0, 1.0, 0.5), ImmigrationMechanism(0.5),
+                          CompetitionMechanism.power(30.0, 1.2))
+        assert lyapunov_margin(model, VLOG) < 0.0
 
     def test_no_feasible_c1_in_the_sweep(self):
         """g = 1e-4 x^1.1 makes the margin infinite, but it overtakes C1 x only

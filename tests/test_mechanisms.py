@@ -16,6 +16,7 @@ from cbic.mechanisms import (
     MechanismError,
     conservative_condition,
     grey_condition,
+    log_jump_integral,
     phi_eval,
     psi_eval,
     psi_prime_at_zero,
@@ -68,6 +69,14 @@ class TestStableDensityScale:
         c = alpha * 0.7 * stable_density_prefactor(alpha)
         p = 2.0 - alpha
         assert m.moment(2.0, 0.0, 1.0) == c * (1.0 ** p - 0.0 ** p) / p
+
+    def test_finite_with_sigma_near_the_float_maximum(self):
+        # alpha*sigma overflows before the small C_alpha (alpha -> 2) is applied; where the
+        # product is finite its bits stay, as above (at alpha = 1.5, alpha*(0.7*C) differs)
+        alpha, sigma = 1.999999, 1e308
+        m = LevyMeasure.stable(alpha, sigma)
+        assert m._dens_scale == alpha * (sigma * stable_density_prefactor(alpha))
+        assert math.isfinite(m.density(2.0)[0]) and math.isfinite(log_jump_integral(m, 2.0, 1))
 
 
 class TestCompetitionGuard:
@@ -124,8 +133,13 @@ class TestDensityIntegral:
     def test_log_tail_from_support_edge_at_one(self):
         # int_1^3 log(1+z) dz = 4 log 4 - 2 log 2 - 2, for the uniform part on (1, 3)
         m = LevyMeasure.uniform(0.5, 1.0, 3.0)
-        assert m.log_tail() == pytest.approx(0.5 * (6.0 * math.log(2.0) - 2.0), rel=1e-15)
+        assert m.log_tail(1.0) == pytest.approx(0.5 * (6.0 * math.log(2.0) - 2.0), rel=1e-15)
         assert m.has_finite_log_tail
+
+    def test_log_tail_of_atoms_counts_those_above_one(self):
+        m = LevyMeasure.from_atoms([(0.5, 0.3), (1.0, 0.4), (2.0, 0.2)])
+        for w in (1.0, 1e3 + 1):
+            assert m.log_tail(w) == 0.2 * math.log1p(2.0 / w)
 
 
 class TestUniformClosedForms:
@@ -159,8 +173,10 @@ class TestUniformClosedForms:
         # to 1e-13 relative: QUADPACK's value of the log tail on (1.5, 40) is off by 1.7e-14
         m = LevyMeasure.uniform(0.7, slo, shi)
         a = max(slo, 1.0)
-        want = quadrature.integrate(lambda z: 0.7 * math.log1p(z), a, shi, singular_at_0=False)
-        assert m.log_tail() == pytest.approx(want, rel=1e-13, abs=0.0)
+        for w in (1.0, 1e3 + 1, 1e6 + 1):
+            want = quadrature.integrate(lambda z: 0.7 * math.log1p(z / w), a, shi,
+                                        singular_at_0=False)
+            assert m.log_tail(w) == pytest.approx(want, rel=1e-13, abs=0.0), w
         for p in (-0.5, -1.0, -2.5):
             if slo == 0.0 and p <= -1.0:
                 assert m.moment(p) == math.inf  # z^p is not integrable at 0+
@@ -171,17 +187,37 @@ class TestUniformClosedForms:
     def test_moment_beyond_the_float_range_is_inf(self):
         m = LevyMeasure.uniform(1.0, 0.0, 1e308)
         assert m.moment(1.0, 1.0, math.inf) == math.inf
-        assert m.log_tail() == math.inf and not m.has_finite_log_tail
+        assert m.log_tail(1.0) == math.inf and not m.has_finite_log_tail
 
 
 class TestStableLogTail:
-    """int_1^inf log(1+z) of a stable part is the closed form sigma C_alpha (log 2 + beta)."""
+    """int_1^inf log(1+z/w) of a stable part is the closed form
+    sigma C_alpha (log1p(1/w) + int_0^1 t^(alpha-1)/(1+wt) dt)."""
 
     @pytest.mark.parametrize("alpha", [0.01, 0.05, 0.5, 1.0, 1.5])
     def test_closed_form(self, alpha):
         beta, _ = quad(lambda t: 1.0 / (1.0 + t), 0.0, 1.0, weight="alg", wvar=(alpha - 1.0, 0.0))
         want = stable_density_prefactor(alpha) * (math.log(2.0) + beta)
-        assert LevyMeasure.stable(alpha, 1.0).log_tail() == pytest.approx(want, rel=1e-12)
+        assert LevyMeasure.stable(alpha, 1.0).log_tail(1.0) == pytest.approx(want, rel=1e-12)
+
+    # 40-digit values of the integral at w = 1 + x for x = 1e3, 1e5 and 1e6, in the range
+    # of lyapunov_margin's vlog samples, and beyond
+    @pytest.mark.parametrize("alpha, sigma, w, want", [
+        (0.5, 1.0, 1e3 + 1, 0.055458376057859719839),
+        (0.5, 1.0, 1e5 + 1, 0.0055993213616378827147),
+        (0.5, 1.0, 1e6 + 1, 0.0017718887757539278548),
+        (0.6, 0.5, 1e3 + 1, 0.011456246133062298668),
+        (0.6, 0.5, 1e5 + 1, 0.00074121051401306536266),
+        (0.6, 0.5, 1e6 + 1, 0.00018669586020176792873),
+        (1.0, 0.7, 1e3 + 1, 0.005530946932562183203213),
+        (1.0, 0.7, 1e6 + 1, 0.00001037084806972610482304),
+        (1.0, 0.7, 1e12, 2.004171478115033247428e-11),
+        (1.0, 0.7, 1e100, 1.618809565095831850481e-98),
+        (1.5, 1.0, 1e6 + 1, 8.453977265832387072471e-7),
+        (0.05, 1.0, 1e12, 4.89066431136761857735),
+    ])
+    def test_equals_the_reference(self, alpha, sigma, w, want):
+        assert LevyMeasure.stable(alpha, sigma).log_tail(w) == pytest.approx(want, rel=1e-13)
 
     @pytest.mark.parametrize("alpha", [0.05, 5e-324])
     def test_finite_for_every_index(self, alpha):
@@ -250,6 +286,10 @@ class TestPhiEval:
     def test_vanishes_at_zero(self):
         mech = ImmigrationMechanism(0.4, LevyMeasure.uniform(1.0, 0.0, 2.0))
         assert phi_eval(mech, 0.0) == 0.0
+
+    def test_rejects_negative_argument(self):
+        with pytest.raises(MechanismError, match="lam >= 0"):
+            phi_eval(ImmigrationMechanism(0.4), -1.0)
 
     def test_concave_nondecreasing(self):
         mech = ImmigrationMechanism(0.2, LevyMeasure.uniform(0.7, 0.0, 3.0))
@@ -403,6 +443,14 @@ class TestValidation:
     def test_immigration_needs_integrable_measure(self):
         with pytest.raises(MechanismError):
             ImmigrationMechanism(0.0, LevyMeasure.stable(1.5, 1.0))
+
+    def test_uniform_mass_beyond_the_float_range_is_refused(self):
+        # rate 1e308 on (0, 10): the mass above z = 1 overflows to inf
+        big = LevyMeasure.uniform(1e308, 0.0, 10.0)
+        with pytest.raises(MechanismError, match="branching measure diverges"):
+            BranchingMechanism(0.0, 0.0, big)
+        with pytest.raises(MechanismError, match="immigration measure diverges"):
+            ImmigrationMechanism(0.0, big)
 
     def test_negative_beta_rejected(self):
         with pytest.raises(MechanismError):

@@ -73,6 +73,11 @@ class TestCbiLaplace:
         imm = ImmigrationMechanism(0.6)
         assert cbi_laplace(mech, imm, 1.5, 2.0, 0.0) == pytest.approx(math.exp(-3.0))
 
+    @pytest.mark.parametrize("lam", [0.0, -1.0])
+    def test_needs_positive_argument(self, lam):
+        with pytest.raises(MechanismError, match="lam > 0"):
+            cbi_laplace(BranchingMechanism(0.7, 0.0), ImmigrationMechanism(0.6), 1.5, lam, 1.0)
+
     def test_no_immigration_reduction(self):
         mech = BranchingMechanism(0.7, 0.1)
         imm = ImmigrationMechanism(0.0)
