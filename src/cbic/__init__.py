@@ -43,7 +43,6 @@ from .simulator import (
     SimConfig,
     SimulationError,
     cbi_laplace,
-    read_path_dump,
     sample_stable_increment,
     simulate_coupled,
     simulate_coupled_ensemble,
@@ -51,8 +50,6 @@ from .simulator import (
     simulate_ensembles,
     simulate_path,
     solve_vt,
-    write_ensemble_csv,
-    write_path_dump,
 )
 from .ergodicity import (
     CertificateError,

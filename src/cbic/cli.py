@@ -2,8 +2,9 @@
 
 Subcommands: simulate | couple | rate | lyapunov | check-generator | wv |
 stationary.  Exit codes: 0 success, 1 model/condition failure (a structured
-report is printed), 2 usage or configuration error.  Outputs are CSV and
-plain-text reports; reruns with identical config and seed are byte-identical.
+report is printed), 2 usage or configuration error.  Outputs are CSV files, all
+written by one writer here, and plain-text reports; the library modules write no
+files.  Reruns with identical config and seed are byte-identical.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import struct
 import sys
 from dataclasses import replace
 
@@ -23,11 +25,11 @@ from .generator import (
     LyapunovFailure,
     apply_generator,
     lyapunov_certify,
-    write_margin_csv,
 )
 from .ergodicity import (
     CertificateError,
     _as_dist,
+    certified_drift,
     compute_rate_certificate,
     estimate_stationary,
     estimate_wv_decay,
@@ -35,16 +37,14 @@ from .ergodicity import (
     wv_exact_discrete,
     wv_ot_small,
 )
-from .ergodicity import write_decay_csv
 from .generator import WeightFunction
 from .mechanisms import MechanismError, QuadratureError
 from .simulator import (
+    EnsembleResult,
     SimulationError,
     record_steps,
     simulate_coupled_ensemble,
     simulate_ensemble,
-    write_ensemble_csv,
-    write_path_dump,
 )
 
 USAGE_ERROR = 2
@@ -52,10 +52,11 @@ MODEL_ERROR = 1
 
 
 _CSV_DOC = """\
-output files and columns:
+output files and columns (every CSV: a header line, then one line per row,
+each cell printed with %.17g, comma-separated, LF line ends):
   simulate.csv           time, mean, variance, q05, q25, q50, q75, q95, exploded_frac
                          (moments/quantiles over non-exploded paths)
-  simulate.bin           little-endian dump: magic 'CBEN', uint64 n_times,
+  simulate.bin           little-endian dump: magic 'CBEN\\x01\\x00', uint64 n_times,
                          uint64 n_paths, float64 times, row-major float64 values
   couple.csv             time, mean_x, mean_y, uncoupled_frac
   decay.csv              t, wv_upper, se, n_uncoupled
@@ -63,7 +64,7 @@ output files and columns:
                          contraction-grid verdict
   certificate_margins.csv  x, y, lhs, rhs, margin  (margin = rhs - lhs)
   check_generator.csv    x, quadrature, closed_form, rel_err
-  stationary.csv         atom, prob  (binned long-run law)
+  stationary.csv         atom, prob  (binned long-run law; needs a Lyapunov certificate)
 
 [sim] overrides:
   simulate, couple       --seed --dt --t-end --eps --paths
@@ -73,6 +74,53 @@ output files and columns:
 
 exit codes: 0 success; 1 model/condition failure; 2 usage or config error.
 """
+
+
+_DUMP_MAGIC = b"CBEN\x01\x00"
+
+
+def _output(args, name):
+    """The path of output file ``name`` in ``--out``, created if missing."""
+    os.makedirs(args.out, exist_ok=True)
+    return os.path.join(args.out, name)
+
+
+def _write_csv(path, header, rows):
+    """Write every CSV output: the header, then each row's cells as %.17g, LF line ends."""
+    line = ",".join(["%.17g"] * len(header)) + "\n"  # one format per file, not per cell
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(line % tuple(row) for row in rows)
+
+
+def _ensemble_rows(res: EnsembleResult):
+    """simulate.csv rows: the time, moments and quantiles of the finite paths, exploded share."""
+    for t, row in zip(res.times, res.values):
+        alive = row[np.isfinite(row)]
+        stats = [math.nan] * 7
+        if alive.size:
+            var = alive.var(ddof=1) if alive.size > 1 else 0.0
+            stats = [alive.mean(), var, *np.quantile(alive, (0.05, 0.25, 0.5, 0.75, 0.95))]
+        yield (t, *stats, 1.0 - alive.size / row.size)
+
+
+def write_path_dump(res: EnsembleResult, path) -> None:
+    """simulate.bin, little-endian: magic, n_times and n_paths, times, row-major values."""
+    with open(path, "wb") as fh:
+        fh.write(_DUMP_MAGIC + struct.pack("<QQ", res.times.size, res.values.shape[1]))
+        fh.write(np.ascontiguousarray(res.times, dtype="<f8").tobytes())
+        fh.write(np.ascontiguousarray(res.values, dtype="<f8").tobytes())
+
+
+def read_path_dump(path) -> EnsembleResult:
+    """The ensemble of a simulate.bin file; a path exploded if its last value is not finite."""
+    with open(path, "rb") as fh:
+        if fh.read(len(_DUMP_MAGIC)) != _DUMP_MAGIC:
+            raise SimulationError("not a path dump file")
+        nt, npaths = struct.unpack("<QQ", fh.read(16))
+        times = np.frombuffer(fh.read(8 * nt), dtype="<f8").copy()
+        vals = np.frombuffer(fh.read(8 * nt * npaths), dtype="<f8").reshape(nt, npaths).copy()
+    return EnsembleResult(times, vals, ~np.isfinite(vals[-1]))
 
 
 # [sim] overrides: flag -> (SimConfig field, type)
@@ -186,10 +234,10 @@ def _cmd_simulate(args):
     run, sim, _ = _load(args)
     res = simulate_ensemble(run.model, args.x0, sim, record_times=None if sim.n_paths == 1 else
                             np.linspace(0.0, sim.t_end, 101))
-    os.makedirs(args.out, exist_ok=True)
-    write_ensemble_csv(res, os.path.join(args.out, "simulate.csv"))
+    _write_csv(_output(args, "simulate.csv"), ("time", "mean", "variance", "q05", "q25", "q50",
+                                                "q75", "q95", "exploded_frac"), _ensemble_rows(res))
     if args.dump:
-        write_path_dump(res, os.path.join(args.out, "simulate.bin"))
+        write_path_dump(res, _output(args, "simulate.bin"))
     frac = float(res.exploded.mean())
     print(f"simulate: {sim.n_paths} paths to t = {sim.t_end:g} (exploded fraction {frac:.3g})")
     return 0
@@ -204,17 +252,13 @@ def _cmd_couple(args):
     res = simulate_coupled_ensemble(run.model, args.x0, args.y0, sim, record_times=times)
     steps = record_steps(sim, times)
     couple_rows, decay_rows = (np.searchsorted(steps, record_steps(sim, g)) for g in grids)
-    os.makedirs(args.out, exist_ok=True)
-    path = os.path.join(args.out, "couple.csv")
-    with open(path, "w") as fh:
-        fh.write("time,mean_x,mean_y,uncoupled_frac\n")
-        for i in couple_rows:
-            t = res.times[i]
-            ok = np.isfinite(res.x_values[i])
-            unc = float((res.coupling_times > t).mean())
-            mx = float(res.x_values[i, ok].mean()) if ok.any() else math.nan
-            my = float(res.y_values[i, ok].mean()) if ok.any() else math.nan
-            fh.write(f"{t:.17g},{mx:.17g},{my:.17g},{unc:.17g}\n")
+    rows = []
+    for i in couple_rows:
+        t, ok = res.times[i], np.isfinite(res.x_values[i])
+        mx, my = (float(v[i, ok].mean()) if ok.any() else math.nan
+                  for v in (res.x_values, res.y_values))
+        rows.append((t, mx, my, float((res.coupling_times > t).mean())))
+    _write_csv(_output(args, "couple.csv"), ("time", "mean_x", "mean_y", "uncoupled_frac"), rows)
     if args.x0 > args.y0:
         decay = replace(
             res,
@@ -222,7 +266,9 @@ def _cmd_couple(args):
             x_values=res.x_values[decay_rows],
             y_values=res.y_values[decay_rows],
         )
-        write_decay_csv(estimate_wv_decay(decay, weight), os.path.join(args.out, "decay.csv"))
+        est = estimate_wv_decay(decay, weight)
+        _write_csv(_output(args, "decay.csv"), ("t", "wv_upper", "se", "n_uncoupled"),
+                   zip(est.times, est.wv_upper, est.se, est.n_uncoupled))
     coupled = np.isfinite(res.coupling_times)
     print(
         f"couple: {sim.n_paths} pairs, coupled fraction {float(coupled.mean()):.3g} "
@@ -238,11 +284,11 @@ def _cmd_rate(args):
     except CertificateError as exc:
         print(f"rate certificate failed: {exc}", file=sys.stderr)
         return MODEL_ERROR
-    os.makedirs(args.out, exist_ok=True)
     report = render_certificate(cert)
-    with open(os.path.join(args.out, "certificate.txt"), "w") as fh:
+    with open(_output(args, "certificate.txt"), "w") as fh:
         fh.write(report + "\n")
-    write_margin_csv(os.path.join(args.out, "certificate_margins.csv"), cert.validation.rows)
+    _write_csv(_output(args, "certificate_margins.csv"), ("x", "y", "lhs", "rhs", "margin"),
+               ((x, y, lhs, rhs, rhs - lhs) for x, y, lhs, rhs in cert.validation.rows))
     print(report)
     return 0
 
@@ -264,18 +310,14 @@ def _cmd_check_generator(args):
     run, _, weight = _load(args)
     model = run.model
     drift = LyapunovDrift(model, weight)
-    xs = np.geomspace(1e-2, 1e2, args.grid)
-    os.makedirs(args.out, exist_ok=True)
-    path = os.path.join(args.out, "check_generator.csv")
-    worst = 0.0
-    with open(path, "w") as fh:
-        fh.write("x,quadrature,closed_form,rel_err\n")
-        for x in xs:
-            quad_v = apply_generator(model, weight, float(x))
-            closed = drift(float(x))
-            rel = abs(quad_v - closed) / max(1.0, abs(closed))
-            worst = max(worst, rel)
-            fh.write(f"{x:.17g},{quad_v:.17g},{closed:.17g},{rel:.17g}\n")
+    rows = []
+    for x in np.geomspace(1e-2, 1e2, args.grid):
+        quad_v = apply_generator(model, weight, float(x))
+        closed = drift(float(x))
+        rows.append((x, quad_v, closed, abs(quad_v - closed) / max(1.0, abs(closed))))
+    _write_csv(_output(args, "check_generator.csv"),
+               ("x", "quadrature", "closed_form", "rel_err"), rows)
+    worst = max(0.0, *(row[3] for row in rows))
     print(f"check-generator: worst relative deviation {worst:.3e} over {args.grid} points")
     if worst < 1e-6:
         return 0
@@ -300,12 +342,9 @@ def _cmd_stationary(args):
     run, sim, weight = _load(args)
     if not (args.samples >= 1 and 0 <= args.burn_in < math.inf):
         raise ConfigError("need --samples >= 1 and a finite --burn-in >= 0")
+    certified_drift(run.model, weight)  # no drift certificate, no stationary law to estimate
     est = estimate_stationary(run.model, sim, args.burn_in, args.samples, weight=weight)
-    os.makedirs(args.out, exist_ok=True)
-    with open(os.path.join(args.out, "stationary.csv"), "w") as fh:
-        fh.write("atom,prob\n")
-        for a, p in zip(est.atoms, est.probs):
-            fh.write(f"{a:.17g},{p:.17g}\n")
+    _write_csv(_output(args, "stationary.csv"), ("atom", "prob"), zip(est.atoms, est.probs))
     print(
         f"stationary: mean = {est.sample_mean:.6g} +- {est.sample_mean_se:.2g}, "
         f"two-start distance {est.two_start_distance:.4g} "

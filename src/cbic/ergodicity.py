@@ -19,7 +19,8 @@ inequality eps*LF0 + LV(x) + LV(y) <= -lam G0(x, y).
 The V-weighted total-variation distance int (1+V) d|gamma - eta| doubles as
 the Wasserstein distance for the cost (2 + V(x) + V(y)) 1{x != y}; both
 routes are implemented (atom-by-atom, and an exact small-support transport
-LP) and cross-checked in the tests.
+LP) and cross-checked in the tests.  Certificates, decay curves and
+stationary estimates are returned; ``cbic.cli`` writes them to files.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ import numpy as np
 from .generator import (
     CouplingControl,
     GeneratorDomainError,
+    LyapunovCertificate,
     LyapunovDrift,
     LyapunovFailure,
     WeightFunction,
@@ -53,6 +55,7 @@ __all__ = [
     "CertificateError",
     "RateCertificate",
     "ValidationReport",
+    "certified_drift",
     "compute_rate_certificate",
     "validate_certificate",
     "render_certificate",
@@ -311,6 +314,18 @@ def _golden_x0(evaluate, lo, hi):
     return max(cands, key=lambda s: s[:2])[2] if cands else None
 
 
+def certified_drift(model: ModelSpec, weight: WeightFunction) -> LyapunovCertificate:
+    """The certificate of :func:`~cbic.generator.lyapunov_certify`; its failure report,
+    or a drift outside the generator's domain, raises the ``lyapunov`` CertificateError."""
+    try:
+        ly = lyapunov_certify(model, weight)
+    except GeneratorDomainError as exc:
+        raise CertificateError("lyapunov", str(exc)) from exc
+    if isinstance(ly, LyapunovFailure):
+        raise CertificateError("lyapunov", str(ly))
+    return ly
+
+
 def compute_rate_certificate(
     model: ModelSpec, weight: WeightFunction, *, grid: int = 101
 ) -> RateCertificate:
@@ -350,13 +365,7 @@ def compute_rate_certificate(
         if not positive[0]:
             raise CertificateError("fluctuation", "c = 0 and the overlap masses vanish near 0")
         c0 = float(xs[int(np.cumprod(positive).sum())])
-    # Condition 1.3
-    try:
-        ly = lyapunov_certify(model, weight)
-    except GeneratorDomainError as exc:
-        raise CertificateError("lyapunov", str(exc)) from exc
-    if isinstance(ly, LyapunovFailure):
-        raise CertificateError("lyapunov", str(ly))
+    ly = certified_drift(model, weight)  # Condition 1.3
 
     sq_small = model.mu.moment(2.0, 0.0, 1.0)
     nu_cube = model.nu.moment(3.0, 0.0, 1.0) + model.nu.mass_above(1.0)  # int min(1, z^3) nu
@@ -667,10 +676,3 @@ def estimate_stationary(
         converged=bool(dist <= threshold),
         n_samples=int(pooled.size),
     )
-
-
-def write_decay_csv(est: DecayEstimate, path) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write("t,wv_upper,se,n_uncoupled\n")
-        for t, w, s, n in zip(est.times, est.wv_upper, est.se, est.n_uncoupled):
-            fh.write(f"{t:.17g},{w:.17g},{s:.17g},{n}\n")

@@ -17,7 +17,7 @@ the two-dimensional generator (exact mode, for cross-checking).
 
 :class:`LyapunovDrift`, :func:`lyapunov_margin` and the bound are closed forms;
 quadrature runs only in the cross-check references, :func:`apply_generator` and
-the exact mode.
+the exact mode.  Nothing here writes files; ``cbic.cli`` writes the CSVs.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ __all__ = [
     "lyapunov_margin",
     "CouplingControl",
     "coupling_generator_F0",
-    "write_margin_csv",
 ]
 
 
@@ -434,11 +433,3 @@ def _coupling_F0_exact(model: ModelSpec, ctrl: CouplingControl, x: float, y: flo
     l1 += dpsi2 * overlap_integrate(model.nu, gap, lambda z: ctrl.phi(x + z))
     l1 -= (1.0 + psig) * overlap_integrate(model.nu, -gap, lambda z: ctrl.phi(x + z))
     return l0 + l1
-
-
-def write_margin_csv(path, rows) -> None:
-    """Margin report: columns x, y, lhs, rhs, margin."""
-    with open(path, "w") as fh:
-        fh.write("x,y,lhs,rhs,margin\n")
-        for x, y, lhs, rhs in rows:
-            fh.write("%.17g,%.17g,%.17g,%.17g,%.17g\n" % (x, y, lhs, rhs, rhs - lhs))

@@ -516,8 +516,6 @@ class ModelSpec:
 
 def stable_levy_exponent(alpha: float, sigma: float, lam: float) -> float:
     """int (e^{-lam z} - 1 + lam z 1{z<=1}) alpha*sigma*m_alpha(dz), closed form."""
-    if lam == 0.0 or sigma == 0.0:
-        return 0.0
     if 1.0 < alpha < 2.0:
         return sigma * lam**alpha - lam * alpha * sigma / _gamma(2.0 - alpha)
     if alpha == 1.0:
@@ -595,6 +593,15 @@ def _log_antiderivative(t: float, k: int) -> float:
     return total
 
 
+def _sin_minus_x(x: float) -> float:
+    """sin(x) - x for |x| <= 1/2: its series to x^17 in Horner form keeps the digits
+    that the difference cancels."""
+    total = 0.0
+    for n in range(16, 0, -2):  # sin(x) - x = x sum_m (-x^2)^m / (2m + 1)!
+        total = -x * x / (n * (n + 1)) * (1.0 + total)
+    return x * total
+
+
 @summed(sum)
 def log_jump_integral(m: LevyMeasure, w: float, k: int) -> float:
     """int [log(1 + z/w) - k (z/w) 1{z<=1}] m(dz) for w >= 1, k in {0, 1}; closed per part.
@@ -602,15 +609,22 @@ def log_jump_integral(m: LevyMeasure, w: float, k: int) -> float:
     k = 1 compensates a branching measure; k = 0 needs int_0^1 z m(dz) finite, as
     for an immigration measure.  A stable part of index a != 1 gives
     D_a (pi w^-a/(a sin(pi a)) + k/((a - 1) w)), D_a = a sigma C_a its density
-    factor; index 1 gives sigma (1 + log w)/w.  A uniform part takes
+    factor; index 1 gives sigma (1 + log w)/w.  Within 0.1 of index 1 (e = a - 1) the
+    bracket is [k (sin(pi e) - pi e + e sin(pi e)) - pi e (expm1(-e log w) + (1 - k))]
+    / (a e sin(pi e) w): no terms of size 1/|e| cancel in it.  A uniform part takes
     w P_k(z/w) below z = 1 and w P_0(z/w) above (:func:`_log_antiderivative`).
     """
     if m.kind == "stable":
         a = m.alpha
         if a == 1.0:
             return m.sigma * (1.0 + math.log(w)) / w
-        dens = float(m._dens_scale)  # D_a/a first: a sin(pi a) underflows to 0 as a -> 0
-        return dens / a * math.pi / (math.sin(a * math.pi) * w**a) + k * dens / ((a - 1.0) * w)
+        dens, eps = float(m._dens_scale), a - 1.0
+        if abs(eps) < 0.1:  # sin(pi a) = -sin(pi eps), and the bracket as one fraction
+            s, decay = math.sin(math.pi * eps), math.expm1(-eps * math.log(w))  # w^-eps - 1
+            num = k * (_sin_minus_x(math.pi * eps) + eps * s) - math.pi * eps * (decay + (1 - k))
+            return dens * num / (a * eps * s * w)
+        # D_a/a first: a sin(pi a) underflows to 0 as a -> 0
+        return dens / a * math.pi / (math.sin(a * math.pi) * w**a) + k * dens / (eps * w)
     if m.kind == "uniform":
         (lo, hi), P = m.support, _log_antiderivative
         a, b, c, d = (v / w for v in (min(lo, 1.0), min(hi, 1.0), max(lo, 1.0), max(hi, 1.0)))

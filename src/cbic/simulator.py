@@ -31,17 +31,18 @@ at once, and each coupled event pass handles all its lanes' events at once.
 The groups are stepped in forked worker processes, one per CPU the process
 may run on.  Ensembles, and the coupled event log, which lists lane after
 lane, are therefore bit-identical for a given (seed, config, model)
-regardless of how the work is chunked, grouped or dealt to workers.
+regardless of how the work is chunked, grouped or dealt to workers.  Nothing
+here writes files: ``cbic.cli`` writes the summaries and the path dump.
 """
 
 from __future__ import annotations
 
+import io
 import math
 import mmap
 import os
 import pickle
 import signal
-import struct
 import sys
 import threading
 import warnings
@@ -514,13 +515,14 @@ def _pooled(run, n_groups: int, n_workers: int) -> list:
                 code = 1
                 try:
                     os.close(r)
-                    with open(wr, "wb") as fh:
-                        pickle.dump(_run_share(run, range(w, n_groups, n_workers)), fh)
+                    data = memoryview(pickle.dumps(_run_share(run, range(w, n_groups, n_workers))))
+                    while data:
+                        data = data[os.write(wr, data):]
                     code = 0
                 finally:
                     os._exit(code)  # no exit handlers, no flush of inherited buffers
             os.close(wr)
-            children.append((pid, open(r, "rb")))
+            children.append((pid, io.FileIO(r)))
         done = _run_share(run, range(0, n_groups, n_workers))
         while children:
             pid, fh = children[0]
@@ -917,54 +919,6 @@ def cbi_laplace(
     phi_at = lambda s: phi_eval(immigration, float(np.clip(sol.sol(s)[0], 0.0, 1e14)))
     accum = quadrature.integrate(phi_at, 0.0, t, singular_at_0=True)
     return math.exp(-x * vt - accum)
-
-
-# -- output formats ---------------------------------------------------------------
-
-
-def write_ensemble_csv(res: EnsembleResult, path) -> None:
-    """time, mean, variance, quantiles and explosion fraction per record time.
-
-    Exploded paths are excluded from the moments/quantiles and reported via
-    the exploded_frac column.
-    """
-    qs = (0.05, 0.25, 0.5, 0.75, 0.95)
-    with open(path, "w", newline="") as fh:
-        fh.write("time,mean,variance," + ",".join(f"q{int(100 * q):02d}" for q in qs) + ",exploded_frac\n")
-        for i, t in enumerate(res.times):
-            row = res.values[i]
-            alive = row[np.isfinite(row)]
-            frac = 1.0 - alive.size / row.size
-            if alive.size:
-                stats = [alive.mean(), alive.var(ddof=1) if alive.size > 1 else 0.0]
-                stats += list(np.quantile(alive, qs))
-            else:
-                stats = [math.nan] * (2 + len(qs))
-            cells = [format(t, ".17g")] + [format(v, ".17g") for v in stats] + [format(frac, ".17g")]
-            fh.write(",".join(cells) + "\n")
-
-
-_DUMP_MAGIC = b"CBEN\x01\x00"
-
-
-def write_path_dump(res: EnsembleResult, path) -> None:
-    """Fixed-width little-endian dump: magic, counts, times, row-major values."""
-    with open(path, "wb") as fh:
-        fh.write(_DUMP_MAGIC)
-        fh.write(struct.pack("<QQ", res.times.size, res.values.shape[1]))
-        fh.write(np.ascontiguousarray(res.times, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(res.values, dtype="<f8").tobytes())
-
-
-def read_path_dump(path) -> EnsembleResult:
-    with open(path, "rb") as fh:
-        magic = fh.read(len(_DUMP_MAGIC))
-        if magic != _DUMP_MAGIC:
-            raise SimulationError("not a path dump file")
-        nt, npaths = struct.unpack("<QQ", fh.read(16))
-        times = np.frombuffer(fh.read(8 * nt), dtype="<f8").copy()
-        vals = np.frombuffer(fh.read(8 * nt * npaths), dtype="<f8").reshape(nt, npaths).copy()
-    return EnsembleResult(times, vals, ~np.isfinite(vals[-1]))
 
 
 def mean_with_dt_refinement(model: ModelSpec, x0: float, cfg: SimConfig):

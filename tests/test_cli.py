@@ -19,9 +19,9 @@ from hypothesis import strategies as st
 from cbic import cli
 from cbic.cli import run
 from cbic.config import ConfigError, load_config, parse_measure
-from cbic.ergodicity import estimate_wv_decay, write_decay_csv, wv_exact_discrete
+from cbic.ergodicity import estimate_wv_decay, wv_exact_discrete
 from cbic.mechanisms import CompetitionMechanism, QuadratureError
-from cbic.simulator import simulate_coupled_ensemble
+from cbic.simulator import EnsembleResult, SimulationError, simulate_coupled_ensemble
 
 CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
@@ -280,7 +280,7 @@ class TestExitCodes:
         ("neveu_xlog", "sigma=1.0", "sigma=1e308", ["couple", "--paths", "4", "--t-end", "0.002"],
          1, "infinite moment"),
         ("neveu_xlog", "sigma=1.0", "sigma=1e308",
-         ["stationary", "--samples", "32", "--burn-in", "0.01"], 1, "NaN state"),
+         ["stationary", "--samples", "32", "--burn-in", "0.01"], 1, "[lyapunov] vlog drift LV"),
     ], ids=["alpha-1e-6-simulate", "alpha-5e-324-lyapunov", "alpha-5e-324-rate",
             "c-1e308-simulate", "c-1e308-couple", "c-1e308-rate", "mu-hi-1e308-lyapunov",
             "mu-hi-1e308-lyapunov-vlog", "mu-hi-1e308-rate", "eps-1e308-couple", "xlog-k-1e308-lyapunov",
@@ -503,8 +503,12 @@ class TestSubcommands:
         res = simulate_coupled_ensemble(
             conf.model, 2.0, 0.0, sim, record_times=np.linspace(0.0, sim.t_end, 25)
         )
-        write_decay_csv(estimate_wv_decay(res, conf.weight), tmp_path / "decay.csv")
-        assert (out / "decay.csv").read_bytes() == (tmp_path / "decay.csv").read_bytes()
+        est = estimate_wv_decay(res, conf.weight)
+        lines = ["t,wv_upper,se,n_uncoupled\n"] + [
+            f"{t:.17g},{w:.17g},{s:.17g},{n}\n"
+            for t, w, s, n in zip(est.times, est.wv_upper, est.se, est.n_uncoupled)
+        ]
+        assert (out / "decay.csv").read_bytes() == "".join(lines).encode()
 
     def test_check_generator(self, ergodic_cfg, tmp_path):
         out = tmp_path / "chk"
@@ -565,6 +569,21 @@ class TestSubcommands:
             assert err == ("" if code == 0 else
                            "stationary: two-start diagnostic ABOVE threshold (not converged)\n")
 
+    @pytest.mark.parametrize("config, margin", [("critical_cbi", "0"), ("neveu_xlog", "-0.143693")])
+    def test_stationary_without_drift_certificate_exits_one(self, tmp_path, capsys, config,
+                                                            margin):
+        # no Lyapunov certificate, no stationary law: the run stops before any step
+        out = tmp_path / "st"
+        code = run(["stationary", "--model", os.path.join(CONFIGS, f"{config}.cfg"),
+                    "--out", str(out)])
+        stdout, err = capsys.readouterr()
+        assert code == 1
+        assert stdout == ""
+        assert err.startswith("error: [lyapunov] Lyapunov certification failed: ")
+        assert f"(asymptotic margin {margin}, " in err
+        assert len(err.splitlines()) == 1
+        assert not out.exists()
+
     def test_reruns_are_byte_identical(self, ergodic_cfg, tmp_path):
         outs = []
         for name in ("r1", "r2"):
@@ -576,6 +595,36 @@ class TestSubcommands:
             assert code == 0
             outs.append((out / "simulate.csv").read_bytes())
         assert outs[0] == outs[1]
+
+
+class TestOutputFiles:
+    SIMULATE_HEADER = ("time", "mean", "variance", "q05", "q25", "q50", "q75", "q95",
+                       "exploded_frac")
+
+    def test_record_time_with_every_path_exploded(self, tmp_path):
+        res = EnsembleResult(np.array([0.0, 0.5]), np.array([[1.0, 3.0], [math.inf, math.nan]]),
+                             np.array([True, True]))
+        path = tmp_path / "simulate.csv"
+        cli._write_csv(path, self.SIMULATE_HEADER, cli._ensemble_rows(res))
+        header, first, last = path.read_text().splitlines()
+        assert header == ",".join(self.SIMULATE_HEADER)
+        assert first.startswith("0,2,2,") and first.endswith(",0")
+        assert last == "0.5," + "nan," * 7 + "1"
+
+    def test_path_dump_needs_its_magic(self, tmp_path):
+        path = tmp_path / "simulate.bin"
+        path.write_bytes(b"CBEX\x01\x00" + bytes(16))
+        with pytest.raises(SimulationError, match="not a path dump file"):
+            cli.read_path_dump(path)
+
+    def test_dump_through_the_cli_reads_back(self, ergodic_cfg, tmp_path):
+        out = tmp_path / "sim"
+        assert run(["simulate", "--model", ergodic_cfg, "--out", str(out), "--paths", "8",
+                    "--t-end", "0.05", "--dump"]) == 0
+        res = cli.read_path_dump(out / "simulate.bin")
+        assert res.values.shape[1] == 8 and not res.exploded.any()
+        rows = [",".join("%.17g" % v for v in row) for row in cli._ensemble_rows(res)]
+        assert (out / "simulate.csv").read_text().splitlines()[1:] == rows
 
 
 class TestWvInput:

@@ -266,6 +266,24 @@ def test_kappa_minima_need_a_finite_c_lambda0_squared():
     assert _kappa_minima(model, 10.0, _overlap_table(model)) is None
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "kappa reads the overlap table at its last point <= x0, but f keeps falling up to x0"))
+def test_kappa_holds_step_one_up_to_x0():
+    """Step (1): 2 kappa <= f(x) = c lam0^2 e^(-lam0 x) + mu_x + nu_x on all of [0, x0].
+
+    The certificate of this model passes its grid validation with x0 = 0.41332,
+    where 2 kappa = 0.044942 exceeds f(x0) = 0.043587 by 3.1%.
+    """
+    model = ModelSpec(BranchingMechanism(0.3, 0.1, LevyMeasure.uniform(1.0, 0.0, 0.5)),
+                      ImmigrationMechanism(1.0), CompetitionMechanism.none())
+    cert = compute_rate_certificate(model, V1)
+    assert cert.validation.passed
+    f = [model.c * cert.lambda0**2 * math.exp(-cert.lambda0 * x)
+         + overlap_mass(model.mu, x) + overlap_mass(model.nu, x)
+         for x in np.linspace(0.0, cert.x0, 2001)]
+    assert 2.0 * cert.kappa <= min(f)
+
+
 @pytest.mark.parametrize("weight", [V1, VLOG])
 def test_x0_constants_computed_once_per_x0_and_call(stable_power_model, weight, monkeypatch):
     """Each x0's (q, r_star, r, H) is computed once per certificate call and equals

@@ -19,7 +19,6 @@ from cbic.generator import (
     coupling_generator_F0,
     lyapunov_certify,
     lyapunov_margin,
-    write_margin_csv,
 )
 from cbic.mechanisms import (
     BranchingMechanism,
@@ -32,6 +31,7 @@ from cbic.mechanisms import (
     stable_to_generic,
 )
 from cbic import quadrature
+from cbic.cli import _write_csv
 
 V1 = WeightFunction.v1()
 VLOG = WeightFunction.vlog()
@@ -366,6 +366,55 @@ class TestLogJumpIntegral:
         for w, j in zip((1.0, 2.5, 1e3, 1e6), self.J[alpha]):
             assert log_jump_integral(mu, w, 1) == pytest.approx(mu._dens_scale * j, rel=1e-13)
 
+    # int [log(1 + z/w) - k (z/w) 1{z<=1}] m(dz) for m = stable(alpha, 1) at w = 1, 1e3, 1e6,
+    # to 40 digits at the double nearest alpha: near index 1 the closed form's two terms
+    # of size 1/|alpha - 1| cancel, and evaluated as written they lose up to every digit
+    NEAR_ONE = [
+        (1, 1.0 - 1e-3, ("1.002222444109768779537632411036954023584e-3",
+                         "7.937899225864908061144235292147807383163e-6",
+                         "1.492165182233432087237560233066628795822e-8")),
+        (1, 1.0 + 1e-3, ("9.977781430997831220805140232279899691876e-4",
+                         "7.877762999850686424233285071601528952687e-6",
+                         "1.471038637398301280435856884594818216209e-8")),
+        (1, 1.0 - 1e-6, ("1.000002222178781146487100804442828094042e-6",
+                         "7.907785347241150540005148371899218643487e-9",
+                         "1.481561618974367952881213356168763581899e-11")),
+        (1, 1.0 + 1e-6, ("9.99997777768295580778310012040691108376e-7",
+                         "7.907725210451645770489865693914773695253e-9",
+                         "1.481540492640916891966465159805362413363e-11")),
+        (1, 1.0 - 1e-9, ("9.999999739402181429247113340499540433142e-10",
+                         "7.907755085403498382652908279116836093294e-12",
+                         "1.481551024458385927478513472885209033537e-14")),
+        (1, 1.0 + 1e-9, ("1.000000080518220899911216276927369374929e-9",
+                         "7.907755903204781919979880000213775887376e-12",
+                         "1.481551167817425240664540190082127097825e-14")),
+        (1, 1.0 - 1e-12, ("9.999778782821005473768536831715450753841e-13",
+                          "7.907580345863132688606162497721704228589e-15",
+                          "1.481518281349187980168557533524559508644e-17")),
+        (1, 1.0 + 1e-12, ("1.000088900580118466763485191984277969507e-12",
+                          "7.908458283001375470652847763863749983305e-15",
+                          "1.481682766537490690701820732544958039204e-17")),
+        (0, 1.0 - 1e-3, ("1.000578205629358648504527450284682061796",
+                         "1.007513882411113787786134053165792915156e-3",
+                         "1.014497635007583200597365420204311395731e-6")),
+        (0, 1.0 - 1e-6, ("1.000000577216653975033945532290800350314",
+                         "1.000007484999779037403339050338367806705e-3",
+                         "1.000014392830621539932327857323557595122e-6")),
+        (0, 1.0 - 1e-9, ("1.000000000577215649565814926536531100885",
+                         "1.000000007484970761029095166264728045952e-3",
+                         "1.000000014392725920209456058396954495687e-6")),
+        (0, 1.0 - 1e-12, ("1.000000000000577202895899133173270084136",
+                          "1.000000000007484805363480165314499392951e-3",
+                          "1.000000000014392407831108912427578805788e-6")),
+    ]
+
+    @pytest.mark.parametrize("k, alpha, refs", NEAR_ONE,
+                             ids=[f"k{k}-{alpha!r}" for k, alpha, _ in NEAR_ONE])
+    def test_stable_part_near_index_one_equals_the_reference(self, k, alpha, refs):
+        mu = LevyMeasure.stable(alpha, 1.0)
+        for w, ref in zip((1.0, 1e3, 1e6), refs):
+            assert log_jump_integral(mu, w, k) == pytest.approx(float(ref), rel=1e-14, abs=0.0)
+
 
 class TestHoistedConstants:
     """Values computed once per drift or per call equal their per-call forms."""
@@ -386,7 +435,8 @@ class TestHoistedConstants:
 
     @staticmethod
     def _check(path, rows):
-        write_margin_csv(path, rows)
+        _write_csv(path, ("x", "y", "lhs", "rhs", "margin"),
+                   ((x, y, lhs, rhs, rhs - lhs) for x, y, lhs, rhs in rows))
         want = "x,y,lhs,rhs,margin\n" + "".join(
             ",".join(format(v, ".17g") for v in (x, y, lhs, rhs, rhs - lhs)) + "\n"
             for x, y, lhs, rhs in rows

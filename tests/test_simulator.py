@@ -9,7 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from cbic import ergodicity, simulator
+from cbic import cli, ergodicity, simulator
 from cbic.ergodicity import estimate_stationary
 from cbic.measures import overlap_mass
 from cbic.mechanisms import (
@@ -29,7 +29,6 @@ from cbic.simulator import (
     SimulationError,
     cbi_laplace,
     mean_with_dt_refinement,
-    read_path_dump,
     resolve_eps,
     sample_stable_increment,
     simulate_coupled,
@@ -38,8 +37,6 @@ from cbic.simulator import (
     simulate_ensembles,
     simulate_path,
     solve_vt,
-    write_ensemble_csv,
-    write_path_dump,
 )
 
 
@@ -402,8 +399,8 @@ class TestOutputs:
         cfg = SimConfig(dt=1e-2, t_end=0.2, seed=1, n_paths=17)
         res = simulate_ensemble(ergodic_v1_model, 1.0, cfg, record_times=[0.0, 0.1, 0.2])
         path = tmp_path / "paths.bin"
-        write_path_dump(res, path)
-        back = read_path_dump(path)
+        cli.write_path_dump(res, path)
+        back = cli.read_path_dump(path)
         assert np.array_equal(back.times, res.times)
         assert np.array_equal(back.values, res.values)
 
@@ -412,7 +409,9 @@ class TestOutputs:
         outs = []
         for name in ("a.csv", "b.csv"):
             res = simulate_ensemble(ergodic_v1_model, 1.0, cfg, record_times=[0.1, 0.3])
-            write_ensemble_csv(res, tmp_path / name)
+            cli._write_csv(tmp_path / name, ("time", "mean", "variance", "q05", "q25", "q50",
+                                             "q75", "q95", "exploded_frac"),
+                           cli._ensemble_rows(res))
             outs.append((tmp_path / name).read_bytes())
         assert outs[0] == outs[1]
 
