@@ -11,12 +11,15 @@ code: ``<config> <command> <item> <sha256>``.  ``wv`` runs under the name
 ``laws``: on two fixed laws under both weights, and on a malformed law, which
 exits 2.  Running the script against two source trees and diffing the two
 outputs shows whether a change left every output byte-identical.  The
-configs are the shipped ones plus five fixed models written below.  Every
-command runs on every config but two: the pure-jump one runs its own two
-starts at 0, and the small-stable-index one only ``check-generator`` and
-``lyapunov``.  There are also two runs of several 1024-path blocks on three
-configs, ``rate`` at the benchmark's grid of 101 on two, a ``couple`` start with
-a gap of 0.01 (x0 = 1, y0 = 0.99) on two stable ones, and a small-gap
+configs are the shipped ones plus seven fixed models written below.  Every
+command runs on every config but four: the pure-jump one runs its own two
+starts at 0, the small-stable-index one only ``check-generator`` and
+``lyapunov``, and two models whose paths die mid-run only ``simulate`` and
+``couple``: on one, paths pass ``x_max``, in one 1024-path block and in
+several; on the other, a path's jump intensity passes the steppers' cap.
+There are also two runs of several 1024-path blocks on three configs,
+``rate`` at the benchmark's grid of 101 on two, a ``couple`` start with a
+gap of 0.01 (x0 = 1, y0 = 0.99) on two stable ones, and a small-gap
 ``couple`` on the same two at an eps where jumps below eps merge pairs and
 double gaps, once more on mixed_vlog with five 1024-path lanes.  No CLI
 output shows the coupled stepper's event log, so each ``couple`` run adds one
@@ -162,6 +165,61 @@ g = power k=3.0 p=1.5
 weight = vlog
 """
 
+# a Gaussian part and immigration jumps of 2 under x_max = 4: about an eighth
+# of the simulated paths and a quarter of the coupled leaders pass x_max
+# within t_end, many of these after their pair has coupled
+X_MAX_HITS = """\
+[branching]
+b = 0.5
+c = 0.5
+mu = uniform rate=2.0 lo=0.0 hi=1.0
+
+[immigration]
+beta = 0.3
+nu = atoms 2.0:2.0
+
+[competition]
+g = none
+
+[sim]
+dt = 1e-3
+t_end = 1.0
+x_max = 4.0
+paths = 1000
+seed = 17
+eps = 0.0
+
+[certificate]
+weight = v1
+"""
+
+# branching jumps at total rate 1e4: a path's intensity x 1e4 dt passes the
+# steppers' cap of 1e5 events per step above x = 1e4, far below x_max, and an
+# immigration jump of 2e4 (rate 5) takes about two paths in five there
+LAM_CAP = """\
+[branching]
+b = 0.5
+c = 0.0
+mu = uniform rate=1e8 lo=0.0 hi=1e-4
+
+[immigration]
+beta = 0.3
+nu = atoms 2e4:5.0
+
+[competition]
+g = none
+
+[sim]
+dt = 1e-3
+t_end = 1.0
+paths = 1000
+seed = 19
+eps = 0.0
+
+[certificate]
+weight = v1
+"""
+
 COMMANDS = (
     ("rate-v1", ["rate", "--grid", "31", "--weight", "v1"]),
     ("rate-vlog", ["rate", "--grid", "31", "--weight", "vlog"]),
@@ -221,6 +279,19 @@ SMALL_ALPHA_COMMANDS = (
     ("lyapunov", ["lyapunov"]),
 )
 
+# paths that die mid-run, in one lane and in several
+X_MAX_COMMANDS = (
+    ("simulate", ["simulate", "--paths", "200", "--t-end", "0.2", "--dump"]),
+    ("simulate-wide", ["simulate", "--paths", "2500", "--t-end", "0.2", "--dump"]),
+    ("couple-x0-2-y0-1.9", ["couple", "--x0", "2", "--y0", "1.9", "--paths", "100", "--t-end", "0.2"]),
+    ("couple-x0-2-y0-1.9-wide",
+     ["couple", "--x0", "2", "--y0", "1.9", "--paths", "2100", "--t-end", "0.2"]),
+)
+LAM_CAP_COMMANDS = (
+    ("simulate", ["simulate", "--paths", "200", "--t-end", "0.1", "--dump"]),
+    ("couple", ["couple", "--paths", "100", "--t-end", "0.1"]),
+)
+
 
 # two fixed laws for ``wv``, and one that does not sum to 1
 LAWS = {
@@ -255,15 +326,15 @@ def _configs():
         with open(os.path.join(ROOT, "configs", f"{name}.cfg")) as fh:
             out[name] = fh.read()
     out.update(nu_jump=NU_JUMP, mixed_vlog=MIXED_VLOG, mixed_v1=MIXED_V1, pure_jump=PURE_JUMP,
-               small_alpha_vlog=SMALL_ALPHA_VLOG)
+               small_alpha_vlog=SMALL_ALPHA_VLOG, x_max_hits=X_MAX_HITS, lam_cap=LAM_CAP)
     return out
 
 
 def _commands(cfg_name):
-    if cfg_name == "pure_jump":
-        return PURE_JUMP_COMMANDS
-    if cfg_name == "small_alpha_vlog":
-        return SMALL_ALPHA_COMMANDS
+    only = {"pure_jump": PURE_JUMP_COMMANDS, "small_alpha_vlog": SMALL_ALPHA_COMMANDS,
+            "x_max_hits": X_MAX_COMMANDS, "lam_cap": LAM_CAP_COMMANDS}
+    if cfg_name in only:
+        return only[cfg_name]
     return (
         COMMANDS
         + (WIDE_COMMANDS if cfg_name in WIDE_CONFIGS else ())

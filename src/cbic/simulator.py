@@ -5,7 +5,9 @@ variance 2 c x dt, branching jumps above the truncation level eps thinned at
 state-dependent rate x * mu(z > eps) with the (eps, 1] compensator folded
 into the drift, immigration jumps at constant rate nu(z > eps) with the
 sub-eps mean folded into beta.  Stable branching mechanisms skip thinning and
-draw spectrally positive alpha-stable increments directly.
+draw spectrally positive alpha-stable increments directly.  A path that
+passes x_max, or whose jump intensity x mu(z > eps) dt passes _LAM_CAP, is
+exploded and stays at inf; a step with no such path runs unmasked (``_live``).
 
 The coupled pair reflects the shared Gaussian component and disassembles
 every jump event by an independent uniform into merge / gap-doubling /
@@ -264,7 +266,7 @@ class _MeasureSampler:
         idx = np.minimum(idx, len(self.components) - 1)
         for j, comp in enumerate(self.components):
             mask = idx == j
-            if mask.any():
+            if np.count_nonzero(mask):
                 z[mask] = comp.draw(u_pos[mask])
         return z
 
@@ -584,15 +586,29 @@ def _drift(plan: _Plan, x: np.ndarray) -> np.ndarray:
     return drift - plan.g(x) if plan.competes else drift
 
 
+def _live(plan: _Plan, x: np.ndarray, dt: float):
+    """(lam, live, every) at the step-start states ``x``, finite or inf (NaN raises).
+
+    ``lam`` = x mu_rate dt is the branching jump intensity, None without
+    thinned branching jumps.  A path is live while ``lam`` is at most
+    _LAM_CAP, which it is not at inf, or, with no ``lam``, while x is finite;
+    ``every`` says that all paths are.  A step then runs on the states as
+    they are; otherwise it steps dead paths from 0, with no branching jump,
+    and sets them back to inf, which leaves every live path's result as is.
+    """
+    lam = x * plan.mu_rate * dt if plan.mu_rate > 0 else None
+    live = x < np.inf if lam is None else lam <= _LAM_CAP
+    return lam, live, np.count_nonzero(live) == live.size
+
+
 def _step_single(x: np.ndarray, g: _Group, dt: float, normals: Optional[np.ndarray]) -> np.ndarray:
     """One Euler step of every path of the group, driven by the step's standard
     ``normals``, or ``None`` when the plan has no Gaussian part, and on the
-    stable fast path by the group's next row of increments (``g.inc``)."""
+    stable fast path by the group's next row of increments (``g.inc``); dead
+    paths (``_live``) stay at inf."""
     plan = g.plan
-    live = np.isfinite(x)
-    if plan.mu_rate > 0:
-        live &= x * plan.mu_rate * dt <= _LAM_CAP
-    xl = np.where(live, x, 0.0)
+    lam, live, every = _live(plan, x, dt)
+    xl = x if every else np.where(live, x, 0.0)
     xn = xl + _drift(plan, xl) * dt
     if plan.gaussian:
         # 2 c x dt; forming c x dt first keeps a huge c from overflowing at x = 0
@@ -613,14 +629,16 @@ def _step_single(x: np.ndarray, g: _Group, dt: float, normals: Optional[np.ndarr
             # exponent over dt is then exactly dt sigma x lam^alpha
             xn = xn + (plan.sigma * xl) ** (1.0 / plan.alpha) * inc
     elif plan.mu_rate > 0:
-        _add_jumps(xn, g, "mu", xl * plan.mu_rate * dt, plan.mu_sampler)
+        # a dead path draws nothing: a Poisson count at rate 0 takes no number
+        _add_jumps(xn, g, "mu", lam if every else np.where(live, lam, 0.0), plan.mu_sampler)
     if plan.nu_rate > 0:
         _add_jumps(xn, g, "nu", plan.nu_rate * dt, plan.nu_sampler)
     xn = np.maximum(xn, 0.0)
-    xn = np.where(live, xn, np.inf)
+    if not every:
+        xn = np.where(live, xn, np.inf)
     ok = xn <= plan.x_max  # False where dead, exploded or NaN
     if np.count_nonzero(ok) < ok.size:
-        if np.isnan(xn).any():
+        if np.count_nonzero(np.isnan(xn)):
             raise SimulationError("single-path Euler step produced a NaN state")
         xn[~ok] = np.inf
     return xn
@@ -758,13 +776,18 @@ def _apply_jump_events(state, g, counts, measure, sampler, which, x_start, t_now
 
 def _step_coupled(state: _CoupledState, g: _Group, eps_mu, eps_nu, dt, t_now):
     """One Euler step of the coupled pairs, in place; the sub-eps lasso rates
-    are the overlap masses below eps (``overlap_mass``) of the open pairs."""
+    are the overlap masses below eps (``overlap_mass``) of the open pairs.
+
+    A pair is live while its leader is (``_live``); a live leader is finite
+    and at most x_max, and so is its follower.  A dead pair takes no jump
+    event, sub-eps lasso, coupling time or explosion check, and stays at inf.
+    """
     plan = g.plan
-    live = np.isfinite(state.x)
-    if plan.mu_rate > 0:
-        live &= state.x * plan.mu_rate * dt <= _LAM_CAP
-    x = np.where(live, state.x, 0.0)
-    y = np.where(live, state.y, 0.0)
+    lam, live, every = _live(plan, state.x, dt)
+    if every:
+        x, y = state.x, state.y
+    else:
+        x, y = np.where(live, state.x, 0.0), np.where(live, state.y, 0.0)
     state.x = x + _drift(plan, x) * dt
     state.y = y + _drift(plan, y) * dt
     if plan.gaussian:  # all rows or none: with c = 0, n1 and n2 still go before nc, nl
@@ -785,18 +808,20 @@ def _step_coupled(state: _CoupledState, g: _Group, eps_mu, eps_nu, dt, t_now):
         state.y = state.y + np.where(state.coupled, g1, -g1) + gc
     # branching events (thinning at the step-start leader state)
     if plan.mu_rate > 0:
-        lam = np.where(live, x * plan.mu_rate * dt, 0.0)
+        lam = lam if every else np.where(live, lam, 0.0)
         counts = g.per_lane("mu", lambda r, sl: r.poisson(lam[sl]))
         _apply_jump_events(state, g, counts, plan.model.mu, plan.mu_sampler, "mu", x, t_now)
     # immigration events
     if plan.nu_rate > 0:
         counts = g.per_lane("nu", lambda r, sl: r.poisson(plan.nu_rate * dt, sl.stop - sl.start))
-        _apply_jump_events(state, g, counts * live, plan.model.nu, plan.nu_sampler, "nu", None, t_now)
+        _apply_jump_events(state, g, counts if every else counts * live, plan.model.nu,
+                           plan.nu_sampler, "nu", None, t_now)
     # sub-eps lasso corrections: merges and gap doublings carried by small jumps
     if eps_mu > 0.0 or eps_nu > 0.0:
         u_up, u_dn, z_dn = g.per_lane("dis", lambda r, sl: r.random((3, sl.stop - sl.start)))
         gap = state.x - state.y
-        op = np.flatnonzero(live & ~state.coupled & (gap > GAP_TOL))
+        open_ = ~state.coupled & (gap > GAP_TOL)
+        op = np.flatnonzero(open_ if every else open_ & live)
         gap = gap[op]
         x2 = np.concatenate([-gap, gap])  # merge rates at -gap, doubling rates at gap
         mu, nu = plan.model.mu, plan.model.nu
@@ -816,18 +841,24 @@ def _step_coupled(state: _CoupledState, g: _Group, eps_mu, eps_nu, dt, t_now):
     state.x = np.maximum(state.x, 0.0)
     state.y = np.maximum(state.y, 0.0)
     inside = state.x <= plan.x_max  # False where the leader exploded or is NaN
-    crossed = live & inside & ~state.coupled & (state.y >= state.x - GAP_TOL)
-    state.coupled |= crossed
-    state.t_couple[crossed] = t_now + dt
+    crossed = inside & ~state.coupled & (state.y >= state.x - GAP_TOL)
+    if not every:
+        crossed &= live
+    if np.count_nonzero(crossed):
+        state.coupled |= crossed
+        state.t_couple[crossed] = t_now + dt
     state.y = np.where(state.coupled, state.x, state.y)
-    boom = live & ~(inside & (state.y <= plan.x_max))  # exploded or NaN
-    if boom.any():
-        if np.isnan(state.x[boom]).any() or np.isnan(state.y[boom]).any():
+    boom = ~(inside & (state.y <= plan.x_max))  # exploded or NaN
+    if not every:
+        boom &= live
+    if np.count_nonzero(boom):
+        if np.count_nonzero(np.isnan(state.x[boom])) or np.count_nonzero(np.isnan(state.y[boom])):
             raise SimulationError("coupled Euler step produced a NaN state")
         state.x[boom] = np.inf
         state.y[boom] = np.inf
-    state.x[~live] = np.inf
-    state.y[~live] = np.inf
+    if not every:
+        state.x[~live] = np.inf
+        state.y[~live] = np.inf
     return state
 
 

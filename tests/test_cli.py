@@ -281,11 +281,17 @@ class TestExitCodes:
          1, "infinite moment"),
         ("neveu_xlog", "sigma=1.0", "sigma=1e308",
          ["stationary", "--samples", "32", "--burn-in", "0.01"], 1, "[lyapunov] vlog drift LV"),
+        # an infinite-activity measure truncated at eps = 0 has infinitely many jumps per step
+        ("stable_power_vlog", "eps = 1e-4", "eps = 0", ["couple", "--paths", "4", "--t-end", "0.001"], 1,
+         "error: branching measure needs eps > 0 (infinite activity)"),
+        ("ergodic_v1", "nu = none", "nu = stable alpha=0.5 sigma=1.0",
+         ["simulate", "--paths", "4", "--t-end", "0.001"], 1,
+         "error: immigration measure needs eps > 0 (infinite activity)"),
     ], ids=["alpha-1e-6-simulate", "alpha-5e-324-lyapunov", "alpha-5e-324-rate",
             "c-1e308-simulate", "c-1e308-couple", "c-1e308-rate", "mu-hi-1e308-lyapunov",
             "mu-hi-1e308-lyapunov-vlog", "mu-hi-1e308-rate", "eps-1e308-couple", "xlog-k-1e308-lyapunov",
             "a-1e308-lyapunov", "a-minus-1e308-lyapunov", "sigma-1e308-couple",
-            "sigma-1e308-stationary"])
+            "sigma-1e308-stationary", "eps-0-stable-mu-couple", "eps-0-stable-nu-simulate"])
     def test_extreme_parameter_is_one_line(self, tmp_path, config, old, new, argv, code,
                                            message):
         with open(os.path.join(CONFIGS, f"{config}.cfg")) as fh:

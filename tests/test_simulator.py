@@ -448,6 +448,92 @@ class TestChunkIndependence:
         assert np.array_equal(small.coupling_times, large.coupling_times[:1024])
 
 
+class TestDeadPaths:
+    """A path dies when it passes x_max or its jump intensity passes the cap;
+    it stays at inf and the others step on, in both steppers."""
+
+    # immigration jumps of 2 under x_max = 4: about 1 path in 8 and 1 leader in 4 die
+    X_MAX = ModelSpec(
+        BranchingMechanism(0.5, 0.5, LevyMeasure.uniform(2.0, 0.0, 1.0)),
+        ImmigrationMechanism(0.3, LevyMeasure.from_atoms([(2.0, 2.0)])),
+        CompetitionMechanism.none(),
+    )
+    # branching jumps at total rate 1e4: an immigration jump to 2e4 passes the cap
+    LAM_CAP = ModelSpec(
+        BranchingMechanism(0.5, 0.0, LevyMeasure.uniform(1e8, 0.0, 1e-4)),
+        ImmigrationMechanism(0.3, LevyMeasure.from_atoms([(2e4, 5.0)])),
+        CompetitionMechanism.none(),
+    )
+    # stable jumps under x_max = 3: simulate steps them unthinned, and couple
+    # thins them above an eps > 0 and runs the sub-eps lassos
+    STABLE = ModelSpec(stable_to_generic(1.0, 0.0, 1.0, 0.5), ImmigrationMechanism(0.5),
+                       CompetitionMechanism.power(3.5, 1.5))
+    # no jumps: a path is live while its state is finite
+    DIFFUSION = ModelSpec(BranchingMechanism(0.5, 2.0), ImmigrationMechanism(1.0),
+                          CompetitionMechanism.none())
+    CASES = [(X_MAX, SimConfig(dt=1e-3, t_end=0.2, seed=17, x_max=4.0, n_paths=200)),
+             (LAM_CAP, SimConfig(dt=1e-3, t_end=0.1, seed=19, n_paths=100)),
+             (STABLE, SimConfig(dt=1e-3, t_end=0.2, seed=23, x_max=3.0, n_paths=200)),
+             (DIFFUSION, SimConfig(dt=1e-3, t_end=0.2, seed=29, x_max=2.5, n_paths=200))]
+    IDS = ["x_max", "lam_cap", "stable", "diffusion"]
+
+    @staticmethod
+    def check_deaths(values):
+        """Step of each path's death (n_steps + 1 if it lives); checks inf from it on."""
+        n = len(values)
+        dead = ~np.isfinite(values)
+        death = np.where(dead.any(axis=0), dead.argmax(axis=0), n)
+        assert np.array_equal(dead, np.arange(n)[:, None] >= death)
+        assert np.isposinf(values[dead]).all()
+        # deaths at several steps: the paths alive after the first death kept stepping
+        assert 1 < np.unique(death[death < n]).size
+        alive = death == n
+        assert alive.any()
+        assert (np.diff(values[:, alive], axis=0) != 0).all()
+        return death
+
+    @pytest.mark.parametrize("model, cfg", CASES, ids=IDS)
+    def test_single(self, model, cfg):
+        res = simulate_ensemble(model, 1.0, cfg)
+        death = self.check_deaths(res.values)
+        assert np.array_equal(res.exploded, death < len(res.times))
+        if model is self.LAM_CAP:  # the cap, not x_max, ended these paths
+            last = res.values[death[res.exploded] - 1, np.flatnonzero(res.exploded)]
+            assert (last * 1e4 * cfg.dt > simulator._LAM_CAP).all()
+            assert (last <= cfg.x_max).all()
+        again = simulate_ensemble(model, 1.0, cfg)
+        assert res.values.tobytes() == again.values.tobytes()
+
+    @pytest.mark.parametrize("model, cfg", CASES, ids=IDS)
+    def test_coupled(self, model, cfg, monkeypatch):
+        step, apply = simulator._step_coupled, simulator._apply_jump_events
+        dead = []  # the pairs dead at the start of the step running
+
+        def stepping(state, *args):
+            dead[:] = [~np.isfinite(state.x)]
+            return step(state, *args)
+
+        def applying(state, g, counts, *args):
+            assert not counts[dead[0]].any()  # a dead pair takes no jump event
+            return apply(state, g, counts, *args)
+
+        monkeypatch.setattr(simulator, "_step_coupled", stepping)
+        monkeypatch.setattr(simulator, "_apply_jump_events", applying)
+        res = simulate_coupled_ensemble(model, 2.0, 1.9, cfg, _record_events=True)
+        death = self.check_deaths(res.x_values)
+        assert np.array_equal(~np.isfinite(res.y_values), ~np.isfinite(res.x_values))
+        assert np.array_equal(res.exploded, death < len(res.times))
+        # a pair couples only while its leader lives: a dead pair gets no coupling time
+        coupled = np.isfinite(res.coupling_times)
+        assert (np.rint(res.coupling_times[coupled] / cfg.dt) < death[coupled]).all()
+        if model is self.X_MAX:
+            assert (coupled & res.exploded).any() and (coupled & ~res.exploded).any()
+        again = simulate_coupled_ensemble(model, 2.0, 1.9, cfg, _record_events=True)
+        for name in ("x_values", "y_values", "coupling_times", "exploded"):
+            assert getattr(res, name).tobytes() == getattr(again, name).tobytes()
+        assert repr(res.lasso_events) == repr(again.lasso_events)
+
+
 class TestLockstep:
     """Ensembles stepped as one array draw only from their own streams."""
 
