@@ -11,7 +11,10 @@ the lines executed in frames whose code lives under ``src/cbic``.  The
 executable lines of a file are the ones its compiled code objects name
 through ``co_lines()``.  One line is printed per executable line that never
 ran, ``src/cbic/<file>.py:<line>: <source>``, then the missed and executable
-line counts per file.  pytest's own report goes to stderr.
+line counts per file.  pytest's own report goes to stderr.  The suite runs
+under a derandomized hypothesis profile (a fixed seed per test, no example
+database), so a property test that sets no ``derandomize`` of its own tries
+the same examples each run, and two runs list the same lines.
 
 Lines that run only in forked worker processes (the block groups of wide
 ensembles, stepped one worker per CPU) are not seen by the hook, so they are
@@ -92,6 +95,17 @@ def _run_corpus():
             print(f"corpus {name} {label}: exit {code}", file=sys.stderr)
 
 
+class _Derandomized:
+    """pytest plugin: loads the derandomized hypothesis profile once pytest is
+    configured, so before the test modules and their ``@settings`` are imported."""
+
+    def pytest_configure(self, config):
+        from hypothesis import settings
+
+        settings.register_profile("traffic", derandomize=True, database=None)
+        settings.load_profile("traffic")
+
+
 def main() -> int:
     import pytest
 
@@ -102,7 +116,7 @@ def main() -> int:
     try:
         with contextlib.redirect_stdout(sys.stderr):
             status = pytest.main(["-q", "-p", "no:cacheprovider", "--continue-on-collection-errors",
-                                  os.path.join(ROOT, "tests")])
+                                  os.path.join(ROOT, "tests")], plugins=[_Derandomized()])
         _run_corpus()
     finally:
         sys.settrace(None)

@@ -29,7 +29,7 @@ from typing import Callable, List, Tuple
 import numpy as np
 
 from .measures import overlap_integrate, overlap_mass, overlap_moment
-from .mechanisms import ModelSpec, exp_quotient, log_jump_integral
+from .mechanisms import ModelSpec, elementwise, exp_quotient, log_jump_integral
 
 __all__ = [
     "WeightFunction",
@@ -137,7 +137,8 @@ class LyapunovDrift:
     nu (:func:`~cbic.mechanisms.log_jump_integral`), closed per part kind, so
     apply_generator's quadrature is an independent cross-check.  Every call
     evaluates afresh: a caller that needs the values twice keeps them, as
-    lyapunov_certify does for its grid.
+    lyapunov_certify does for its grid.  A call at one x and :meth:`many` run
+    the same elementwise code, so LV(x) has the same bits either way.
     """
 
     def __init__(self, model: ModelSpec, weight: WeightFunction):
@@ -149,26 +150,34 @@ class LyapunovDrift:
             self._nu_mean = model.nu.moment(1.0, 0.0, math.inf)
 
     def __call__(self, x: float) -> float:
-        x = float(x)
-        m = self.model
-        if self.weight.kind == "v1":
-            val = (m.beta - m.b * x - float(m.g(x))) + x * self._mu_tail + self._nu_mean
-        else:
-            w = 1.0 + x
-            val = (
-                -m.c * x / w**2
-                + x * log_jump_integral(m.mu, w, 1)
-                + (m.beta - m.b * x - float(m.g(x))) / w
-                + log_jump_integral(m.nu, w, 0)
-            )
-        if not math.isfinite(val):
-            raise GeneratorDomainError(
-                f"{self.weight.kind} drift LV({x:g}) = {val} is not a finite number"
-            )
-        return val
+        return float(self._values(np.array([float(x)]))[0])
 
     def many(self, xs) -> np.ndarray:
-        return np.asarray([self(float(x)) for x in np.asarray(xs, dtype=float)])
+        return self._values(np.asarray(xs, dtype=float))
+
+    def _values(self, x: np.ndarray) -> np.ndarray:
+        """LV elementwise over the 1-d array ``x``; a non-finite value raises at
+        the first x that gives one."""
+        m = self.model
+        with np.errstate(all="ignore"):  # as float arithmetic: inf and nan, no warning
+            if self.weight.kind == "v1":
+                val = (m.beta - m.b * x - m.g(x)) + x * self._mu_tail + self._nu_mean
+            else:
+                w = 1.0 + x
+                val = (
+                    -m.c * x / elementwise(pow, w, 2.0)
+                    + x * log_jump_integral(m.mu, w, 1)
+                    + (m.beta - m.b * x - m.g(x)) / w
+                    + log_jump_integral(m.nu, w, 0)
+                )
+        bad = ~np.isfinite(val)
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise GeneratorDomainError(
+                f"{self.weight.kind} drift LV({float(x[i]):g}) = {float(val[i])} "
+                "is not a finite number"
+            )
+        return val
 
 
 @dataclass(frozen=True)
@@ -293,8 +302,9 @@ class CouplingControl:
     def lambda1(self) -> float:
         return math.exp(-self.lambda0 * self.l) * self.psi_at_lambda0 / self.lambda0
 
-    def psi(self, u: float) -> float:
-        return -math.expm1(-self.lambda0 * u)
+    def psi(self, u):
+        """1 - e^(-lambda0 u), elementwise over an array ``u``."""
+        return -elementwise(math.expm1, -self.lambda0 * u)
 
     def phi(self, x: float) -> float:
         if x >= self.x0:
@@ -337,18 +347,21 @@ def _phi_diff_minus_linear(ctrl: CouplingControl, x: float, z: float) -> float:
     return -(w**3) + 3.0 * w * w * z / x0
 
 
-def _sweep_nu_term(model: ModelSpec, ctrl: CouplingControl, x: float, gap: float) -> float:
-    """int [phi(x+z) - phi(x)] (nu - nu_{-gap})(dz) for x < x0 (else 0).
+def _sweep_nu_term(model: ModelSpec, ctrl: CouplingControl, x: float, gap):
+    """int [phi(x+z) - phi(x)] (nu - nu_{-gap})(dz) for x < x0 (else 0), elementwise
+    over an array ``gap``.
 
     With w = 1 - x/x0 and h = z/x0, phi(x+z) - phi(x) is -(3 w^2 h - 3 w h^2 + h^3)
     below the cut x0 - x and -w^3 above it, so the term takes the moments 1 to 3
-    on (0, cut) and the mass above the cut of nu less its overlap at -gap.
+    on (0, cut) and the mass above the cut of nu less its overlap at -gap.  The
+    overlap moments and mass are evaluated at one float gap at a time.
     """
     if x >= ctrl.x0 or model.nu.is_zero:
         return 0.0
     x0, nu, w, cut = ctrl.x0, model.nu, 1.0 - x / ctrl.x0, ctrl.x0 - x
-    d1, d2, d3 = (nu.moment(k, 0.0, cut) - overlap_moment(nu, -gap, k, cut) for k in (1, 2, 3))
-    above = nu.mass_above(cut) - overlap_mass(nu, -gap, cut, math.inf)
+    d1, d2, d3 = (nu.moment(k, 0.0, cut)
+                  - elementwise(lambda g: overlap_moment(nu, -g, k, cut), gap) for k in (1, 2, 3))
+    above = nu.mass_above(cut) - elementwise(lambda g: overlap_mass(nu, -g, cut, math.inf), gap)
     return -(3.0 * w * w * d1 / x0 - 3.0 * w * d2 / x0**2 + d3 / x0**3) - w**3 * above
 
 
@@ -368,24 +381,30 @@ def coupling_generator_F0(
     return _coupling_F0_bound(model, ctrl, x, y, mum, num)
 
 
-def _coupling_F0_bound(
-    model: ModelSpec, ctrl: CouplingControl, x: float, y: float, mum: float, num: float
-) -> float:
+def _coupling_F0_bound(model: ModelSpec, ctrl: CouplingControl, x: float, y, mum, num):
     """The closed upper bound of :func:`coupling_generator_F0` at (x, y), given the
     overlap masses of mu and nu at the gap, so that a grid check computes them
-    once per gap."""
+    once per gap.
+
+    Elementwise over arrays ``y``, ``mum`` and ``num`` at one x, as the grid check
+    evaluates an x-row; floats give a float.  Each element has the bits of its
+    float evaluation: the arithmetic is IEEE in numpy, the libm calls run
+    element by element (:func:`~cbic.mechanisms.elementwise`).
+    """
+    y = np.asarray(y, dtype=float)
     gap = x - y
     psig = ctrl.psi(gap)
-    ub = -model.c * ctrl.lambda0**2 * ctrl.theta * y * math.exp(-ctrl.lambda0 * gap)
-    ub -= ctrl.theta * (y * mum + num)
-    if gap <= ctrl.l:
-        ub -= ctrl.lambda1 * ctrl.theta * psig
-    if x <= ctrl.x0:
-        i_term = (model.beta - model.b * x - float(model.g(x))) * ctrl.phi_prime(x)
-        j_term = 3.0 * x / ctrl.x0**2 * (2.0 * model.c + model.mu.moment(2.0, 0.0, 1.0))
-        ub += (y * mum + i_term + j_term) * (1.0 + psig)
-        ub += (1.0 + psig) * _sweep_nu_term(model, ctrl, x, gap)
-    return ub
+    with np.errstate(all="ignore"):  # as float arithmetic: inf and nan, no warning
+        ub = (-model.c * ctrl.lambda0**2 * ctrl.theta * y
+              * elementwise(math.exp, -ctrl.lambda0 * gap))
+        ub = ub - ctrl.theta * (y * mum + num)
+        ub = np.where(gap <= ctrl.l, ub - ctrl.lambda1 * ctrl.theta * psig, ub)
+        if x <= ctrl.x0:
+            i_term = (model.beta - model.b * x - float(model.g(x))) * ctrl.phi_prime(x)
+            j_term = 3.0 * x / ctrl.x0**2 * (2.0 * model.c + model.mu.moment(2.0, 0.0, 1.0))
+            ub = ub + (y * mum + i_term + j_term) * (1.0 + psig)
+            ub = ub + (1.0 + psig) * _sweep_nu_term(model, ctrl, x, gap)
+    return ub if ub.ndim else float(ub)
 
 
 def _coupling_F0_exact(model: ModelSpec, ctrl: CouplingControl, x: float, y: float) -> float:

@@ -33,6 +33,7 @@ at first use, so a run whose measures never need them does not pay for loading s
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence, Tuple
@@ -593,6 +594,24 @@ def _log_antiderivative(t: float, k: int) -> float:
     return total
 
 
+def elementwise(fn, *args):
+    """``fn``, a function of floats, applied element by element over ``args``,
+    scalars and arrays of one shape: a float when every argument is a scalar,
+    else a float array of that shape.
+
+    This is how an array evaluation of a closed form makes its libm calls
+    (``math.exp``, ``math.expm1``, ``math.log``, Python's ``**``): numpy's
+    vectorized versions differ from these in the last bit on many inputs, so
+    only this loop gives each element the bits of a scalar evaluation.
+    """
+    shape = next((np.shape(a) for a in args if np.ndim(a)), None)
+    if shape is None:
+        return fn(*map(float, args))
+    cols = [np.asarray(a, dtype=float).ravel().tolist() if np.ndim(a)
+            else itertools.repeat(float(a)) for a in args]
+    return np.fromiter(map(fn, *cols), float, math.prod(shape)).reshape(shape)
+
+
 def _sin_minus_x(x: float) -> float:
     """sin(x) - x for |x| <= 1/2: its series to x^17 in Horner form keeps the digits
     that the difference cancels."""
@@ -603,7 +622,7 @@ def _sin_minus_x(x: float) -> float:
 
 
 @summed(sum)
-def log_jump_integral(m: LevyMeasure, w: float, k: int) -> float:
+def log_jump_integral(m: LevyMeasure, w, k: int):
     """int [log(1 + z/w) - k (z/w) 1{z<=1}] m(dz) for w >= 1, k in {0, 1}; closed per part.
 
     k = 1 compensates a branching measure; k = 0 needs int_0^1 z m(dz) finite, as
@@ -613,23 +632,33 @@ def log_jump_integral(m: LevyMeasure, w: float, k: int) -> float:
     bracket is [k (sin(pi e) - pi e + e sin(pi e)) - pi e (expm1(-e log w) + (1 - k))]
     / (a e sin(pi e) w): no terms of size 1/|e| cancel in it.  A uniform part takes
     w P_k(z/w) below z = 1 and w P_0(z/w) above (:func:`_log_antiderivative`).
+
+    ``w`` may be an array: the arithmetic runs on it in numpy and every libm call
+    element by element (:func:`elementwise`), so each element has the bits of a
+    float ``w``.
     """
+    if m.kind == "zero":
+        return 0.0
     if m.kind == "stable":
         a = m.alpha
         if a == 1.0:
-            return m.sigma * (1.0 + math.log(w)) / w
+            return m.sigma * (1.0 + elementwise(math.log, w)) / w
         dens, eps = float(m._dens_scale), a - 1.0
         if abs(eps) < 0.1:  # sin(pi a) = -sin(pi eps), and the bracket as one fraction
-            s, decay = math.sin(math.pi * eps), math.expm1(-eps * math.log(w))  # w^-eps - 1
+            s = math.sin(math.pi * eps)
+            decay = elementwise(lambda v: math.expm1(-eps * math.log(v)), w)  # w^-eps - 1
             num = k * (_sin_minus_x(math.pi * eps) + eps * s) - math.pi * eps * (decay + (1 - k))
             return dens * num / (a * eps * s * w)
         # D_a/a first: a sin(pi a) underflows to 0 as a -> 0
-        return dens / a * math.pi / (math.sin(a * math.pi) * w**a) + k * dens / (eps * w)
+        wa = elementwise(pow, w, a)
+        return dens / a * math.pi / (math.sin(a * math.pi) * wa) + k * dens / (eps * w)
     if m.kind == "uniform":
-        (lo, hi), P = m.support, _log_antiderivative
+        lo, hi = m.support
         a, b, c, d = (v / w for v in (min(lo, 1.0), min(hi, 1.0), max(lo, 1.0), max(hi, 1.0)))
+        P = lambda t, j: elementwise(lambda u: _log_antiderivative(u, j), t)
         return m.rate * (w * ((P(b, k) - P(a, k)) + (P(d, 0) - P(c, 0))))
-    return m.integrate(lambda z: math.log1p(z / w) - k * z / w * (z <= 1.0))
+    return elementwise(
+        lambda v: m.integrate(lambda z: math.log1p(z / v) - k * z / v * (z <= 1.0)), w)
 
 
 class CriticalityReport(NamedTuple):

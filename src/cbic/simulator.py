@@ -593,8 +593,9 @@ def _live(plan: _Plan, x: np.ndarray, dt: float):
     thinned branching jumps.  A path is live while ``lam`` is at most
     _LAM_CAP, which it is not at inf, or, with no ``lam``, while x is finite;
     ``every`` says that all paths are.  A step then runs on the states as
-    they are; otherwise it steps dead paths from 0, with no branching jump,
-    and sets them back to inf, which leaves every live path's result as is.
+    they are; otherwise it steps dead paths from 0, with no jump event (and
+    in the single stepper no jump count drawn), and sets them back to inf,
+    which leaves every live path's result as is.
     """
     lam = x * plan.mu_rate * dt if plan.mu_rate > 0 else None
     live = x < np.inf if lam is None else lam <= _LAM_CAP
@@ -631,8 +632,9 @@ def _step_single(x: np.ndarray, g: _Group, dt: float, normals: Optional[np.ndarr
     elif plan.mu_rate > 0:
         # a dead path draws nothing: a Poisson count at rate 0 takes no number
         _add_jumps(xn, g, "mu", lam if every else np.where(live, lam, 0.0), plan.mu_sampler)
-    if plan.nu_rate > 0:
-        _add_jumps(xn, g, "nu", plan.nu_rate * dt, plan.nu_sampler)
+    if plan.nu_rate > 0:  # nor does a dead path draw immigration events
+        rate = plan.nu_rate * dt
+        _add_jumps(xn, g, "nu", rate if every else np.where(live, rate, 0.0), plan.nu_sampler)
     xn = np.maximum(xn, 0.0)
     if not every:
         xn = np.where(live, xn, np.inf)

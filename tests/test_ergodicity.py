@@ -101,6 +101,31 @@ class TestCertificatePipeline:
             compute_rate_certificate(ergodic_v1_model, V1, grid=31)
         assert err.value.step == "grid-validation"
 
+    def test_grid_validation_fails_on_a_nan_margin(
+        self, ergodic_v1_model, ergodic_cert, monkeypatch
+    ):
+        """A NaN bound at one grid point is one failure and the worst margin."""
+        real, calls = ergodicity._coupling_F0_bound, []
+
+        def bound(*args):
+            out = np.array(real(*args), dtype=float)
+            calls.append(out.size)
+            if len(calls) == 3:  # one point of the third x-row with a gap
+                out[out.size // 2] = math.nan
+            return out
+
+        clean = validate_certificate(ergodic_v1_model, ergodic_cert, grid=31)
+        monkeypatch.setattr(ergodicity, "_coupling_F0_bound", bound)
+        rep = validate_certificate(ergodic_v1_model, ergodic_cert, grid=31)
+        assert len(calls) > 3 and calls[2] > 1
+        assert clean.passed and clean.n_points == rep.n_points
+        assert not rep.passed and rep.n_failures == 1 and math.isnan(rep.worst_margin)
+        assert "worst margin nan, failures 1" in render_certificate(replace(ergodic_cert,
+                                                                             validation=rep))
+        calls.clear()
+        with pytest.raises(CertificateError, match=f"1/{rep.n_points} grid .* margin nan"):
+            compute_rate_certificate(ergodic_v1_model, V1, grid=31)
+
     def test_report_renders_all_constants(self, ergodic_cert):
         text = render_certificate(ergodic_cert)
         for name in ("lambda0", "kappa", "x0", "lambda1", "theta", "lambda2", "epsilon"):
@@ -346,6 +371,44 @@ def test_validation_rows_equal_per_point_recomputation(name, ergodic_v1_model, s
             want.append((x, y, lhs, -cert.lam * ctrl.G0(weight, x, y)))
     assert cert.validation.rows == want
     assert exact_gap == {True, False}  # per-gap values used, and recomputed, somewhere
+
+
+@pytest.mark.parametrize("name", ["diffusion_power_v1", "xlog_v1", "stable_nu_vlog"])
+def test_validation_rows_equal_point_evaluations_bit_for_bit(name):
+    """Rows evaluated one x-row at a time equal, by float.hex (so that -0.0 against
+    0.0 shows), the bound, LV and G0 evaluated at one point at a time, on features
+    no shipped config has: c > 0 with power competition, xlog competition with
+    branching atoms, and a stable nu part, whose sweep term takes the hyp2f1 branch
+    of overlap_moment.  Some rows have gaps past l."""
+    uniform = LevyMeasure.uniform(1.0, 0.0, 1.0)
+    model, weight = {
+        "diffusion_power_v1": (ModelSpec(BranchingMechanism(0.5, 0.3, uniform),
+                                         ImmigrationMechanism(0.4),
+                                         CompetitionMechanism.power(1.0, 1.5)), V1),
+        "xlog_v1": (ModelSpec(BranchingMechanism(0.3, 0.0, LevyMeasure.from_atoms([(0.5, 1.0)])),
+                              ImmigrationMechanism(0.5, LevyMeasure.uniform(0.5, 0.0, 0.5)),
+                              CompetitionMechanism.xlog(0.5)), V1),
+        "stable_nu_vlog": (ModelSpec(BranchingMechanism(0.6, 0.2, uniform),
+                                     ImmigrationMechanism(0.2, LevyMeasure.stable(0.5, 0.2)),
+                                     CompetitionMechanism.power(1.0, 1.5)), VLOG),
+    }[name]
+    cert = compute_rate_certificate(model, weight, grid=41)
+    ctrl = cert.control()
+    drift = LyapunovDrift(model, weight)
+    want = []
+    for x in np.geomspace(1e-4, 1e4, 41).tolist():
+        for g in np.geomspace(1e-4, 2.0 * cert.l, 41).tolist():
+            if g > x:
+                continue
+            y = x - g
+            f0 = _coupling_F0_bound(model, ctrl, x, y, overlap_mass(model.mu, g),
+                                    overlap_mass(model.nu, g))
+            lhs = cert.epsilon * f0 + drift(x) + drift(y)
+            want.append((x, y, lhs, -cert.lam * ctrl.G0(weight, x, y)))
+    rows = cert.validation.rows
+    assert [tuple(map(float.hex, r)) for r in rows] == [tuple(map(float.hex, r)) for r in want]
+    assert any(x - y > cert.l for x, y, _, _ in rows)
+    assert any(x < cert.x0 for x, _, _, _ in rows)  # the sweep term runs where nu != 0
 
 
 _COMPETITION = st.one_of(
