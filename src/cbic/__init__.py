@@ -18,13 +18,12 @@ from .mechanisms import (
     MechanismError,
     ModelSpec,
     conservative_condition,
-    grey_condition,
     phi_eval,
     psi_eval,
     psi_prime_at_zero,
     stable_to_generic,
 )
-from .measures import kappa, overlap_density, overlap_mass, rn_ratio_many
+from .measures import kappa, overlap_mass, rn_ratio_many
 from .generator import (
     CouplingControl,
     LyapunovCertificate,
@@ -37,19 +36,12 @@ from .generator import (
 )
 from .simulator import (
     CoupledEnsembleResult,
-    CoupledPath,
     EnsembleResult,
-    Path,
     SimConfig,
     SimulationError,
-    cbi_laplace,
-    sample_stable_increment,
-    simulate_coupled,
     simulate_coupled_ensemble,
     simulate_ensemble,
     simulate_ensembles,
-    simulate_path,
-    solve_vt,
 )
 from .ergodicity import (
     CertificateError,

@@ -11,13 +11,12 @@ built-in weights are V1(x) = x and Vlog(x) = log(1+x).
 For the coupled pair the control surface is F0(x, y) = phi(x)(1 + psi(x-y))
 off the diagonal, with psi(u) = 1 - e^{-lam0 u} and phi a cubic blend that
 drops from theta+1 to theta across (0, x0).  The drift of F0 under the
-coupling generator is evaluated either through the proof's closed upper bound
-(default; this is what the rate certificate needs) or by direct quadrature of
-the two-dimensional generator (exact mode, for cross-checking).
+coupling generator is evaluated through the proof's closed upper bound, which
+is what the rate certificate needs.
 
 :class:`LyapunovDrift`, :func:`lyapunov_margin` and the bound are closed forms;
-quadrature runs only in the cross-check references, :func:`apply_generator` and
-the exact mode.  Nothing here writes files; ``cbic.cli`` writes the CSVs.
+quadrature runs only in :func:`apply_generator`, the cross-check that
+``check-generator`` runs.  Nothing here writes files; ``cbic.cli`` writes the CSVs.
 """
 
 from __future__ import annotations
@@ -28,8 +27,8 @@ from typing import Callable, List, Tuple
 
 import numpy as np
 
-from .measures import overlap_integrate, overlap_mass, overlap_moment
-from .mechanisms import ModelSpec, elementwise, exp_quotient, log_jump_integral
+from .measures import overlap_mass, overlap_moment
+from .mechanisms import ModelSpec, elementwise, log_jump_integral
 
 __all__ = [
     "WeightFunction",
@@ -316,11 +315,6 @@ class CouplingControl:
             return 0.0
         return -3.0 / self.x0 * (1.0 - x / self.x0) ** 2
 
-    def phi_second(self, x: float) -> float:
-        if x >= self.x0:
-            return 0.0
-        return 6.0 / self.x0**2 * (1.0 - x / self.x0)
-
     def F0(self, x: float, y: float) -> float:
         if x == y:
             return 0.0
@@ -333,18 +327,6 @@ class CouplingControl:
 
     def G0(self, weight: WeightFunction, x: float, y: float) -> float:
         return self.epsilon * self.F0(x, y) + self.V0(weight, x, y)
-
-
-def _phi_diff_minus_linear(ctrl: CouplingControl, x: float, z: float) -> float:
-    """phi(x+z) - phi(x) - phi'(x) z, exact piecewise cubic (no cancellation)."""
-    x0 = ctrl.x0
-    if x >= x0:
-        return 0.0
-    w = 1.0 - x / x0
-    if x + z < x0:
-        h = z / x0
-        return h * h * (3.0 * w - h)
-    return -(w**3) + 3.0 * w * w * z / x0
 
 
 def _sweep_nu_term(model: ModelSpec, ctrl: CouplingControl, x: float, gap):
@@ -365,18 +347,11 @@ def _sweep_nu_term(model: ModelSpec, ctrl: CouplingControl, x: float, gap):
     return -(3.0 * w * w * d1 / x0 - 3.0 * w * d2 / x0**2 + d3 / x0**3) - w**3 * above
 
 
-def coupling_generator_F0(
-    model: ModelSpec, ctrl: CouplingControl, x: float, y: float, *, exact: bool = False
-) -> float:
-    """Drift of F0 under the coupling generator at (x, y), x > y >= 0.
-
-    Default mode evaluates the closed upper bound used by the certificate
-    chain; ``exact=True`` integrates the two-dimensional generator literally.
-    """
+def coupling_generator_F0(model: ModelSpec, ctrl: CouplingControl, x: float, y: float) -> float:
+    """Closed upper bound of the drift of F0 under the coupling generator at
+    (x, y), x > y >= 0, as the certificate chain uses it."""
     if not x > y >= 0:
         raise ValueError(f"coupling generator needs x > y >= 0, got ({x}, {y})")
-    if exact:
-        return _coupling_F0_exact(model, ctrl, x, y)
     mum, num = overlap_mass(model.mu, x - y), overlap_mass(model.nu, x - y)
     return _coupling_F0_bound(model, ctrl, x, y, mum, num)
 
@@ -405,50 +380,3 @@ def _coupling_F0_bound(model: ModelSpec, ctrl: CouplingControl, x: float, y, mum
             ub = ub + (y * mum + i_term + j_term) * (1.0 + psig)
             ub = ub + (1.0 + psig) * _sweep_nu_term(model, ctrl, x, gap)
     return ub if ub.ndim else float(ub)
-
-
-def _coupling_F0_exact(model: ModelSpec, ctrl: CouplingControl, x: float, y: float) -> float:
-    gap = x - y
-    lam0 = ctrl.lambda0
-    phix, phipx, phippx = ctrl.phi(x), ctrl.phi_prime(x), ctrl.phi_second(x)
-    psig = ctrl.psi(gap)
-    psipg = lam0 * math.exp(-lam0 * gap)
-    psippg = -lam0 * psipg
-    fx = phipx * (1.0 + psig) + phix * psipg
-    # Gaussian block: c x Fxx + c y Fyy - 2 c y Fxy
-    gauss = model.c * (
-        x * (phippx * (1.0 + psig) + 2.0 * phipx * psipg + phix * psippg)
-        + 3.0 * y * phix * psippg
-        + 2.0 * y * phipx * psipg
-    )
-    drift = (model.beta - model.b * x - float(model.g(x))) * fx + (
-        model.beta - model.b * y - float(model.g(y))
-    ) * (-phix * psipg)
-
-    eg = math.exp(-lam0 * gap)
-
-    def shared_jump(z):  # (1 + psi(gap)) [phi(x+z) - phi(x) - phi'(x) z 1{z<=1}]
-        lin = _phi_diff_minus_linear(ctrl, x, z) if z <= 1.0 else ctrl.phi(x + z) - phix
-        return (1.0 + psig) * lin
-
-    def leader_jump(z):  # F(x+z, y) - F(x, y) - Fx z 1{z<=1}
-        phz = ctrl.phi(x + z)
-        dpsi = eg * (-math.expm1(-lam0 * z))  # psi(gap+z) - psi(gap)
-        if z <= 1.0:
-            a = _phi_diff_minus_linear(ctrl, x, z) * (1.0 + psig + dpsi)
-            b = phipx * z * dpsi
-            c_ = -phix * eg * lam0 * z * exp_quotient(2, lam0 * z)
-            return a + b + c_
-        return phz * (1.0 + psig + dpsi) - phix * (1.0 + psig)
-
-    nu_shared = model.nu.integrate(lambda z: ctrl.phi(x + z) - phix) * (1.0 + psig)
-    mu_leader = model.mu.integrate(leader_jump)
-    mu_shared = model.mu.integrate(shared_jump)
-    l0 = gauss + drift + nu_shared + gap * mu_leader + y * mu_shared
-
-    dpsi2 = ctrl.psi(2.0 * gap) - psig
-    l1 = y * dpsi2 * overlap_integrate(model.mu, gap, lambda z: ctrl.phi(x + z))
-    l1 -= y * (1.0 + psig) * overlap_integrate(model.mu, -gap, lambda z: ctrl.phi(x + z))
-    l1 += dpsi2 * overlap_integrate(model.nu, gap, lambda z: ctrl.phi(x + z))
-    l1 -= (1.0 + psig) * overlap_integrate(model.nu, -gap, lambda z: ctrl.phi(x + z))
-    return l0 + l1

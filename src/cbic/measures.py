@@ -12,11 +12,13 @@ m_x(0, 0 v x] = 0, m_x(0, inf) = m_{-x}(0, inf) <= m(|x|, inf)/2.
 :func:`overlap_mass` is the one implementation of that mass, a closed form per
 part kind evaluated elementwise over shifts: the coupled stepper takes its
 sub-eps lasso rates from it per pair, :func:`kappa` and the certificate per shift.
+:func:`overlap_moment` gives the closed moments below a cut that the
+certificate's immigration sweep term takes.
 
 Atoms only pair under exact location equality after the shift (1e-12 slack):
 the infimum of measures is singular-part aware, and approximate matching
 would inflate the overlap.  A ``sum`` measure's overlap mass and overlap
-integrals are the sums of its parts' values (:func:`~cbic.mechanisms.summed`),
+moments are the sums of its parts' values (:func:`~cbic.mechanisms.summed`),
 so cross terms between any two parts, atoms against a density or one density
 against another, are dropped.  :func:`rn_ratio_many` instead uses the summed
 density and all the atoms of the measure.
@@ -46,24 +48,6 @@ def overlap_atoms(base: LevyMeasure, x: float):
     """Atoms of the overlap measure: (loc, min(m(loc), m(loc-x))/2) pairs."""
     pairs = ((a, m, float(_atom_mass_at(base, a - x))) for a, m in base.atoms())
     return tuple((a, 0.5 * min(m, shifted)) for a, m, shifted in pairs if shifted > 0)
-
-
-def overlap_density(base: LevyMeasure, x: float, z):
-    """Density of the overlap measure: min(f(z), f(z-x))/2, f extended by 0."""
-    z = np.atleast_1d(np.asarray(z, dtype=float))
-    fz = base.density(z)
-    fzx = base.density(z - x)
-    out = 0.5 * np.minimum(fz, fzx)
-    out[z <= 0] = 0.0
-    return out
-
-
-def _overlap_dens1(base: LevyMeasure, x: float, z: float) -> float:
-    """Scalar overlap_density through ``_dens1`` (within one ulp on a stable part);
-    :func:`overlap_integrate`'s integrands inline the same expression."""
-    if z <= 0.0:
-        return 0.0
-    return 0.5 * min(base._dens1(z), base._dens1(z - x))
 
 
 @summed(sum)
@@ -140,32 +124,6 @@ def overlap_moment(base: LevyMeasure, x: float, k: int, hi: float) -> float:
     except OverflowError:  # a power beyond the float range dominates
         return math.inf
     return 0.5 * v / (k + 1.0)
-
-
-@summed(sum)
-def overlap_integrate(base: LevyMeasure, x: float, fn, lo: float = 0.0, hi: float = math.inf) -> float:
-    """int fn(z) m_x(dz) over (lo, hi)."""
-    x = float(x)
-    lo = max(float(lo), 0.0)
-    hi = float(hi)
-    if base.is_zero or hi <= lo:
-        return 0.0
-    total = sum(m * float(fn(a)) for a, m in overlap_atoms(base, x) if lo < a <= hi)
-    slo, shi = base.density_support()
-    a = max(lo, slo, slo + x, 0.0 if x <= 0 else x)
-    b = min(hi, shi, shi + x)
-    if b <= a:
-        return total
-    from . import quadrature  # loads scipy at first use
-
-    # _overlap_dens1 inlined: one Python call per quadrature node fewer
-    dens = base._dens1
-    integrand = lambda z: float(fn(z)) * (0.0 if z <= 0.0 else 0.5 * min(dens(z), dens(z - x)))
-    if not np.isfinite(b):
-        return total + quadrature.tail_integral(integrand, a)
-    pts = tuple(base.breakpoints()) + tuple(p + x for p in base.breakpoints())
-    return total + quadrature.integrate(integrand, a, b, breakpoints=pts,
-                                        singular_at_0=base.singular_at_0)
 
 
 def kappa(model: ModelSpec, x: float) -> float:

@@ -683,23 +683,6 @@ def psi_prime_at_zero(mech: BranchingMechanism) -> CriticalityReport:
     return CriticalityReport(value, label)
 
 
-def grey_condition(mech: BranchingMechanism) -> bool:
-    """Whether int^inf dlam / Psi(lam) converges.
-
-    Decided from the dominant tail term: a diffusion part or a stable
-    component with index > 1 gives convergence; a stable index <= 1, or no
-    stable part at all, gives divergence.
-    """
-    if mech.c > 0:
-        return True
-    # 1/Psi is not integrable at infinity for a lam^alpha (alpha <= 1) or
-    # lam*log(lam) tail, nor for the at most linear Psi of uniform and atom
-    # parts (Psi'(lam) <= b + int_0^1 z mu, also where their total mass
-    # overflows the float range).  If Psi is eventually negative the condition
-    # fails by convention too.
-    return any(a > 1.0 for a, _ in mech.mu.stable_components())
-
-
 def conservative_condition(mech: BranchingMechanism) -> bool:
     """Whether int_{0+} dlam / (0 v -Psi(lam)) diverges (no finite-time explosion)."""
     crit = psi_prime_at_zero(mech)

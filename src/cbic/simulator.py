@@ -48,24 +48,13 @@ import signal
 import sys
 import threading
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .measures import overlap_mass, rn_ratio_many
-from .mechanisms import (
-    BranchingMechanism,
-    ImmigrationMechanism,
-    LevyMeasure,
-    MechanismError,
-    ModelSpec,
-    concat,
-    phi_eval,
-    psi_eval,
-    stable_drift_shift,
-    summed,
-)
+from .mechanisms import LevyMeasure, ModelSpec, concat, stable_drift_shift, summed
 
 GAP_TOL = 1e-9
 _BLOCK = 1024
@@ -114,24 +103,6 @@ class SimConfig:
 
 
 @dataclass
-class Path:
-    times: np.ndarray
-    values: np.ndarray
-    exploded: bool = False
-    explosion_time: Optional[float] = None
-
-
-@dataclass
-class CoupledPath:
-    times: np.ndarray
-    x_values: np.ndarray
-    y_values: np.ndarray
-    coupling_time: float = math.inf
-    lasso_events: List[Tuple[float, str, float]] = field(default_factory=list)
-    exploded: bool = False
-
-
-@dataclass
 class EnsembleResult:
     times: np.ndarray
     values: np.ndarray  # (n_times, n_paths); inf after explosion
@@ -176,21 +147,6 @@ def _cms_standard(alpha: float, beta_skew: float, u: np.ndarray, w: np.ndarray) 
     )
 
 
-def sample_stable_increment(alpha: float, dt: float, rng, size: Optional[int] = None):
-    """Increment(s) of the spectrally positive alpha-stable driver over dt.
-
-    Normalization: E[exp(-lam * increment)] equals exp(-dt lam^alpha) for
-    0 < alpha < 1 (no compensation), exp(+dt lam^alpha) for 1 < alpha < 2
-    (full compensation), and exp(dt (lam log lam + (euler_gamma - 1) lam))
-    for alpha = 1 (compensation of jumps below 1).
-    """
-    if not 0.0 < alpha < 2.0:
-        raise MechanismError(f"stable index must lie in (0, 2), got {alpha}")
-    n = 1 if size is None else int(size)
-    out = _stable_transform(alpha, dt, *_stable_draws(alpha, rng, n))
-    return float(out[0]) if size is None else out
-
-
 def _stable_draws(alpha: float, rng, n: int):
     """The angle and exponential draws behind n increments, in stream order."""
     lo, hi = (0.0, math.pi) if alpha < 1.0 else (-math.pi / 2.0, math.pi / 2.0)
@@ -198,7 +154,12 @@ def _stable_draws(alpha: float, rng, n: int):
 
 
 def _stable_transform(alpha: float, dt: float, u: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Kanter (alpha < 1) or Chambers-Mallows-Stuck increments from the draws."""
+    """Kanter (alpha < 1) or Chambers-Mallows-Stuck increments over dt from the draws.
+
+    E exp(-lam inc) is exp(-dt lam^alpha) for alpha < 1 (no compensation),
+    exp(dt lam^alpha) for alpha > 1 (full compensation), and
+    exp(dt (lam log lam + (euler_gamma - 1) lam)) for alpha = 1 (jumps below 1).
+    """
     if alpha == 1.0:
         x = (2.0 / math.pi) * (
             (math.pi / 2.0 + u) * np.tan(u)
@@ -694,17 +655,6 @@ def simulate_ensembles(
     return [EnsembleResult(times, v, ~np.isfinite(v[-1])) for v in np.split(out, len(starts), 1)]
 
 
-def simulate_path(model: ModelSpec, x0: float, cfg: SimConfig) -> Path:
-    """One path on the full dt-grid."""
-    res = simulate_ensemble(model, [x0], replace(cfg, n_paths=1))
-    vals = res.values[:, 0]
-    exploded = bool(res.exploded[0])
-    et = None
-    if exploded:
-        et = float(res.times[np.argmax(~np.isfinite(vals))])
-    return Path(res.times, vals, exploded, et)
-
-
 # -- coupled stepping -----------------------------------------------------------
 
 
@@ -892,88 +842,3 @@ def simulate_coupled_ensemble(
     events = [e for st in finals for e in st.events or ()]
     exploded = ~np.isfinite(xs[-1])
     return CoupledEnsembleResult(times, xs, ys, t_couple, exploded, events)
-
-
-def simulate_coupled(model: ModelSpec, x0: float, y0: float, cfg: SimConfig) -> CoupledPath:
-    """One coupled pair on the full dt-grid with its lassoing-event log."""
-    res = simulate_coupled_ensemble(
-        model, [x0], [y0], replace(cfg, n_paths=1), _record_events=True
-    )
-    return CoupledPath(
-        times=res.times,
-        x_values=res.x_values[:, 0],
-        y_values=res.y_values[:, 0],
-        coupling_time=float(res.coupling_times[0]),
-        lasso_events=[(t, sign, mag) for t, sign, mag, _dx, _dy in sorted(res.lasso_events)],
-        exploded=bool(res.exploded[0]),
-    )
-
-
-# -- transform oracles ----------------------------------------------------------
-
-
-def solve_vt(mech: BranchingMechanism, lam: float, t: float, dense: bool = False):
-    """Backward flow dv/dt = -Psi(v), v_0 = lam, by adaptive Runge-Kutta."""
-    from scipy.integrate import solve_ivp  # loaded at first use: no CLI run needs it
-
-    if lam <= 0:
-        raise MechanismError("solve_vt needs lam > 0")
-    if t == 0.0:
-        return (lam, None) if dense else lam
-    cap = 1e14
-
-    def rhs(_s, v):
-        return [-psi_eval(mech, float(min(max(v[0], 0.0), cap)))]
-
-    sol = solve_ivp(
-        rhs, (0.0, t), [lam], method="RK45", rtol=1e-11, atol=1e-14, dense_output=True
-    )
-    if not sol.success:
-        raise SimulationError(f"v_t solver failed: {sol.message}")
-    vt = float(np.clip(sol.y[0, -1], 1e-300, cap))
-    return (vt, sol) if dense else vt
-
-
-def cbi_laplace(
-    branching: BranchingMechanism,
-    immigration: ImmigrationMechanism,
-    x: float,
-    lam: float,
-    t: float,
-) -> float:
-    """E[e^{-lam x(t)}] for the no-competition process started at x."""
-    if lam <= 0:
-        raise MechanismError("cbi_laplace needs lam > 0")
-    if t == 0.0:
-        return math.exp(-x * lam)
-    from . import quadrature  # loads scipy at first use
-
-    vt, sol = solve_vt(branching, lam, t, dense=True)
-    phi_at = lambda s: phi_eval(immigration, float(np.clip(sol.sol(s)[0], 0.0, 1e14)))
-    accum = quadrature.integrate(phi_at, 0.0, t, singular_at_0=True)
-    return math.exp(-x * vt - accum)
-
-
-def mean_with_dt_refinement(model: ModelSpec, x0: float, cfg: SimConfig):
-    """Common-random-number mean at t_end for dt and dt/2 (diffusion models).
-
-    Both runs use the ensemble stepper: each pair of dt/2 steps takes normals
-    z1 and z2, and the dt step takes (z1 + z2)/sqrt(2), so the difference
-    isolates the discretization effect.  Jump parts are not supported here.
-    """
-    if not model.mu.is_zero or not model.nu.is_zero:
-        raise SimulationError("dt-refinement check supports diffusion-only models")
-    dt2 = cfg.dt / 2.0
-
-    def step(xs, g, k):
-        z1, z2 = (next(g.gauss), next(g.gauss)) if g.plan.gaussian else (None, None)
-        xf = _step_single(_step_single(xs[1], g, dt2, z1), g, dt2, z2)
-        return _step_single(xs[0], g, cfg.dt, z1 if z1 is None else (z1 + z2) / math.sqrt(2.0)), xf
-
-    x0s = np.full(cfg.n_paths, float(x0))
-    _, (x_c, x_f), _ = _drive(
-        [(_Plan(model, cfg, float(x0)), cfg.seed)], [x0s, x0s], cfg, [cfg.t_end], step
-    )
-    x_c, x_f = x_c[-1], x_f[-1]
-    se = float(np.std(x_c, ddof=1) / math.sqrt(cfg.n_paths))
-    return float(x_c.mean()), float(x_f.mean()), se

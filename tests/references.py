@@ -1,0 +1,265 @@
+"""Reference oracles the tests compare the package against.
+
+No CLI run needs any of these; each is an independent, slower route to a value
+the package computes in closed form or by simulation:
+
+- the backward flow v_t of Psi (:func:`solve_vt`), the Laplace transform of
+  the process without competition (:func:`cbi_laplace`) and a
+  common-random-number mean at dt and dt/2 (:func:`mean_with_dt_refinement`);
+- the coupling generator applied to F0 by quadrature of the two-dimensional
+  generator (:func:`coupling_F0_exact`), against which the certificate's
+  closed bound is checked;
+- the overlap density and integrals against the overlap measure by
+  quadrature (:func:`overlap_density`, :func:`overlap_integrate`), with the
+  decade-shell tail integral they take over an unbounded range
+  (:func:`tail_integral`);
+- the spectrally positive stable increments of one stream
+  (:func:`stable_increments`).
+
+The oracles call ``quadrature.integrate``, ``quadrature._quad_piece``,
+``simulator._drive`` and ``simulator._step_single`` through their modules, so
+a test that patches one of those patches the oracles too.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from cbic import quadrature, simulator
+from cbic.generator import CouplingControl
+from cbic.measures import overlap_atoms
+from cbic.mechanisms import (
+    BranchingMechanism,
+    ImmigrationMechanism,
+    LevyMeasure,
+    MechanismError,
+    ModelSpec,
+    exp_quotient,
+    phi_eval,
+    psi_eval,
+    summed,
+)
+from cbic.simulator import SimConfig, SimulationError
+
+
+def stable_increments(alpha: float, dt: float, rng, n: int) -> np.ndarray:
+    """n stable increments over dt from one stream, as a lane of one path draws them."""
+    return simulator._stable_transform(alpha, dt, *simulator._stable_draws(alpha, rng, n))
+
+
+# -- transform oracles ----------------------------------------------------------
+
+
+def solve_vt(mech: BranchingMechanism, lam: float, t: float, dense: bool = False):
+    """Backward flow dv/dt = -Psi(v), v_0 = lam, by adaptive Runge-Kutta."""
+    from scipy.integrate import solve_ivp
+
+    if lam <= 0:
+        raise MechanismError("solve_vt needs lam > 0")
+    if t == 0.0:
+        return (lam, None) if dense else lam
+    cap = 1e14
+
+    def rhs(_s, v):
+        return [-psi_eval(mech, float(min(max(v[0], 0.0), cap)))]
+
+    sol = solve_ivp(
+        rhs, (0.0, t), [lam], method="RK45", rtol=1e-11, atol=1e-14, dense_output=True
+    )
+    if not sol.success:
+        raise SimulationError(f"v_t solver failed: {sol.message}")
+    vt = float(np.clip(sol.y[0, -1], 1e-300, cap))
+    return (vt, sol) if dense else vt
+
+
+def cbi_laplace(
+    branching: BranchingMechanism,
+    immigration: ImmigrationMechanism,
+    x: float,
+    lam: float,
+    t: float,
+) -> float:
+    """E[e^{-lam x(t)}] for the no-competition process started at x."""
+    if lam <= 0:
+        raise MechanismError("cbi_laplace needs lam > 0")
+    if t == 0.0:
+        return math.exp(-x * lam)
+    vt, sol = solve_vt(branching, lam, t, dense=True)
+    phi_at = lambda s: phi_eval(immigration, float(np.clip(sol.sol(s)[0], 0.0, 1e14)))
+    accum = quadrature.integrate(phi_at, 0.0, t, singular_at_0=True)
+    return math.exp(-x * vt - accum)
+
+
+def mean_with_dt_refinement(model: ModelSpec, x0: float, cfg: SimConfig):
+    """Common-random-number mean at t_end for dt and dt/2 (diffusion models).
+
+    Both runs use the ensemble stepper: each pair of dt/2 steps takes normals
+    z1 and z2, and the dt step takes (z1 + z2)/sqrt(2), so the difference
+    isolates the discretization effect.  Jump parts are not supported here.
+    """
+    if not model.mu.is_zero or not model.nu.is_zero:
+        raise SimulationError("dt-refinement check supports diffusion-only models")
+    dt2 = cfg.dt / 2.0
+
+    def step(xs, g, k):
+        z1, z2 = (next(g.gauss), next(g.gauss)) if g.plan.gaussian else (None, None)
+        xf = simulator._step_single(simulator._step_single(xs[1], g, dt2, z1), g, dt2, z2)
+        return simulator._step_single(
+            xs[0], g, cfg.dt, z1 if z1 is None else (z1 + z2) / math.sqrt(2.0)), xf
+
+    x0s = np.full(cfg.n_paths, float(x0))
+    _, (x_c, x_f), _ = simulator._drive(
+        [(simulator._Plan(model, cfg, float(x0)), cfg.seed)], [x0s, x0s], cfg, [cfg.t_end], step
+    )
+    x_c, x_f = x_c[-1], x_f[-1]
+    se = float(np.std(x_c, ddof=1) / math.sqrt(cfg.n_paths))
+    return float(x_c.mean()), float(x_f.mean()), se
+
+
+# -- quadrature over the overlap measure ------------------------------------------
+
+
+def _shell_sum(fn, edges):
+    """Sum ``fn`` over the shells between consecutive ``edges``, which grow
+    geometrically toward infinity; may be inf.
+
+    Once the sum is nonzero, a negligible shell from the fourth on ends it.
+    The rest is bounded by the geometric series of the last shell ratio; a
+    ratio of 0.95 or more means the shells stopped shrinking, and the tail
+    is not integrable.
+    """
+    total, incs = 0.0, []
+    for a, b in zip(edges[:-1], edges[1:]):
+        inc = quadrature._quad_piece(fn, a, b)
+        total += inc
+        incs.append(abs(inc))
+        if len(incs) > 3 and total != 0.0 and incs[-1] < max(quadrature.ABS_TOL, 1e-13 * abs(total)):
+            break
+    rho = incs[-1] / incs[-2] if len(incs) > 1 and incs[-2] > 0 else 0.0
+    if rho >= 0.95:
+        return math.inf
+    return total + incs[-1] * rho / (1.0 - rho)
+
+
+def tail_integral(fn, lo):
+    """Integrate ``fn`` over (lo, inf): up to max(lo, 1), then 11 decade shells
+    (see :func:`_shell_sum`); a divergent tail returns ``inf``."""
+    lo = max(float(lo), 0.0)
+    h = max(lo, 1.0)
+    head = quadrature.integrate(fn, lo, h, singular_at_0=True)  # fn may be singular at 0+
+    return head + _shell_sum(fn, [h * 10.0**k for k in range(12)])
+
+
+def overlap_density(base: LevyMeasure, x: float, z):
+    """Density of the overlap measure: min(f(z), f(z-x))/2, f extended by 0."""
+    z = np.atleast_1d(np.asarray(z, dtype=float))
+    fz = base.density(z)
+    fzx = base.density(z - x)
+    out = 0.5 * np.minimum(fz, fzx)
+    out[z <= 0] = 0.0
+    return out
+
+
+def _overlap_dens1(base: LevyMeasure, x: float, z: float) -> float:
+    """Scalar overlap_density through ``_dens1`` (within one ulp on a stable part);
+    :func:`overlap_integrate`'s integrands inline the same expression."""
+    if z <= 0.0:
+        return 0.0
+    return 0.5 * min(base._dens1(z), base._dens1(z - x))
+
+
+@summed(sum)
+def overlap_integrate(base: LevyMeasure, x: float, fn, lo: float = 0.0, hi: float = math.inf) -> float:
+    """int fn(z) m_x(dz) over (lo, hi)."""
+    x = float(x)
+    lo = max(float(lo), 0.0)
+    hi = float(hi)
+    if base.is_zero or hi <= lo:
+        return 0.0
+    total = sum(m * float(fn(a)) for a, m in overlap_atoms(base, x) if lo < a <= hi)
+    slo, shi = base.density_support()
+    a = max(lo, slo, slo + x, 0.0 if x <= 0 else x)
+    b = min(hi, shi, shi + x)
+    if b <= a:
+        return total
+    # _overlap_dens1 inlined: one Python call per quadrature node fewer
+    dens = base._dens1
+    integrand = lambda z: float(fn(z)) * (0.0 if z <= 0.0 else 0.5 * min(dens(z), dens(z - x)))
+    if not np.isfinite(b):
+        return total + tail_integral(integrand, a)
+    pts = tuple(base.breakpoints()) + tuple(p + x for p in base.breakpoints())
+    return total + quadrature.integrate(integrand, a, b, breakpoints=pts,
+                                        singular_at_0=base.singular_at_0)
+
+
+# -- the exact coupled generator ---------------------------------------------------
+
+
+def phi_second(ctrl: CouplingControl, x: float) -> float:
+    """phi''(x) of the control's cubic blend."""
+    if x >= ctrl.x0:
+        return 0.0
+    return 6.0 / ctrl.x0**2 * (1.0 - x / ctrl.x0)
+
+
+def _phi_diff_minus_linear(ctrl: CouplingControl, x: float, z: float) -> float:
+    """phi(x+z) - phi(x) - phi'(x) z, exact piecewise cubic (no cancellation)."""
+    x0 = ctrl.x0
+    if x >= x0:
+        return 0.0
+    w = 1.0 - x / x0
+    if x + z < x0:
+        h = z / x0
+        return h * h * (3.0 * w - h)
+    return -(w**3) + 3.0 * w * w * z / x0
+
+
+def coupling_F0_exact(model: ModelSpec, ctrl: CouplingControl, x: float, y: float) -> float:
+    """Drift of F0 under the coupling generator at (x, y), x > y >= 0, by
+    quadrature of the two-dimensional generator."""
+    gap = x - y
+    lam0 = ctrl.lambda0
+    phix, phipx, phippx = ctrl.phi(x), ctrl.phi_prime(x), phi_second(ctrl, x)
+    psig = ctrl.psi(gap)
+    psipg = lam0 * math.exp(-lam0 * gap)
+    psippg = -lam0 * psipg
+    fx = phipx * (1.0 + psig) + phix * psipg
+    # Gaussian block: c x Fxx + c y Fyy - 2 c y Fxy
+    gauss = model.c * (
+        x * (phippx * (1.0 + psig) + 2.0 * phipx * psipg + phix * psippg)
+        + 3.0 * y * phix * psippg
+        + 2.0 * y * phipx * psipg
+    )
+    drift = (model.beta - model.b * x - float(model.g(x))) * fx + (
+        model.beta - model.b * y - float(model.g(y))
+    ) * (-phix * psipg)
+
+    eg = math.exp(-lam0 * gap)
+
+    def shared_jump(z):  # (1 + psi(gap)) [phi(x+z) - phi(x) - phi'(x) z 1{z<=1}]
+        lin = _phi_diff_minus_linear(ctrl, x, z) if z <= 1.0 else ctrl.phi(x + z) - phix
+        return (1.0 + psig) * lin
+
+    def leader_jump(z):  # F(x+z, y) - F(x, y) - Fx z 1{z<=1}
+        phz = ctrl.phi(x + z)
+        dpsi = eg * (-math.expm1(-lam0 * z))  # psi(gap+z) - psi(gap)
+        if z <= 1.0:
+            a = _phi_diff_minus_linear(ctrl, x, z) * (1.0 + psig + dpsi)
+            b = phipx * z * dpsi
+            c_ = -phix * eg * lam0 * z * exp_quotient(2, lam0 * z)
+            return a + b + c_
+        return phz * (1.0 + psig + dpsi) - phix * (1.0 + psig)
+
+    nu_shared = model.nu.integrate(lambda z: ctrl.phi(x + z) - phix) * (1.0 + psig)
+    mu_leader = model.mu.integrate(leader_jump)
+    mu_shared = model.mu.integrate(shared_jump)
+    l0 = gauss + drift + nu_shared + gap * mu_leader + y * mu_shared
+
+    dpsi2 = ctrl.psi(2.0 * gap) - psig
+    l1 = y * dpsi2 * overlap_integrate(model.mu, gap, lambda z: ctrl.phi(x + z))
+    l1 -= y * (1.0 + psig) * overlap_integrate(model.mu, -gap, lambda z: ctrl.phi(x + z))
+    l1 += dpsi2 * overlap_integrate(model.nu, gap, lambda z: ctrl.phi(x + z))
+    l1 -= (1.0 + psig) * overlap_integrate(model.nu, -gap, lambda z: ctrl.phi(x + z))
+    return l0 + l1

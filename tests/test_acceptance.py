@@ -27,14 +27,8 @@ from cbic.mechanisms import (
     psi_prime_at_zero,
     stable_to_generic,
 )
-from cbic.simulator import (
-    SimConfig,
-    cbi_laplace,
-    mean_with_dt_refinement,
-    simulate_coupled_ensemble,
-    simulate_ensemble,
-    solve_vt,
-)
+from cbic.simulator import SimConfig, simulate_coupled_ensemble, simulate_ensemble
+from references import cbi_laplace, mean_with_dt_refinement, solve_vt
 
 V1 = WeightFunction.v1()
 VLOG = WeightFunction.vlog()

@@ -602,6 +602,27 @@ class TestSubcommands:
             outs.append((out / "simulate.csv").read_bytes())
         assert outs[0] == outs[1]
 
+    @pytest.mark.parametrize("part", ["uniform rate=0 lo=0 hi=1", "stable alpha=0.5 sigma=0"],
+                             ids=["uniform-rate-0", "stable-sigma-0"])
+    @pytest.mark.parametrize("old, argv, files", [
+        ("nu = none", ["rate"], ["certificate.txt", "certificate_margins.csv"]),
+        ("mu = uniform rate=1.0 lo=0.0 hi=1.0", ["simulate", "--paths", "50", "--t-end", "0.1"],
+         ["simulate.csv"]),
+    ], ids=["nu-rate", "mu-simulate"])
+    def test_zero_weight_part_is_no_measure(self, tmp_path, capsys, part, old, argv, files):
+        # a part of zero weight is the zero measure: the outputs are those of "none"
+        with open(os.path.join(CONFIGS, "ergodic_v1.cfg")) as fh:
+            text = fh.read()
+        assert old in text
+        outs = []
+        for name, measure in (("none", "none"), ("zero", part)):
+            path = tmp_path / f"{name}.cfg"
+            path.write_text(text.replace(old, f"{old[:2]} = {measure}"))
+            out = tmp_path / name
+            assert run([*argv, "--model", str(path), "--out", str(out)]) == 0
+            outs.append([capsys.readouterr().out] + [(out / f).read_bytes() for f in files])
+        assert outs[0] == outs[1]
+
 
 class TestOutputFiles:
     SIMULATE_HEADER = ("time", "mean", "variance", "q05", "q25", "q50", "q75", "q95",

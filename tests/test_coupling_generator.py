@@ -4,9 +4,10 @@ Started from (x, y), N coupled pairs are stepped for a time h, and
 (E F0(X_h, Y_h) - F0(x, y)) / h estimates the coupling generator applied to
 F0: merges, gap doublings, the u-strip, the sub-eps lasso events and the
 small-jump Gaussian all enter it.  The estimate must lie within 4 standard
-errors of ``coupling_generator_F0(..., exact=True)`` at two values of h (the
-bias is O(h)), and the certificate's closed bound must lie above the exact
-value.  Points, sizes and seeds are fixed in advance.
+errors of the exact generator, ``references.coupling_F0_exact`` (quadrature
+of the two-dimensional generator), at two values of h (the bias is O(h)), and
+the certificate's closed bound must lie above the exact value.  Points, sizes
+and seeds are fixed in advance.
 
 F0 drops from about theta to 0 on the diagonal.  With a diffusion part
 (c > 0) the reflected Gaussian reaches the diagonal from a gap g within h
@@ -32,6 +33,7 @@ from cbic.mechanisms import (
     psi_eval,
 )
 from cbic.simulator import SimConfig, simulate_coupled_ensemble
+from references import coupling_F0_exact
 
 # stable + atoms + uniform parts in both measures, a diffusion part and power
 # competition; `rate` does not certify it, so it runs under a fixed control
@@ -94,7 +96,7 @@ DIAGONAL = pytest.mark.xfail(
 ])
 def test_simulated_coupling_drift_is_the_generator(runs, case, x, y, seeds):
     model, ctrl, hs, dt, eps, n = runs[case]
-    exact = coupling_generator_F0(model, ctrl, x, y, exact=True)
+    exact = coupling_F0_exact(model, ctrl, x, y)
     bound = coupling_generator_F0(model, ctrl, x, y)
     assert exact <= bound + 1e-6 * abs(bound) + 1e-9
     for h, seed in zip(hs, seeds):

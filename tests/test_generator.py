@@ -32,6 +32,7 @@ from cbic.mechanisms import (
 )
 from cbic import quadrature
 from cbic.cli import _write_csv
+from references import coupling_F0_exact, phi_second
 
 V1 = WeightFunction.v1()
 VLOG = WeightFunction.vlog()
@@ -264,12 +265,12 @@ class TestCouplingGeneratorF0:
         ctrl = _control(psi0=psi_eval(model.branching, 0.8))
         lam0, c = ctrl.lambda0, model.c
         for x, y in ((0.5, 0.2), (0.1, 0.0), (2.0, 1.0)):
-            got = coupling_generator_F0(model, ctrl, x, y, exact=True)
+            got = coupling_F0_exact(model, ctrl, x, y)
             g = x - y
             psig = -math.expm1(-lam0 * g)
             psip = lam0 * math.exp(-lam0 * g)
             psipp = -lam0 * psip
-            phix, php, phpp = ctrl.phi(x), ctrl.phi_prime(x), ctrl.phi_second(x)
+            phix, php, phpp = ctrl.phi(x), ctrl.phi_prime(x), phi_second(ctrl, x)
             want = c * (
                 x * (phpp * (1 + psig) + 2 * php * psip + phix * psipp)
                 + 3 * y * phix * psipp
@@ -299,7 +300,7 @@ class TestCouplingGeneratorF0:
                         continue
                     y = x - gap
                     ub = coupling_generator_F0(model, ctrl, x, y)
-                    exact = coupling_generator_F0(model, ctrl, x, y, exact=True)
+                    exact = coupling_F0_exact(model, ctrl, x, y)
                     assert exact <= ub + 1e-6 * abs(ub) + 1e-9
 
     def test_sweep_nu_term_closed_form_on_nu_jump(self):
@@ -332,7 +333,7 @@ class TestCouplingGeneratorF0:
         for x, y in ((3.0, 0.5), (10.0, 2.0), (5.0, 0.0)):
             assert x - y > ctrl.l and x > ctrl.x0
             assert coupling_generator_F0(ergodic_v1_model, ctrl, x, y) <= 0.0
-            assert coupling_generator_F0(ergodic_v1_model, ctrl, x, y, exact=True) <= 1e-10
+            assert coupling_F0_exact(ergodic_v1_model, ctrl, x, y) <= 1e-10
 
     def test_requires_ordered_pair(self, ergodic_v1_model):
         ctrl = _control(psi0=0.5)

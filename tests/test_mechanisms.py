@@ -15,7 +15,6 @@ from cbic.mechanisms import (
     LevyMeasure,
     MechanismError,
     conservative_condition,
-    grey_condition,
     log_jump_integral,
     phi_eval,
     psi_eval,
@@ -315,29 +314,6 @@ class TestCriticality:
         assert rep.value == 0.0 and rep.label == "critical"
 
 
-class TestGreyCondition:
-    def test_stable_above_one(self):
-        # tail lam^1.5: integral of lam^-1.5 converges
-        assert grey_condition(stable_to_generic(0.0, 0.0, 1.0, 1.5)) is True
-
-    def test_banded_density_fails(self):
-        assert grey_condition(uniform_mech(rate=1.0, b=0.5)) is False
-
-    def test_diffusion_alone_passes(self):
-        # tail c lam^2: integral of (c lam^2)^-1 converges
-        assert grey_condition(BranchingMechanism(0.0, 1.0)) is True
-
-    def test_neveu_fails(self):
-        assert grey_condition(stable_to_generic(0.0, 0.0, 1.0, 1.0)) is False
-
-    def test_total_mass_beyond_the_float_range_fails(self):
-        # each part's mass is finite, their sum overflows: Psi still grows linearly
-        wide = LevyMeasure.uniform(1.0, 0.0, 1e308)
-        mu = LevyMeasure.sum_of([wide, wide])
-        assert mu.mass_above(0.0) == math.inf
-        assert grey_condition(BranchingMechanism(1.0, 0.0, mu)) is False
-
-
 class TestConservativeCondition:
     def test_stable_low_index_explodes(self):
         assert conservative_condition(stable_to_generic(0.0, 0.0, 1.0, 0.5)) is False
@@ -356,7 +332,6 @@ def test_stable_part_of_a_sum_decides_the_conditions(alpha):
     mu = LevyMeasure.sum_of([mech.mu, LevyMeasure.uniform(1.0, 0.0, 1.0)])
     assert mu.kind == "sum"
     with_uniform = BranchingMechanism(mech.b, mech.c, mu)
-    assert grey_condition(with_uniform) is grey_condition(mech)
     assert conservative_condition(with_uniform) is conservative_condition(mech)
 
 
@@ -397,6 +372,15 @@ class TestSumOfNormalForm:
         assert LevyMeasure.sum_of([zero, LevyMeasure.sum_of([x])]) is x
         assert parse_measure(f"{self.TEXT[x]} + none", "test") == x
         assert parse_measure(f"none + {self.TEXT[x]}", "test") == x
+
+    @pytest.mark.parametrize("text", ["uniform rate=0 lo=0 hi=1", "stable alpha=0.5 sigma=0"],
+                             ids=["uniform-rate-0", "stable-sigma-0"])
+    def test_zero_weight_part_is_zero(self, text):
+        # a part of zero weight is the zero measure, so a sum drops it as it drops none
+        part = parse_measure(text, "test")
+        assert part == LevyMeasure.zero() and part.is_zero
+        assert parse_measure(f"{text} + {self.TEXT[self.UNI]}", "test") == self.UNI
+        assert parse_measure(f"{text} + {text}", "test") == LevyMeasure.zero()
 
 
 @pytest.mark.parametrize("g, want", [

@@ -6,15 +6,13 @@ import pytest
 from scipy import integrate as sciint
 
 from cbic import quadrature
-from cbic.measures import overlap_integrate, overlap_moment
+from cbic.measures import overlap_moment
 from cbic.mechanisms import (
     BranchingMechanism, ImmigrationMechanism, LevyMeasure, _phi_jump_integral, _psi_jump_integral,
     log_jump_integral,
 )
-from cbic.quadrature import (
-    ABS_TOL, REL_TOL, QuadratureError, _LIMIT, _quad_piece, integrate, tail_integral,
-)
-from cbic.simulator import cbi_laplace
+from cbic.quadrature import ABS_TOL, REL_TOL, QuadratureError, _LIMIT, _quad_piece, integrate
+from references import cbi_laplace, overlap_integrate, tail_integral
 
 
 class TestIntegrate:

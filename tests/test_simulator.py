@@ -27,17 +27,12 @@ from cbic.simulator import (
     GAP_TOL,
     SimConfig,
     SimulationError,
-    cbi_laplace,
-    mean_with_dt_refinement,
     resolve_eps,
-    sample_stable_increment,
-    simulate_coupled,
     simulate_coupled_ensemble,
     simulate_ensemble,
     simulate_ensembles,
-    simulate_path,
-    solve_vt,
 )
+from references import cbi_laplace, mean_with_dt_refinement, solve_vt, stable_increments
 
 
 class TestSolveVt:
@@ -94,14 +89,14 @@ class TestCbiLaplace:
 class TestStableIncrements:
     def test_subordinator_nonnegative(self):
         rng = np.random.default_rng(0)
-        inc = sample_stable_increment(0.5, 0.02, rng, size=5000)
+        inc = stable_increments(0.5, 0.02, rng, 5000)
         assert (inc >= 0.0).all()
 
     @pytest.mark.parametrize("alpha,sign", [(0.5, -1.0), (1.0, None), (1.5, 1.0)])
     def test_laplace_transform_monte_carlo(self, alpha, sign):
         rng = np.random.default_rng(42)
         dt = 0.2
-        inc = sample_stable_increment(alpha, dt, rng, size=400_000)
+        inc = stable_increments(alpha, dt, rng, 400_000)
         for lam in (0.5, 1.0, 2.0):
             vals = np.exp(-lam * inc)
             emp = vals.mean()
@@ -113,13 +108,12 @@ class TestStableIncrements:
             assert abs(emp - target) <= 3.0 * se + 1e-4
 
     def test_index_range_enforced(self):
-        rng = np.random.default_rng(0)
         with pytest.raises(MechanismError):
-            sample_stable_increment(2.0, 0.1, rng)
+            LevyMeasure.stable(2.0, 1.0)
 
     def test_stream_determinism(self):
-        a = sample_stable_increment(1.5, 0.1, np.random.default_rng(7), size=10)
-        b = sample_stable_increment(1.5, 0.1, np.random.default_rng(7), size=10)
+        a = stable_increments(1.5, 0.1, np.random.default_rng(7), 10)
+        b = stable_increments(1.5, 0.1, np.random.default_rng(7), 10)
         assert np.array_equal(a, b)
 
 
@@ -138,9 +132,9 @@ class TestSimulatePath:
             ImmigrationMechanism(0.0),
             CompetitionMechanism.none(),
         )
-        p = simulate_path(model, 0.0, SimConfig(dt=1e-3, t_end=1.0, seed=3))
-        assert np.all(p.values == 0.0)
-        assert not p.exploded
+        p = simulate_ensemble(model, [0.0], SimConfig(dt=1e-3, t_end=1.0, seed=3))
+        assert np.all(p.values[:, 0] == 0.0)
+        assert not p.exploded[0]
 
     def test_nonnegative_paths(self):
         model = banded_model(b=2.0, c=0.5)
@@ -165,11 +159,10 @@ class TestSimulatePath:
         cfg = SimConfig(dt=1e-3, t_end=4.0, seed=2, x_max=500.0, n_paths=64)
         res = simulate_ensemble(model, 5.0, cfg, record_times=[4.0])
         assert res.exploded.any()
-        p = simulate_path(model, 5.0, SimConfig(dt=1e-3, t_end=4.0, seed=6, x_max=500.0))
-        if p.exploded:
-            k = np.argmax(~np.isfinite(p.values))
-            assert np.all(~np.isfinite(p.values[k:]))  # frozen at the sentinel
-            assert p.explosion_time == pytest.approx(p.times[k])
+        p = simulate_ensemble(model, [5.0], SimConfig(dt=1e-3, t_end=4.0, seed=6, x_max=500.0))
+        if p.exploded[0]:
+            k = np.argmax(~np.isfinite(p.values[:, 0]))
+            assert np.all(~np.isfinite(p.values[k:, 0]))  # frozen at the sentinel
 
     def test_cb_ensemble_mean_tracks_first_moment(self):
         model = ModelSpec(
@@ -241,9 +234,10 @@ class TestSimulatePath:
 
 class TestSimulateCoupled:
     def test_equal_start_couples_immediately(self, ergodic_v1_model):
-        cp = simulate_coupled(ergodic_v1_model, 1.0, 1.0, SimConfig(dt=1e-3, t_end=0.5, seed=9))
-        assert cp.coupling_time == 0.0
-        assert np.array_equal(cp.x_values, cp.y_values)
+        cp = simulate_coupled_ensemble(ergodic_v1_model, [1.0], [1.0],
+                                       SimConfig(dt=1e-3, t_end=0.5, seed=9), _record_events=True)
+        assert cp.coupling_times[0] == 0.0
+        assert np.array_equal(cp.x_values[:, 0], cp.y_values[:, 0])
 
     def test_a_pair_exploding_in_a_step_does_not_couple_in_it(self):
         # c = 1e308: most pairs explode within a step, some with the follower
@@ -337,14 +331,15 @@ class TestSimulateCoupled:
         )
 
     def test_merge_is_exact_equality(self, ergodic_v1_model):
-        cp = simulate_coupled(ergodic_v1_model, 2.0, 0.5, SimConfig(dt=2e-3, t_end=12.0, seed=8))
-        if math.isfinite(cp.coupling_time):
-            k = np.searchsorted(cp.times, cp.coupling_time)
-            assert np.array_equal(cp.x_values[k:], cp.y_values[k:])
+        cp = simulate_coupled_ensemble(ergodic_v1_model, [2.0], [0.5],
+                                       SimConfig(dt=2e-3, t_end=12.0, seed=8), _record_events=True)
+        if math.isfinite(cp.coupling_times[0]):
+            k = np.searchsorted(cp.times, cp.coupling_times[0])
+            assert np.array_equal(cp.x_values[k:, 0], cp.y_values[k:, 0])
 
     def test_requires_ordered_start(self, ergodic_v1_model):
         with pytest.raises(SimulationError):
-            simulate_coupled(ergodic_v1_model, 0.5, 2.0, SimConfig())
+            simulate_coupled_ensemble(ergodic_v1_model, [0.5], [2.0], SimConfig())
 
     def test_follower_marginal_law_quick_ks(self, ergodic_v1_model):
         from scipy.stats import ks_2samp
@@ -648,7 +643,7 @@ class TestLockstep:
         rngs = lambda: [np.random.default_rng(s) for s in (3, 4)]
         sizes = (16, 5)
         per_lane = np.concatenate([
-            sample_stable_increment(alpha, 1e-3, rng, size=n) for rng, n in zip(rngs(), sizes)
+            stable_increments(alpha, 1e-3, rng, n) for rng, n in zip(rngs(), sizes)
         ])
         draws = [simulator._stable_draws(alpha, rng, n) for rng, n in zip(rngs(), sizes)]
         u, w = (np.concatenate(parts) for parts in zip(*draws))
