@@ -11,14 +11,15 @@ code: ``<config> <command> <item> <sha256>``.  ``wv`` runs under the name
 ``laws``: on two fixed laws under both weights, and on a malformed law, which
 exits 2.  Running the script against two source trees and diffing the two
 outputs shows whether a change left every output byte-identical.  The
-configs are the shipped ones plus seven fixed models written below.  Every
-command runs on every config but four: the pure-jump one runs its own two
+configs are the shipped ones plus eight fixed models written below.  Every
+command runs on every config but five: the pure-jump one runs its own two
 starts at 0, the small-stable-index one only ``check-generator`` and
-``lyapunov``, and two models whose paths die mid-run only ``simulate`` and
-``couple``: on one, paths pass ``x_max``, in one 1024-path block and in
-several; on the other, a path's jump intensity passes the steppers' cap.
-There are also two runs of several 1024-path blocks on three configs,
-``rate`` at the benchmark's grid of 101 on two, a ``couple`` start with a
+``lyapunov``, the stable-immigration one only ``rate`` at grids 31 and 101,
+and two models whose paths die mid-run only ``simulate`` and ``couple``: on
+one, paths pass ``x_max``, in one 1024-path block and in several; on the
+other, a path's jump intensity passes the steppers' cap.  There are also two
+runs of several 1024-path blocks on three configs, ``rate`` at the
+benchmark's grid of 101 on four more, a ``couple`` start with a
 gap of 0.01 (x0 = 1, y0 = 0.99) on two stable ones, and a small-gap
 ``couple`` on the same two at an eps where jumps below eps merge pairs and
 double gaps, once more on mixed_vlog with five 1024-path lanes.  No CLI
@@ -165,6 +166,26 @@ g = power k=3.0 p=1.5
 weight = vlog
 """
 
+# a stable immigration part under the logarithmic weight that certifies, so
+# that the grid check's immigration sweep term takes its stable branch; it runs
+# only ``rate``
+STABLE_NU_VLOG = """\
+[branching]
+b = 0.6
+c = 0.2
+mu = uniform rate=1.0 lo=0.0 hi=1.0
+
+[immigration]
+beta = 0.2
+nu = stable alpha=0.5 sigma=0.2
+
+[competition]
+g = power k=1.0 p=1.5
+
+[certificate]
+weight = vlog
+"""
+
 # a Gaussian part and immigration jumps of 2 under x_max = 4: about an eighth
 # of the simulated paths and a quarter of the coupled leaders pass x_max
 # within t_end, many of these after their pair has coupled
@@ -238,8 +259,9 @@ WIDE_COMMANDS = (
     ("couple-wide", ["couple", "--paths", "2100", "--t-end", "0.05"]),
 )
 
-# the benchmark's certificate grid, on the search-bound and the validation-bound model
-GRID_CONFIGS = ("ergodic_v1", "nu_jump")
+# the benchmark's certificate grid on the three models whose ``rate`` certifies in
+# the benchmark, and on mixed_vlog, whose search keeps no candidate
+GRID_CONFIGS = ("ergodic_v1", "nu_jump", "stable_power_vlog", "mixed_vlog")
 GRID_COMMANDS = (("rate-grid101", ["rate", "--grid", "101"]),)
 
 # a small-gap start on two stable configs: a gap of 0.01 merges and doubles
@@ -273,6 +295,8 @@ PURE_JUMP_COMMANDS = (
     ("couple-x0-1-y0-0", ["couple", "--x0", "1", "--y0", "0", "--paths", "100", "--t-end", "0.05"]),
 )
 
+
+STABLE_NU_COMMANDS = (("rate-vlog", ["rate", "--grid", "31", "--weight", "vlog"]),) + GRID_COMMANDS
 
 SMALL_ALPHA_COMMANDS = (
     ("check-generator", ["check-generator"]),
@@ -326,13 +350,15 @@ def _configs():
         with open(os.path.join(ROOT, "configs", f"{name}.cfg")) as fh:
             out[name] = fh.read()
     out.update(nu_jump=NU_JUMP, mixed_vlog=MIXED_VLOG, mixed_v1=MIXED_V1, pure_jump=PURE_JUMP,
-               small_alpha_vlog=SMALL_ALPHA_VLOG, x_max_hits=X_MAX_HITS, lam_cap=LAM_CAP)
+               small_alpha_vlog=SMALL_ALPHA_VLOG, stable_nu_vlog=STABLE_NU_VLOG,
+               x_max_hits=X_MAX_HITS, lam_cap=LAM_CAP)
     return out
 
 
 def _commands(cfg_name):
     only = {"pure_jump": PURE_JUMP_COMMANDS, "small_alpha_vlog": SMALL_ALPHA_COMMANDS,
-            "x_max_hits": X_MAX_COMMANDS, "lam_cap": LAM_CAP_COMMANDS}
+            "stable_nu_vlog": STABLE_NU_COMMANDS, "x_max_hits": X_MAX_COMMANDS,
+            "lam_cap": LAM_CAP_COMMANDS}
     if cfg_name in only:
         return only[cfg_name]
     return (

@@ -12,9 +12,10 @@ function into an explicit exponential-ergodicity rate:
   (6) lam2 = the minimum of the five regional contraction constants;
   (7) lam = min(C1, lam2)/2 and eps = 4 C0 / (lam2 theta).
 
-x0 is optimized by golden-section search, C1 by a geometric sweep, lam0
-over a feasibility grid; every emitted certificate is validated by the grid
-inequality eps*LF0 + LV(x) + LV(y) <= -lam G0(x, y).
+x0 is optimized by golden-section search, run for every (lam0, C1) pair at
+once, C1 by a geometric sweep, lam0 over a feasibility grid; every emitted
+certificate is validated by the grid inequality
+eps*LF0 + LV(x) + LV(y) <= -lam G0(x, y).
 
 The V-weighted total-variation distance int (1+V) d|gamma - eta| doubles as
 the Wasserstein distance for the cost (2 + V(x) + V(y)) 1{x != y}; both
@@ -43,7 +44,7 @@ from .generator import (
     lyapunov_certify,
 )
 from .measures import kappa, overlap_mass
-from .mechanisms import ModelSpec, phi_eval, psi_eval
+from .mechanisms import ModelSpec, elementwise, phi_eval, psi_eval
 from .simulator import (
     CoupledEnsembleResult,
     SimConfig,
@@ -190,30 +191,29 @@ def _q_and_rstar(model: ModelSpec, x0: float, nu_cube: float):
     [0, r_* x0] ending at r_* x0, the "grid max" of the certificate's
     provenance line.
     """
+    slope, b, g = 3.0 / x0, abs(model.b), model.g._unguarded
+    drop = 3.0 * model.beta / (4.0 * x0)
 
     def D(x):
-        return (
-            3.0 / x0 * (abs(model.b) * x + float(model.g(x)))
-            - 3.0 * model.beta / (4.0 * x0)
-            - nu_cube / 8.0
-        )
+        return slope * (b * x + float(g(x))) - drop - nu_cube / 8.0
 
-    if D(0.0) >= 0.0:
-        return None, None
-    if D(0.5 * x0) < 0.0:
-        r_star = 0.5
-    else:
-        lo, hi = 0.0, 0.5
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            if D(mid * x0) < 0.0:
-                lo = mid
-            else:
-                hi = mid
-        r_star = lo
-    if r_star <= 0.0:
-        return None, None
-    return -D(r_star * x0), r_star
+    with np.errstate(over="ignore"):  # g beyond the float range is inf, as model.g gives it
+        if D(0.0) >= 0.0:
+            return None, None
+        if D(0.5 * x0) < 0.0:
+            r_star = 0.5
+        else:
+            lo, hi = 0.0, 0.5
+            for _ in range(60):
+                mid = 0.5 * (lo + hi)
+                if D(mid * x0) < 0.0:
+                    lo = mid
+                else:
+                    hi = mid
+            r_star = lo
+        if r_star <= 0.0:
+            return None, None
+        return -D(r_star * x0), r_star
 
 
 def _kappa_minima(model: ModelSpec, lambda0: float, table):
@@ -230,9 +230,10 @@ def _kappa_minima(model: ModelSpec, lambda0: float, table):
     return np.minimum.accumulate(c_lam2 * np.exp(-lambda0 * xs) + vals)
 
 
-def _kappa(minima, xs, x0: float) -> float:
-    """kappa at x0 from :func:`_kappa_minima`, shaved for the grid resolution."""
-    return 0.5 * float(minima[np.searchsorted(xs, x0, "right") - 1]) * 0.995
+def _kappa(minima, row, xs, x0):
+    """kappa at x0 from row ``row`` of the stacked :func:`_kappa_minima`, shaved for
+    the grid resolution; elementwise over ``row`` and ``x0`` broadcast together."""
+    return 0.5 * minima[row, np.searchsorted(xs, x0, "right") - 1] * 0.995
 
 
 def _x0_constants(model: ModelSpec, x0: float, nu_cube: float, sq_small: float):
@@ -253,65 +254,101 @@ def _x0_constants(model: ModelSpec, x0: float, nu_cube: float, sq_small: float):
     return q, r_star, r, H
 
 
+_DEGENERATE = (math.nan,) * 4  # (q, r_star, r, H) of an x0 without constants
+
+
 def _pipeline_at(lambda0, x0, lam1, c1, kappa, x0_constants):
-    """Steps (5)-(7) at one x0: the RateCertificate fields that depend on x0, or None.
+    """Steps (5)-(7) at candidates (lambda0, lam1, C1, x0) with kappa at x0, elementwise
+    over arrays of one shape: the RateCertificate fields that depend on x0, with
+    lam = -inf where a candidate degenerates.
 
-    ``kappa`` is step (1) at x0 and ``x0_constants(x0)`` gives :func:`_x0_constants`.
+    ``x0_constants(x0)`` gives :func:`_x0_constants`; it is called only where
+    kappa > 0.  Elsewhere, and where it gives None, the constants are nan, so
+    lam1 psi(r x0/2) is nan and fails the check lam1 psi(r x0/2) > 0, which with
+    lam1 > 0 also checks psi(r x0/2) > 0.  The arithmetic is IEEE on numpy
+    arrays and the two expm1 run element by element, so each candidate has the
+    bits of its evaluation alone.  np.fmax and np.fmin pass over a nan, as
+    Python's max and min do after a first value that is not nan.
     """
-    if not kappa > 0.0:
-        return None
-    consts = x0_constants(x0)
-    if consts is None:
-        return None
-    q, r_star, r, H = consts
-    psi_a = -math.expm1(-lambda0 * x0 / 2.0)
-    psi_rb = -math.expm1(-lambda0 * r * x0 / 2.0)
-    if psi_rb <= 0.0 or lam1 * psi_rb <= 0.0:
-        return None
-    theta = max(4.0, 2.0 * H / lam1, 4.0 * H / (r * kappa * x0), 8.0 * H / (lam1 * psi_rb))
-    if not np.isfinite(theta):
-        return None
-    lam2 = min(
-        lam1 * theta * psi_a / (2.0 * (1.0 + theta)),
-        min(x0 * kappa, lam1) * theta / (1.0 + theta),
-        q / (2.0 * (1.0 + theta)),
-        min(r * kappa * x0 / 2.0, lam1) * theta / (2.0 * (1.0 + theta)),
-        lam1 * theta * psi_rb / (8.0 * (1.0 + theta)),
-    )
-    if not lam2 > 0.0:
-        return None
-    return dict(lam=min(c1, lam2) / 2.0, x0=x0, kappa=kappa, q=q, r_star=r_star, r=r, H=H,
-                theta=theta, lambda2=lam2)
+    consts = [(x0_constants(x) or _DEGENERATE) if live else _DEGENERATE
+              for x, live in zip(x0.ravel().tolist(), (kappa > 0.0).ravel().tolist())]
+    q, r_star, r, H = np.array(consts).T.reshape((4,) + x0.shape)
+    with np.errstate(all="ignore"):  # as float arithmetic: inf and nan, no warning
+        psi_a = -elementwise(math.expm1, -lambda0 * x0 / 2.0)
+        psi_rb = -elementwise(math.expm1, -lambda0 * r * x0 / 2.0)
+        rkx, lam1_psi_rb = r * kappa * x0, lam1 * psi_rb
+        theta = functools.reduce(np.fmax, (2.0 * H / lam1, 4.0 * H / rkx, 8.0 * H / lam1_psi_rb),
+                                 4.0)
+        lam1_theta, twice = lam1 * theta, 2.0 * (1.0 + theta)
+        lam2 = functools.reduce(np.fmin, (
+            lam1_theta * psi_a / twice,
+            np.minimum(x0 * kappa, lam1) * theta / (1.0 + theta),
+            q / twice,
+            np.minimum(rkx / 2.0, lam1) * theta / twice,
+            lam1_theta * psi_rb / (8.0 * (1.0 + theta)),
+        ))
+        ok = (lam1_psi_rb > 0.0) & np.isfinite(theta) & (lam2 > 0.0)
+        lam = np.where(ok, np.minimum(c1, lam2) / 2.0, -math.inf)
+    return dict(lam=lam, x0=x0, kappa=kappa, q=q, r_star=r_star, r=r, H=H, theta=theta,
+                lambda2=lam2)
 
 
-def _golden_x0(evaluate, lo, hi):
-    """The constants of the x0 in [lo, hi] that maximizes lam, or None.
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
-    20 golden-section steps refine the best of 9 equally spaced probes.  Each
-    point is scored (lam or -inf, -x0, constants), so ties go to the smaller x0.
+
+def _golden_x0(evaluate, lo, hi, n):
+    """For each of n candidates at once, the x0 in [lo, hi] that maximizes its lam:
+    arrays (lam, x0), lam = -inf where every point degenerated.
+
+    ``evaluate(x0)`` gives lam at an array of x0 whose last axis runs over the
+    candidates.  20 golden-section steps refine the best of 9 equally spaced
+    probes, each step choosing its side per candidate.  Ties go to the smaller
+    x0: among the probes, at each step, and among the last two points and the
+    best probe.
     """
-
-    def score(x0):
-        consts = evaluate(x0)
-        return (consts["lam"] if consts else -math.inf, -x0, consts)
-
     probes = np.linspace(lo, hi, 9)
-    scored = [score(float(p)) for p in probes]
-    best_i = int(np.argmax([s[0] for s in scored]))
-    a = probes[max(best_i - 1, 0)]
-    b = probes[min(best_i + 1, probes.size - 1)]
-    inv = (math.sqrt(5.0) - 1.0) / 2.0
-    s1 = score(b - inv * (b - a))
-    s2 = score(a + inv * (b - a))
+    each = np.arange(n)
+    scores = evaluate(np.repeat(probes[:, None], n, axis=1))
+    best = np.argmax(scores, axis=0)
+    xp, fp = probes[best], scores[best, each]
+    a, b = probes[np.maximum(best - 1, 0)], probes[np.minimum(best + 1, probes.size - 1)]
+    x1, x2 = b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)
+    f1, f2 = evaluate(x1), evaluate(x2)
     for _ in range(20):
-        if s1[0] >= s2[0]:  # ties toward the smaller x0
-            b, s2 = -s2[1], s1
-            s1 = score(b - inv * (b - a))
-        else:
-            a, s1 = -s1[1], s2
-            s2 = score(a + inv * (b - a))
-    cands = [s for s in (s1, s2, scored[best_i]) if s[2] is not None]
-    return max(cands, key=lambda s: s[:2])[2] if cands else None
+        left = f1 >= f2  # the bracket keeps its left part: ties toward the smaller x0
+        a, b = np.where(left, a, x1), np.where(left, x2, b)
+        kept_x, kept_f = np.where(left, x1, x2), np.where(left, f1, f2)
+        new_x = np.where(left, b - _GOLDEN * (b - a), a + _GOLDEN * (b - a))
+        new_f = evaluate(new_x)
+        x1, f1 = np.where(left, new_x, kept_x), np.where(left, new_f, kept_f)
+        x2, f2 = np.where(left, kept_x, new_x), np.where(left, kept_f, new_f)
+    xs, fs = np.stack([x1, x2, xp]), np.stack([f1, f2, fp])
+    top = fs.max(axis=0)
+    return top, xs[np.argmin(np.where(fs == top, xs, math.inf), axis=0), each]
+
+
+def _search_x0(pairs, minima, xs, lo, hi, x0_constants):
+    """The certificate fields of the (lambda0, C1, x0) with the largest lam, or None.
+
+    ``pairs`` lists (row of ``minima``, lambda0, Psi(lambda0), C1, C0, l, lambda1)
+    for each (lambda0, C1) pair in search order; all pairs search x0 in lockstep
+    (:func:`_golden_x0`), and of equal lams the first pair's wins.
+    """
+    if not pairs:
+        return None
+    row, lam0, _, c1, _, _, lam1 = map(np.array, zip(*pairs))
+
+    def evaluate(x0):
+        return _pipeline_at(lam0, x0, lam1, c1, _kappa(minima, row, xs, x0), x0_constants)
+
+    lam, x0 = _golden_x0(lambda x0: evaluate(x0)["lam"], lo, hi, len(pairs))
+    j = int(np.argmax(lam))  # the first of equals
+    if lam[j] == -math.inf:
+        return None
+    _, lambda0, psi0, c1, c0, l_cut, lam1 = pairs[j]
+    k = {name: float(v[j]) for name, v in evaluate(x0).items()}
+    return dict(k, lambda0=lambda0, psi_at_lambda0=psi0, C0=c0, C1=c1, l=l_cut, lambda1=lam1,
+                epsilon=4.0 * c0 / (k["lambda2"] * k["theta"]))
 
 
 def certified_drift(model: ModelSpec, weight: WeightFunction) -> LyapunovCertificate:
@@ -336,16 +373,18 @@ def compute_rate_certificate(
     ``lyapunov`` one carries the report of :func:`~cbic.generator.lyapunov_certify`,
     whose (C1, C0) pairs the search visits.
 
-    The search visits each (lambda0, C1) pair and golden-section searches x0
-    within it.  Each quantity is computed once for the values it depends on,
-    and nothing is kept beyond this call:
+    The search golden-section searches x0 for every (lambda0, C1) pair at once,
+    one array of candidates per step (:func:`_search_x0`).  Each quantity is
+    computed once for the values it depends on, and nothing is kept beyond
+    this call:
 
     - per lambda0: the running minima of kappa's table (:func:`_kappa_minima`),
-      which every x0 reads at its last table point;
+      stacked one row per lambda0, which every x0 reads at its last table point;
     - per (lambda0, C1): l and lambda1;
     - per distinct x0: q, r_star, r and H (:func:`_x0_constants`), which
       depend on neither lambda0 nor C1;
-    - per (lambda0, C1, x0): kappa, theta, lambda2 and lambda.
+    - per (lambda0, C1, x0), elementwise over the pairs: kappa, one gather in
+      the stacked minima, then theta, lambda2 and lambda (:func:`_pipeline_at`).
 
     :func:`validate_certificate` lists what the grid check computes per row
     and per gap.
@@ -371,13 +410,12 @@ def compute_rate_certificate(
     nu_cube = model.nu.moment(3.0, 0.0, 1.0) + model.nu.mass_above(1.0)  # int min(1, z^3) nu
     hi = min(c0, 1.0) * (1.0 - 1e-9)
     lo = min(1e-4, hi / 8.0)
-    x0_constants = functools.cache(lambda x0: _x0_constants(model, x0, nu_cube, sq_small))
-
-    best = None  # the constants of the largest lam so far; the first of equals wins
+    rows, pairs = [], []  # the minima of each lambda0; the search's (lambda0, C1) pairs
     for lam0, psi0 in cand0:
         minima = _kappa_minima(model, lam0, table)
         if minima is None:  # kappa's grid is not representable
             continue
+        rows.append(minima)
         for c1, c0_ly in ly.pairs:
             l_cut = max(1.0, weight.inverse(12.0 * c0_ly / c1))
             if not np.isfinite(l_cut):
@@ -385,11 +423,9 @@ def compute_rate_certificate(
             lam1 = math.exp(-lam0 * l_cut) * psi0 / lam0
             if lam1 < 1e-280:  # certificate would be denormal-degenerate
                 continue
-            ev = lambda x0: _pipeline_at(lam0, x0, lam1, c1, _kappa(minima, xs, x0), x0_constants)
-            k = _golden_x0(ev, lo, hi)
-            if k is not None and (best is None or k["lam"] > best["lam"]):
-                best = dict(k, lambda0=lam0, psi_at_lambda0=psi0, C0=c0_ly, C1=c1, l=l_cut,
-                            lambda1=lam1, epsilon=4.0 * c0_ly / (k["lambda2"] * k["theta"]))
+            pairs.append((len(rows) - 1, lam0, psi0, c1, c0_ly, l_cut, lam1))
+    x0_constants = functools.cache(lambda x0: _x0_constants(model, x0, nu_cube, sq_small))
+    best = _search_x0(pairs, np.array(rows), xs, lo, hi, x0_constants)
     if best is None:
         raise CertificateError(
             "contraction", "every (lambda0, C1, x0) combination degenerated to lambda <= 0"

@@ -28,7 +28,7 @@ from typing import Callable, List, Tuple
 import numpy as np
 
 from .measures import overlap_mass, overlap_moment
-from .mechanisms import ModelSpec, elementwise, log_jump_integral
+from .mechanisms import LevyMeasure, ModelSpec, elementwise, log_jump_integral, summed
 
 __all__ = [
     "WeightFunction",
@@ -329,6 +329,19 @@ class CouplingControl:
         return self.epsilon * self.F0(x, y) + self.V0(weight, x, y)
 
 
+@summed(sum)
+def _sweep_overlaps(nu: LevyMeasure, gap, cut: float):
+    """The overlap of ``nu`` at the shifts -gap: its moments 1 to 3 on (0, cut) and
+    its mass above cut, stacked on a first axis of 4, elementwise over the array
+    ``gap``.  A stable part takes its mass one float gap at a time, since array
+    power rounds differently (:func:`~cbic.measures.overlap_mass`)."""
+    if nu.kind == "stable":
+        above = elementwise(lambda g: overlap_mass(nu, -g, cut, math.inf), gap)
+    else:
+        above = overlap_mass(nu, -gap, cut, math.inf)
+    return np.array([*(overlap_moment(nu, -gap, k, cut) for k in (1, 2, 3)), above])
+
+
 def _sweep_nu_term(model: ModelSpec, ctrl: CouplingControl, x: float, gap):
     """int [phi(x+z) - phi(x)] (nu - nu_{-gap})(dz) for x < x0 (else 0), elementwise
     over an array ``gap``.
@@ -336,14 +349,14 @@ def _sweep_nu_term(model: ModelSpec, ctrl: CouplingControl, x: float, gap):
     With w = 1 - x/x0 and h = z/x0, phi(x+z) - phi(x) is -(3 w^2 h - 3 w h^2 + h^3)
     below the cut x0 - x and -w^3 above it, so the term takes the moments 1 to 3
     on (0, cut) and the mass above the cut of nu less its overlap at -gap.  The
-    overlap moments and mass are evaluated at one float gap at a time.
+    overlaps are evaluated over all of ``gap`` at once (:func:`_sweep_overlaps`),
+    each element with the bits of its float gap alone.
     """
     if x >= ctrl.x0 or model.nu.is_zero:
         return 0.0
     x0, nu, w, cut = ctrl.x0, model.nu, 1.0 - x / ctrl.x0, ctrl.x0 - x
-    d1, d2, d3 = (nu.moment(k, 0.0, cut)
-                  - elementwise(lambda g: overlap_moment(nu, -g, k, cut), gap) for k in (1, 2, 3))
-    above = nu.mass_above(cut) - elementwise(lambda g: overlap_mass(nu, -g, cut, math.inf), gap)
+    whole = [nu.moment(k, 0.0, cut) for k in (1, 2, 3)] + [nu.mass_above(cut)]
+    d1, d2, d3, above = (f - ov for f, ov in zip(whole, _sweep_overlaps(nu, np.asarray(gap), cut)))
     return -(3.0 * w * w * d1 / x0 - 3.0 * w * d2 / x0**2 + d3 / x0**3) - w**3 * above
 
 

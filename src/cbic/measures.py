@@ -13,7 +13,7 @@ m_x(0, 0 v x] = 0, m_x(0, inf) = m_{-x}(0, inf) <= m(|x|, inf)/2.
 part kind evaluated elementwise over shifts: the coupled stepper takes its
 sub-eps lasso rates from it per pair, :func:`kappa` and the certificate per shift.
 :func:`overlap_moment` gives the closed moments below a cut that the
-certificate's immigration sweep term takes.
+certificate's immigration sweep term takes, elementwise over shifts as well.
 
 Atoms only pair under exact location equality after the shift (1e-12 slack):
 the infimum of measures is singular-part aware, and approximate matching
@@ -26,11 +26,19 @@ density and all the atoms of the measure.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
 
-from .mechanisms import LevyMeasure, ModelSpec, _power_integral, stable_density_prefactor, summed
+from .mechanisms import (
+    LevyMeasure,
+    ModelSpec,
+    _power_integral,
+    elementwise,
+    stable_density_prefactor,
+    summed,
+)
 
 ATOM_SLACK = 1e-12
 
@@ -42,12 +50,6 @@ def _atom_mass_at(base: LevyMeasure, loc):
     for a, m in reversed(base.atoms()):  # the first match is written last
         out[(np.abs(a - loc) <= ATOM_SLACK * max(1.0, abs(a))) & (loc > 0)] = m
     return out[()]
-
-
-def overlap_atoms(base: LevyMeasure, x: float):
-    """Atoms of the overlap measure: (loc, min(m(loc), m(loc-x))/2) pairs."""
-    pairs = ((a, m, float(_atom_mass_at(base, a - x))) for a, m in base.atoms())
-    return tuple((a, 0.5 * min(m, shifted)) for a, m, shifted in pairs if shifted > 0)
 
 
 @summed(sum)
@@ -90,23 +92,41 @@ def overlap_mass(base: LevyMeasure, x, lo: float = 0.0, hi: float = math.inf):
 
 
 @summed(sum)
-def overlap_moment(base: LevyMeasure, x: float, k: int, hi: float) -> float:
-    """int_0^hi z^k m_x(dz) for an integer k >= 1 and a finite hi; may be inf.
+def overlap_moment(base: LevyMeasure, x, k: int, hi: float):
+    """int_0^hi z^k m_x(dz) for an integer k >= 1 and a finite hi, elementwise over
+    the shifts ``x``; may be inf.
 
-    A stable part (index a < 1, as in an immigration measure; density D z^(-1-a))
-    gives at x = -g < 0 (D/2) hi^(k-a) T^(1+a) 2F1(1+a, k+1; k+2; -T)/(k+1), T = hi/g.
-    Below g = 1e-100 hi, where 2F1 underflows, T^(1+a) 2F1 is its expansion at
-    T = inf, (k+1)/(k-a) + (k+1)! T^(a-k)/prod_{j=0..k} (a-j), exact there.
-    Uniform parts and atoms overlap as in :func:`overlap_mass`.
+    A float shift gives a float, an array of shifts an array of its shape.  Each
+    element has the bits of its shift alone: uniform parts and atoms, which
+    overlap as in :func:`overlap_mass`, are evaluated on arrays with their powers
+    element by element, and a stable part one shift at a time
+    (:func:`_stable_overlap_moment`).
     """
-    if base.kind == "atoms":
-        return sum(m * a**k for a, m in overlap_atoms(base, x) if a <= hi)
-    if base.kind == "uniform":
+    if base.kind == "stable":
+        return elementwise(lambda s: _stable_overlap_moment(base, s, k, hi), x)
+    x = np.asarray(x, dtype=float)
+    if base.kind == "atoms":  # an atom without a partner at a - x adds 0.5 min(m, 0) a^k = 0
+        v = sum(0.5 * np.minimum(m, _atom_mass_at(base, a - x)) * a**k
+                for a, m in base.atom_data if a <= hi)
+    elif base.kind == "uniform":
         slo, shi = base.support
-        a, b = max(slo, slo + x), min(hi, shi, shi + x)
-        return _power_integral(0.5 * base.rate, k + 1.0, a, b) if b > a else 0.0
-    if base.kind != "stable":
-        return 0.0
+        a, b = np.maximum(slo, slo + x), np.minimum(min(hi, shi), shi + x)
+        integral = functools.partial(_power_integral, 0.5 * base.rate, k + 1.0)
+        v = np.where(b > a, elementwise(integral, a, b), 0.0)
+    else:
+        v = 0.0
+    return float(v) if x.ndim == 0 else np.full(x.shape, v)
+
+
+def _stable_overlap_moment(base: LevyMeasure, x: float, k: int, hi: float) -> float:
+    """:func:`overlap_moment` of a stable part (index a < 1, as in an immigration
+    measure; density D z^(-1-a)) at one float shift x.
+
+    At x = -g < 0 it is (D/2) hi^(k-a) T^(1+a) 2F1(1+a, k+1; k+2; -T)/(k+1),
+    T = hi/g.  Below g = 1e-100 hi, where 2F1 underflows, T^(1+a) 2F1 is its
+    expansion at T = inf, (k+1)/(k-a) + (k+1)! T^(a-k)/prod_{j=0..k} (a-j), exact
+    there.
+    """
     if x >= 0.0:  # min(f(z), f(z - x)) = f(z) on z > x
         return 0.5 * base.moment(k, x, hi)
     from scipy.special import hyp2f1  # loaded with the stable part's density factor

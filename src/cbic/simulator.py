@@ -763,11 +763,12 @@ def _step_coupled(state: _CoupledState, g: _Group, eps_mu, eps_nu, dt, t_now):
         lam = lam if every else np.where(live, lam, 0.0)
         counts = g.per_lane("mu", lambda r, sl: r.poisson(lam[sl]))
         _apply_jump_events(state, g, counts, plan.model.mu, plan.mu_sampler, "mu", x, t_now)
-    # immigration events
+    # immigration events: a dead pair's rate is 0, which takes no number from the stream
     if plan.nu_rate > 0:
-        counts = g.per_lane("nu", lambda r, sl: r.poisson(plan.nu_rate * dt, sl.stop - sl.start))
-        _apply_jump_events(state, g, counts if every else counts * live, plan.model.nu,
-                           plan.nu_sampler, "nu", None, t_now)
+        rate = plan.nu_rate * dt if every else np.where(live, plan.nu_rate * dt, 0.0)
+        counts = g.per_lane("nu", lambda r, sl: r.poisson(rate, sl.stop - sl.start) if every
+                            else r.poisson(rate[sl]))
+        _apply_jump_events(state, g, counts, plan.model.nu, plan.nu_sampler, "nu", None, t_now)
     # sub-eps lasso corrections: merges and gap doublings carried by small jumps
     if eps_mu > 0.0 or eps_nu > 0.0:
         u_up, u_dn, z_dn = g.per_lane("dis", lambda r, sl: r.random((3, sl.stop - sl.start)))

@@ -9,12 +9,15 @@ the package computes in closed form or by simulation:
 - the coupling generator applied to F0 by quadrature of the two-dimensional
   generator (:func:`coupling_F0_exact`), against which the certificate's
   closed bound is checked;
-- the overlap density and integrals against the overlap measure by
-  quadrature (:func:`overlap_density`, :func:`overlap_integrate`), with the
-  decade-shell tail integral they take over an unbounded range
-  (:func:`tail_integral`);
+- the overlap atoms (:func:`overlap_atoms`), and the overlap density and
+  integrals against the overlap measure by quadrature
+  (:func:`overlap_density`, :func:`overlap_integrate`), with the decade-shell
+  tail integral they take over an unbounded range (:func:`tail_integral`);
 - the spectrally positive stable increments of one stream
-  (:func:`stable_increments`).
+  (:func:`stable_increments`);
+- the rate certificate's x0 search one (lambda0, C1) pair and one x0 at a time
+  (:func:`search_x0_per_pair`), and the immigration sweep term of the drift
+  bound one gap at a time (:func:`sweep_nu_term_per_point`).
 
 The oracles call ``quadrature.integrate``, ``quadrature._quad_piece``,
 ``simulator._drive`` and ``simulator._step_single`` through their modules, so
@@ -29,13 +32,14 @@ import numpy as np
 
 from cbic import quadrature, simulator
 from cbic.generator import CouplingControl
-from cbic.measures import overlap_atoms
+from cbic.measures import _atom_mass_at, _stable_overlap_moment, overlap_mass
 from cbic.mechanisms import (
     BranchingMechanism,
     ImmigrationMechanism,
     LevyMeasure,
     MechanismError,
     ModelSpec,
+    _power_integral,
     exp_quotient,
     phi_eval,
     psi_eval,
@@ -152,6 +156,12 @@ def tail_integral(fn, lo):
     return head + _shell_sum(fn, [h * 10.0**k for k in range(12)])
 
 
+def overlap_atoms(base: LevyMeasure, x: float):
+    """Atoms of the overlap measure: (loc, min(m(loc), m(loc-x))/2) pairs."""
+    pairs = ((a, m, float(_atom_mass_at(base, a - x))) for a, m in base.atoms())
+    return tuple((a, 0.5 * min(m, shifted)) for a, m, shifted in pairs if shifted > 0)
+
+
 def overlap_density(base: LevyMeasure, x: float, z):
     """Density of the overlap measure: min(f(z), f(z-x))/2, f extended by 0."""
     z = np.atleast_1d(np.asarray(z, dtype=float))
@@ -263,3 +273,110 @@ def coupling_F0_exact(model: ModelSpec, ctrl: CouplingControl, x: float, y: floa
     l1 += dpsi2 * overlap_integrate(model.nu, gap, lambda z: ctrl.phi(x + z))
     l1 -= (1.0 + psig) * overlap_integrate(model.nu, -gap, lambda z: ctrl.phi(x + z))
     return l0 + l1
+
+
+# -- the immigration sweep term, one gap at a time ------------------------------------
+
+
+@summed(sum)
+def overlap_moment_per_point(base: LevyMeasure, x: float, k: int, hi: float) -> float:
+    """``measures.overlap_moment`` at one float shift, in float arithmetic."""
+    if base.kind == "atoms":
+        return sum(m * a**k for a, m in overlap_atoms(base, x) if a <= hi)
+    if base.kind == "uniform":
+        slo, shi = base.support
+        a, b = max(slo, slo + x), min(hi, shi, shi + x)
+        return _power_integral(0.5 * base.rate, k + 1.0, a, b) if b > a else 0.0
+    if base.kind == "stable":
+        return _stable_overlap_moment(base, x, k, hi)
+    return 0.0
+
+
+def sweep_nu_term_per_point(model: ModelSpec, ctrl: CouplingControl, x: float, gap: float):
+    """``generator._sweep_nu_term`` at one float gap: the overlap moments and mass
+    of nu at -gap evaluated at that gap alone."""
+    if x >= ctrl.x0 or model.nu.is_zero:
+        return 0.0
+    x0, nu, w, cut = ctrl.x0, model.nu, 1.0 - x / ctrl.x0, ctrl.x0 - x
+    d1, d2, d3 = (nu.moment(k, 0.0, cut) - overlap_moment_per_point(nu, -gap, k, cut)
+                  for k in (1, 2, 3))
+    above = nu.mass_above(cut) - overlap_mass(nu, -gap, cut, math.inf)
+    return -(3.0 * w * w * d1 / x0 - 3.0 * w * d2 / x0**2 + d3 / x0**3) - w**3 * above
+
+
+# -- the certificate search, one pair and one x0 at a time --------------------------
+
+
+def pipeline_at_per_point(lambda0, x0, lam1, c1, kappa, x0_constants):
+    """Steps (5)-(7) of the rate pipeline at one x0, in float arithmetic: the
+    RateCertificate fields that depend on x0, or None."""
+    if not kappa > 0.0:
+        return None
+    consts = x0_constants(x0)
+    if consts is None:
+        return None
+    q, r_star, r, H = consts
+    psi_a = -math.expm1(-lambda0 * x0 / 2.0)
+    psi_rb = -math.expm1(-lambda0 * r * x0 / 2.0)
+    if psi_rb <= 0.0 or lam1 * psi_rb <= 0.0:
+        return None
+    theta = max(4.0, 2.0 * H / lam1, 4.0 * H / (r * kappa * x0), 8.0 * H / (lam1 * psi_rb))
+    if not np.isfinite(theta):
+        return None
+    lam2 = min(
+        lam1 * theta * psi_a / (2.0 * (1.0 + theta)),
+        min(x0 * kappa, lam1) * theta / (1.0 + theta),
+        q / (2.0 * (1.0 + theta)),
+        min(r * kappa * x0 / 2.0, lam1) * theta / (2.0 * (1.0 + theta)),
+        lam1 * theta * psi_rb / (8.0 * (1.0 + theta)),
+    )
+    if not lam2 > 0.0:
+        return None
+    return dict(lam=min(c1, lam2) / 2.0, x0=x0, kappa=kappa, q=q, r_star=r_star, r=r, H=H,
+                theta=theta, lambda2=lam2)
+
+
+def golden_x0_per_point(evaluate, lo, hi):
+    """The constants of the x0 in [lo, hi] that maximizes lam, or None: 20
+    golden-section steps from the best of 9 equally spaced probes, one point at a
+    time.  Each point is scored (lam or -inf, -x0, constants), so ties go to the
+    smaller x0."""
+
+    def score(x0):
+        consts = evaluate(x0)
+        return (consts["lam"] if consts else -math.inf, -x0, consts)
+
+    probes = np.linspace(lo, hi, 9)
+    scored = [score(float(p)) for p in probes]
+    best_i = int(np.argmax([s[0] for s in scored]))
+    a = probes[max(best_i - 1, 0)]
+    b = probes[min(best_i + 1, probes.size - 1)]
+    inv = (math.sqrt(5.0) - 1.0) / 2.0
+    s1 = score(b - inv * (b - a))
+    s2 = score(a + inv * (b - a))
+    for _ in range(20):
+        if s1[0] >= s2[0]:  # ties toward the smaller x0
+            b, s2 = -s2[1], s1
+            s1 = score(b - inv * (b - a))
+        else:
+            a, s1 = -s1[1], s2
+            s2 = score(a + inv * (b - a))
+    cands = [s for s in (s1, s2, scored[best_i]) if s[2] is not None]
+    return max(cands, key=lambda s: s[:2])[2] if cands else None
+
+
+def search_x0_per_pair(pairs, minima, xs, lo, hi, x0_constants):
+    """``ergodicity._search_x0`` one (lambda0, C1) pair after another: each pair
+    golden-section searches x0 alone, and a later pair wins only with a larger lam."""
+    best = None
+    for row, lam0, psi0, c1, c0, l_cut, lam1 in pairs:
+
+        def evaluate(x0, row=row, lam0=lam0, lam1=lam1, c1=c1):
+            kappa = 0.5 * float(minima[row][np.searchsorted(xs, x0, "right") - 1]) * 0.995
+            return pipeline_at_per_point(lam0, x0, lam1, c1, kappa, x0_constants)
+
+        k = golden_x0_per_point(evaluate, lo, hi)
+        if k is not None and (best is None or k["lam"] > best["lam"]):
+            best = dict(k, lambda0=lam0, psi_at_lambda0=psi0, C0=c0, C1=c1, l=l_cut,
+                        lambda1=lam1, epsilon=4.0 * c0 / (k["lambda2"] * k["theta"]))
+    return best

@@ -1,12 +1,17 @@
+import importlib.util
 import math
-from dataclasses import replace
+import os
+from dataclasses import fields, replace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import references
 from cbic import ergodicity
+from cbic.config import load_config
 from cbic.generator import (
     LyapunovDrift,
     WeightFunction,
@@ -16,6 +21,7 @@ from cbic.generator import (
 from cbic.ergodicity import (
     CertificateError,
     RateCertificate,
+    ValidationReport,
     _kappa,
     _kappa_minima,
     _lambda0_candidates,
@@ -279,10 +285,13 @@ _TABLE_XS = np.linspace(0.0, 1.0, 257)
     i=st.integers(0, 10_000),
 )
 def test_kappa_minima_equal_the_masked_min(kappa_tables, x0, i):
-    """kappa from the running minima equals the minimum over the table's x <= x0."""
-    xs, minima, a_vals = kappa_tables[i % len(kappa_tables)]
+    """kappa from the running minima, read in its row of the stacked minima, equals
+    the minimum over the table's x <= x0."""
+    row = i % len(kappa_tables)
+    xs, _, a_vals = kappa_tables[row]
     assert np.array_equal(xs, _TABLE_XS)
-    assert _kappa(minima, xs, x0) == 0.5 * float(np.min(a_vals[xs <= x0])) * 0.995
+    minima = np.array([m for _, m, _ in kappa_tables])
+    assert _kappa(minima, row, xs, x0) == 0.5 * float(np.min(a_vals[xs <= x0])) * 0.995
 
 
 def test_kappa_minima_need_a_finite_c_lambda0_squared():
@@ -322,8 +331,8 @@ def test_x0_constants_computed_once_per_x0_and_call(stable_power_model, weight, 
         calls.append((x0, nu_cube, sq_small, out))
         return out
 
-    def pipeline(lambda0, x0, *args):
-        visits.append(x0)
+    def pipeline(lambda0, x0, *args):  # candidates in lockstep: an array of x0
+        visits.extend(x0.ravel().tolist())
         return real_pipeline(lambda0, x0, *args)
 
     monkeypatch.setattr(ergodicity, "_x0_constants", constants)
@@ -342,6 +351,114 @@ def test_x0_constants_computed_once_per_x0_and_call(stable_power_model, weight, 
     n = len(calls)
     compute_rate_certificate(model, weight, grid=5)
     assert [c[0] for c in calls[n:]] == x0s
+
+
+_FIELDS = [f.name for f in fields(RateCertificate) if f.name not in ("weight", "validation")]
+
+
+def _search_outcome(model, weight, search):
+    """Every certificate field by float.hex, or the CertificateError's step and text,
+    with ``search`` as the x0 search and a grid check that passes unrun."""
+    passed = lambda model_, cert, grid: ValidationReport(True, 0, 0, 0.0)
+    with mock.patch.object(ergodicity, "_search_x0", search), \
+            mock.patch.object(ergodicity, "validate_certificate", passed):
+        try:
+            cert = compute_rate_certificate(model, weight)
+        except CertificateError as exc:
+            return exc.step, str(exc)
+    return {name: float.hex(float(getattr(cert, name))) for name in _FIELDS}
+
+
+def _assert_lockstep_is_per_pair(model, weight):
+    """The lockstep search gives the certificate, or the error, of the search one
+    (lambda0, C1) pair and one x0 at a time; returns it."""
+    got = _search_outcome(model, weight, ergodicity._search_x0)
+    assert got == _search_outcome(model, weight, references.search_x0_per_pair)
+    return got
+
+
+def _corpus_configs():
+    """{name: config text} of the shipped configs and the fingerprint corpus."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    spec = importlib.util.spec_from_file_location(
+        "fingerprint", os.path.join(root, "scripts", "fingerprint.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module._configs()
+
+
+def test_lockstep_search_equals_per_pair_search_on_the_corpus(tmp_path):
+    """Every certificate field, by float.hex, or the same error, on every shipped and
+    corpus config under both weights."""
+    certified = set()
+    for name, text in _corpus_configs().items():
+        path = tmp_path / f"{name}.cfg"
+        path.write_text(text)
+        model = load_config(str(path)).model
+        for weight in (V1, VLOG):
+            if isinstance(_assert_lockstep_is_per_pair(model, weight), dict):
+                certified.add((name, weight.kind))
+    assert certified == {("ergodic_v1", "v1"), ("stable_power_vlog", "vlog"), ("nu_jump", "v1"),
+                         ("mixed_v1", "v1"), ("x_max_hits", "v1"), ("stable_nu_vlog", "vlog")}
+
+
+def test_golden_steps_keep_the_tie_rules():
+    """The lockstep golden-section search ends, for every candidate, at the lam and
+    x0 of the search of that candidate alone, on scores with ties at every step:
+    plateaus under a cap, steps, stretches that degenerate, and a candidate that
+    degenerates everywhere."""
+    centre = np.array([0.1, 0.5, 0.9, 0.3, 0.05, 0.7, 0.5])
+    lift = np.array([1.0, 1.0, 1.0, 0.5, 1.0, 1.0, 0.0])
+    levels = np.array([4.0, 8.0, 3.0, 16.0, 5.0, 2.0, 4.0])
+    cap = np.array([0.3, 0.5, 1.0, 0.2, 0.25, 0.4, 1.0])
+
+    def score(x0, i=slice(None)):
+        stepped = np.floor((lift[i] - np.abs(x0 - centre[i]) * 2.0) * levels[i]) / levels[i]
+        return np.where(stepped > 0.0, np.minimum(cap[i], stepped), -math.inf)
+
+    lo, hi = 1e-4, 1.0 - 1e-9
+    lam, x0 = ergodicity._golden_x0(score, lo, hi, centre.size)
+    for i in range(centre.size):
+        alone = references.golden_x0_per_point(
+            lambda x: dict(lam=float(score(x, i)), x0=x) if score(x, i) > -math.inf else None,
+            lo, hi)
+        if alone is None:
+            assert lam[i] == -math.inf
+        else:
+            assert (float.hex(lam[i]), float.hex(x0[i])) == (float.hex(alone["lam"]),
+                                                            float.hex(float(alone["x0"])))
+    assert lam[-1] == -math.inf and (lam[:-1] > -math.inf).all()
+
+
+_UNIFORM = st.builds(lambda rate, lo, width: LevyMeasure.uniform(rate, lo, lo + width),
+                     st.floats(0.2, 3.0), st.floats(0.0, 0.5), st.floats(0.2, 2.0))
+_ATOM = st.one_of(st.just(LevyMeasure.zero()),
+                  st.builds(lambda a, m: LevyMeasure.from_atoms([(a, m)]),
+                            st.floats(0.05, 3.0), st.floats(0.1, 1.0)))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    c=st.one_of(st.just(0.0), st.floats(0.05, 1.0)),
+    b=st.floats(-0.5, 2.0),
+    mu=st.one_of(st.just(LevyMeasure.zero()), _UNIFORM,
+                 st.builds(LevyMeasure.stable, st.floats(0.3, 1.8), st.floats(0.2, 1.5))),
+    mu_atom=_ATOM,
+    beta=st.floats(0.05, 1.0),
+    nu=st.one_of(st.just(LevyMeasure.zero()),
+                 st.builds(lambda rate, hi: LevyMeasure.uniform(rate, 0.0, hi),
+                           st.floats(0.2, 1.5), st.floats(0.3, 1.2))),
+    nu_atom=_ATOM,
+    g=st.sampled_from([CompetitionMechanism.none(), CompetitionMechanism.linear(0.7),
+                       CompetitionMechanism.power(1.5, 1.5), CompetitionMechanism.xlog(0.8)]),
+    weight=st.sampled_from([V1, VLOG]),
+)
+def test_lockstep_search_equals_per_pair_search(c, b, mu, mu_atom, beta, nu, nu_atom, g, weight):
+    """The same on random models: a diffusion part or none; zero, uniform or stable
+    mu; zero or uniform nu; atoms added to either; each competition form."""
+    model = ModelSpec(BranchingMechanism(b, c, LevyMeasure.sum_of([mu, mu_atom])),
+                      ImmigrationMechanism(beta, LevyMeasure.sum_of([nu, nu_atom])), g)
+    _assert_lockstep_is_per_pair(model, weight)
 
 
 @pytest.mark.parametrize("name", ["ergodic_v1", "nu_jump", "stable_power_vlog"])

@@ -32,7 +32,7 @@ from cbic.mechanisms import (
 )
 from cbic import quadrature
 from cbic.cli import _write_csv
-from references import coupling_F0_exact, phi_second
+from references import coupling_F0_exact, phi_second, sweep_nu_term_per_point
 
 V1 = WeightFunction.v1()
 VLOG = WeightFunction.vlog()
@@ -327,6 +327,33 @@ class TestCouplingGeneratorF0:
                 t_ov = 0.4 * (lebesgue(min(cut, top)) - w**3 * max(0.0, top - cut))
                 got = _sweep_nu_term(model, ctrl, x, gap)
                 assert got == pytest.approx(t_nu - t_ov, rel=1e-12), (x, gap)
+
+    _ATOMS = ((0.05, 0.3), (0.2, 0.5), (0.25, 0.1), (0.6, 0.2))
+    SWEEP_NUS = {"uniform": LevyMeasure.uniform(0.8, 0.1, 0.9),
+                 "atoms": LevyMeasure.from_atoms(_ATOMS),
+                 "stable": LevyMeasure.stable(0.5, 0.2)}
+    SWEEP_NUS["sum"] = LevyMeasure.sum_of(list(SWEEP_NUS.values()))
+
+    @pytest.mark.parametrize("name", list(SWEEP_NUS))
+    def test_sweep_nu_term_on_arrays_equals_per_gap(self, name):
+        """The term over an array of gaps equals, by float.hex, the term at one float
+        gap at a time, at gaps on both sides of each cut: where the uniform part's
+        overlap ends at the cut and where it vanishes, at each atom spacing (the
+        pairing slack is 1e-12) and at 1e-100 cut (the stable part's expansion)."""
+        nu = self.SWEEP_NUS[name]
+        model = ModelSpec(BranchingMechanism(0.5, 0.0), ImmigrationMechanism(0.2, nu),
+                          CompetitionMechanism.none())
+        ctrl = _control(x0=0.4)
+        for x in (0.0, 0.1, 0.25, 0.37):
+            cut = ctrl.x0 - x
+            edges = [0.9 - cut, 0.8, 1e-100 * cut] + [b - a for a, _ in self._ATOMS
+                                                     for b, _ in self._ATOMS if b > a]
+            gaps = np.concatenate([np.geomspace(1e-6, 3.0, 40)] + [
+                [g * (1.0 - 1e-9), np.nextafter(g, 0.0), g, np.nextafter(g, 1.0), g * (1.0 + 1e-9)]
+                for g in edges])
+            got = _sweep_nu_term(model, ctrl, x, gaps)
+            want = [sweep_nu_term_per_point(model, ctrl, x, g) for g in gaps.tolist()]
+            assert list(map(float.hex, got.tolist())) == list(map(float.hex, want)), x
 
     def test_nonpositive_beyond_l_away_from_origin(self, ergodic_v1_model):
         ctrl = _control(psi0=psi_eval(ergodic_v1_model.branching, 0.8))

@@ -5,10 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cbic.measures import kappa, overlap_atoms, overlap_mass, overlap_moment, rn_ratio_many
+from cbic.measures import kappa, overlap_mass, overlap_moment, rn_ratio_many
 from cbic import quadrature
 import references
-from references import _overlap_dens1, overlap_density, overlap_integrate
+from references import (
+    _overlap_dens1,
+    overlap_atoms,
+    overlap_density,
+    overlap_integrate,
+    overlap_moment_per_point,
+)
 from cbic.mechanisms import (
     BranchingMechanism,
     CompetitionMechanism,
@@ -192,6 +198,26 @@ class TestOverlapMoment:
 
     def test_power_beyond_the_float_range_is_inf(self):
         assert overlap_moment(self.NU, -1.0, 2, 1e308) == math.inf
+
+    PARTS = {"uniform": LevyMeasure.uniform(0.8, 0.1, 0.9),
+             "atoms": LevyMeasure.from_atoms([(0.05, 0.3), (0.2, 0.5), (0.25, 0.1)]),
+             "stable": NU}
+    PARTS["sum"] = LevyMeasure.sum_of(list(PARTS.values()))
+
+    @pytest.mark.parametrize("name", list(PARTS))
+    def test_array_of_shifts_equals_one_shift_at_a_time(self, name):
+        """An array of shifts gives, by float.hex, the moment at each float shift
+        evaluated alone, for both signs of the shift, with a cut inside the support."""
+        m = self.PARTS[name]
+        shifts = np.concatenate([-np.geomspace(1e-6, 2.0, 30), [0.0, -0.15, -0.2, 0.15, 0.05],
+                                 np.geomspace(1e-6, 2.0, 30)])
+        for k in (1, 2, 3):
+            for hi in (0.22, 0.5):
+                got = overlap_moment(m, shifts, k, hi)
+                want = [overlap_moment_per_point(m, s, k, hi) for s in shifts.tolist()]
+                assert list(map(float.hex, got.tolist())) == [float.hex(float(w)) for w in want]
+                assert float.hex(overlap_moment(m, float(shifts[3]), k, hi)) == float.hex(
+                    float(want[3]))  # a float shift gives a float
 
 
 class TestKappa:

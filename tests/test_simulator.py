@@ -556,6 +556,33 @@ class TestDeadPaths:
         assert sum(int(c[~lv].sum()) for lv, c in mixed) == 0
         assert sum(int(c[lv].sum()) for lv, c in mixed) > 0  # the live paths still immigrate
 
+    def test_coupled_dead_pairs_draw_no_immigration(self, monkeypatch):
+        """A dead pair of the coupled stepper draws no immigration count, as a dead
+        path of the single stepper draws none: its Poisson rate is 0."""
+        live_now, counts = [], []
+        real_live, real_per_lane = simulator._live, simulator._Group.per_lane
+
+        def live(plan, x, dt):
+            out = real_live(plan, x, dt)
+            live_now[:] = [out[1]]
+            return out
+
+        def per_lane(group, which, draw):
+            out = real_per_lane(group, which, draw)
+            if which == "nu" and out.dtype.kind == "i":  # the step's immigration counts
+                counts.append((live_now[0].copy(), out))
+            return out
+
+        monkeypatch.setattr(simulator, "_live", live)
+        monkeypatch.setattr(simulator._Group, "per_lane", per_lane)
+        res = simulate_coupled_ensemble(self.LAM_CAP, 1.0, 0.9, SimConfig(dt=1e-3, t_end=0.3,
+                                                                          seed=19, n_paths=400))
+        assert len(counts) == len(res.times) - 1  # one draw per step, and this test saw it
+        mixed = [(lv, c) for lv, c in counts if not lv.all()]
+        assert len(mixed) > 100
+        assert sum(int(c[~lv].sum()) for lv, c in mixed) == 0
+        assert sum(int(c[lv].sum()) for lv, c in mixed) > 0  # the live pairs still immigrate
+
 
 class TestLockstep:
     """Ensembles stepped as one array draw only from their own streams."""
