@@ -10,6 +10,7 @@ files.  Reruns with identical config and seed are byte-identical.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import struct
@@ -135,7 +136,10 @@ class _Parser(argparse.ArgumentParser):
         self.exit(USAGE_ERROR, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache
 def _build_parser():
+    """The CLI's parser, built once per process: parsing leaves it unchanged, and
+    every parse starts from a fresh namespace of its defaults."""
     p = _Parser(
         prog="cbic",
         description=(

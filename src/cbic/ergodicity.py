@@ -15,7 +15,9 @@ function into an explicit exponential-ergodicity rate:
 x0 is optimized by golden-section search, run for every (lam0, C1) pair at
 once, C1 by a geometric sweep, lam0 over a feasibility grid; every emitted
 certificate is validated by the grid inequality
-eps*LF0 + LV(x) + LV(y) <= -lam G0(x, y).
+eps*LF0 + LV(x) + LV(y) <= -lam G0(x, y), evaluated in one array pass over
+every grid point.  Both the search and the grid check give each point the
+bits of its evaluation alone.
 
 The V-weighted total-variation distance int (1+V) d|gamma - eta| doubles as
 the Wasserstein distance for the cost (2 + V(x) + V(y)) 1{x != y}; both
@@ -43,7 +45,7 @@ from .generator import (
     _coupling_F0_bound,
     lyapunov_certify,
 )
-from .measures import kappa, overlap_mass
+from .measures import overlap_masses
 from .mechanisms import ModelSpec, elementwise, phi_eval, psi_eval
 from .simulator import (
     CoupledEnsembleResult,
@@ -176,10 +178,12 @@ def _lambda0_candidates(model: ModelSpec):
 
 
 def _overlap_table(model: ModelSpec):
-    """Overlap masses mu_x + nu_x, half the fluctuation function, at 257 equally
-    spaced x in [0, 1]."""
+    """Overlap masses mu_x + nu_x, half the fluctuation function
+    (:func:`~cbic.measures.kappa`), at 257 equally spaced x in [0, 1]: one array
+    evaluation per measure part, each x with the bits of its float alone."""
     xs = np.linspace(0.0, 1.0, 257)
-    return xs, np.array([0.5 * kappa(model, float(x)) for x in xs])
+    return xs, 0.5 * (2.0 * overlap_masses(model.mu, xs, 0.0, math.inf)
+                 + 2.0 * overlap_masses(model.nu, xs, 0.0, math.inf))
 
 
 def _q_and_rstar(model: ModelSpec, x0: float, nu_cube: float):
@@ -240,6 +244,10 @@ def _x0_constants(model: ModelSpec, x0: float, nu_cube: float, sq_small: float):
     """Steps (4) and H of (5) at one x0: (q, r_star, r, H), or None.
 
     None of them depends on lambda0 or C1, so a search computes them once per x0.
+    H > 0 needs no check.  H = 0 takes c = 0, g(x0) = 0, and |b| x0 and
+    int_0^1 z^2 mu both 0 in floats.  Then Psi(lambda) <= |b| lambda +
+    (lambda^2/2) int_0^1 z^2 mu is below about 1e-320 lambda^2, so either no
+    lambda0 has Psi > 0, or lambda1 < 1e-280 drops every pair before the search.
     """
     q, r_star = _q_and_rstar(model, x0, nu_cube)
     if q is None:
@@ -249,8 +257,6 @@ def _x0_constants(model: ModelSpec, x0: float, nu_cube: float, sq_small: float):
     if not r > 0.0:
         return None
     H = 3.0 / x0 * (2.0 * model.c + abs(model.b) * x0 + float(model.g(x0)) + sq_small)
-    if not H > 0.0:
-        return None
     return q, r_star, r, H
 
 
@@ -378,6 +384,8 @@ def compute_rate_certificate(
     computed once for the values it depends on, and nothing is kept beyond
     this call:
 
+    - once: the overlap table (:func:`_overlap_table`), one array evaluation
+      per measure part;
     - per lambda0: the running minima of kappa's table (:func:`_kappa_minima`),
       stacked one row per lambda0, which every x0 reads at its last table point;
     - per (lambda0, C1): l and lambda1;
@@ -386,8 +394,8 @@ def compute_rate_certificate(
     - per (lambda0, C1, x0), elementwise over the pairs: kappa, one gather in
       the stacked minima, then theta, lambda2 and lambda (:func:`_pipeline_at`).
 
-    :func:`validate_certificate` lists what the grid check computes per row
-    and per gap.
+    :func:`validate_certificate` lists what the grid check computes per x,
+    per gap and per grid point.
     """
     # Condition 1.1
     cand0 = _lambda0_candidates(model)
@@ -448,41 +456,39 @@ def validate_certificate(
     """Check eps*LF0 + LV(x) + LV(y) <= -lam G0(x, y) with 1e-6 slack.
 
     The check runs over ``grid`` log-spaced x times ``grid`` log-spaced gaps,
-    with y = x - gap.  Every constant is read from ``cert``.  The overlap
-    masses of mu and nu are computed once per gap, at the float gap; LV(x),
-    V(x) and phi(x) once for all x.  The rest, the closed bound
-    (:func:`~cbic.generator._coupling_F0_bound`), LV(y) and V(y), is evaluated
-    once per x-row over all of that row's gaps: its IEEE arithmetic on numpy
-    arrays and its libm calls element by element, so each row has the bits
-    of the bound evaluated at one point at a time.  A non-finite margin fails
-    and is reported as the worst margin.
+    with y = x - gap, keeping the points with gap <= x in row-major order (x
+    outer).  Every constant is read from ``cert``.  The overlap masses of mu and
+    nu are computed once per gap, at the float gap
+    (:func:`~cbic.measures.overlap_masses`); LV(x), V(x) and phi(x) once per x;
+    psi(x - y) once per point, for both the bound and G0.  The rest, the closed
+    bound (:func:`~cbic.generator._coupling_F0_bound`), LV(y) and V(y), is
+    evaluated in one array pass over every kept point: its IEEE arithmetic on
+    numpy arrays and its libm calls element by element, so each point has the
+    bits of the bound evaluated at that point alone.  A non-finite margin fails,
+    and the first one in row order is reported as the worst margin.
     """
     ctrl = cert.control()
     weight = cert.weight
     drift = LyapunovDrift(model, weight)
     xs = np.geomspace(1e-4, 1e4, grid)
     gaps = np.geomspace(1e-4, 2.0 * cert.l, grid)
-    mums, nums = (np.array([overlap_mass(m, g) for g in gaps.tolist()])
-                  for m in (model.mu, model.nu))
-    lv_xs = drift.many(xs)
-    v_xs = weight.value(xs)
-    rows, margins = [], []
-    for x, lv_x, v_x in zip(xs.tolist(), lv_xs.tolist(), v_xs.tolist()):
-        keep = gaps <= x
-        ys = x - gaps[keep]
-        f0 = _coupling_F0_bound(model, ctrl, x, ys, mums[keep], nums[keep])
-        with np.errstate(all="ignore"):  # as float arithmetic: inf and nan, no warning
-            lhs = cert.epsilon * f0 + lv_x + drift.many(ys)
-            # -lam G0(x, y) = -lam (eps F0(x, y) + V(x) + V(y)), F0 = phi(x) (1 + psi(x - y))
-            g0 = np.where(x == ys, 0.0, ctrl.epsilon * (ctrl.phi(x) * (1.0 + ctrl.psi(x - ys)))
-                          + (v_x + weight.value(ys)))
-            rhs = -cert.lam * g0
-            margins.append(rhs - lhs + 1e-6 * np.abs(rhs) + 1e-12)
-        rows.extend(zip([x] * ys.size, ys.tolist(), lhs.tolist(), rhs.tolist()))
-    margin = np.concatenate(margins or [np.empty(0)])
+    row, col = np.nonzero(gaps <= xs[:, None])  # row-major: the kept gaps of each x in turn
+    x = xs[row]
+    y = x - gaps[col]
+    mum, num = (overlap_masses(m, gaps, 0.0, math.inf)[col] for m in (model.mu, model.nu))
+    lv_x, v_x, phi_x = drift.many(xs)[row], weight.value(xs)[row], ctrl.phi(xs)[row]
+    psig = ctrl.psi(x - y)
+    f0 = _coupling_F0_bound(model, ctrl, x, y, mum, num, psig)
+    with np.errstate(all="ignore"):  # as float arithmetic: inf and nan, no warning
+        lhs = cert.epsilon * f0 + lv_x + drift.many(y)
+        # -lam G0(x, y) = -lam (eps F0(x, y) + V(x) + V(y)), F0 = phi(x) (1 + psi(x - y))
+        g0 = np.where(x == y, 0.0, ctrl.epsilon * (phi_x * (1.0 + psig)) + (v_x + weight.value(y)))
+        rhs = -cert.lam * g0
+        margin = rhs - lhs + 1e-6 * np.abs(rhs) + 1e-12
     odd = margin[~np.isfinite(margin)]
     worst = float(odd[0]) if odd.size else float(margin.min(initial=math.inf))
     n_fail = int(np.count_nonzero(~(np.isfinite(margin) & (margin >= 0))))
+    rows = list(zip(x.tolist(), y.tolist(), lhs.tolist(), rhs.tolist()))
     return ValidationReport(n_fail == 0, len(rows), n_fail, worst, rows)
 
 

@@ -27,8 +27,8 @@ from typing import Callable, List, Tuple
 
 import numpy as np
 
-from .measures import overlap_mass, overlap_moment
-from .mechanisms import LevyMeasure, ModelSpec, elementwise, log_jump_integral, summed
+from .measures import overlap_mass, overlap_masses, overlap_moment
+from .mechanisms import ModelSpec, elementwise, log_jump_integral
 
 __all__ = [
     "WeightFunction",
@@ -305,15 +305,19 @@ class CouplingControl:
         """1 - e^(-lambda0 u), elementwise over an array ``u``."""
         return -elementwise(math.expm1, -self.lambda0 * u)
 
-    def phi(self, x: float) -> float:
-        if x >= self.x0:
-            return self.theta
-        return self.theta + (1.0 - x / self.x0) ** 3
+    def phi(self, x):
+        """theta + (1 - x/x0)^3 below x0 and theta from x0 on: a float at a float, and
+        element by element over an array ``x`` (:func:`~cbic.mechanisms.elementwise`),
+        so that each element has the bits of Python's power at its float."""
+        if np.ndim(x):
+            return elementwise(self.phi, x)
+        return self.theta if x >= self.x0 else self.theta + (1.0 - x / self.x0) ** 3
 
-    def phi_prime(self, x: float) -> float:
-        if x >= self.x0:
-            return 0.0
-        return -3.0 / self.x0 * (1.0 - x / self.x0) ** 2
+    def phi_prime(self, x):
+        """-(3/x0)(1 - x/x0)^2 below x0 and 0 from x0 on; over arrays as :meth:`phi`."""
+        if np.ndim(x):
+            return elementwise(self.phi_prime, x)
+        return 0.0 if x >= self.x0 else -3.0 / self.x0 * (1.0 - x / self.x0) ** 2
 
     def F0(self, x: float, y: float) -> float:
         if x == y:
@@ -329,19 +333,6 @@ class CouplingControl:
         return self.epsilon * self.F0(x, y) + self.V0(weight, x, y)
 
 
-@summed(sum)
-def _sweep_overlaps(nu: LevyMeasure, gap, cut: float):
-    """The overlap of ``nu`` at the shifts -gap: its moments 1 to 3 on (0, cut) and
-    its mass above cut, stacked on a first axis of 4, elementwise over the array
-    ``gap``.  A stable part takes its mass one float gap at a time, since array
-    power rounds differently (:func:`~cbic.measures.overlap_mass`)."""
-    if nu.kind == "stable":
-        above = elementwise(lambda g: overlap_mass(nu, -g, cut, math.inf), gap)
-    else:
-        above = overlap_mass(nu, -gap, cut, math.inf)
-    return np.array([*(overlap_moment(nu, -gap, k, cut) for k in (1, 2, 3)), above])
-
-
 def _sweep_nu_term(model: ModelSpec, ctrl: CouplingControl, x: float, gap):
     """int [phi(x+z) - phi(x)] (nu - nu_{-gap})(dz) for x < x0 (else 0), elementwise
     over an array ``gap``.
@@ -349,14 +340,15 @@ def _sweep_nu_term(model: ModelSpec, ctrl: CouplingControl, x: float, gap):
     With w = 1 - x/x0 and h = z/x0, phi(x+z) - phi(x) is -(3 w^2 h - 3 w h^2 + h^3)
     below the cut x0 - x and -w^3 above it, so the term takes the moments 1 to 3
     on (0, cut) and the mass above the cut of nu less its overlap at -gap.  The
-    overlaps are evaluated over all of ``gap`` at once (:func:`_sweep_overlaps`),
-    each element with the bits of its float gap alone.
+    overlaps are evaluated over all of ``gap`` at once, each element with the bits
+    of its float gap alone (:func:`~cbic.measures.overlap_moment`,
+    :func:`~cbic.measures.overlap_masses`).
     """
     if x >= ctrl.x0 or model.nu.is_zero:
         return 0.0
-    x0, nu, w, cut = ctrl.x0, model.nu, 1.0 - x / ctrl.x0, ctrl.x0 - x
-    whole = [nu.moment(k, 0.0, cut) for k in (1, 2, 3)] + [nu.mass_above(cut)]
-    d1, d2, d3, above = (f - ov for f, ov in zip(whole, _sweep_overlaps(nu, np.asarray(gap), cut)))
+    x0, nu, w, cut, shift = ctrl.x0, model.nu, 1.0 - x / ctrl.x0, ctrl.x0 - x, -np.asarray(gap)
+    d1, d2, d3 = (nu.moment(k, 0.0, cut) - overlap_moment(nu, shift, k, cut) for k in (1, 2, 3))
+    above = nu.mass_above(cut) - overlap_masses(nu, shift, cut, math.inf)
     return -(3.0 * w * w * d1 / x0 - 3.0 * w * d2 / x0**2 + d3 / x0**3) - w**3 * above
 
 
@@ -366,30 +358,40 @@ def coupling_generator_F0(model: ModelSpec, ctrl: CouplingControl, x: float, y: 
     if not x > y >= 0:
         raise ValueError(f"coupling generator needs x > y >= 0, got ({x}, {y})")
     mum, num = overlap_mass(model.mu, x - y), overlap_mass(model.nu, x - y)
-    return _coupling_F0_bound(model, ctrl, x, y, mum, num)
+    return _coupling_F0_bound(model, ctrl, x, y, mum, num, ctrl.psi(x - y))
 
 
-def _coupling_F0_bound(model: ModelSpec, ctrl: CouplingControl, x: float, y, mum, num):
+def _coupling_F0_bound(model: ModelSpec, ctrl: CouplingControl, x, y, mum, num, psig):
     """The closed upper bound of :func:`coupling_generator_F0` at (x, y), given the
     overlap masses of mu and nu at the gap, so that a grid check computes them
-    once per gap.
+    once per gap, and psi(x - y), which the grid check shares with G0.
 
-    Elementwise over arrays ``y``, ``mum`` and ``num`` at one x, as the grid check
-    evaluates an x-row; floats give a float.  Each element has the bits of its
-    float evaluation: the arithmetic is IEEE in numpy, the libm calls run
-    element by element (:func:`~cbic.mechanisms.elementwise`).
+    Elementwise over arrays ``x``, ``y``, ``mum``, ``num`` and ``psig`` of one shape,
+    as the grid check evaluates every grid point in one call; floats give a float.
+    The terms of x <= x0 run under a mask, g(x) and phi'(x) once per distinct x
+    there, and the immigration sweep term (:func:`_sweep_nu_term`) once per
+    distinct x there when nu != 0.  Each element has the bits of its float
+    evaluation: the arithmetic is IEEE in numpy, the libm calls run element by
+    element (:func:`~cbic.mechanisms.elementwise`).
     """
-    y = np.asarray(y, dtype=float)
+    x, y, mum, num, psig = (np.asarray(v, dtype=float) for v in (x, y, mum, num, psig))
     gap = x - y
-    psig = ctrl.psi(gap)
     with np.errstate(all="ignore"):  # as float arithmetic: inf and nan, no warning
         ub = (-model.c * ctrl.lambda0**2 * ctrl.theta * y
               * elementwise(math.exp, -ctrl.lambda0 * gap))
         ub = ub - ctrl.theta * (y * mum + num)
         ub = np.where(gap <= ctrl.l, ub - ctrl.lambda1 * ctrl.theta * psig, ub)
-        if x <= ctrl.x0:
-            i_term = (model.beta - model.b * x - float(model.g(x))) * ctrl.phi_prime(x)
-            j_term = 3.0 * x / ctrl.x0**2 * (2.0 * model.c + model.mu.moment(2.0, 0.0, 1.0))
-            ub = ub + (y * mum + i_term + j_term) * (1.0 + psig)
-            ub = ub + (1.0 + psig) * _sweep_nu_term(model, ctrl, x, gap)
+        near = x <= ctrl.x0
+        if near.any():
+            xn, gn = x[near], gap[near]
+            ux, which = np.unique(xn, return_inverse=True)  # distinct x; each point's index
+            i_term = ((model.beta - model.b * ux - model.g(ux)) * ctrl.phi_prime(ux))[which]
+            j_term = 3.0 * xn / ctrl.x0**2 * (2.0 * model.c + model.mu.moment(2.0, 0.0, 1.0))
+            sweep = np.zeros(xn.shape)  # 0 where nu = 0, added as the sum adds it
+            if not model.nu.is_zero:
+                for k, xk in enumerate(ux.tolist()):
+                    at = which == k
+                    sweep[at] = _sweep_nu_term(model, ctrl, xk, gn[at])
+            p = 1.0 + psig[near]
+            ub[near] = ub[near] + (y[near] * mum[near] + i_term + j_term) * p + p * sweep
     return ub if ub.ndim else float(ub)

@@ -11,7 +11,10 @@ m_x(0, 0 v x] = 0, m_x(0, inf) = m_{-x}(0, inf) <= m(|x|, inf)/2.
 
 :func:`overlap_mass` is the one implementation of that mass, a closed form per
 part kind evaluated elementwise over shifts: the coupled stepper takes its
-sub-eps lasso rates from it per pair, :func:`kappa` and the certificate per shift.
+sub-eps lasso rates from it per pair, and :func:`kappa` per shift.  The
+certificate takes it through :func:`overlap_masses`, the same closed forms over
+an array of shifts with a stable part's powers taken one element at a time, so
+that each shift has the bits of its float alone.
 :func:`overlap_moment` gives the closed moments below a cut that the
 certificate's immigration sweep term takes, elementwise over shifts as well.
 
@@ -28,6 +31,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 
 import numpy as np
 
@@ -53,9 +57,10 @@ def _atom_mass_at(base: LevyMeasure, loc):
 
 
 @summed(sum)
-def _part_overlap_mass(base: LevyMeasure, x, lo: float, hi: float):
+def _part_overlap_mass(base: LevyMeasure, x, lo: float, hi: float, power):
     """One part's :func:`overlap_mass` for lo < hi, elementwise over the shift
-    ``x`` (a numpy scalar or an array); 0.0 for a part without overlap there."""
+    ``x`` (a numpy scalar or an array); 0.0 for a part without overlap there.
+    ``power(a, e)`` takes a stable part's powers a^e."""
     if base.kind == "atoms":
         return sum((0.5 * np.minimum(m, _atom_mass_at(base, a - x))
                     for a, m in base.atom_data if lo < a <= hi), 0.0)
@@ -65,7 +70,7 @@ def _part_overlap_mass(base: LevyMeasure, x, lo: float, hi: float):
         a, b = np.maximum(lo, x) - s, hi - s
         half = 0.5 * base.sigma * stable_density_prefactor(base.alpha)  # of the tail mass
         with np.errstate(divide="ignore"):  # a = 0: the infinite mass at 0+
-            v = half * a ** -base.alpha - half * b ** -base.alpha
+            v = half * power(a, -base.alpha) - half * power(b, -base.alpha)
     elif base.kind == "uniform":
         slo, shi = base.support
         a, b = np.maximum(max(lo, slo), slo + x), np.minimum(min(hi, shi), shi + x)
@@ -87,8 +92,22 @@ def overlap_mass(base: LevyMeasure, x, lo: float = 0.0, hi: float = math.inf):
     """
     x = np.asarray(x, dtype=float)[()]  # a float stays a scalar: array power rounds differently
     lo, hi = max(float(lo), 0.0), float(hi)
-    v = _part_overlap_mass(base, x, lo, hi) if hi > lo else 0.0
+    v = _part_overlap_mass(base, x, lo, hi, operator.pow) if hi > lo else 0.0
     return float(v) if np.ndim(x) == 0 else np.full(x.shape, v)
+
+
+def _scalar_power(a, e: float):
+    """a^e element by element in numpy scalar arithmetic, as a float shift takes it."""
+    return elementwise(lambda v: float(np.float64(v) ** e), a)
+
+
+def overlap_masses(base: LevyMeasure, x, lo: float, hi: float):
+    """:func:`overlap_mass` at every float shift of the array ``x``, each element with
+    the bits of its float shift alone: one array evaluation per part, with a stable
+    part's powers taken element by element (:func:`_scalar_power`)."""
+    x = np.asarray(x, dtype=float)
+    lo, hi = max(float(lo), 0.0), float(hi)
+    return np.full(x.shape, _part_overlap_mass(base, x, lo, hi, _scalar_power) if hi > lo else 0.0)
 
 
 @summed(sum)

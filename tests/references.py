@@ -16,8 +16,11 @@ the package computes in closed form or by simulation:
 - the spectrally positive stable increments of one stream
   (:func:`stable_increments`);
 - the rate certificate's x0 search one (lambda0, C1) pair and one x0 at a time
-  (:func:`search_x0_per_pair`), and the immigration sweep term of the drift
-  bound one gap at a time (:func:`sweep_nu_term_per_point`).
+  (:func:`search_x0_per_pair`), the immigration sweep term of the drift
+  bound one gap at a time (:func:`sweep_nu_term_per_point`), and the grid check
+  one x-row at a time (:func:`validate_certificate_per_row`), with the drift
+  bound at one float x (:func:`coupling_F0_bound_per_row`) and the overlap
+  masses one gap at a time.
 
 The oracles call ``quadrature.integrate``, ``quadrature._quad_piece``,
 ``simulator._drive`` and ``simulator._step_single`` through their modules, so
@@ -31,7 +34,8 @@ import math
 import numpy as np
 
 from cbic import quadrature, simulator
-from cbic.generator import CouplingControl
+from cbic.ergodicity import ValidationReport
+from cbic.generator import CouplingControl, LyapunovDrift, _sweep_nu_term
 from cbic.measures import _atom_mass_at, _stable_overlap_moment, overlap_mass
 from cbic.mechanisms import (
     BranchingMechanism,
@@ -380,3 +384,57 @@ def search_x0_per_pair(pairs, minima, xs, lo, hi, x0_constants):
             best = dict(k, lambda0=lam0, psi_at_lambda0=psi0, C0=c0, C1=c1, l=l_cut,
                         lambda1=lam1, epsilon=4.0 * c0 / (k["lambda2"] * k["theta"]))
     return best
+
+
+# -- the grid check, one x-row at a time ---------------------------------------------
+
+
+def coupling_F0_bound_per_row(model: ModelSpec, ctrl: CouplingControl, x: float, y, mum, num):
+    """``generator._coupling_F0_bound`` at one float x, elementwise over arrays ``y``,
+    ``mum`` and ``num``: the x <= x0 terms in float arithmetic, once for the row."""
+    y = np.asarray(y, dtype=float)
+    gap = x - y
+    psig = ctrl.psi(gap)
+    with np.errstate(all="ignore"):
+        ub = (-model.c * ctrl.lambda0**2 * ctrl.theta * y
+              * np.array([math.exp(v) for v in (-ctrl.lambda0 * gap).tolist()]))
+        ub = ub - ctrl.theta * (y * mum + num)
+        ub = np.where(gap <= ctrl.l, ub - ctrl.lambda1 * ctrl.theta * psig, ub)
+        if x <= ctrl.x0:
+            i_term = (model.beta - model.b * x - float(model.g(x))) * ctrl.phi_prime(x)
+            j_term = 3.0 * x / ctrl.x0**2 * (2.0 * model.c + model.mu.moment(2.0, 0.0, 1.0))
+            ub = ub + (y * mum + i_term + j_term) * (1.0 + psig)
+            ub = ub + (1.0 + psig) * _sweep_nu_term(model, ctrl, x, gap)
+    return ub
+
+
+def validate_certificate_per_row(model: ModelSpec, cert, *, grid: int = 101) -> ValidationReport:
+    """``ergodicity.validate_certificate`` one x-row at a time: the overlap masses one
+    float gap at a time, the bound (:func:`coupling_F0_bound_per_row`), LV(y), V(y)
+    and psi over each row's kept gaps, and phi(x) at the row's float x."""
+    ctrl = cert.control()
+    weight = cert.weight
+    drift = LyapunovDrift(model, weight)
+    xs = np.geomspace(1e-4, 1e4, grid)
+    gaps = np.geomspace(1e-4, 2.0 * cert.l, grid)
+    mums, nums = (np.array([overlap_mass(m, g) for g in gaps.tolist()])
+                  for m in (model.mu, model.nu))
+    lv_xs = drift.many(xs)
+    v_xs = weight.value(xs)
+    rows, margins = [], []
+    for x, lv_x, v_x in zip(xs.tolist(), lv_xs.tolist(), v_xs.tolist()):
+        keep = gaps <= x
+        ys = x - gaps[keep]
+        f0 = coupling_F0_bound_per_row(model, ctrl, x, ys, mums[keep], nums[keep])
+        with np.errstate(all="ignore"):
+            lhs = cert.epsilon * f0 + lv_x + drift.many(ys)
+            g0 = np.where(x == ys, 0.0, ctrl.epsilon * (ctrl.phi(x) * (1.0 + ctrl.psi(x - ys)))
+                          + (v_x + weight.value(ys)))
+            rhs = -cert.lam * g0
+            margins.append(rhs - lhs + 1e-6 * np.abs(rhs) + 1e-12)
+        rows.extend(zip([x] * ys.size, ys.tolist(), lhs.tolist(), rhs.tolist()))
+    margin = np.concatenate(margins or [np.empty(0)])
+    odd = margin[~np.isfinite(margin)]
+    worst = float(odd[0]) if odd.size else float(margin.min(initial=math.inf))
+    n_fail = int(np.count_nonzero(~(np.isfinite(margin) & (margin >= 0))))
+    return ValidationReport(n_fail == 0, len(rows), n_fail, worst, rows)

@@ -228,6 +228,28 @@ class TestExitCodes:
         assert run(["rate", "--help"]) == 0
         assert capsys.readouterr().out.startswith("usage: cbic rate [-h] --model MODEL")
 
+    def test_one_parser_keeps_no_option_between_runs(self, ergodic_cfg, tmp_path, capsys):
+        """Every run in a process parses with one parser, and no run's options reach the
+        next: after ``rate --grid 5`` and a usage error, ``rate`` validates at its
+        default grid of 101, and ``lyapunov`` after ``--weight v1`` uses the config's."""
+        assert cli._build_parser() is cli._build_parser()
+        dirs = [tmp_path / name for name in ("full", "small", "default")]
+        assert run(["rate", "--model", ergodic_cfg, "--out", str(dirs[0]), "--grid", "101"]) == 0
+        assert run(["rate", "--model", ergodic_cfg, "--out", str(dirs[1]), "--grid", "5"]) == 0
+        capsys.readouterr()
+        assert run(["rate", "--model", ergodic_cfg, "--grid", "x"]) == 2
+        assert capsys.readouterr().err == \
+            "cbic rate: error: argument --grid: invalid int value: 'x'\n"
+        assert run(["rate", "--model", ergodic_cfg, "--out", str(dirs[2])]) == 0
+        full, small, default = ((d / "certificate_margins.csv").read_bytes() for d in dirs)
+        assert default == full != small
+        assert (dirs[2] / "certificate.txt").read_bytes() == (dirs[0] / "certificate.txt").read_bytes()
+        stable = os.path.join(CONFIGS, "stable_power_vlog.cfg")  # its config weight is vlog
+        assert run(["lyapunov", "--model", stable, "--weight", "v1"]) == 1
+        capsys.readouterr()
+        assert run(["lyapunov", "--model", stable]) == 0
+        assert capsys.readouterr().out.endswith(", weight vlog)\n")
+
     def test_certificate_ignores_removed_keys(self, tmp_path, capsys):
         # lambda0 and c0 always come from the search, and the grid from `rate
         # --grid`; a config that still sets them loads them as unknown keys

@@ -34,7 +34,7 @@ from cbic.ergodicity import (
     validate_certificate,
     wv_exact_discrete,
 )
-from cbic.measures import overlap_mass
+from cbic.measures import kappa, overlap_mass
 from cbic.mechanisms import (
     BranchingMechanism,
     CompetitionMechanism,
@@ -110,27 +110,35 @@ class TestCertificatePipeline:
     def test_grid_validation_fails_on_a_nan_margin(
         self, ergodic_v1_model, ergodic_cert, monkeypatch
     ):
-        """A NaN bound at one grid point is one failure and the worst margin."""
-        real, calls = ergodicity._coupling_F0_bound, []
+        """A NaN bound at one grid point is one failure and the worst margin; with a
+        -inf bound at an earlier point as well (a margin of +inf), the first non-finite
+        margin in row order is the one reported."""
+        real, calls, poison = ergodicity._coupling_F0_bound, [], {}
 
         def bound(*args):
             out = np.array(real(*args), dtype=float)
             calls.append(out.size)
-            if len(calls) == 3:  # one point of the third x-row with a gap
-                out[out.size // 2] = math.nan
+            for i, value in poison.items():
+                out[i] = value
             return out
 
         clean = validate_certificate(ergodic_v1_model, ergodic_cert, grid=31)
         monkeypatch.setattr(ergodicity, "_coupling_F0_bound", bound)
+        middle = clean.n_points // 2  # an interior point of the one call
+        poison[middle] = math.nan
         rep = validate_certificate(ergodic_v1_model, ergodic_cert, grid=31)
-        assert len(calls) > 3 and calls[2] > 1
+        assert calls == [clean.n_points]  # one call evaluates every grid point
         assert clean.passed and clean.n_points == rep.n_points
         assert not rep.passed and rep.n_failures == 1 and math.isnan(rep.worst_margin)
+        assert rep.rows[:middle] == clean.rows[:middle]
+        assert rep.rows[middle + 1:] == clean.rows[middle + 1:]
         assert "worst margin nan, failures 1" in render_certificate(replace(ergodic_cert,
                                                                              validation=rep))
-        calls.clear()
         with pytest.raises(CertificateError, match=f"1/{rep.n_points} grid .* margin nan"):
             compute_rate_certificate(ergodic_v1_model, V1, grid=31)
+        poison[middle // 2] = -math.inf
+        rep = validate_certificate(ergodic_v1_model, ergodic_cert, grid=31)
+        assert not rep.passed and rep.n_failures == 2 and rep.worst_margin == math.inf
 
     def test_report_renders_all_constants(self, ergodic_cert):
         text = render_certificate(ergodic_cert)
@@ -300,6 +308,32 @@ def test_kappa_minima_need_a_finite_c_lambda0_squared():
     assert _kappa_minima(model, 10.0, _overlap_table(model)) is None
 
 
+_MU_PARTS = {
+    "uniform": LevyMeasure.uniform(1.0, 0.0, 1.0),
+    "atoms": LevyMeasure.from_atoms([(0.25, 1.0), (0.5, 0.4), (0.75, 1.0)]),
+    "stable-0.5": LevyMeasure.stable(0.5, 1.0),
+    "stable-1": LevyMeasure.stable(1.0, 1.3),
+    "stable-1.5": LevyMeasure.stable(1.5, 0.4),
+    "sum": LevyMeasure.sum_of([LevyMeasure.uniform(0.8, 0.1, 0.7), LevyMeasure.stable(1.5, 0.4),
+                               LevyMeasure.from_atoms([(0.25, 1.0), (0.75, 1.0)])]),
+}
+_NU_PARTS = {"none": LevyMeasure.zero(), "uniform": LevyMeasure.uniform(0.8, 0.0, 0.9),
+             "stable-0.5": LevyMeasure.stable(0.5, 0.2)}
+
+
+@pytest.mark.parametrize("nu", list(_NU_PARTS))
+@pytest.mark.parametrize("mu", list(_MU_PARTS))
+def test_overlap_table_equals_half_kappa_per_point(mu, nu):
+    """The table evaluated on arrays has, at every x from 0 to 1, the bits of half the
+    fluctuation function evaluated at that float x alone."""
+    model = ModelSpec(BranchingMechanism(0.5, 0.0, _MU_PARTS[mu]),
+                      ImmigrationMechanism(0.3, _NU_PARTS[nu]))
+    xs, vals = _overlap_table(model)
+    assert xs[0] == 0.0 and xs[-1] == 1.0
+    assert [float.hex(v) for v in vals.tolist()] == \
+        [float.hex(0.5 * kappa(model, x)) for x in xs.tolist()]
+
+
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
     "kappa reads the overlap table at its last point <= x0, but f keeps falling up to x0"))
 def test_kappa_holds_step_one_up_to_x0():
@@ -351,6 +385,24 @@ def test_x0_constants_computed_once_per_x0_and_call(stable_power_model, weight, 
     n = len(calls)
     compute_rate_certificate(model, weight, grid=5)
     assert [c[0] for c in calls[n:]] == x0s
+
+
+def test_x0_without_r_star_degenerates(monkeypatch):
+    """A competition slope of 1e30 leaves no r_* > 0 at any x0 the search visits:
+    _x0_constants gives None at all 31 of them, and rate fails at [contraction]."""
+    model = ModelSpec(BranchingMechanism(0.5, 0.0, LevyMeasure.uniform(1.0, 0.0, 1.0)),
+                      ImmigrationMechanism(0.3), CompetitionMechanism.linear(1e30))
+    real, outs = ergodicity._x0_constants, []
+
+    def constants(*args):
+        outs.append(real(*args))
+        return outs[-1]
+
+    monkeypatch.setattr(ergodicity, "_x0_constants", constants)
+    with pytest.raises(CertificateError, match="every .* degenerated") as err:
+        compute_rate_certificate(model, V1)
+    assert err.value.step == "contraction"
+    assert outs == [None] * 31
 
 
 _FIELDS = [f.name for f in fields(RateCertificate) if f.name not in ("weight", "validation")]
@@ -461,6 +513,72 @@ def test_lockstep_search_equals_per_pair_search(c, b, mu, mu_atom, beta, nu, nu_
     _assert_lockstep_is_per_pair(model, weight)
 
 
+def _report_hex(report):
+    """A ValidationReport with every float by float.hex, so that -0.0 against 0.0 and
+    the sign and kind of a non-finite margin show."""
+    return (report.passed, report.n_points, report.n_failures, float.hex(report.worst_margin),
+            [tuple(map(float.hex, r)) for r in report.rows])
+
+
+def _assert_whole_grid_is_per_row(model, weight):
+    """The certificate of ``model`` (its grid check stubbed to pass), or None; its one-pass
+    grid check equals the check one x-row at a time at grids 1, 2, 31 and 101, for the
+    certificate and for one with a 100 times larger rate."""
+    passed = lambda model_, cert, grid: ValidationReport(True, 0, 0, 0.0)
+    with mock.patch.object(ergodicity, "validate_certificate", passed):
+        try:
+            cert = compute_rate_certificate(model, weight)
+        except CertificateError:
+            return None
+    inflated = replace(cert, lambda2=100.0 * cert.lambda2, C1=100.0 * cert.C1,
+                       lam=100.0 * cert.lam, epsilon=cert.epsilon / 100.0)
+    for grid in (1, 2, 31, 101):
+        for each in (cert, inflated):
+            assert _report_hex(validate_certificate(model, each, grid=grid)) == \
+                _report_hex(references.validate_certificate_per_row(model, each, grid=grid))
+    return cert
+
+
+def test_whole_grid_check_equals_per_row_check_on_the_corpus(tmp_path):
+    """Rows, verdict, failure count and worst margin by float.hex, on every certifying
+    shipped and corpus config."""
+    certified = set()
+    for name, text in _corpus_configs().items():
+        path = tmp_path / f"{name}.cfg"
+        path.write_text(text)
+        model = load_config(str(path)).model
+        for weight in (V1, VLOG):
+            if _assert_whole_grid_is_per_row(model, weight) is not None:
+                certified.add((name, weight.kind))
+    assert certified == {("ergodic_v1", "v1"), ("stable_power_vlog", "vlog"), ("nu_jump", "v1"),
+                         ("mixed_v1", "v1"), ("x_max_hits", "v1"), ("stable_nu_vlog", "vlog")}
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    c=st.one_of(st.just(0.0), st.floats(0.05, 1.0)),
+    b=st.floats(-0.5, 2.0),
+    mu=st.one_of(st.just(LevyMeasure.zero()), _UNIFORM,
+                 st.builds(LevyMeasure.stable, st.floats(0.3, 1.8), st.floats(0.2, 1.5))),
+    mu_atom=_ATOM,
+    beta=st.floats(0.05, 1.0),
+    nu=st.one_of(st.just(LevyMeasure.zero()),
+                 st.builds(lambda rate, hi: LevyMeasure.uniform(rate, 0.0, hi),
+                           st.floats(0.2, 1.5), st.floats(0.3, 1.2)),
+                 st.builds(LevyMeasure.stable, st.floats(0.2, 0.8), st.floats(0.05, 0.5))),
+    nu_atom=_ATOM,
+    g=st.sampled_from([CompetitionMechanism.none(), CompetitionMechanism.linear(0.7),
+                       CompetitionMechanism.power(1.5, 1.5), CompetitionMechanism.xlog(0.8)]),
+    weight=st.sampled_from([V1, VLOG]),
+)
+def test_whole_grid_check_equals_per_row_check(c, b, mu, mu_atom, beta, nu, nu_atom, g, weight):
+    """The same on the random models of the lockstep-search test, with stable nu parts
+    added; certificates whose check fails are compared as well."""
+    model = ModelSpec(BranchingMechanism(b, c, LevyMeasure.sum_of([mu, mu_atom])),
+                      ImmigrationMechanism(beta, LevyMeasure.sum_of([nu, nu_atom])), g)
+    _assert_whole_grid_is_per_row(model, weight)
+
+
 @pytest.mark.parametrize("name", ["ergodic_v1", "nu_jump", "stable_power_vlog"])
 def test_validation_rows_equal_per_point_recomputation(name, ergodic_v1_model, stable_power_model):
     """Every row of the grid check equals the bound rebuilt at that point alone:
@@ -483,7 +601,7 @@ def test_validation_rows_equal_per_point_recomputation(name, ergodic_v1_model, s
             y = float(x - g)
             exact_gap.add(x - y == g)
             f0 = _coupling_F0_bound(model, ctrl, x, y, overlap_mass(model.mu, float(g)),
-                                    overlap_mass(model.nu, float(g)))
+                                    overlap_mass(model.nu, float(g)), ctrl.psi(x - y))
             lhs = cert.epsilon * f0 + drift(x) + drift(y)
             want.append((x, y, lhs, -cert.lam * ctrl.G0(weight, x, y)))
     assert cert.validation.rows == want
@@ -519,7 +637,7 @@ def test_validation_rows_equal_point_evaluations_bit_for_bit(name):
                 continue
             y = x - g
             f0 = _coupling_F0_bound(model, ctrl, x, y, overlap_mass(model.mu, g),
-                                    overlap_mass(model.nu, g))
+                                    overlap_mass(model.nu, g), ctrl.psi(x - y))
             lhs = cert.epsilon * f0 + drift(x) + drift(y)
             want.append((x, y, lhs, -cert.lam * ctrl.G0(weight, x, y)))
     rows = cert.validation.rows

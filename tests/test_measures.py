@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cbic.measures import kappa, overlap_mass, overlap_moment, rn_ratio_many
+from cbic.measures import kappa, overlap_mass, overlap_masses, overlap_moment, rn_ratio_many
 from cbic import quadrature
 import references
 from references import (
@@ -169,6 +169,27 @@ class TestOverlapMassShifts:
                 np.testing.assert_allclose(many, each, rtol=1e-14, atol=0.0)
             else:
                 assert np.array_equal(many, each)
+
+    EXACT_BASES = {
+        "uniform": LevyMeasure.uniform(0.8, 0.1, 0.9),
+        "atoms": ATOMS_CLOSE,
+        "stable-0.5": LevyMeasure.stable(0.5, 0.7),
+        "stable-1": LevyMeasure.stable(1.0, 1.3),
+        "stable-1.5": STABLE,
+        "sum": BASES["sum"],
+    }
+
+    @pytest.mark.parametrize("name", list(EXACT_BASES))
+    def test_overlap_masses_equal_float_shifts_bit_for_bit(self, name):
+        """overlap_masses gives every shift the bits of overlap_mass at its float: at the
+        overlap table's x (0 included), the grid check's gaps of 1e-4 to 2 l, and the
+        shifts -gap of the sweep term, over each window."""
+        base = self.EXACT_BASES[name]
+        xs = np.concatenate([np.linspace(0.0, 1.0, 257), np.geomspace(1e-4, 40.0, 101),
+                             -np.geomspace(1e-4, 40.0, 101), self.SHIFTS])
+        for lo, hi in self.WINDOWS + [(0.3, math.inf)]:
+            want = [float.hex(overlap_mass(base, x, lo, hi)) for x in xs.tolist()]
+            assert [float.hex(v) for v in overlap_masses(base, xs, lo, hi).tolist()] == want
 
     def test_atoms_pair_at_shifted_locations(self):
         xs = np.array([0.5, 0.05, -0.5, 0.45, 1.0])
