@@ -11,14 +11,15 @@ code: ``<config> <command> <item> <sha256>``.  ``wv`` runs under the name
 ``laws``: on two fixed laws under both weights, and on a malformed law, which
 exits 2.  Running the script against two source trees and diffing the two
 outputs shows whether a change left every output byte-identical.  The
-configs are the shipped ones plus eight fixed models written below.  Every
-command runs on every config but five: the pure-jump one runs its own two
+configs are the shipped ones plus nine fixed models written below.  Every
+command runs on every config but six: the pure-jump one runs its own two
 starts at 0, the small-stable-index one only ``check-generator`` and
 ``lyapunov``, the stable-immigration one only ``rate`` at grids 31 and 101,
-and two models whose paths die mid-run only ``simulate`` and ``couple``: on
+two models whose paths die mid-run only ``simulate`` and ``couple`` (on
 one, paths pass ``x_max``, in one 1024-path block and in several; on the
-other, a path's jump intensity passes the steppers' cap.  There are also two
-runs of several 1024-path blocks on three configs, ``rate`` at the
+other, a path's jump intensity passes the steppers' cap), and one whose
+Lyapunov sweep's C1 underflows to 0 only ``rate`` and ``lyapunov``.  There
+are also two runs of several 1024-path blocks on three configs, ``rate`` at the
 benchmark's grid of 101 on four more, a ``couple`` start with a
 gap of 0.01 (x0 = 1, y0 = 0.99) on two stable ones, and a small-gap
 ``couple`` on the same two at an eps where jumps below eps merge pairs and
@@ -241,6 +242,26 @@ eps = 0.0
 weight = v1
 """
 
+# a drift margin of 4.9e-324, the least positive float: the Lyapunov sweep's
+# C1 halves to 0 after one step, and the one positive C1 leaves no
+# (lambda0, C1) pair; it runs only ``rate`` and ``lyapunov``
+C1_UNDERFLOW = """\
+[branching]
+b = 5e-324
+c = 0.0
+mu = none
+
+[immigration]
+beta = 0.3
+nu = uniform rate=1.0 lo=0.0 hi=1.0
+
+[competition]
+g = none
+
+[certificate]
+weight = v1
+"""
+
 COMMANDS = (
     ("rate-v1", ["rate", "--grid", "31", "--weight", "v1"]),
     ("rate-vlog", ["rate", "--grid", "31", "--weight", "vlog"]),
@@ -316,6 +337,8 @@ LAM_CAP_COMMANDS = (
     ("couple", ["couple", "--paths", "100", "--t-end", "0.1"]),
 )
 
+C1_UNDERFLOW_COMMANDS = (("rate", ["rate"]), ("lyapunov", ["lyapunov"]))
+
 
 # two fixed laws for ``wv``, and one that does not sum to 1
 LAWS = {
@@ -351,14 +374,14 @@ def _configs():
             out[name] = fh.read()
     out.update(nu_jump=NU_JUMP, mixed_vlog=MIXED_VLOG, mixed_v1=MIXED_V1, pure_jump=PURE_JUMP,
                small_alpha_vlog=SMALL_ALPHA_VLOG, stable_nu_vlog=STABLE_NU_VLOG,
-               x_max_hits=X_MAX_HITS, lam_cap=LAM_CAP)
+               x_max_hits=X_MAX_HITS, lam_cap=LAM_CAP, c1_underflow=C1_UNDERFLOW)
     return out
 
 
 def _commands(cfg_name):
     only = {"pure_jump": PURE_JUMP_COMMANDS, "small_alpha_vlog": SMALL_ALPHA_COMMANDS,
             "stable_nu_vlog": STABLE_NU_COMMANDS, "x_max_hits": X_MAX_COMMANDS,
-            "lam_cap": LAM_CAP_COMMANDS}
+            "lam_cap": LAM_CAP_COMMANDS, "c1_underflow": C1_UNDERFLOW_COMMANDS}
     if cfg_name in only:
         return only[cfg_name]
     return (

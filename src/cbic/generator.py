@@ -245,7 +245,7 @@ def lyapunov_certify(model: ModelSpec, weight: WeightFunction):
     """Largest-C1 Lyapunov certificate, or a :class:`LyapunovFailure` report.
 
     LV is evaluated once on the check grid, and C1 is swept geometrically below
-    the asymptotic margin; the certificate lists every feasible (C1, C0) pair.
+    the asymptotic margin; the certificate lists every feasible (C1 > 0, C0) pair.
     """
     drift = LyapunovDrift(model, weight)
     margin = lyapunov_margin(model, weight)
@@ -260,6 +260,8 @@ def lyapunov_certify(model: ModelSpec, weight: WeightFunction):
     pairs = []
     for k in range(_SWEEP_DEPTH):
         c1 = c1max * 2.0**-k
+        if c1 == 0.0:  # underflowed, and so does every later C1
+            break
         c0 = _feasible_c0(weight, c1, grid, lv_vals)
         if c0 is not None:
             pairs.append((c1, c0))

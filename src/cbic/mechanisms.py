@@ -463,6 +463,12 @@ class CompetitionMechanism:
             out = self.K * x * np.log1p(np.maximum(x, 0.0))
         return out if out.shape else float(out)
 
+    def on_states(self):
+        """``_unguarded`` for float arrays of states >= +0.0 or inf: no conversion, no clamp."""
+        a, K, p = self.a, self.K, self.p
+        return {"linear": lambda x: a * x, "power": lambda x: K * np.power(x, p),
+                "xlog": lambda x: K * x * np.log1p(x)}[self.form]
+
     @property
     def is_zero(self) -> bool:
         """g vanishes identically: a zero slope, or K = 0."""

@@ -7,7 +7,7 @@ into the drift, immigration jumps at constant rate nu(z > eps) with the
 sub-eps mean folded into beta.  Stable branching mechanisms skip thinning and
 draw spectrally positive alpha-stable increments directly.  A path that
 passes x_max, or whose jump intensity x mu(z > eps) dt passes _LAM_CAP, is
-exploded and stays at inf; a step with no such path runs unmasked (``_live``).
+exploded and stays at inf; a step with no such path runs unmasked (``_step_start``).
 
 The coupled pair reflects the shared Gaussian component and disassembles
 every jump event by an independent uniform into merge / gap-doubling /
@@ -145,12 +145,6 @@ def _cms_standard(alpha: float, beta_skew: float, u: np.ndarray, w: np.ndarray) 
         / np.cos(u) ** (1.0 / alpha)
         * (np.cos(u - alpha * (u + b0)) / w) ** ((1.0 - alpha) / alpha)
     )
-
-
-def _stable_draws(alpha: float, rng, n: int):
-    """The angle and exponential draws behind n increments, in stream order."""
-    lo, hi = (0.0, math.pi) if alpha < 1.0 else (-math.pi / 2.0, math.pi / 2.0)
-    return rng.uniform(lo, hi, n), rng.exponential(1.0, n)
 
 
 def _stable_transform(alpha: float, dt: float, u: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -293,7 +287,7 @@ class _Plan:
                                   f"nu: {self.eps_nu:g}) have an infinite moment")
         self.beta_eff = model.beta + self.nu_small_lin
         self.x_max = cfg.x_max
-        self.g = model.g._unguarded  # steps run inside _drive's np.errstate
+        self.g = model.g.on_states()  # steps run inside _drive's np.errstate
         self.c = model.c
         # the terms a step draws and computes: Gaussian (c x, sub-eps variance), g
         self.gaussian = self.c > 0 or self.mu_small_sq > 0
@@ -320,10 +314,12 @@ class _Group:
 
     A lane is one (seed, block) stream set and its paths, at columns ``sl``
     of the group for each (streams, sl) in ``lanes``; they share ``plan``.
+    ``finite``: the (leader) states its last step left all finite and <= x_max, or None.
     """
 
     def __init__(self, plan: _Plan, start: int):
         self.plan, self.lanes, self.cols = plan, [], slice(start, start)
+        self.finite = None
 
     def add(self, streams: _Streams, width: int) -> None:
         a, b = self.cols.start, self.cols.stop
@@ -348,10 +344,12 @@ class _Group:
         """Rows of stable increments over dt, one row for each of ``n_steps`` steps.
 
         Each row's draws are the ones a step makes, lane by lane from its own
-        mu stream (``_stable_draws``); chunks of about _PREDRAW numbers, never
-        past the last step, are transformed at once.
+        mu stream in place, uniforms then exponentials; chunks of about _PREDRAW
+        numbers, never past the last step, are transformed at once, with the
+        angles lo + (hi - lo) u: ``uniform(lo, hi)``'s values, bit for bit.
         """
         alpha, width = self.plan.alpha, self.cols.stop - self.cols.start
+        lo, hi = (0.0, math.pi) if alpha < 1.0 else (-math.pi / 2.0, math.pi / 2.0)
         k = max(1, _PREDRAW // width)
         while n_steps > 0:
             rows = min(k, n_steps)
@@ -359,8 +357,9 @@ class _Group:
             u, w = np.empty((rows, width)), np.empty((rows, width))
             for r in range(rows):
                 for s, sl in self.lanes:
-                    u[r, sl], w[r, sl] = _stable_draws(alpha, s.mu, sl.stop - sl.start)
-            yield from _stable_transform(alpha, dt, u, w)
+                    s.mu.random(out=u[r, sl])
+                    s.mu.standard_exponential(out=w[r, sl])
+            yield from _stable_transform(alpha, dt, lo + (hi - lo) * u, w)
 
 
 def _drive(runs, fields, cfg: SimConfig, record_times, step, start=None, view=None):
@@ -563,13 +562,23 @@ def _live(plan: _Plan, x: np.ndarray, dt: float):
     return lam, live, np.count_nonzero(live) == live.size
 
 
+def _step_start(g: _Group, x: np.ndarray, dt: float):
+    """``_live(g.plan, x, dt)``, without its mask where x is ``g.finite`` (every x finite,
+    <= x_max) and x_max mu_rate dt <= _LAM_CAP: rounding is monotone, so then every
+    lam = x mu_rate dt <= _LAM_CAP too, and every path is live."""
+    plan = g.plan
+    if x is g.finite and plan.x_max * plan.mu_rate * dt <= _LAM_CAP:
+        return (x * plan.mu_rate * dt if plan.mu_rate > 0 else None), None, True
+    return _live(plan, x, dt)
+
+
 def _step_single(x: np.ndarray, g: _Group, dt: float, normals: Optional[np.ndarray]) -> np.ndarray:
     """One Euler step of every path of the group, driven by the step's standard
     ``normals``, or ``None`` when the plan has no Gaussian part, and on the
     stable fast path by the group's next row of increments (``g.inc``); dead
-    paths (``_live``) stay at inf."""
+    paths (``_step_start``) stay at inf."""
     plan = g.plan
-    lam, live, every = _live(plan, x, dt)
+    lam, live, every = _step_start(g, x, dt)
     xl = x if every else np.where(live, x, 0.0)
     xn = xl + _drift(plan, xl) * dt
     if plan.gaussian:
@@ -600,7 +609,8 @@ def _step_single(x: np.ndarray, g: _Group, dt: float, normals: Optional[np.ndarr
     if not every:
         xn = np.where(live, xn, np.inf)
     ok = xn <= plan.x_max  # False where dead, exploded or NaN
-    if np.count_nonzero(ok) < ok.size:
+    g.finite = xn if np.count_nonzero(ok) == ok.size else None
+    if g.finite is None:
         if np.count_nonzero(np.isnan(xn)):
             raise SimulationError("single-path Euler step produced a NaN state")
         xn[~ok] = np.inf
@@ -730,12 +740,12 @@ def _step_coupled(state: _CoupledState, g: _Group, eps_mu, eps_nu, dt, t_now):
     """One Euler step of the coupled pairs, in place; the sub-eps lasso rates
     are the overlap masses below eps (``overlap_mass``) of the open pairs.
 
-    A pair is live while its leader is (``_live``); a live leader is finite
+    A pair is live while its leader is (``_step_start``); a live leader is finite
     and at most x_max, and so is its follower.  A dead pair takes no jump
     event, sub-eps lasso, coupling time or explosion check, and stays at inf.
     """
     plan = g.plan
-    lam, live, every = _live(plan, state.x, dt)
+    lam, live, every = _step_start(g, state.x, dt)
     if every:
         x, y = state.x, state.y
     else:
@@ -804,7 +814,9 @@ def _step_coupled(state: _CoupledState, g: _Group, eps_mu, eps_nu, dt, t_now):
     boom = ~(inside & (state.y <= plan.x_max))  # exploded or NaN
     if not every:
         boom &= live
+    g.finite = state.x if every else None
     if np.count_nonzero(boom):
+        g.finite = None
         if np.count_nonzero(np.isnan(state.x[boom])) or np.count_nonzero(np.isnan(state.y[boom])):
             raise SimulationError("coupled Euler step produced a NaN state")
         state.x[boom] = np.inf

@@ -14,7 +14,12 @@ the package computes in closed form or by simulation:
   (:func:`overlap_density`, :func:`overlap_integrate`), with the decade-shell
   tail integral they take over an unbounded range (:func:`tail_integral`);
 - the spectrally positive stable increments of one stream
-  (:func:`stable_increments`);
+  (:func:`stable_increments`), from the angle and exponential draws of
+  ``Generator.uniform`` and ``exponential`` (:func:`stable_draws`);
+- the steppers with the live mask (``simulator._live``) at every step, the
+  stable increments from :func:`stable_draws` and the mechanism's own g
+  (:func:`drift`): :func:`step_single`, :func:`step_coupled` and
+  :func:`increments`;
 - the rate certificate's x0 search one (lambda0, C1) pair and one x0 at a time
   (:func:`search_x0_per_pair`), the immigration sweep term of the drift
   bound one gap at a time (:func:`sweep_nu_term_per_point`), and the grid check
@@ -49,12 +54,173 @@ from cbic.mechanisms import (
     psi_eval,
     summed,
 )
-from cbic.simulator import SimConfig, SimulationError
+from cbic.simulator import (
+    GAP_TOL,
+    SimConfig,
+    SimulationError,
+    _add_jumps,
+    _apply_jump_events,
+    _live,
+    _log_events,
+)
+
+
+def stable_draws(alpha: float, rng, n: int):
+    """The angle and exponential draws behind n increments, in stream order."""
+    lo, hi = (0.0, math.pi) if alpha < 1.0 else (-math.pi / 2.0, math.pi / 2.0)
+    return rng.uniform(lo, hi, n), rng.exponential(1.0, n)
 
 
 def stable_increments(alpha: float, dt: float, rng, n: int) -> np.ndarray:
     """n stable increments over dt from one stream, as a lane of one path draws them."""
-    return simulator._stable_transform(alpha, dt, *simulator._stable_draws(alpha, rng, n))
+    return simulator._stable_transform(alpha, dt, *stable_draws(alpha, rng, n))
+
+
+# -- per-step steppers ----------------------------------------------------------
+
+
+def increments(self, dt: float, n_steps: int):
+    """``simulator._Group.increments`` from :func:`stable_draws`, row by row and lane by lane."""
+    alpha, width = self.plan.alpha, self.cols.stop - self.cols.start
+    k = max(1, simulator._PREDRAW // width)
+    while n_steps > 0:
+        rows = min(k, n_steps)
+        n_steps -= rows
+        u, w = np.empty((rows, width)), np.empty((rows, width))
+        for r in range(rows):
+            for s, sl in self.lanes:
+                u[r, sl], w[r, sl] = stable_draws(alpha, s.mu, sl.stop - sl.start)
+        yield from simulator._stable_transform(alpha, dt, u, w)
+
+
+def drift(plan, x: np.ndarray) -> np.ndarray:
+    """beta_eff - b_eff x - g(x), g by ``CompetitionMechanism.__call__``."""
+    out = plan.beta_eff - plan.b_eff * x
+    return out - plan.model.g(x) if plan.competes else out
+
+
+def step_single(x: np.ndarray, g, dt: float, normals) -> np.ndarray:
+    """``simulator._step_single`` with the live mask (``_live``) at every step."""
+    plan = g.plan
+    lam, live, every = _live(plan, x, dt)
+    xl = x if every else np.where(live, x, 0.0)
+    xn = xl + drift(plan, xl) * dt
+    if plan.gaussian:
+        # 2 c x dt; forming c x dt first keeps a huge c from overflowing at x = 0
+        var = 2.0 * (plan.c * xl * dt)
+        if plan.mu_small_sq > 0:
+            var = var + xl * plan.mu_small_sq * dt
+        xn = xn + np.sqrt(np.maximum(var, 0.0)) * normals
+    if plan.stable_fast and plan.sigma > 0:
+        inc = next(g.inc)
+        if plan.alpha == 1.0:
+            logdrift = np.where(
+                xl > 0, plan.sigma * xl * np.log(np.maximum(plan.sigma * xl, 1e-300)), 0.0
+            )
+            xn = xn + plan.sigma * xl * inc + logdrift * dt
+        else:
+            # increments carry the lam^alpha exponent normalization, so the
+            # state factor is (sigma x)^(1/alpha): the conditional branching
+            # exponent over dt is then exactly dt sigma x lam^alpha
+            xn = xn + (plan.sigma * xl) ** (1.0 / plan.alpha) * inc
+    elif plan.mu_rate > 0:
+        # a dead path draws nothing: a Poisson count at rate 0 takes no number
+        _add_jumps(xn, g, "mu", lam if every else np.where(live, lam, 0.0), plan.mu_sampler)
+    if plan.nu_rate > 0:  # nor does a dead path draw immigration events
+        rate = plan.nu_rate * dt
+        _add_jumps(xn, g, "nu", rate if every else np.where(live, rate, 0.0), plan.nu_sampler)
+    xn = np.maximum(xn, 0.0)
+    if not every:
+        xn = np.where(live, xn, np.inf)
+    ok = xn <= plan.x_max  # False where dead, exploded or NaN
+    if np.count_nonzero(ok) < ok.size:
+        if np.count_nonzero(np.isnan(xn)):
+            raise SimulationError("single-path Euler step produced a NaN state")
+        xn[~ok] = np.inf
+    return xn
+
+
+def step_coupled(state, g, eps_mu, eps_nu, dt, t_now):
+    """``simulator._step_coupled`` with the live mask (``_live``) at every step."""
+    plan = g.plan
+    lam, live, every = _live(plan, state.x, dt)
+    if every:
+        x, y = state.x, state.y
+    else:
+        x, y = np.where(live, state.x, 0.0), np.where(live, state.y, 0.0)
+    state.x = x + drift(plan, x) * dt
+    state.y = y + drift(plan, y) * dt
+    if plan.gaussian:  # all rows or none: with c = 0, n1 and n2 still go before nc, nl
+        gap0 = x - y
+        # Gaussian reflection: X gets G1 + G2, Y gets -G1 before coupling
+        n1, n2 = next(g.gauss), next(g.gauss)
+        g1 = np.sqrt(np.maximum(2.0 * (plan.c * y * dt), 0.0)) * n1
+        g2 = np.sqrt(np.maximum(2.0 * (plan.c * gap0 * dt), 0.0)) * n2
+        if plan.mu_small_sq > 0:
+            nc, nl = next(g.gauss), next(g.gauss)
+            gc = np.sqrt(np.maximum(y * plan.mu_small_sq * dt, 0.0)) * nc
+            gl = np.sqrt(np.maximum(gap0 * plan.mu_small_sq * dt, 0.0)) * nl
+        else:
+            gc = gl = 0.0
+        state.x = state.x + g1 + g2 + gc + gl
+        # only the diffusion part is reflected; the truncated-small-jump
+        # correction gc stands in for shared jumps and is common to both
+        state.y = state.y + np.where(state.coupled, g1, -g1) + gc
+    # branching events (thinning at the step-start leader state)
+    if plan.mu_rate > 0:
+        lam = lam if every else np.where(live, lam, 0.0)
+        counts = g.per_lane("mu", lambda r, sl: r.poisson(lam[sl]))
+        _apply_jump_events(state, g, counts, plan.model.mu, plan.mu_sampler, "mu", x, t_now)
+    # immigration events: a dead pair's rate is 0, which takes no number from the stream
+    if plan.nu_rate > 0:
+        rate = plan.nu_rate * dt if every else np.where(live, plan.nu_rate * dt, 0.0)
+        counts = g.per_lane("nu", lambda r, sl: r.poisson(rate, sl.stop - sl.start) if every
+                            else r.poisson(rate[sl]))
+        _apply_jump_events(state, g, counts, plan.model.nu, plan.nu_sampler, "nu", None, t_now)
+    # sub-eps lasso corrections: merges and gap doublings carried by small jumps
+    if eps_mu > 0.0 or eps_nu > 0.0:
+        u_up, u_dn, z_dn = g.per_lane("dis", lambda r, sl: r.random((3, sl.stop - sl.start)))
+        gap = state.x - state.y
+        open_ = ~state.coupled & (gap > GAP_TOL)
+        op = np.flatnonzero(open_ if every else open_ & live)
+        gap = gap[op]
+        x2 = np.concatenate([-gap, gap])  # merge rates at -gap, doubling rates at gap
+        mu, nu = plan.model.mu, plan.model.nu
+        rate_up, rate_dn = (state.y[op] * overlap_mass(mu, x2, 0.0, eps_mu).reshape(2, -1)
+                            + overlap_mass(nu, x2, 0.0, eps_nu).reshape(2, -1))
+        up = u_up[op] < rate_up * dt  # u < 1: a probability rate * dt needs no cap at 1
+        dn = ~up & (u_dn[op] < rate_dn * dt)
+        fire_up, fire_dn, gap_dn = op[up], op[dn], gap[dn]
+        zz = gap_dn + (max(eps_mu, eps_nu) - gap_dn) * z_dn[fire_dn]
+        if state.logs is not None:
+            _log_events(state, g, fire_up, t_now, "+", gap[up], np.zeros(fire_up.size), gap[up])
+            _log_events(state, g, fire_dn, t_now, "-", gap_dn, zz, zz - gap_dn)
+        state.y[fire_up] = state.x[fire_up]
+        state.x[fire_dn] += zz
+        state.y[fire_dn] += zz - gap_dn
+    # clamp, merge detection, explosion
+    state.x = np.maximum(state.x, 0.0)
+    state.y = np.maximum(state.y, 0.0)
+    inside = state.x <= plan.x_max  # False where the leader exploded or is NaN
+    crossed = inside & ~state.coupled & (state.y >= state.x - GAP_TOL)
+    if not every:
+        crossed &= live
+    if np.count_nonzero(crossed):
+        state.coupled |= crossed
+        state.t_couple[crossed] = t_now + dt
+    state.y = np.where(state.coupled, state.x, state.y)
+    boom = ~(inside & (state.y <= plan.x_max))  # exploded or NaN
+    if not every:
+        boom &= live
+    if np.count_nonzero(boom):
+        if np.count_nonzero(np.isnan(state.x[boom])) or np.count_nonzero(np.isnan(state.y[boom])):
+            raise SimulationError("coupled Euler step produced a NaN state")
+        state.x[boom] = np.inf
+        state.y[boom] = np.inf
+    if not every:
+        state.x[~live] = np.inf
+        state.y[~live] = np.inf
+    return state
 
 
 # -- transform oracles ----------------------------------------------------------

@@ -484,6 +484,20 @@ class TestSubcommands:
         assert code == 1
         assert "lyapunov" in capsys.readouterr().err
 
+    def test_rate_with_a_c1_underflowing_to_zero_exits_one(self, tmp_path):
+        # the Lyapunov sweep's C1 halves from a margin of 4.9e-324 to 0; the one
+        # positive C1 makes 12 C0 / C1 overflow, so no (lambda0, C1) pair is left
+        path = tmp_path / "model.cfg"
+        path.write_text("[branching]\nb = 5e-324\nc = 0.0\nmu = none\n[immigration]\n"
+                        "beta = 0.3\nnu = uniform rate=1.0 lo=0.0 hi=1.0\n[competition]\n"
+                        "g = none\n[certificate]\nweight = v1\n")
+        code, err, runtime = _run_recording(["rate", "--model", str(path),
+                                             "--out", str(tmp_path / "rate")])
+        assert (code, runtime) == (1, [])
+        assert err == ("rate certificate failed: [contraction] every (lambda0, C1, x0) "
+                       "combination degenerated to lambda <= 0\n")
+        assert not (tmp_path / "rate").exists()
+
     def test_couple_writes_summary(self, ergodic_cfg, tmp_path):
         out = tmp_path / "couple"
         code = run([
@@ -643,6 +657,22 @@ class TestSubcommands:
             out = tmp_path / name
             assert run([*argv, "--model", str(path), "--out", str(out)]) == 0
             outs.append([capsys.readouterr().out] + [(out / f).read_bytes() for f in files])
+        assert outs[0] == outs[1]
+
+    def test_zero_rate_uniform_part_has_no_support_to_check(self, tmp_path, capsys):
+        # a uniform part of rate 0 is the zero measure before its support is
+        # read: with lo > hi, which a uniform part of positive rate may not
+        # have, the run is that of "none", not a config error
+        with open(os.path.join(CONFIGS, "ergodic_v1.cfg")) as fh:
+            text = fh.read()
+        outs = []
+        for name, measure in (("none", "none"), ("zero", "uniform rate=0 lo=1 hi=0.5")):
+            path = tmp_path / f"{name}.cfg"
+            path.write_text(text.replace("mu = uniform rate=1.0 lo=0.0 hi=1.0", f"mu = {measure}"))
+            out = tmp_path / name
+            assert run(["simulate", "--paths", "50", "--t-end", "0.1", "--model", str(path),
+                        "--out", str(out)]) == 0
+            outs.append([capsys.readouterr(), (out / "simulate.csv").read_bytes()])
         assert outs[0] == outs[1]
 
 

@@ -221,6 +221,16 @@ class TestLyapunovCertify:
         assert res.reason == "no feasible C1 in the sweep" and res.margin == math.inf
         assert isinstance(lyapunov_certify(model(0.5), V1), LyapunovCertificate)
 
+    def test_sweep_keeps_no_c1_that_underflowed(self):
+        """A margin of 4.9e-324 halves to 0 after one sweep step: only that one
+        positive C1 is a pair."""
+        model = ModelSpec(BranchingMechanism(5e-324, 0.0),
+                          ImmigrationMechanism(0.3, LevyMeasure.uniform(1.0, 0.0, 1.0)),
+                          CompetitionMechanism.none())
+        res = lyapunov_certify(model, V1)
+        assert isinstance(res, LyapunovCertificate)
+        assert [c1 for c1, _ in res.pairs] == [5e-324]
+
 
 def _control(theta=6.0, lambda0=0.8, x0=0.25, l=2.0, psi0=0.5, eps=1.0):
     return CouplingControl(

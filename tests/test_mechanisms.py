@@ -92,6 +92,13 @@ class TestCompetitionGuard:
             assert [g._unguarded(x) for x in self.XS] == [g(x) for x in self.XS]
         assert np.array_equal(got, g(np.array(self.XS)))
 
+    @pytest.mark.parametrize("g", FORMS + [CompetitionMechanism.power(1.3, 3.0)])
+    def test_on_states_equals_unguarded(self, g):
+        """The steppers' g has g's bits at every state a stepper holds."""
+        xs = np.array(self.XS + [5e-324, math.nan])
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert g.on_states()(xs).tobytes() == g._unguarded(xs).tobytes()
+
     @pytest.mark.parametrize("g", FORMS[1:])
     def test_call_guards_overflow(self, g):
         with np.errstate(over="raise"):

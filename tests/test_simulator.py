@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from cbic import cli, ergodicity, simulator
+from cbic.config import load_config
 from cbic.ergodicity import estimate_stationary
 from cbic.measures import overlap_mass
 from cbic.mechanisms import (
@@ -32,7 +33,14 @@ from cbic.simulator import (
     simulate_ensemble,
     simulate_ensembles,
 )
-from references import cbi_laplace, mean_with_dt_refinement, solve_vt, stable_increments
+import references
+from references import (
+    cbi_laplace,
+    mean_with_dt_refinement,
+    solve_vt,
+    stable_draws,
+    stable_increments,
+)
 
 
 class TestSolveVt:
@@ -672,7 +680,7 @@ class TestLockstep:
         per_lane = np.concatenate([
             stable_increments(alpha, 1e-3, rng, n) for rng, n in zip(rngs(), sizes)
         ])
-        draws = [simulator._stable_draws(alpha, rng, n) for rng, n in zip(rngs(), sizes)]
+        draws = [stable_draws(alpha, rng, n) for rng, n in zip(rngs(), sizes)]
         u, w = (np.concatenate(parts) for parts in zip(*draws))
         split = simulator._stable_transform(alpha, 1e-3, u, w)
         assert np.array_equal(per_lane, split)
@@ -687,7 +695,7 @@ class TestLockstep:
             fresh = [simulator._Streams(9, block).mu for block in (0, 1)]
             steps = []
             for _ in range(n_steps):
-                draws = [simulator._stable_draws(alpha, rng, n) for rng, n in zip(fresh, (16, 5))]
+                draws = [stable_draws(alpha, rng, n) for rng, n in zip(fresh, (16, 5))]
                 u, w = (np.concatenate(parts) for parts in zip(*draws))
                 steps.append(simulator._stable_transform(alpha, 1e-3, u, w))
             assert np.array_equal(rows, np.array(steps))
@@ -705,6 +713,73 @@ class TestLockstep:
             for _ in range(1000)
         ])
         assert np.array_equal(rows, steps)
+
+
+class TestStepOracle:
+    """Both steppers record, bit for bit, the states the per-step references
+    record (``references.step_single``, ``step_coupled`` and ``increments``):
+    carrying the live state from step to step, drawing the stable increments
+    in place and the steppers' g change no bit, in one lane and in several."""
+
+    @staticmethod
+    def shipped(name):
+        run = load_config(os.path.join(os.path.dirname(__file__), os.pardir, "configs",
+                                       f"{name}.cfg"))
+        return run.model, run.sim
+
+    # ergodic_v1 steps without the live mask after its first step; critical_cbi,
+    # whose x_max mu_rate dt is above the cap, and lam_cap keep it at every step
+    NAMES = ["ergodic_v1", "critical_cbi", "stable_power_vlog", "neveu_xlog", "x_max", "lam_cap"]
+
+    def case(self, name, n_paths, n_steps):
+        if name in ("x_max", "lam_cap"):
+            model, cfg = TestDeadPaths.CASES[TestDeadPaths.IDS.index(name)]
+        else:
+            model, cfg = self.shipped(name)
+        return model, replace(cfg, t_end=n_steps * cfg.dt, seed=41, n_paths=n_paths)
+
+    @pytest.mark.parametrize("n_paths", [16, 2500], ids=["one-lane", "three-lanes"])
+    @pytest.mark.parametrize("name", NAMES)
+    def test_single(self, name, n_paths, monkeypatch):
+        model, cfg = self.case(name, n_paths, 600)  # 16 paths: two chunks of increments
+        x0 = np.full(n_paths, 1.0)
+        x0[:2] = 0.0, -0.0
+        res = simulate_ensemble(model, x0, cfg)
+        monkeypatch.setattr(simulator, "_step_single", references.step_single)
+        monkeypatch.setattr(simulator._Group, "increments", references.increments)
+        ref = simulate_ensemble(model, x0, cfg)
+        assert res.values.shape == (601, n_paths)
+        assert res.values.tobytes() == ref.values.tobytes()
+        if name in ("x_max", "lam_cap"):
+            assert 0 < np.count_nonzero(res.exploded) < n_paths
+
+    @pytest.mark.parametrize("g", [
+        CompetitionMechanism.linear(0.7), CompetitionMechanism.power(1.3, 3.0),
+        CompetitionMechanism.power(1.3, 1.5), CompetitionMechanism.xlog(1.3),
+    ], ids=["linear", "cube", "power", "xlog"])
+    @pytest.mark.parametrize("beta", [0.0, 0.3])
+    def test_drift_equals_the_mechanisms_g(self, g, beta):
+        # at a -0.0 start state the steppers' g may differ from g in sign, and
+        # the drift, +0.0 there less that term, not
+        model = ModelSpec(BranchingMechanism(0.5, 0.0), ImmigrationMechanism(beta), g)
+        plan = simulator._Plan(model, SimConfig(), 1.0)
+        xs = np.array([0.0, -0.0, 5e-324, 0.5, 2.0, 1e3, 1e200, math.inf])
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert simulator._drift(plan, xs).tobytes() == references.drift(plan, xs).tobytes()
+
+    @pytest.mark.parametrize("n_paths", [16, 2500], ids=["one-lane", "three-lanes"])
+    @pytest.mark.parametrize("name", NAMES)
+    def test_coupled(self, name, n_paths, monkeypatch):
+        # the stable models' heavy-tailed jumps make coupled steps costly: fewer of them
+        model, cfg = self.case(name, n_paths, 40 if "stable" in name or "neveu" in name else 100)
+        res = simulate_coupled_ensemble(model, 2.0, 1.9, cfg, _record_events=True)
+        monkeypatch.setattr(simulator, "_step_coupled", references.step_coupled)
+        ref = simulate_coupled_ensemble(model, 2.0, 1.9, cfg, _record_events=True)
+        for field_ in ("x_values", "y_values", "coupling_times", "exploded"):
+            assert getattr(res, field_).tobytes() == getattr(ref, field_).tobytes(), field_
+        assert repr(res.lasso_events) == repr(ref.lasso_events)
+        if name in ("x_max", "lam_cap"):
+            assert 0 < np.count_nonzero(res.exploded) < n_paths
 
 
 class TestPooled:
