@@ -21,7 +21,8 @@ RNG: paths are partitioned into fixed 1024-path blocks; each block derives
 four Philox streams (Gaussian, branching jumps, immigration jumps,
 disassembly uniforms) from (seed, block).  The Gaussian stream is drawn from
 only when the scheme has a Gaussian part: c > 0, or branching jumps below eps
-whose variance it stands in for.  A lane is one such stream set and its
+whose variance it stands in for.  Jump counts take the numbers that
+``Generator.poisson`` takes (``_poisson``).  A lane is one such stream set and its
 paths; the block size fixes the streams, and so the outputs, not the
 arrays stepped.  Lanes sharing a plan are stepped together as one array, a
 group, of at most one worker's share of all the paths and 2^18 paths: 4100
@@ -64,6 +65,10 @@ _EVENT_BUDGET = 10.0  # expected jump events per step at the reference scale
 # exploded (its jump intensity alone certifies divergence before x_max)
 _LAM_CAP = 1e5
 _PREDRAW = 1 << 13  # normals pre-drawn at once per lane group (64 KB)
+# _poisson's own counts against Generator.poisson, us per call at a total rate of 0.01 (2-CPU
+# Xeon, BENCH_31.json): 5.0 vs 7.0 at 16 rates, 16 vs 23 at 1024; even at 16 and 64 from 0.3
+_POISSON_FAST = 0.3
+_SURE0 = 1.0 - 2.0 ** -40  # u + lam <= this is u < exp(-lam), past any rounding
 
 
 class SimulationError(RuntimeError):
@@ -305,10 +310,6 @@ class _Streams:
         )
 
 
-def _cat(parts):
-    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-1)
-
-
 class _Group:
     """Lanes stepped as one array, at columns ``cols`` of the driven fields.
 
@@ -328,7 +329,10 @@ class _Group:
 
     def per_lane(self, which: str, draw):
         """Each lane's ``draw(rng, sl)`` from its own ``which`` stream, joined on the last axis."""
-        return _cat([draw(getattr(s, which), sl) for s, sl in self.lanes])
+        if len(self.lanes) == 1:
+            s, sl = self.lanes[0]
+            return draw(getattr(s, which), sl)
+        return np.concatenate([draw(getattr(s, which), sl) for s, sl in self.lanes], axis=-1)
 
     def normals(self):
         """Rows of standard normals, each lane's from its own Gaussian stream.
@@ -520,6 +524,46 @@ def _pooled(run, n_groups: int, n_workers: int) -> list:
     return finals
 
 
+def _poisson(rng, lam, n: int) -> np.ndarray:
+    """``rng.poisson(lam, n)`` for a float or n rates ``lam``, from the same numbers.
+
+    numpy draws none at rate 0 and, below rate 10, multiplies uniforms (``random``'s)
+    until the product is at most exp(-rate).  Rates summing below _POISSON_FAST draw
+    one u per positive rate, a sure 0 where u + rate <= _SURE0 as 1 - rate <= exp(-rate),
+    and replay numpy's loop (libm's exp, as numpy's C code) from the first other path,
+    drawing more only as the paths left take at least one number each.
+    """
+    if isinstance(lam, float) or not lam.sum() < _POISSON_FAST:  # NaN is not
+        return rng.poisson(lam, n)
+    m = np.count_nonzero(pos := lam > 0)
+    if m < n and np.count_nonzero(lam < 0):  # numpy raises
+        return rng.poisson(lam, n)
+    buf, lam = rng.random(m), lam if m == n else lam[pos]
+    sure, counts = buf + lam <= _SURE0, np.zeros(n, np.int64)
+    if np.count_nonzero(sure) == m:
+        return counts
+    at, k, p = np.flatnonzero(pos), 0, 0  # k: the next path, p: its first number in buf
+    while k < m:
+        if p == buf.size:
+            buf, p = rng.random(m - k), 0
+        j = min(buf.size - p, m - k)
+        if k:  # the counts so far shifted each path's numbers by p - k
+            sure = buf[p:p + j] + lam[k:k + j] <= _SURE0
+        i = int(sure.argmin())
+        if sure[i]:
+            k, p = k + j, p + j
+            continue
+        k, p, c, prod, enlam = k + i, p + i, -1, 1.0, math.exp(-float(lam[k + i]))
+        while c < 0 or prod > enlam:  # numpy's loop: c counts the products above exp(-rate)
+            if p == buf.size:
+                buf, p = rng.random(m - k), 0
+            prod *= float(buf[p])
+            p, c = p + 1, c + 1
+        counts[at[k]] = c
+        k += 1
+    return counts
+
+
 # -- single-path stepping -------------------------------------------------------
 
 
@@ -528,8 +572,8 @@ def _add_jumps(xn: np.ndarray, g: _Group, which: str, lam, sampler) -> None:
     per path, or a float for all) and then a selector and a position uniform
     per event, all from its ``which`` stream."""
     scalar = isinstance(lam, float)
-    counts = g.per_lane(which, lambda r, sl: r.poisson(lam, sl.stop - sl.start) if scalar
-                        else r.poisson(lam[sl]))
+    counts = g.per_lane(which, lambda r, sl: _poisson(r, lam if scalar else lam[sl],
+                                                      sl.stop - sl.start))
     if np.count_nonzero(counts):
         u = g.per_lane(which, lambda r, sl: r.random((2, int(counts[sl].sum()))))
         np.add.at(xn, np.repeat(np.arange(xn.size), counts), sampler.draw(u[0], u[1]))
@@ -713,7 +757,7 @@ def _apply_jump_events(state, g, counts, measure, sampler, which, x_start, t_now
     disassembles the events of all lanes at once.
     """
     rows = 2 if x_start is None else 3
-    for k in range(int(counts.max())):
+    for k in range(int(counts.max()) if np.count_nonzero(counts) else 0):
         act = counts > k
         cols = np.flatnonzero(act)
         xa, ya = state.x[cols], state.y[cols]
@@ -722,8 +766,9 @@ def _apply_jump_events(state, g, counts, measure, sampler, which, x_start, t_now
         alone = np.zeros(cols.size, dtype=bool) if x_start is None else u[2] * x_start[cols] > ya
         v = g.per_lane("dis", lambda r, sl: r.random(np.count_nonzero(act[sl])))
         gap = xa - ya
-        rho_up = rn_ratio_many(measure, -gap, z)
-        rho_dn = rn_ratio_many(measure, gap, z)
+        # one call at -gap and gap: the ratio is elementwise
+        rho_up, rho_dn = rn_ratio_many(measure, np.concatenate([-gap, gap]),
+                                       np.concatenate([z, z])).reshape(2, -1)
         merge = ~alone & (v <= rho_up)
         down = ~alone & (v > rho_up) & (v <= rho_up + rho_dn)
         state.x[cols] = xa_new = xa + z
@@ -771,13 +816,13 @@ def _step_coupled(state: _CoupledState, g: _Group, eps_mu, eps_nu, dt, t_now):
     # branching events (thinning at the step-start leader state)
     if plan.mu_rate > 0:
         lam = lam if every else np.where(live, lam, 0.0)
-        counts = g.per_lane("mu", lambda r, sl: r.poisson(lam[sl]))
+        counts = g.per_lane("mu", lambda r, sl: _poisson(r, lam[sl], sl.stop - sl.start))
         _apply_jump_events(state, g, counts, plan.model.mu, plan.mu_sampler, "mu", x, t_now)
     # immigration events: a dead pair's rate is 0, which takes no number from the stream
     if plan.nu_rate > 0:
         rate = plan.nu_rate * dt if every else np.where(live, plan.nu_rate * dt, 0.0)
-        counts = g.per_lane("nu", lambda r, sl: r.poisson(rate, sl.stop - sl.start) if every
-                            else r.poisson(rate[sl]))
+        counts = g.per_lane("nu", lambda r, sl: _poisson(r, rate if every else rate[sl],
+                                                         sl.stop - sl.start))
         _apply_jump_events(state, g, counts, plan.model.nu, plan.nu_sampler, "nu", None, t_now)
     # sub-eps lasso corrections: merges and gap doublings carried by small jumps
     if eps_mu > 0.0 or eps_nu > 0.0:

@@ -315,6 +315,10 @@ class TestCriticality:
         rep = psi_prime_at_zero(stable_to_generic(0.0, 0.0, 1.0, alpha))
         assert rep.value == -math.inf and rep.label == "supercritical"
 
+    def test_finite_tail_supercritical(self):
+        rep = psi_prime_at_zero(BranchingMechanism(-1.0, 0.0))
+        assert rep.value == -1.0 and rep.label == "supercritical"
+
     def test_atom_critical(self):
         mech = BranchingMechanism(2.0, 0.0, LevyMeasure.from_atoms([(2.0, 1.0)]))
         rep = psi_prime_at_zero(mech)
