@@ -13,7 +13,6 @@ from .mechanisms import (
     BranchingMechanism,
     CompetitionMechanism,
     ImmigrationMechanism,
-    InconclusiveError,
     LevyMeasure,
     MechanismError,
     ModelSpec,

@@ -88,7 +88,7 @@ class ValidationReport:
     rows: List[Tuple[float, float, float, float]] = field(repr=False, default_factory=list)
 
 
-# how each certificate constant is obtained, printed next to it in the report
+# how each certificate constant is obtained, printed next to it in the report, in this order
 _PROVENANCE = {
     "lambda0": "non-triviality search over a geometric grid",
     "c0": "end of the leading run of positive overlap masses (1.0 when c > 0)",
@@ -494,12 +494,9 @@ def validate_certificate(
 
 def render_certificate(cert: RateCertificate) -> str:
     lines = ["rate certificate", "================"]
-    for name in (
-        "lambda0", "c0", "kappa", "x0", "l", "lambda1", "q", "r_star", "r", "H",
-        "theta", "lambda2", "C0", "C1", "epsilon", "lam",
-    ):
+    for name, how in _PROVENANCE.items():
         label = "lambda" if name == "lam" else name
-        lines.append(f"{label:>8} = {getattr(cert, name):.10g}    [{_PROVENANCE[name]}]")
+        lines.append(f"{label:>8} = {getattr(cert, name):.10g}    [{how}]")
     lines.append(f"weight   = {cert.weight.kind}")
     if cert.validation is not None:
         v = cert.validation
@@ -580,10 +577,8 @@ class DecayEstimate:
     wv_upper: np.ndarray
     se: np.ndarray
     n_uncoupled: np.ndarray
-    fitted_rate: float
-    fitted_prefactor: float
-    fit_se: float
-    window: np.ndarray  # boolean mask of points used in the fit
+    fitted_rate: float  # minus the slope of the weighted log-linear fit; 0.0 without one
+    fit_se: float  # the slope's standard error; inf without a fit
 
 
 def estimate_wv_decay(res: CoupledEnsembleResult, weight: WeightFunction) -> DecayEstimate:
@@ -591,23 +586,19 @@ def estimate_wv_decay(res: CoupledEnsembleResult, weight: WeightFunction) -> Dec
 
     The estimator is the empirical mean of (2 + V(X_t) + V(Y_t)) 1{t < T}
     at every recorded time of ``res``, an upper bound on the weighted
-    distance between the two time-t laws.  A degenerate start x0 == y0
-    yields the identically zero curve.
+    distance between the two time-t laws, all times in one array pass.  A
+    degenerate start x0 == y0 yields the identically zero curve.
     """
     ok = ~res.exploded
-    if not ok.any():
+    n = int(np.count_nonzero(ok))
+    if not n:
         raise SimulationError("all coupled paths exploded")
-    wv = np.empty(res.times.size)
-    se = np.empty(res.times.size)
-    nunc = np.empty(res.times.size, dtype=int)
-    for i, t in enumerate(res.times):
-        xs = res.x_values[i, ok]
-        ys = res.y_values[i, ok]
-        unc = res.coupling_times[ok] > t
-        vals = np.where(unc, (2.0 + np.asarray(weight.value(xs)) + np.asarray(weight.value(ys))), 0.0)
-        wv[i] = vals.mean()
-        se[i] = vals.std(ddof=1) / math.sqrt(vals.size) if vals.size > 1 else math.inf
-        nunc[i] = int(unc.sum())
+    unc = res.coupling_times[ok] > res.times[:, None]
+    vals = np.where(unc, 2.0 + np.asarray(weight.value(res.x_values[:, ok]))
+                    + np.asarray(weight.value(res.y_values[:, ok])), 0.0)
+    wv = vals.mean(axis=1)
+    se = vals.std(axis=1, ddof=1) / math.sqrt(n) if n > 1 else np.full(wv.size, math.inf)
+    nunc = np.count_nonzero(unc, axis=1)
     window = (wv > 0) & (wv > 10.0 * se)
     if window.sum() >= 3:
         t_w = res.times[window]
@@ -625,10 +616,9 @@ def estimate_wv_decay(res: CoupledEnsembleResult, weight: WeightFunction) -> Dec
         dof = max(window.sum() - 2, 1)
         slope_se = math.sqrt(max(np.sum(w_w * resid**2) / dof, 0.0) / sxx)
         rate = -float(slope)
-        pref = float(math.exp(ybar - slope * tbar))
     else:
-        rate, slope_se, pref = 0.0, math.inf, float(wv[0]) if wv.size else math.nan
-    return DecayEstimate(res.times, wv, se, nunc, rate, pref, float(slope_se), window)
+        rate, slope_se = 0.0, math.inf
+    return DecayEstimate(res.times, wv, se, nunc, rate, float(slope_se))
 
 
 @dataclass

@@ -11,10 +11,11 @@ m_x(0, 0 v x] = 0, m_x(0, inf) = m_{-x}(0, inf) <= m(|x|, inf)/2.
 
 :func:`overlap_mass` is the one implementation of that mass, a closed form per
 part kind evaluated elementwise over shifts: the coupled stepper takes its
-sub-eps lasso rates from it per pair, and :func:`kappa` per shift.  The
-certificate takes it through :func:`overlap_masses`, the same closed forms over
-an array of shifts with a stable part's powers taken one element at a time, so
-that each shift has the bits of its float alone.
+sub-eps lasso rates from it at the (2, n) stack of shifts -gap and gap of its
+open pairs, and :func:`kappa` per shift.  The certificate takes it through
+:func:`overlap_masses`, the same closed forms over an array of shifts with a
+stable part's powers taken one element at a time, so that each shift has the
+bits of its float alone.
 :func:`overlap_moment` gives the closed moments below a cut that the
 certificate's immigration sweep term takes, elementwise over shifts as well.
 
@@ -24,7 +25,8 @@ would inflate the overlap.  A ``sum`` measure's overlap mass and overlap
 moments are the sums of its parts' values (:func:`~cbic.mechanisms.summed`),
 so cross terms between any two parts, atoms against a density or one density
 against another, are dropped.  :func:`rn_ratio_many` instead uses the summed
-density and all the atoms of the measure.
+density and all the atoms of the measure; an event pass takes both thresholds
+of its jumps z, at -gap and gap, from one call, with f(z) evaluated once.
 """
 
 from __future__ import annotations
@@ -177,20 +179,18 @@ def kappa(model: ModelSpec, x: float) -> float:
 def rn_ratio_many(base: LevyMeasure, x, z):
     """Disassembly thresholds m_x(dz)/m(dz) in [0, 1/2], pairwise over (x, z).
 
-    A scalar shift applies to every z.  Density part: min(1, f(z-x)/f(z))/2
-    where the base density is positive; atoms match only at exactly shifted
-    locations; everything else is 0.
+    The shifts broadcast against ``z``: a scalar shift applies to every z, and
+    a (k, n) stack of shifts against n jumps gives k rows with f(z) evaluated
+    once.  Density part: min(1, f(z-x)/f(z))/2 where the base density is
+    positive; atoms match only at exactly shifted locations; everything else is 0.
     """
     z = np.atleast_1d(np.asarray(z, dtype=float))
-    x = np.broadcast_to(np.asarray(x, dtype=float), z.shape)
+    x = np.asarray(x, dtype=float)
     fz = base.density(z)
-    fzx = base.density(z - x)
-    out = np.zeros_like(fz)
-    pos = fz > 0
-    out[pos] = 0.5 * np.minimum(1.0, fzx[pos] / fz[pos])
+    with np.errstate(divide="ignore", invalid="ignore"):  # taken only where f(z) > 0
+        out = np.where(fz > 0, 0.5 * np.minimum(1.0, base.density(z - x) / fz), 0.0)
     for a, m in base.atoms():
         mask = np.abs(z - a) <= ATOM_SLACK * max(1.0, abs(a))
-        if mask.any():
-            out[mask] = 0.5 * np.minimum(1.0, _atom_mass_at(base, a - x[mask]) / m)
-    out[z <= np.maximum(0.0, x)] = 0.0
-    return out
+        if np.count_nonzero(mask):
+            out = np.where(mask, 0.5 * np.minimum(1.0, _atom_mass_at(base, a - x) / m), out)
+    return np.where(z <= np.maximum(0.0, x), 0.0, out)

@@ -59,10 +59,6 @@ class QuadratureError(RuntimeError):
         self.interval = interval
 
 
-class InconclusiveError(RuntimeError):
-    """A tail/boundary classification could not be decided numerically."""
-
-
 def _gamma(x):
     from scipy.special import gamma  # loaded at first use (module docstring)
 
@@ -290,9 +286,9 @@ class LevyMeasure:
         if b > a:
             from . import quadrature
 
-            pts = tuple(self.breakpoints()) + (1.0,)
+            # a part's own support edges are never inside (a, b): only z = 1 splits it
             total += quadrature.integrate(lambda z: float(fn(z)) * self._dens1(z), a, b,
-                                          breakpoints=pts, singular_at_0=self.singular_at_0)
+                                          breakpoints=(1.0,), singular_at_0=self.singular_at_0)
         return total
 
     @summed(sum)
@@ -695,17 +691,10 @@ def conservative_condition(mech: BranchingMechanism) -> bool:
     if np.isfinite(crit.value):
         # -Psi(lam) <= (|Psi'(0+)| + o(1)) lam near 0, so the integral diverges.
         return True
-    comps = mech.mu.stable_components()
-    if comps:
-        amin = min(a for a, _ in comps)
-        if amin < 1.0:
-            return False  # -Psi ~ sigma*lam^amin near 0, integrably small denominator
-        if amin == 1.0:
-            return True  # -Psi ~ sigma*lam*log(1/lam): loglog divergence
-    raise InconclusiveError(
-        "cannot classify Psi near 0: the first moment diverges, but not through a "
-        "stable component of index <= 1"
-    )
+    # only a stable part of index a <= 1 has a divergent first moment (an infinite
+    # uniform tail fails check_branching_integrable): -Psi ~ sigma lam^a near 0 is
+    # integrably small for a < 1, and sigma lam log(1/lam) diverges loglog at a = 1
+    return min(a for a, _ in mech.mu.stable_components()) >= 1.0
 
 
 def stable_to_generic(a: float, c: float, sigma: float, alpha: float) -> BranchingMechanism:

@@ -232,10 +232,13 @@ class _MeasureSampler:
 
 
 def resolve_eps(measure: LevyMeasure, cfg: SimConfig, x_ref: float) -> float:
-    """Truncation level: 0 for finite activity, else the events-per-step budget."""
+    """Truncation level: 0 for a zero measure, else cfg.eps if set, else 0 for
+    finite activity or the events-per-step budget."""
+    if measure.is_zero:
+        return 0.0
     if cfg.eps is not None:
         return cfg.eps
-    if measure.is_zero or np.isfinite(measure.mass_above(0.0)):
+    if np.isfinite(measure.mass_above(0.0)):
         return 0.0
     target = _EVENT_BUDGET / (cfg.dt * max(x_ref, 1e-12))
     lo, hi = 1e-12, 1.0
@@ -567,13 +570,17 @@ def _poisson(rng, lam, n: int) -> np.ndarray:
 # -- single-path stepping -------------------------------------------------------
 
 
-def _add_jumps(xn: np.ndarray, g: _Group, which: str, lam, sampler) -> None:
-    """Add jump events to ``xn``: per lane, Poisson counts at rates ``lam`` (one
-    per path, or a float for all) and then a selector and a position uniform
-    per event, all from its ``which`` stream."""
+def _counts(g: _Group, which: str, lam) -> np.ndarray:
+    """Per lane, Poisson jump counts at rates ``lam`` (one per path, or a float
+    for all) from its ``which`` stream."""
     scalar = isinstance(lam, float)
-    counts = g.per_lane(which, lambda r, sl: _poisson(r, lam if scalar else lam[sl],
-                                                      sl.stop - sl.start))
+    return g.per_lane(which, lambda r, sl: _poisson(r, lam if scalar else lam[sl], sl.stop - sl.start))
+
+
+def _add_jumps(xn: np.ndarray, g: _Group, which: str, lam, sampler) -> None:
+    """Add jump events to ``xn``: per lane, ``_counts`` at rates ``lam`` and then
+    a selector and a position uniform per event, all from its ``which`` stream."""
+    counts = _counts(g, which, lam)
     if np.count_nonzero(counts):
         u = g.per_lane(which, lambda r, sl: r.random((2, int(counts[sl].sum()))))
         np.add.at(xn, np.repeat(np.arange(xn.size), counts), sampler.draw(u[0], u[1]))
@@ -766,9 +773,7 @@ def _apply_jump_events(state, g, counts, measure, sampler, which, x_start, t_now
         alone = np.zeros(cols.size, dtype=bool) if x_start is None else u[2] * x_start[cols] > ya
         v = g.per_lane("dis", lambda r, sl: r.random(np.count_nonzero(act[sl])))
         gap = xa - ya
-        # one call at -gap and gap: the ratio is elementwise
-        rho_up, rho_dn = rn_ratio_many(measure, np.concatenate([-gap, gap]),
-                                       np.concatenate([z, z])).reshape(2, -1)
+        rho_up, rho_dn = rn_ratio_many(measure, np.stack([-gap, gap]), z)
         merge = ~alone & (v <= rho_up)
         down = ~alone & (v > rho_up) & (v <= rho_up + rho_dn)
         state.x[cols] = xa_new = xa + z
@@ -781,9 +786,9 @@ def _apply_jump_events(state, g, counts, measure, sampler, which, x_start, t_now
                 _log_events(state, g, cols[m], t_now, sign, gap[m], z[m], ya_new[m] - ya[m])
 
 
-def _step_coupled(state: _CoupledState, g: _Group, eps_mu, eps_nu, dt, t_now):
+def _step_coupled(state: _CoupledState, g: _Group, dt, t_now):
     """One Euler step of the coupled pairs, in place; the sub-eps lasso rates
-    are the overlap masses below eps (``overlap_mass``) of the open pairs.
+    are the overlap masses below the plan's eps levels (``overlap_mass``) of the open pairs.
 
     A pair is live while its leader is (``_step_start``); a live leader is finite
     and at most x_max, and so is its follower.  A dead pair takes no jump
@@ -815,30 +820,28 @@ def _step_coupled(state: _CoupledState, g: _Group, eps_mu, eps_nu, dt, t_now):
         state.y = state.y + np.where(state.coupled, g1, -g1) + gc
     # branching events (thinning at the step-start leader state)
     if plan.mu_rate > 0:
-        lam = lam if every else np.where(live, lam, 0.0)
-        counts = g.per_lane("mu", lambda r, sl: _poisson(r, lam[sl], sl.stop - sl.start))
+        counts = _counts(g, "mu", lam if every else np.where(live, lam, 0.0))
         _apply_jump_events(state, g, counts, plan.model.mu, plan.mu_sampler, "mu", x, t_now)
     # immigration events: a dead pair's rate is 0, which takes no number from the stream
     if plan.nu_rate > 0:
-        rate = plan.nu_rate * dt if every else np.where(live, plan.nu_rate * dt, 0.0)
-        counts = g.per_lane("nu", lambda r, sl: _poisson(r, rate if every else rate[sl],
-                                                         sl.stop - sl.start))
+        rate = plan.nu_rate * dt
+        counts = _counts(g, "nu", rate if every else np.where(live, rate, 0.0))
         _apply_jump_events(state, g, counts, plan.model.nu, plan.nu_sampler, "nu", None, t_now)
     # sub-eps lasso corrections: merges and gap doublings carried by small jumps
-    if eps_mu > 0.0 or eps_nu > 0.0:
+    if plan.eps_mu > 0.0 or plan.eps_nu > 0.0:
         u_up, u_dn, z_dn = g.per_lane("dis", lambda r, sl: r.random((3, sl.stop - sl.start)))
         gap = state.x - state.y
         open_ = ~state.coupled & (gap > GAP_TOL)
         op = np.flatnonzero(open_ if every else open_ & live)
         gap = gap[op]
-        x2 = np.concatenate([-gap, gap])  # merge rates at -gap, doubling rates at gap
+        x2 = np.stack([-gap, gap])  # merge rates at -gap, doubling rates at gap
         mu, nu = plan.model.mu, plan.model.nu
-        rate_up, rate_dn = (state.y[op] * overlap_mass(mu, x2, 0.0, eps_mu).reshape(2, -1)
-                            + overlap_mass(nu, x2, 0.0, eps_nu).reshape(2, -1))
+        rate_up, rate_dn = (state.y[op] * overlap_mass(mu, x2, 0.0, plan.eps_mu)
+                            + overlap_mass(nu, x2, 0.0, plan.eps_nu))
         up = u_up[op] < rate_up * dt  # u < 1: a probability rate * dt needs no cap at 1
         dn = ~up & (u_dn[op] < rate_dn * dt)
         fire_up, fire_dn, gap_dn = op[up], op[dn], gap[dn]
-        zz = gap_dn + (max(eps_mu, eps_nu) - gap_dn) * z_dn[fire_dn]
+        zz = gap_dn + (max(plan.eps_mu, plan.eps_nu) - gap_dn) * z_dn[fire_dn]
         if state.logs is not None:
             _log_events(state, g, fire_up, t_now, "+", gap[up], np.zeros(fire_up.size), gap[up])
             _log_events(state, g, fire_dn, t_now, "-", gap_dn, zz, zz - gap_dn)
@@ -887,13 +890,10 @@ def simulate_coupled_ensemble(
         raise SimulationError(f"coupled start needs 0 <= y0 <= x0 <= x_max = {cfg.x_max:g}")
     # coupling always runs on the thinning representation of the jumps
     plan = _Plan(model, cfg, float(np.max(x0)) if x0.size else 1.0, force_thinning=True)
-    # the sub-eps lasso levels: 0 for a zero measure, which has no small jumps
-    eps_mu = 0.0 if model.mu.is_zero else plan.eps_mu
-    eps_nu = 0.0 if model.nu.is_zero else plan.eps_nu
     times, (xs, ys), finals = _drive(
         [(plan, cfg.seed)], [x0, y0], cfg, record_times,
         start=lambda g, f: _CoupledState(f[0], f[1], _record_events),
-        step=lambda st, g, k: _step_coupled(st, g, eps_mu, eps_nu, cfg.dt, (k - 1) * cfg.dt),
+        step=lambda st, g, k: _step_coupled(st, g, cfg.dt, (k - 1) * cfg.dt),
         view=lambda st: (st.x, st.y),
     )
     t_couple = np.concatenate([st.t_couple for st in finals])

@@ -140,9 +140,10 @@ def step_single(x: np.ndarray, g, dt: float, normals) -> np.ndarray:
     return xn
 
 
-def step_coupled(state, g, eps_mu, eps_nu, dt, t_now):
+def step_coupled(state, g, dt, t_now):
     """``simulator._step_coupled`` with the live mask (``_live``) at every step."""
     plan = g.plan
+    eps_mu, eps_nu = plan.eps_mu, plan.eps_nu
     lam, live, every = _live(plan, state.x, dt)
     if every:
         x, y = state.x, state.y

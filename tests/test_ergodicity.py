@@ -766,6 +766,20 @@ class TestDecayEstimate:
         )
         assert est.fitted_rate <= est.fit_se
 
+    @pytest.mark.parametrize("weight", [V1, VLOG], ids=["v1", "vlog"])
+    def test_each_time_has_the_bits_of_its_own_summary(self, ergodic_v1_model, weight):
+        cfg = SimConfig(dt=5e-3, t_end=2.0, seed=5, n_paths=300)
+        res = simulate_coupled_ensemble(ergodic_v1_model, 2.0, 0.0, cfg,
+                                        record_times=np.arange(0.0, 2.1, 0.25))
+        est = estimate_wv_decay(res, weight)
+        for i, t in enumerate(res.times):
+            unc = res.coupling_times > t
+            vals = np.where(unc, 2.0 + weight.value(res.x_values[i]) + weight.value(res.y_values[i]),
+                            0.0)
+            assert est.wv_upper[i] == vals.mean() and est.n_uncoupled[i] == unc.sum()
+            assert est.se[i] == vals.std(ddof=1) / math.sqrt(vals.size)
+        assert 0 < est.n_uncoupled[-1] < est.n_uncoupled[0] == cfg.n_paths
+
     def test_upper_bound_dominates_binned_distance(self, ergodic_v1_model):
         cfg = SimConfig(dt=5e-3, seed=13, n_paths=2000)
         times = [0.5, 1.0]

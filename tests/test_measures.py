@@ -304,6 +304,24 @@ class TestRnRatio:
         assert val == pytest.approx([0.5 * min(1.0, 0.6 / 0.4)])
         assert rn_ratio_many(ATOMS, 0.3, 1.5) == pytest.approx([0.0])
 
+    @pytest.mark.parametrize("base", [
+        LevyMeasure.uniform(1.3, 0.1, 2.0),
+        LevyMeasure.stable(0.5, 1.0),
+        LevyMeasure.stable(1.0, 0.7),
+        LevyMeasure.sum_of([ATOMS, LevyMeasure.uniform(1.3, 0.1, 2.0)]),
+        LevyMeasure.sum_of([LevyMeasure.stable(0.5, 1.0), ATOMS, LevyMeasure.uniform(1.3, 0.1, 2.0)]),
+    ], ids=["uniform", "stable-0.5", "stable-1", "atoms+uniform", "stable+atoms+uniform"])
+    def test_shift_stack_matches_one_call_per_row(self, base):
+        # the coupled event pass takes both thresholds from one call at (-gap, gap)
+        rng = np.random.default_rng(7)
+        z = np.concatenate([rng.exponential(1.0, 40), [1.0, 1.5, 1.5, 0.7]])  # atoms among them
+        gap = np.concatenate([rng.exponential(0.5, 40), [0.0, 0.5, -0.5, 0.0]])
+        gap[::5] *= -1.0
+        got = rn_ratio_many(base, np.stack([-gap, gap]), z)
+        want = np.stack([rn_ratio_many(base, -gap, z), rn_ratio_many(base, gap, z)])
+        assert got.shape == (2, z.size) and got.tobytes() == want.tobytes()
+        assert (got > 0).any()
+
     def test_many_matches_scalar(self):
         zs = np.array([0.3, 0.7, 1.0])
         xs = np.array([0.1, -0.2, 0.4])

@@ -325,6 +325,11 @@ class TestCriticality:
         assert rep.value == 0.0 and rep.label == "critical"
 
 
+def test_no_atoms_is_the_zero_measure():
+    assert LevyMeasure.from_atoms([]) == LevyMeasure.zero()
+    assert LevyMeasure.from_atoms([]).is_zero
+
+
 class TestConservativeCondition:
     def test_stable_low_index_explodes(self):
         assert conservative_condition(stable_to_generic(0.0, 0.0, 1.0, 0.5)) is False

@@ -28,6 +28,17 @@ class TestIntegrate:
         got = integrate(lambda z: z**-0.5, 0.0, 1.0, singular_at_0=True)
         assert got == pytest.approx(2.0, rel=1e-8)
 
+    @pytest.mark.parametrize("fn, match", [
+        (lambda z: 1.0 / z, "did not converge"),  # QUADPACK gives up, with a message
+        (lambda z: math.inf, "non-finite value"),  # QUADPACK returns inf without one
+    ], ids=["non-convergent", "infinite"])
+    def test_failed_piece_raises_with_its_interval(self, fn, match):
+        # without the geometric cut toward 0, (0, 1) is one QUADPACK piece
+        with pytest.raises(QuadratureError, match=match) as err:
+            integrate(fn, 0.0, 1.0, singular_at_0=False)
+        assert err.value.interval == (0.0, 1.0)
+        assert len(str(err.value).splitlines()) == 1
+
     def test_non_finite_integrand_raises_with_interval(self):
         def bad(z):
             return math.nan if z > 0.5 else 1.0

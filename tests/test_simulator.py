@@ -224,6 +224,12 @@ class TestSimulatePath:
         # events-per-step budget holds at the reference scale
         assert LevyMeasure.stable(1.5, 1.0).mass_above(eps) * cfg.dt * 10.0 <= 10.0 * 1.01
 
+    def test_resolve_eps_zero_for_a_zero_measure(self):
+        # a zero measure has no jumps to truncate, whatever eps is configured
+        cfg = SimConfig(dt=1e-3, eps=0.05)
+        assert resolve_eps(LevyMeasure.zero(), cfg, 10.0) == 0.0
+        assert resolve_eps(LevyMeasure.uniform(2.0, 0.0, 1.0), cfg, 10.0) == 0.05
+
     def test_uniform_part_samples_its_edge_cells_in_full(self):
         sampler = simulator._MeasureSampler(LevyMeasure.uniform(1.0, 0.0, 1.0), 0.0)
         n = 2**20
@@ -322,7 +328,7 @@ class TestSimulateCoupled:
         g = simulator._Group(plan, 0)
         g.add(simulator._Streams(5, 0), x.size)
         g.gauss = itertools.repeat(np.zeros(x.size))
-        state = simulator._step_coupled(simulator._CoupledState(x, y, True), g, eps, eps, dt, 0.0)
+        state = simulator._step_coupled(simulator._CoupledState(x, y, True), g, dt, 0.0)
         dis = simulator._Streams(5, 0).dis
         u_up, u_dn, z_dn = dis.random(x.size), dis.random(x.size), dis.random(x.size)
         gap = x - y
@@ -1161,7 +1167,7 @@ class TestPlanTerms:
             g.gauss = iter(np.random.default_rng(1).standard_normal((6, x.size)))
             state = simulator._CoupledState(x, y, True)
             for k in range(3):
-                state = simulator._step_coupled(state, g, plan.eps_mu, plan.eps_nu, cfg.dt, k * cfg.dt)
+                state = simulator._step_coupled(state, g, cfg.dt, k * cfg.dt)
             out.append(state)
         assert out[0].events == out[1].events
         for name in ("x", "y", "coupled", "t_couple"):
