@@ -47,6 +47,7 @@ from .ergodicity import (
     DecayEstimate,
     RateCertificate,
     StationaryEstimate,
+    TransportError,
     ValidationReport,
     compute_rate_certificate,
     estimate_stationary,

@@ -29,6 +29,7 @@ from .generator import (
 )
 from .ergodicity import (
     CertificateError,
+    TransportError,
     _as_dist,
     certified_drift,
     compute_rate_certificate,
@@ -382,7 +383,8 @@ def run(argv=None) -> int:
     except (ConfigError, MechanismError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except (SimulationError, CertificateError, QuadratureError, GeneratorDomainError) as exc:
+    except (SimulationError, CertificateError, QuadratureError, GeneratorDomainError,
+            TransportError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return MODEL_ERROR
 

@@ -56,6 +56,7 @@ from .simulator import (
 
 __all__ = [
     "CertificateError",
+    "TransportError",
     "RateCertificate",
     "ValidationReport",
     "certified_drift",
@@ -69,6 +70,10 @@ __all__ = [
     "StationaryEstimate",
     "estimate_stationary",
 ]
+
+
+class TransportError(RuntimeError):
+    """The exact transport LP found no optimum (HiGHS takes a cost of 1e20 or more as infinite)."""
 
 
 class CertificateError(RuntimeError):
@@ -564,7 +569,7 @@ def wv_ot_small(gamma, eta, weight: WeightFunction) -> float:
         cost, A_eq=a_eq, b_eq=np.concatenate([gp, ep]), bounds=(0, None), method="highs"
     )
     if res.status != 0:
-        raise RuntimeError(f"transport LP failed: {res.message}")
+        raise TransportError(f"transport LP failed: {res.message}")
     return float(res.fun)
 
 

@@ -22,7 +22,10 @@ four Philox streams (Gaussian, branching jumps, immigration jumps,
 disassembly uniforms) from (seed, block).  The Gaussian stream is drawn from
 only when the scheme has a Gaussian part: c > 0, or branching jumps below eps
 whose variance it stands in for.  Jump counts take the numbers that
-``Generator.poisson`` takes (``_poisson``).  A lane is one such stream set and its
+``Generator.poisson`` takes (``_poisson``); the single stepper reads each jump
+stream ahead from a twin generator and settles a step whose counts are all
+surely 0 with one comparison, drawing the numbers it took only before the
+stream's next other read (``_Streams.sure_zero``).  A lane is one such stream set and its
 paths; the block size fixes the streams, and so the outputs, not the
 arrays stepped.  Lanes sharing a plan are stepped together as one array, a
 group, of at most one worker's share of all the paths and 2^18 paths: 4100
@@ -69,6 +72,11 @@ _PREDRAW = 1 << 13  # normals pre-drawn at once per lane group (64 KB)
 # Xeon, BENCH_31.json): 5.0 vs 7.0 at 16 rates, 16 vs 23 at 1024; even at 16 and 64 from 0.3
 _POISSON_FAST = 0.3
 _SURE0 = 1.0 - 2.0 ** -40  # u + lam <= this is u < exp(-lam), past any rounding
+# numbers a jump stream reads ahead (_Streams.sure_zero), in rows of its lane's width; a lane
+# wider than half of it reads none.  us per _counts call at a total rate of 0.016, one CPU of a
+# 2-CPU Xeon (BENCH_33.json): 16 paths 9.6 -> 2.3, 256 10.2 -> 5.4, 512 12.0 -> 10.0, and
+# 1024, one row, 19.3 -> 19.9
+_AHEAD = 1 << 10
 
 
 class SimulationError(RuntimeError):
@@ -302,8 +310,25 @@ class _Plan:
         self.competes = not model.g.is_zero
 
 
+class _Ahead:
+    """A read-ahead window on one jump stream of a lane ``width`` paths wide:
+    ``rowmax`` holds the maximum of each of the next rows of ``width`` numbers
+    the stream gives, read by ``twin``, or is None; ``taken`` rows are taken."""
+
+    __slots__ = ("twin", "width", "rowmax", "taken")
+
+    def __init__(self, width: int):
+        self.twin, self.width = np.random.Generator(np.random.Philox(0)), width
+        self.rowmax, self.taken = None, 0
+
+
 class _Streams:
-    """Per-block generators: Gaussian, mu jumps, nu jumps, disassembly."""
+    """Per-block generators: Gaussian, mu jumps, nu jumps, disassembly.
+
+    A jump stream may run behind its read-ahead window (``sure_zero``): the
+    generator under its name then lags by the rows the window gave out, and
+    ``rng`` draws them before handing it to any other reader.
+    """
 
     def __init__(self, seed: int, block: int):
         root = np.random.SeedSequence(entropy=seed, spawn_key=(block,))
@@ -311,6 +336,43 @@ class _Streams:
         self.gauss, self.mu, self.nu, self.dis = (
             np.random.Generator(np.random.Philox(k)) for k in kids
         )
+        self.ahead = {}  # jump stream: its _Ahead window
+
+    def rng(self, which: str) -> np.random.Generator:
+        """The generator ``which``, caught up with its window, which it drops."""
+        rng, win = getattr(self, which), self.ahead.get(which)
+        if win is not None and win.rowmax is not None:
+            if win.taken:
+                rng.random(win.taken * win.width)
+            win.rowmax, win.taken = None, 0
+        return rng
+
+    def sure_zero(self, which: str, width: int, top: float) -> bool:
+        """Whether the stream's next ``width`` numbers u all have u + top <= _SURE0,
+        which takes them without a draw.
+
+        ``_poisson`` then counts 0 at any ``width`` positive rates of at most
+        ``top`` (rounding is monotone) and takes exactly these numbers, as does
+        numpy's ``poisson`` at rates below 10.  They are read, row by row, from
+        a twin generator that copies the stream's state and reads _AHEAD numbers
+        ahead; the stream itself draws the rows taken when ``rng`` hands it out,
+        or takes the twin's state when the window runs out.
+        """
+        win = self.ahead.get(which)
+        if win is None:
+            win = self.ahead[which] = _Ahead(width)
+        if win.rowmax is None or win.taken == len(win.rowmax):
+            rng = getattr(self, which)
+            if win.rowmax is None:
+                win.twin.bit_generator.state = rng.bit_generator.state
+            else:  # every row taken: the stream is where the twin is
+                rng.bit_generator.state = win.twin.bit_generator.state
+            win.rowmax = win.twin.random((_AHEAD // width, width)).max(axis=1).tolist()
+            win.taken = 0
+        if win.rowmax[win.taken] + top <= _SURE0:
+            win.taken += 1
+            return True
+        return False
 
 
 class _Group:
@@ -318,12 +380,13 @@ class _Group:
 
     A lane is one (seed, block) stream set and its paths, at columns ``sl``
     of the group for each (streams, sl) in ``lanes``; they share ``plan``.
-    ``finite``: the (leader) states its last step left all finite and <= x_max, or None.
+    ``finite``: the (leader) states its last step left all finite and <= x_max, or None;
+    ``top``: their maximum.
     """
 
     def __init__(self, plan: _Plan, start: int):
         self.plan, self.lanes, self.cols = plan, [], slice(start, start)
-        self.finite = None
+        self.finite = self.top = None
 
     def add(self, streams: _Streams, width: int) -> None:
         a, b = self.cols.start, self.cols.stop
@@ -334,8 +397,8 @@ class _Group:
         """Each lane's ``draw(rng, sl)`` from its own ``which`` stream, joined on the last axis."""
         if len(self.lanes) == 1:
             s, sl = self.lanes[0]
-            return draw(getattr(s, which), sl)
-        return np.concatenate([draw(getattr(s, which), sl) for s, sl in self.lanes], axis=-1)
+            return draw(s.rng(which), sl)
+        return np.concatenate([draw(s.rng(which), sl) for s, sl in self.lanes], axis=-1)
 
     def normals(self):
         """Rows of standard normals, each lane's from its own Gaussian stream.
@@ -534,7 +597,9 @@ def _poisson(rng, lam, n: int) -> np.ndarray:
     until the product is at most exp(-rate).  Rates summing below _POISSON_FAST draw
     one u per positive rate, a sure 0 where u + rate <= _SURE0 as 1 - rate <= exp(-rate),
     and replay numpy's loop (libm's exp, as numpy's C code) from the first other path,
-    drawing more only as the paths left take at least one number each.
+    drawing more only as the paths left take at least one number each.  So n positive
+    rates below 10 with every u sure take exactly n numbers and count 0 on either
+    route: what a read-ahead window (``_Streams.sure_zero``) settles without a call.
     """
     if isinstance(lam, float) or not lam.sum() < _POISSON_FAST:  # NaN is not
         return rng.poisson(lam, n)
@@ -570,18 +635,37 @@ def _poisson(rng, lam, n: int) -> np.ndarray:
 # -- single-path stepping -------------------------------------------------------
 
 
-def _counts(g: _Group, which: str, lam) -> np.ndarray:
+def _counts(g: _Group, which: str, lam, top: Optional[float]) -> Optional[np.ndarray]:
     """Per lane, Poisson jump counts at rates ``lam`` (one per path, or a float
-    for all) from its ``which`` stream."""
-    scalar = isinstance(lam, float)
-    return g.per_lane(which, lambda r, sl: _poisson(r, lam if scalar else lam[sl], sl.stop - sl.start))
+    for all) from its ``which`` stream, or None where every lane counts 0 unread.
+
+    With ``top``, a bound on every rate, a lane of at most _AHEAD // 2 paths whose
+    rates are all positive and sum below _POISSON_FAST at that bound first asks its
+    read-ahead window (``_Streams.sure_zero``); a lane it settles counts 0 without a draw.
+    """
+    scalar, lanes = isinstance(lam, float), g.lanes
+    if top is not None:
+        lanes = [(s, sl) for s, sl in lanes
+                 if not ((n := sl.stop - sl.start) * top < _POISSON_FAST and 2 * n <= _AHEAD
+                         and (lam > 0 if scalar else np.count_nonzero(lam[sl]) == n)
+                         and s.sure_zero(which, n, top))]
+        if not lanes:
+            return None
+    draw = lambda r, sl: _poisson(r, lam if scalar else lam[sl], sl.stop - sl.start)
+    if len(lanes) == len(g.lanes):
+        return g.per_lane(which, draw)
+    counts = np.zeros(g.cols.stop - g.cols.start, np.int64)
+    for s, sl in lanes:
+        counts[sl] = draw(s.rng(which), sl)
+    return counts
 
 
-def _add_jumps(xn: np.ndarray, g: _Group, which: str, lam, sampler) -> None:
-    """Add jump events to ``xn``: per lane, ``_counts`` at rates ``lam`` and then
-    a selector and a position uniform per event, all from its ``which`` stream."""
-    counts = _counts(g, which, lam)
-    if np.count_nonzero(counts):
+def _add_jumps(xn: np.ndarray, g: _Group, which: str, lam, top, sampler) -> None:
+    """Add jump events to ``xn``: per lane, ``_counts`` at rates ``lam`` bounded by
+    ``top`` and then a selector and a position uniform per event, all from its
+    ``which`` stream."""
+    counts = _counts(g, which, lam, top)
+    if counts is not None and np.count_nonzero(counts):
         u = g.per_lane(which, lambda r, sl: r.random((2, int(counts[sl].sum()))))
         np.add.at(xn, np.repeat(np.arange(xn.size), counts), sampler.draw(u[0], u[1]))
 
@@ -652,19 +736,22 @@ def _step_single(x: np.ndarray, g: _Group, dt: float, normals: Optional[np.ndarr
             xn = xn + (plan.sigma * xl) ** (1.0 / plan.alpha) * inc
     elif plan.mu_rate > 0:
         # a dead path draws nothing: a Poisson count at rate 0 takes no number
-        _add_jumps(xn, g, "mu", lam if every else np.where(live, lam, 0.0), plan.mu_sampler)
+        top = g.top * plan.mu_rate * dt if x is g.finite else None  # rounding is monotone
+        _add_jumps(xn, g, "mu", lam if every else np.where(live, lam, 0.0), top, plan.mu_sampler)
     if plan.nu_rate > 0:  # nor does a dead path draw immigration events
         rate = plan.nu_rate * dt
-        _add_jumps(xn, g, "nu", rate if every else np.where(live, rate, 0.0), plan.nu_sampler)
+        _add_jumps(xn, g, "nu", rate if every else np.where(live, rate, 0.0), rate, plan.nu_sampler)
     xn = np.maximum(xn, 0.0)
     if not every:
         xn = np.where(live, xn, np.inf)
-    ok = xn <= plan.x_max  # False where dead, exploded or NaN
-    g.finite = xn if np.count_nonzero(ok) == ok.size else None
-    if g.finite is None:
-        if np.count_nonzero(np.isnan(xn)):
-            raise SimulationError("single-path Euler step produced a NaN state")
-        xn[~ok] = np.inf
+    top = float(np.maximum.reduce(xn))  # NaN if any state is
+    if top <= plan.x_max:
+        g.finite, g.top = xn, top
+        return xn
+    g.finite = None
+    if np.count_nonzero(np.isnan(xn)):
+        raise SimulationError("single-path Euler step produced a NaN state")
+    xn[~(xn <= plan.x_max)] = np.inf  # dead or exploded
     return xn
 
 
@@ -820,12 +907,12 @@ def _step_coupled(state: _CoupledState, g: _Group, dt, t_now):
         state.y = state.y + np.where(state.coupled, g1, -g1) + gc
     # branching events (thinning at the step-start leader state)
     if plan.mu_rate > 0:
-        counts = _counts(g, "mu", lam if every else np.where(live, lam, 0.0))
+        counts = _counts(g, "mu", lam if every else np.where(live, lam, 0.0), None)
         _apply_jump_events(state, g, counts, plan.model.mu, plan.mu_sampler, "mu", x, t_now)
     # immigration events: a dead pair's rate is 0, which takes no number from the stream
     if plan.nu_rate > 0:
         rate = plan.nu_rate * dt
-        counts = _counts(g, "nu", rate if every else np.where(live, rate, 0.0))
+        counts = _counts(g, "nu", rate if every else np.where(live, rate, 0.0), None)
         _apply_jump_events(state, g, counts, plan.model.nu, plan.nu_sampler, "nu", None, t_now)
     # sub-eps lasso corrections: merges and gap doublings carried by small jumps
     if plan.eps_mu > 0.0 or plan.eps_nu > 0.0:

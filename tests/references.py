@@ -125,10 +125,10 @@ def step_single(x: np.ndarray, g, dt: float, normals) -> np.ndarray:
             xn = xn + (plan.sigma * xl) ** (1.0 / plan.alpha) * inc
     elif plan.mu_rate > 0:
         # a dead path draws nothing: a Poisson count at rate 0 takes no number
-        _add_jumps(xn, g, "mu", lam if every else np.where(live, lam, 0.0), plan.mu_sampler)
+        _add_jumps(xn, g, "mu", lam if every else np.where(live, lam, 0.0), None, plan.mu_sampler)
     if plan.nu_rate > 0:  # nor does a dead path draw immigration events
         rate = plan.nu_rate * dt
-        _add_jumps(xn, g, "nu", rate if every else np.where(live, rate, 0.0), plan.nu_sampler)
+        _add_jumps(xn, g, "nu", rate if every else np.where(live, rate, 0.0), None, plan.nu_sampler)
     xn = np.maximum(xn, 0.0)
     if not every:
         xn = np.where(live, xn, np.inf)

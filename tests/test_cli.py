@@ -582,6 +582,18 @@ class TestSubcommands:
         assert "wv_exact = 1.5" in out
         assert "wv_transport" in out
 
+    def test_wv_transport_failure_is_one_line(self, tmp_path, capsys):
+        """HiGHS takes a cost of 1e20 or more as infinite and finds no optimum."""
+        g = tmp_path / "g.csv"
+        e = tmp_path / "e.csv"
+        g.write_text("atom,prob\n1e20,0.5\n0,0.5\n")
+        e.write_text("atom,prob\n1,1\n")
+        code = run(["wv", "--gamma", str(g), "--eta", str(e), "--weight", "v1"])
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert out == "wv_exact = 5e+19\n"
+        assert err.startswith("error: transport LP failed: ") and err.count("\n") == 1
+
     def test_stationary_subcommand(self, ergodic_cfg, tmp_path, capsys):
         out = tmp_path / "st"
         code = run([

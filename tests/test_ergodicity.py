@@ -73,6 +73,11 @@ class TestCertificatePipeline:
         assert 0.0 < cert.x0 < min(cert.c0, 1.0)
         assert cert.l >= 1.0 and cert.q > 0.0 and 0.0 < cert.r_star <= 0.5
 
+    def test_a_broken_invariant_raises(self, ergodic_cert):
+        with pytest.raises(CertificateError, match="theta") as err:
+            replace(ergodic_cert, theta=2 * ergodic_cert.theta)
+        assert err.value.step == "invariants"
+
     def test_grid_validation_attached(self, ergodic_cert):
         rep = ergodic_cert.validation
         assert rep is not None and rep.passed

@@ -814,6 +814,126 @@ class TestPoisson:
         assert str(got.value) == str(want.value)
 
 
+class TestReadAhead:
+    """``simulator._counts`` with a bound on the rates gives, step after step,
+    the counts that per-step ``Generator.poisson`` gives on twin generators, and
+    leaves each lane's stream where the twin leaves its own: checked by the
+    position uniforms an event draws, as ``_add_jumps`` draws them, and by the
+    next ``random()`` after the run.  A lane whose read-ahead window settles a
+    step (every count surely 0) draws nothing; a step every lane settles
+    returns None."""
+
+    @staticmethod
+    def run(seed, widths, steps, which="mu"):
+        """Checks ``steps``, (rates, bound) pairs, against the twins.  Returns one
+        (lanes settled, events drawn, event met with window rows taken) per step."""
+        g = simulator._Group(None, 0)
+        for block, width in enumerate(widths):
+            g.add(simulator._Streams(seed, block), width)
+        twins = [getattr(simulator._Streams(seed, block), which) for block in range(len(widths))]
+        log = []
+        for lam, top in steps:
+            want = [t.poisson(lam if isinstance(lam, float) else lam[sl], sl.stop - sl.start)
+                    for t, (_, sl) in zip(twins, g.lanes)]
+            taken = [which in s.ahead and s.ahead[which].taken > 0 for s, _ in g.lanes]
+            got = simulator._counts(g, which, lam, top)
+            # a lane that did not settle the step dropped its window
+            settled = [which in s.ahead and s.ahead[which].rowmax is not None for s, _ in g.lanes]
+            assert (got is None) == all(settled)
+            for c, ok in zip(want, settled):
+                assert not (ok and c.any())
+            if got is not None:
+                assert got.dtype == want[0].dtype and np.array_equal(got, np.concatenate(want))
+            events = sum(int(c.sum()) for c in want)
+            if events:
+                u = g.per_lane(which, lambda r, sl: r.random((2, int(got[sl].sum()))))
+                assert np.array_equal(u, np.concatenate(
+                    [t.random((2, int(c.sum()))) for t, c in zip(twins, want)], axis=1))
+            log.append((settled, events > 0, any(t and c.any() for t, c in zip(taken, want))))
+        for (s, _), t in zip(g.lanes, twins):
+            assert s.rng(which).random() == t.random()
+        return log
+
+    @pytest.mark.parametrize("width", [1, 16, 512])  # 512: a window of two rows
+    def test_events_inside_windows(self, width):
+        meta = np.random.default_rng(width)
+        top = 0.016 / width
+        steps = [(top * (0.5 + 0.5 * meta.random(width)), top) for _ in range(3000)]
+        log = self.run(5, (width,), steps)
+        assert sum(s[0] for s, _, _ in log) > 2500
+        assert sum(inside for _, _, inside in log) > 5
+
+    def test_a_float_rate(self):
+        log = self.run(6, (16,), [(1e-3, 1e-3)] * 3000, which="nu")
+        assert sum(s[0] for s, _, _ in log) > 2500
+        assert sum(inside for _, _, inside in log) > 5
+
+    def test_a_rate_at_zero_never_reads_ahead(self):
+        """A rate of 0 takes no number, so its lane draws every step as numpy does."""
+        lam = np.full(16, 1e-3)
+        lam[[0, 9]] = 0.0, -0.0
+        log = self.run(7, (16,), [(lam, 1e-3)] * 1000)
+        assert not any(s[0] for s, _, _ in log)
+        assert any(e for _, e, _ in log)
+
+    def test_a_rate_of_ten_after_a_window(self):
+        """A step past the gate catches the stream up and goes to numpy's ``poisson``."""
+        calm, big = (np.full(16, 1e-3), 1e-3), np.full(16, 1e-3)
+        big[5] = 12.0  # transformed rejection, rate >= 10
+        log = self.run(8, (16,), ([calm] * 20 + [(big, 12.0)]) * 5)
+        for k, (settled, events, inside) in enumerate(log):
+            if k % 21 == 20:
+                assert not settled[0] and events and inside
+        assert sum(s[0] for s, _, _ in log) > 80
+
+    def test_two_lanes_one_settles(self):
+        lam = np.full(32, 1e-3)
+        log = self.run(9, (16, 16), [(lam, 1e-3)] * 3000)
+        both = [tuple(s) for s, _, _ in log]
+        assert {(True, False), (False, True)} <= set(both)
+        lam[20] = 0.0  # the second lane never reads ahead
+        log = self.run(10, (16, 16), [(lam, 1e-3)] * 1000)
+        assert all(not s[1] for s, _, _ in log)
+        assert sum(s[0] for s, _, _ in log) > 900
+
+    def test_the_gate(self):
+        """A lane reads ahead only while width * bound < _POISSON_FAST, and only
+        if its window holds at least two rows."""
+        below, above = 0.9 * simulator._POISSON_FAST / 16, 1.1 * simulator._POISSON_FAST / 16
+        tops = ([below] * 6 + [above] * 4) * 50
+        log = self.run(11, (16,), [(np.full(16, t), t) for t in tops])
+        settled = [s[0] for s, _, _ in log]
+        assert not any(ok for ok, t in zip(settled, tops) if t == above)
+        assert sum(settled) > 100
+        log = self.run(12, (513,), [(np.full(513, 1e-5), 1e-5)] * 50)
+        assert not any(s[0] for s, _, _ in log)
+
+    def test_paths_at_zero_in_a_group(self, monkeypatch):
+        """With beta = 0 a path at 0 stays there: its lane steps as the reference
+        does, while the other lane of the group reads ahead."""
+        model = ModelSpec(BranchingMechanism(0.5, 0.0, LevyMeasure.uniform(1.0, 0.0, 1.0)),
+                          ImmigrationMechanism(0.0), CompetitionMechanism.none())
+        cfg = SimConfig(dt=1e-3, t_end=0.5, seed=12, n_paths=16)
+        x0 = np.where(np.arange(16) % 3 == 0, 0.0, 1.0)
+        starts = [(x0, 12), (1.0, 13)]
+        monkeypatch.setattr(simulator, "_workers", lambda n: 1)  # one group of two lanes
+        settled = []
+        sure_zero = simulator._Streams.sure_zero
+
+        def spy(self, which, width, top):
+            settled.append(sure_zero(self, which, width, top))
+            return settled[-1]
+
+        monkeypatch.setattr(simulator._Streams, "sure_zero", spy)
+        res = simulate_ensembles(model, starts, cfg)
+        assert sum(settled) > 400
+        monkeypatch.setattr(simulator, "_step_single", references.step_single)
+        ref = simulate_ensembles(model, starts, cfg)
+        for a, b in zip(res, ref):
+            assert a.values.tobytes() == b.values.tobytes()
+        assert (res[0].values[:, x0 == 0.0] == 0.0).all()
+
+
 class TestStepOracle:
     """Both steppers record, bit for bit, the states the per-step references
     record (``references.step_single``, ``step_coupled`` and ``increments``):
