@@ -387,6 +387,9 @@ def run(argv=None) -> int:
             TransportError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return MODEL_ERROR
+    except MemoryError as exc:  # numpy's message names the array it could not allocate
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return MODEL_ERROR
 
 
 def main() -> None:

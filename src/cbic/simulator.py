@@ -21,11 +21,11 @@ RNG: paths are partitioned into fixed 1024-path blocks; each block derives
 four Philox streams (Gaussian, branching jumps, immigration jumps,
 disassembly uniforms) from (seed, block).  The Gaussian stream is drawn from
 only when the scheme has a Gaussian part: c > 0, or branching jumps below eps
-whose variance it stands in for.  Jump counts take the numbers that
-``Generator.poisson`` takes (``_poisson``); the single stepper reads each jump
-stream ahead from a twin generator and settles a step whose counts are all
-surely 0 with one comparison, drawing the numbers it took only before the
-stream's next other read (``_Streams.sure_zero``).  A lane is one such stream set and its
+whose variance it stands in for.  Jump counts are ``Generator.poisson``'s;
+the single stepper reads each jump stream ahead from a twin generator and
+settles a step whose counts are all surely 0 with one comparison, drawing the
+numbers it took only before the stream's next other read
+(``_Streams.sure_zero``).  A lane is one such stream set and its
 paths; the block size fixes the streams, and so the outputs, not the
 arrays stepped.  Lanes sharing a plan are stepped together as one array, a
 group, of at most one worker's share of all the paths and 2^18 paths: 4100
@@ -68,9 +68,10 @@ _EVENT_BUDGET = 10.0  # expected jump events per step at the reference scale
 # exploded (its jump intensity alone certifies divergence before x_max)
 _LAM_CAP = 1e5
 _PREDRAW = 1 << 13  # normals pre-drawn at once per lane group (64 KB)
-# _poisson's own counts against Generator.poisson, us per call at a total rate of 0.01 (2-CPU
-# Xeon, BENCH_31.json): 5.0 vs 7.0 at 16 rates, 16 vs 23 at 1024; even at 16 and 64 from 0.3
-_POISSON_FAST = 0.3
+# a lane reads ahead (_Streams.sure_zero) only while width x rate bound is below this.  The value
+# is the break-even against Generator.poisson of an earlier sure-zero replay of numpy's loop
+# (BENCH_31.json); the window's own break-even has not been measured
+_AHEAD_GATE = 0.3
 _SURE0 = 1.0 - 2.0 ** -40  # u + lam <= this is u < exp(-lam), past any rounding
 # numbers a jump stream reads ahead (_Streams.sure_zero), in rows of its lane's width; a lane
 # wider than half of it reads none.  us per _counts call at a total rate of 0.016, one CPU of a
@@ -105,6 +106,8 @@ class SimConfig:
         # written so that NaN fails every check
         if not (0 < self.dt < math.inf and 0 <= self.t_end < math.inf):
             raise SimulationError("need finite dt > 0 and t_end >= 0")
+        if not self.t_end / self.dt < 2.0 ** 63:  # the step count is an int64
+            raise SimulationError("t_end / dt must be below 2^63 steps")
         if self.eps is not None and not 0 <= self.eps < math.inf:
             raise SimulationError("eps must be finite and >= 0")
         if not 0 < self.x_max < math.inf:
@@ -351,9 +354,10 @@ class _Streams:
         """Whether the stream's next ``width`` numbers u all have u + top <= _SURE0,
         which takes them without a draw.
 
-        ``_poisson`` then counts 0 at any ``width`` positive rates of at most
-        ``top`` (rounding is monotone) and takes exactly these numbers, as does
-        numpy's ``poisson`` at rates below 10.  They are read, row by row, from
+        numpy's ``poisson`` then counts 0 at any ``width`` positive rates of at
+        most ``top`` (rounding is monotone) and takes exactly these numbers: below
+        rate 10 it multiplies uniforms, ``random``'s, until the product is at most
+        exp(-rate), and 1 - rate <= exp(-rate).  They are read, row by row, from
         a twin generator that copies the stream's state and reads _AHEAD numbers
         ahead; the stream itself draws the rows taken when ``rng`` hands it out,
         or takes the twin's state when the window runs out.
@@ -590,68 +594,26 @@ def _pooled(run, n_groups: int, n_workers: int) -> list:
     return finals
 
 
-def _poisson(rng, lam, n: int) -> np.ndarray:
-    """``rng.poisson(lam, n)`` for a float or n rates ``lam``, from the same numbers.
-
-    numpy draws none at rate 0 and, below rate 10, multiplies uniforms (``random``'s)
-    until the product is at most exp(-rate).  Rates summing below _POISSON_FAST draw
-    one u per positive rate, a sure 0 where u + rate <= _SURE0 as 1 - rate <= exp(-rate),
-    and replay numpy's loop (libm's exp, as numpy's C code) from the first other path,
-    drawing more only as the paths left take at least one number each.  So n positive
-    rates below 10 with every u sure take exactly n numbers and count 0 on either
-    route: what a read-ahead window (``_Streams.sure_zero``) settles without a call.
-    """
-    if isinstance(lam, float) or not lam.sum() < _POISSON_FAST:  # NaN is not
-        return rng.poisson(lam, n)
-    m = np.count_nonzero(pos := lam > 0)
-    if m < n and np.count_nonzero(lam < 0):  # numpy raises
-        return rng.poisson(lam, n)
-    buf, lam = rng.random(m), lam if m == n else lam[pos]
-    sure, counts = buf + lam <= _SURE0, np.zeros(n, np.int64)
-    if np.count_nonzero(sure) == m:
-        return counts
-    at, k, p = np.flatnonzero(pos), 0, 0  # k: the next path, p: its first number in buf
-    while k < m:
-        if p == buf.size:
-            buf, p = rng.random(m - k), 0
-        j = min(buf.size - p, m - k)
-        if k:  # the counts so far shifted each path's numbers by p - k
-            sure = buf[p:p + j] + lam[k:k + j] <= _SURE0
-        i = int(sure.argmin())
-        if sure[i]:
-            k, p = k + j, p + j
-            continue
-        k, p, c, prod, enlam = k + i, p + i, -1, 1.0, math.exp(-float(lam[k + i]))
-        while c < 0 or prod > enlam:  # numpy's loop: c counts the products above exp(-rate)
-            if p == buf.size:
-                buf, p = rng.random(m - k), 0
-            prod *= float(buf[p])
-            p, c = p + 1, c + 1
-        counts[at[k]] = c
-        k += 1
-    return counts
-
-
 # -- single-path stepping -------------------------------------------------------
 
 
 def _counts(g: _Group, which: str, lam, top: Optional[float]) -> Optional[np.ndarray]:
-    """Per lane, Poisson jump counts at rates ``lam`` (one per path, or a float
-    for all) from its ``which`` stream, or None where every lane counts 0 unread.
+    """Per lane, ``Generator.poisson`` jump counts at rates ``lam`` (one per path,
+    or a float for all) from its ``which`` stream, or None where every lane counts 0 unread.
 
     With ``top``, a bound on every rate, a lane of at most _AHEAD // 2 paths whose
-    rates are all positive and sum below _POISSON_FAST at that bound first asks its
+    rates are all positive and sum below _AHEAD_GATE at that bound first asks its
     read-ahead window (``_Streams.sure_zero``); a lane it settles counts 0 without a draw.
     """
     scalar, lanes = isinstance(lam, float), g.lanes
     if top is not None:
         lanes = [(s, sl) for s, sl in lanes
-                 if not ((n := sl.stop - sl.start) * top < _POISSON_FAST and 2 * n <= _AHEAD
+                 if not ((n := sl.stop - sl.start) * top < _AHEAD_GATE and 2 * n <= _AHEAD
                          and (lam > 0 if scalar else np.count_nonzero(lam[sl]) == n)
                          and s.sure_zero(which, n, top))]
         if not lanes:
             return None
-    draw = lambda r, sl: _poisson(r, lam if scalar else lam[sl], sl.stop - sl.start)
+    draw = lambda r, sl: r.poisson(lam if scalar else lam[sl], sl.stop - sl.start)
     if len(lanes) == len(g.lanes):
         return g.per_lane(which, draw)
     counts = np.zeros(g.cols.stop - g.cols.start, np.int64)

@@ -160,6 +160,14 @@ class TestExitCodes:
         ["simulate", "--t-end", "-1"],
         ["simulate", "--eps", "-1"],
         ["simulate", "--seed", "-1"],
+        # t_end / dt steps past an int64: refused before any step
+        ["simulate", "--dt", "5e-324"],
+        ["couple", "--dt", "5e-324"],
+        ["simulate", "--dt", "1e-300", "--paths", "1"],
+        ["simulate", "--dt", "1e-300", "--paths", "2"],
+        ["simulate", "--dt", "1e-20", "--paths", "2"],
+        ["couple", "--dt", "1e-300"],
+        ["stationary", "--dt", "1e-300"],
         ["stationary", "--samples", "0"],
         ["stationary", "--samples", "-5"],
         ["stationary", "--burn-in", "nan"],
@@ -223,6 +231,32 @@ class TestExitCodes:
         assert err.startswith("error: ") and "x_max" in err
         assert len(err.strip().splitlines()) == 1
         assert not out.exists()
+
+    def test_out_of_memory_is_one_line(self, ergodic_cfg, tmp_path, capsys):
+        # 888 PiB: more than any address space holds, so the allocation fails at once
+        code = run(["simulate", "--paths", str(10**18), "--model", ergodic_cfg,
+                    "--out", str(tmp_path / "out")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: out of memory: ")
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize("command, name", [
+        ("rate", "compute_rate_certificate"),
+        ("stationary", "estimate_stationary"),
+        ("couple", "simulate_coupled_ensemble"),
+    ])
+    def test_memory_error_exits_one(self, ergodic_cfg, tmp_path, capsys, monkeypatch,
+                                    command, name):
+        message = "Unable to allocate 74.5 GiB for an array"
+
+        def fail(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli, name, fail)
+        code = run([command, "--model", ergodic_cfg, "--out", str(tmp_path)])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: out of memory: {message}\n"
 
     def test_help_exits_zero(self, capsys):
         assert run(["rate", "--help"]) == 0

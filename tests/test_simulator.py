@@ -721,99 +721,6 @@ class TestLockstep:
         assert np.array_equal(rows, steps)
 
 
-class _Routes:
-    """A generator that records which of its methods ``_poisson`` calls."""
-
-    def __init__(self, rng):
-        self.rng, self.calls = rng, []
-
-    def random(self, n):
-        self.calls.append("random")
-        return self.rng.random(n)
-
-    def poisson(self, lam, n):
-        self.calls.append("poisson")
-        return self.rng.poisson(lam, n)
-
-
-class TestPoisson:
-    """``simulator._poisson`` gives ``Generator.poisson``'s counts and leaves the
-    stream where ``poisson`` leaves it, checked by the next ``random()`` of twin
-    generators.  Its own counts rest on numpy's algorithm (``random_poisson``): a
-    count below rate 10 multiplies the uniforms ``random`` gives until the product
-    is at most exp(-rate).  So these tests pin it to the installed numpy."""
-
-    @staticmethod
-    def twins(seed, lam, n):
-        """The routes ``_poisson`` took, after checking it against ``poisson``."""
-        a, b = (np.random.Generator(np.random.Philox(seed)) for _ in range(2))
-        spy = _Routes(a)
-        got, want = simulator._poisson(spy, lam, n), b.poisson(lam, n)
-        assert got.dtype == want.dtype and np.array_equal(got, want)
-        assert a.random() == b.random()
-        return spy.calls, want
-
-    @pytest.mark.parametrize("n", [0, 1, 16, 64, 1024])
-    def test_rates_under_the_bound(self, n):
-        meta = np.random.default_rng(n)
-        events = 0
-        for case in range(80):
-            lam = meta.random(n)
-            lam *= simulator._POISSON_FAST * meta.random() / max(lam.sum(), 1e-300)
-            if case % 4 == 1:
-                lam[meta.random(n) < 0.3] = 0.0
-            elif case % 4 == 2:
-                lam[meta.random(n) < 0.3] = -0.0
-            elif case % 8 == 7:
-                lam[:] = 0.0
-            calls, counts = self.twins(case, lam, n)
-            assert "poisson" not in calls
-            events += int(counts.sum())
-        assert n == 0 or events > 0
-
-    def test_a_candidate_can_count_zero(self):
-        """A first uniform in (1 - rate, exp(-rate)] is not a sure 0, and counts 0."""
-        lam = np.array([0.9 * simulator._POISSON_FAST])
-        seeds = [s for s in range(2000) if 1.0 - lam[0] < np.random.Generator(
-            np.random.Philox(s)).random() <= math.exp(-lam[0])]
-        assert seeds
-        for s in seeds[:20]:
-            calls, counts = self.twins(s, lam, 1)
-            assert calls == ["random"] and counts[0] == 0
-
-    def test_a_replay_draws_past_the_first_batch(self):
-        """An event's count takes the next paths' numbers: the last paths draw more."""
-        lam = np.full(16, 0.9 * simulator._POISSON_FAST / 16)
-        drew_more = 0
-        for s in range(300):
-            calls, counts = self.twins(s, lam, 16)
-            assert "poisson" not in calls
-            drew_more += calls.count("random") > 1
-            assert (calls.count("random") > 1) == (counts.sum() > 0)
-        assert drew_more > 5
-
-    @pytest.mark.parametrize("n", [1, 16, 1024])
-    def test_other_rates_go_to_numpy(self, n):
-        over = np.full(n, 2.0 * simulator._POISSON_FAST / n)
-        big = np.full(n, 0.0)
-        big[-1] = 12.0  # transformed rejection, rate >= 10
-        for lam in (over, big):
-            assert self.twins(3, lam, n)[0] == ["poisson"]
-        # a float with a size: numpy's one-rate loop
-        for rate in (0.0, 1e-4, 0.1 / n, 12.0):
-            assert self.twins(5, rate, n)[0] == ["poisson"]
-
-    @pytest.mark.parametrize("bad", [math.nan, -0.01])
-    def test_nan_or_negative_raises_numpys_error(self, bad):
-        lam = np.full(16, 1e-3)
-        lam[7] = bad
-        with pytest.raises(ValueError) as want:
-            np.random.Generator(np.random.Philox(1)).poisson(lam, 16)
-        with pytest.raises(ValueError) as got:
-            simulator._poisson(np.random.Generator(np.random.Philox(1)), lam, 16)
-        assert str(got.value) == str(want.value)
-
-
 class TestReadAhead:
     """``simulator._counts`` with a bound on the rates gives, step after step,
     the counts that per-step ``Generator.poisson`` gives on twin generators, and
@@ -897,9 +804,9 @@ class TestReadAhead:
         assert sum(s[0] for s, _, _ in log) > 900
 
     def test_the_gate(self):
-        """A lane reads ahead only while width * bound < _POISSON_FAST, and only
+        """A lane reads ahead only while width * bound < _AHEAD_GATE, and only
         if its window holds at least two rows."""
-        below, above = 0.9 * simulator._POISSON_FAST / 16, 1.1 * simulator._POISSON_FAST / 16
+        below, above = 0.9 * simulator._AHEAD_GATE / 16, 1.1 * simulator._AHEAD_GATE / 16
         tops = ([below] * 6 + [above] * 4) * 50
         log = self.run(11, (16,), [(np.full(16, t), t) for t in tops])
         settled = [s[0] for s, _, _ in log]
@@ -1338,6 +1245,16 @@ class TestPlanTerms:
             assert rows == taken
             # a plan without a Gaussian part makes no call on any Gaussian stream
             assert (calls == 0) == (taken == 0)
+
+
+class TestSimConfig:
+    def test_step_count_fits_int64(self):
+        """t_end / dt steps must be below 2^63; an infinite ratio fails too."""
+        SimConfig(dt=1.0, t_end=math.nextafter(2.0 ** 63, 0.0))
+        for dt, t_end in ((1.0, 2.0 ** 63), (0.5, 2.0 ** 62), (5e-324, 1.0), (1e-300, 1e-200)):
+            with pytest.raises(SimulationError, match=r"^t_end / dt must be below 2\^63 steps$"):
+                SimConfig(dt=dt, t_end=t_end)
+        assert SimConfig(dt=5e-324, t_end=0.0).t_end == 0.0
 
 
 class TestDtRefinement:
