@@ -36,6 +36,7 @@ from .ergodicity import (
     estimate_stationary,
     estimate_wv_decay,
     render_certificate,
+    stationary_run,
     wv_exact_discrete,
     wv_ot_small,
 )
@@ -347,6 +348,10 @@ def _cmd_stationary(args):
     run, sim, weight = _load(args)
     if not (args.samples >= 1 and 0 <= args.burn_in < math.inf):
         raise ConfigError("need --samples >= 1 and a finite --burn-in >= 0")
+    try:  # the span stationary runs, not the config's t_end
+        stationary_run(sim, args.burn_in, args.samples)
+    except SimulationError as exc:
+        raise ConfigError(f"--burn-in plus the sampling span: {exc}") from exc
     certified_drift(run.model, weight)  # no drift certificate, no stationary law to estimate
     est = estimate_stationary(run.model, sim, args.burn_in, args.samples, weight=weight)
     _write_csv(_output(args, "stationary.csv"), ("atom", "prob"), zip(est.atoms, est.probs))

@@ -660,6 +660,19 @@ def _stationary_samples(vals, n_samples):
     return samples, n_eff
 
 
+def stationary_run(cfg: SimConfig, burn_in: float, n_samples: int) -> Tuple[np.ndarray, SimConfig]:
+    """The sampling times of ``estimate_stationary`` and the config of the run that reaches them:
+    16 chains per start, each sampled ceil(n_samples / 16) times, every ~0.25 time units
+    after burn-in.  SimConfig's SimulationError where that span is 2^63 steps or more."""
+    per_chain = int(math.ceil(n_samples / _STATIONARY_CHAINS))
+    # one sample per chain has no stride; a stride of 2^63 steps or more fails the run's check
+    stride = 1 if per_chain == 1 else max(1, int(round(min(0.25 / cfg.dt, 2.0 ** 63))))
+    # the last time as the array forms it, checked before the array: its step index is exact
+    t_end = burn_in + (per_chain - 1) * stride * cfg.dt
+    run = replace(cfg, t_end=t_end, n_paths=_STATIONARY_CHAINS)
+    return burn_in + np.arange(per_chain) * stride * cfg.dt, run
+
+
 def estimate_stationary(
     model: ModelSpec,
     cfg: SimConfig,
@@ -677,11 +690,7 @@ def estimate_stationary(
     bin-width transport term.  Non-convergence is reported, never hidden.
     """
     weight = weight if weight is not None else WeightFunction.v1()
-    # 16 parallel chains per start, sampled every ~0.25 time units after burn-in
-    stride = max(1, int(round(0.25 / cfg.dt)))
-    per_chain = int(math.ceil(n_samples / _STATIONARY_CHAINS))
-    times = burn_in + np.arange(per_chain) * stride * cfg.dt
-    run = replace(cfg, t_end=float(times.max()), n_paths=_STATIONARY_CHAINS)
+    times, run = stationary_run(cfg, burn_in, n_samples)
     res = simulate_ensembles(
         model, [(starts[0], cfg.seed), (starts[1], cfg.seed + 1000003)], run, record_times=times
     )

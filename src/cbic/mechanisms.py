@@ -460,8 +460,10 @@ class CompetitionMechanism:
         return out if out.shape else float(out)
 
     def on_states(self):
-        """``_unguarded`` for float arrays of states >= +0.0 or inf: no conversion, no clamp."""
-        a, K, p = self.a, self.K, self.p
+        """``_unguarded`` for float arrays of states >= +0.0 or inf: no conversion, no clamp;
+        its coefficient is a read-only 0-d array, its exponent a float (numpy's square path)."""
+        a, K, p = np.array(self.a), np.array(self.K), self.p
+        a.flags.writeable = K.flags.writeable = False
         return {"linear": lambda x: a * x, "power": lambda x: K * np.power(x, p),
                 "xlog": lambda x: K * x * np.log1p(x)}[self.form]
 

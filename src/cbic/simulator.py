@@ -25,7 +25,9 @@ whose variance it stands in for.  Jump counts are ``Generator.poisson``'s;
 the single stepper reads each jump stream ahead from a twin generator and
 settles a step whose counts are all surely 0 with one comparison, drawing the
 numbers it took only before the stream's next other read
-(``_Streams.sure_zero``).  A lane is one such stream set and its
+(``_Streams.sure_zero``); a one-lane group asks its window before it forms
+any rate.  Scalar operands are read-only 0-d arrays (``_frozen``), which keep
+a Python float's bits.  A lane is one such stream set and its
 paths; the block size fixes the streams, and so the outputs, not the
 arrays stepped.  Lanes sharing a plan are stepped together as one array, a
 group, of at most one worker's share of all the paths and 2^18 paths: 4100
@@ -68,9 +70,9 @@ _EVENT_BUDGET = 10.0  # expected jump events per step at the reference scale
 # exploded (its jump intensity alone certifies divergence before x_max)
 _LAM_CAP = 1e5
 _PREDRAW = 1 << 13  # normals pre-drawn at once per lane group (64 KB)
-# a lane reads ahead (_Streams.sure_zero) only while width x rate bound is below this.  The value
-# is the break-even against Generator.poisson of an earlier sure-zero replay of numpy's loop
-# (BENCH_31.json); the window's own break-even has not been measured
+# a lane reads ahead (_Streams.sure_zero) only while width x rate bound is below this: the
+# window's break-even against Generator.poisson on 16-path lanes, every rate at the bound
+# (BENCH_35.json: 8.6 vs 8.5 us a step at 0.3); 64 to 512 paths break even near 0.4 to 0.5
 _AHEAD_GATE = 0.3
 _SURE0 = 1.0 - 2.0 ** -40  # u + lam <= this is u < exp(-lam), past any rounding
 # numbers a jump stream reads ahead (_Streams.sure_zero), in rows of its lane's width; a lane
@@ -78,6 +80,16 @@ _SURE0 = 1.0 - 2.0 ** -40  # u + lam <= this is u < exp(-lam), past any rounding
 # 2-CPU Xeon (BENCH_33.json): 16 paths 9.6 -> 2.3, 256 10.2 -> 5.4, 512 12.0 -> 10.0, and
 # 1024, one row, 19.3 -> 19.9
 _AHEAD = 1 << 10
+
+
+def _frozen(v: float) -> np.ndarray:
+    """``v`` as a read-only 0-d float64 array, a scalar operand numpy need not convert."""
+    out = np.array(v, dtype=float)
+    out.flags.writeable = False
+    return out
+
+
+_ZERO = _frozen(0.0)
 
 
 class SimulationError(RuntimeError):
@@ -276,6 +288,7 @@ class _Plan:
         if self.stable_fast:
             self.alpha = mu.alpha
             self.sigma = mu.sigma
+            self.sigma_op = _frozen(self.sigma)
             # b_eff multiplies -x dt in the drift.  alpha != 1: the raw
             # increment is (un)compensated stable noise and the drift absorbs
             # the z <= 1 compensation shift.  alpha = 1: the increment's
@@ -311,6 +324,9 @@ class _Plan:
         # the terms a step draws and computes: Gaussian (c x, sub-eps variance), g
         self.gaussian = self.c > 0 or self.mu_small_sq > 0
         self.competes = not model.g.is_zero
+        # the steps' operands, shared by every group of the plan; the floats above decide
+        self.beta_op, self.b_op, self.mu_rate_op, self.c_op, self.small_sq_op = map(
+            _frozen, (self.beta_eff, self.b_eff, self.mu_rate, self.c, self.mu_small_sq))
 
 
 class _Ahead:
@@ -390,12 +406,14 @@ class _Group:
 
     def __init__(self, plan: _Plan, start: int):
         self.plan, self.lanes, self.cols = plan, [], slice(start, start)
-        self.finite = self.top = None
+        self.finite = self.top = self.solo = None
 
     def add(self, streams: _Streams, width: int) -> None:
         a, b = self.cols.start, self.cols.stop
         self.lanes.append((streams, slice(b - a, b - a + width)))
         self.cols = slice(a, b + width)
+        # (streams, width) of a one-lane group whose window would hold two rows or more
+        self.solo = (streams, width) if len(self.lanes) == 1 and 2 * width <= _AHEAD else None
 
     def per_lane(self, which: str, draw):
         """Each lane's ``draw(rng, sl)`` from its own ``which`` stream, joined on the last axis."""
@@ -604,6 +622,7 @@ def _counts(g: _Group, which: str, lam, top: Optional[float]) -> Optional[np.nda
     With ``top``, a bound on every rate, a lane of at most _AHEAD // 2 paths whose
     rates are all positive and sum below _AHEAD_GATE at that bound first asks its
     read-ahead window (``_Streams.sure_zero``); a lane it settles counts 0 without a draw.
+    ``_step_single`` asks a one-lane group's window itself, before it forms any rate.
     """
     scalar, lanes = isinstance(lam, float), g.lanes
     if top is not None:
@@ -639,14 +658,19 @@ def _drift(plan: _Plan, x: np.ndarray) -> np.ndarray:
     is a bit for bit unless a is -0.0: beta_eff - b_eff x never is (beta_eff >= +0.0),
     nor is x + drift (only -0.0 + -0.0 is -0.0; at x = +-0.0 the drift is >= +0.0).
     """
-    drift = plan.beta_eff - plan.b_eff * x
+    drift = plan.beta_op - plan.b_op * x
     return drift - plan.g(x) if plan.competes else drift
 
 
-def _live(plan: _Plan, x: np.ndarray, dt: float):
+def _rates(plan: _Plan, x: np.ndarray, dt) -> np.ndarray:
+    """The branching jump intensities (x mu_rate) dt at states x."""
+    return x * plan.mu_rate_op * dt
+
+
+def _live(plan: _Plan, x: np.ndarray, dt):
     """(lam, live, every) at the step-start states ``x``, finite or inf (NaN raises).
 
-    ``lam`` = x mu_rate dt is the branching jump intensity, None without
+    ``lam`` (``_rates``) is the branching jump intensity, None without
     thinned branching jumps.  A path is live while ``lam`` is at most
     _LAM_CAP, which it is not at inf, or, with no ``lam``, while x is finite;
     ``every`` says that all paths are.  A step then runs on the states as
@@ -654,56 +678,67 @@ def _live(plan: _Plan, x: np.ndarray, dt: float):
     in the single stepper no jump count drawn), and sets them back to inf,
     which leaves every live path's result as is.
     """
-    lam = x * plan.mu_rate * dt if plan.mu_rate > 0 else None
+    lam = _rates(plan, x, dt) if plan.mu_rate > 0 else None
     live = x < np.inf if lam is None else lam <= _LAM_CAP
     return lam, live, np.count_nonzero(live) == live.size
 
 
-def _step_start(g: _Group, x: np.ndarray, dt: float):
-    """``_live(g.plan, x, dt)``, without its mask where x is ``g.finite`` (every x finite,
-    <= x_max) and x_max mu_rate dt <= _LAM_CAP: rounding is monotone, so then every
-    lam = x mu_rate dt <= _LAM_CAP too, and every path is live."""
+def _step_start(g: _Group, x: np.ndarray, dt):
+    """``_live(g.plan, x, dt)``, without its mask or ``lam`` where x is ``g.finite`` (every x
+    finite, <= x_max) and x_max mu_rate dt <= _LAM_CAP: rounding is monotone, so then every
+    lam <= _LAM_CAP too, and every path is live; a step forms ``lam`` there when it draws counts."""
     plan = g.plan
-    if x is g.finite and plan.x_max * plan.mu_rate * dt <= _LAM_CAP:
-        return (x * plan.mu_rate * dt if plan.mu_rate > 0 else None), None, True
+    if x is g.finite and plan.x_max * plan.mu_rate * float(dt) <= _LAM_CAP:
+        return None, None, True
     return _live(plan, x, dt)
 
 
-def _step_single(x: np.ndarray, g: _Group, dt: float, normals: Optional[np.ndarray]) -> np.ndarray:
+def _step_single(x: np.ndarray, g: _Group, dt, normals: Optional[np.ndarray]) -> np.ndarray:
     """One Euler step of every path of the group, driven by the step's standard
     ``normals``, or ``None`` when the plan has no Gaussian part, and on the
     stable fast path by the group's next row of increments (``g.inc``); dead
-    paths (``_step_start``) stay at inf."""
+    paths (``_step_start``) stay at inf.  ``dt`` is a float or a 0-d array (``_frozen``)."""
     plan = g.plan
     lam, live, every = _step_start(g, x, dt)
     xl = x if every else np.where(live, x, 0.0)
     xn = xl + _drift(plan, xl) * dt
     if plan.gaussian:
         # 2 c x dt; forming c x dt first keeps a huge c from overflowing at x = 0
-        var = 2.0 * (plan.c * xl * dt)
+        var = 2.0 * (plan.c_op * xl * dt)
         if plan.mu_small_sq > 0:
-            var = var + xl * plan.mu_small_sq * dt
-        xn = xn + np.sqrt(np.maximum(var, 0.0)) * normals
+            var = var + xl * plan.small_sq_op * dt
+        xn = xn + np.sqrt(np.maximum(var, _ZERO)) * normals
     if plan.stable_fast and plan.sigma > 0:
         inc = next(g.inc)
+        sx = xl if plan.sigma == 1.0 else plan.sigma_op * xl  # 1 x is x, bit for bit
         if plan.alpha == 1.0:
-            logdrift = np.where(
-                xl > 0, plan.sigma * xl * np.log(np.maximum(plan.sigma * xl, 1e-300)), 0.0
-            )
-            xn = xn + plan.sigma * xl * inc + logdrift * dt
+            logdrift = np.where(xl > 0, sx * np.log(np.maximum(sx, 1e-300)), 0.0)
+            xn = xn + sx * inc + logdrift * dt
         else:
             # increments carry the lam^alpha exponent normalization, so the
             # state factor is (sigma x)^(1/alpha): the conditional branching
             # exponent over dt is then exactly dt sigma x lam^alpha
-            xn = xn + (plan.sigma * xl) ** (1.0 / plan.alpha) * inc
+            xn = xn + sx ** (1.0 / plan.alpha) * inc
     elif plan.mu_rate > 0:
         # a dead path draws nothing: a Poisson count at rate 0 takes no number
-        top = g.top * plan.mu_rate * dt if x is g.finite else None  # rounding is monotone
-        _add_jumps(xn, g, "mu", lam if every else np.where(live, lam, 0.0), top, plan.mu_sampler)
+        fdt = float(dt)
+        top = g.top * plan.mu_rate * fdt if x is g.finite else None  # rounding is monotone
+        if lam is not None:
+            lam = lam if every else np.where(live, lam, 0.0)
+            _add_jumps(xn, g, "mu", lam, top, plan.mu_sampler)
+        elif g.solo is None:
+            _add_jumps(xn, g, "mu", _rates(plan, x, dt), top, plan.mu_sampler)
+        else:
+            # a one-lane group asks its window (_counts' gate) before forming any rate:
+            # the least rate is (min x mu_rate) dt, and it is > 0 only if every rate is
+            s, n = g.solo
+            if not (n * top < _AHEAD_GATE and float(np.minimum.reduce(x)) * plan.mu_rate * fdt > 0
+                    and s.sure_zero("mu", n, top)):
+                _add_jumps(xn, g, "mu", _rates(plan, x, dt), None, plan.mu_sampler)
     if plan.nu_rate > 0:  # nor does a dead path draw immigration events
-        rate = plan.nu_rate * dt
+        rate = plan.nu_rate * float(dt)
         _add_jumps(xn, g, "nu", rate if every else np.where(live, rate, 0.0), rate, plan.nu_sampler)
-    xn = np.maximum(xn, 0.0)
+    np.maximum(xn, _ZERO, out=xn)  # xn is this step's own array
     if not every:
         xn = np.where(live, xn, np.inf)
     top = float(np.maximum.reduce(xn))  # NaN if any state is
@@ -757,10 +792,11 @@ def simulate_ensembles(
         plan = _Plan(model, cfg, float(np.max(x0)))
         runs.append((plans.setdefault(plan.eps_mu, plan), seed))
         cols.append(x0)
+    dt = _frozen(cfg.dt)
     times, (out,), _ = _drive(
         runs, [np.concatenate(cols)], cfg, record_times,
         step=lambda xs, g, k: [
-            _step_single(xs[0], g, cfg.dt, next(g.gauss) if g.plan.gaussian else None)],
+            _step_single(xs[0], g, dt, next(g.gauss) if g.plan.gaussian else None)],
     )
     return [EnsembleResult(times, v, ~np.isfinite(v[-1])) for v in np.split(out, len(starts), 1)]
 
@@ -869,6 +905,8 @@ def _step_coupled(state: _CoupledState, g: _Group, dt, t_now):
         state.y = state.y + np.where(state.coupled, g1, -g1) + gc
     # branching events (thinning at the step-start leader state)
     if plan.mu_rate > 0:
+        if lam is None:  # every pair live (_step_start)
+            lam = _rates(plan, x, dt)
         counts = _counts(g, "mu", lam if every else np.where(live, lam, 0.0), None)
         _apply_jump_events(state, g, counts, plan.model.mu, plan.mu_sampler, "mu", x, t_now)
     # immigration events: a dead pair's rate is 0, which takes no number from the stream

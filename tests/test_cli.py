@@ -168,6 +168,10 @@ class TestExitCodes:
         ["simulate", "--dt", "1e-20", "--paths", "2"],
         ["couple", "--dt", "1e-300"],
         ["stationary", "--dt", "1e-300"],
+        # past 2^63 steps only over burn-in plus the sampling span, not the config's t_end
+        ["stationary", "--dt", "1e-18"],
+        ["stationary", "--burn-in", "1e17"],
+        ["stationary", "--burn-in", "1e300"],
         ["stationary", "--samples", "0"],
         ["stationary", "--samples", "-5"],
         ["stationary", "--burn-in", "nan"],

@@ -853,13 +853,30 @@ class TestStepOracle:
                                        f"{name}.cfg"))
         return run.model, run.sim
 
+    # the single step takes sigma x as x where sigma = 1, as on the shipped stable
+    # configs; the first two take the product, on the CMS and on the alpha = 1 branch.
+    # With beta = 0 the two paths started at 0 stay there: a one-lane group's window
+    # then meets rates of 0 at every step
+    MORE = {
+        "stable_cms_sigma": ModelSpec(stable_to_generic(0.5, 0.0, 0.6, 1.5),
+                                      ImmigrationMechanism(0.3), CompetitionMechanism.linear(0.5)),
+        "stable_log_sigma": ModelSpec(stable_to_generic(0.0, 0.0, 2.0, 1.0),
+                                      ImmigrationMechanism(0.7), CompetitionMechanism.xlog(1.0)),
+        "paths_at_zero": ModelSpec(BranchingMechanism(0.5, 0.0, LevyMeasure.uniform(1.0, 0.0, 1.0)),
+                                   ImmigrationMechanism(0.0), CompetitionMechanism.none()),
+    }
+
     # ergodic_v1 steps without the live mask after its first step; critical_cbi,
-    # whose x_max mu_rate dt is above the cap, and lam_cap keep it at every step
-    NAMES = ["ergodic_v1", "critical_cbi", "stable_power_vlog", "neveu_xlog", "x_max", "lam_cap"]
+    # whose x_max mu_rate dt is above the cap, and lam_cap keep it at every step.
+    # diffusion has no jumps, and stable's paths die at x_max
+    NAMES = ["ergodic_v1", "critical_cbi", "stable_power_vlog", "neveu_xlog", "x_max", "lam_cap",
+             "diffusion", "stable", *MORE]
 
     def case(self, name, n_paths, n_steps):
-        if name in ("x_max", "lam_cap"):
+        if name in TestDeadPaths.IDS:
             model, cfg = TestDeadPaths.CASES[TestDeadPaths.IDS.index(name)]
+        elif name in self.MORE:
+            model, cfg = self.MORE[name], SimConfig(dt=1e-3)
         else:
             model, cfg = self.shipped(name)
         return model, replace(cfg, t_end=n_steps * cfg.dt, seed=41, n_paths=n_paths)
@@ -1148,6 +1165,20 @@ class TestPlanTerms:
                     part = xl + drift
                 assert np.array_equal(full, part)
                 assert np.array_equal(np.signbit(full), np.signbit(part))
+
+    def test_operands_are_read_only(self):
+        """Every group of a plan, and both starts of a stationary run, share its 0-d
+        operands: a write into one raises instead of changing every later step."""
+        plan = simulator._Plan(self.STABLE, SimConfig(), 1.0)
+        form = [c.cell_contents for c in plan.g.__closure__]
+        ops = [plan.beta_op, plan.b_op, plan.mu_rate_op, plan.c_op, plan.small_sq_op,
+               plan.sigma_op, simulator._ZERO, simulator._frozen(1e-3),
+               *[v for v in form if isinstance(v, np.ndarray)]]
+        assert len(ops) == 9  # with the K of g's power form
+        for op in ops:
+            assert op.shape == () and op.dtype == np.float64
+            with pytest.raises(ValueError, match="read-only"):
+                np.add(op, 1.0, out=op)
 
     @pytest.mark.parametrize("beta", [0.0, -0.0, 0.3])
     @pytest.mark.parametrize("b", [-0.5, 0.0, 0.5])
