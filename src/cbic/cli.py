@@ -201,6 +201,7 @@ def _build_parser():
     sp.add_argument("--burn-in", type=float, default=5.0, help="time before the first sample")
     sp.add_argument("--samples", type=int, default=2000,
                     help="samples per start, about every 0.25 time units after burn-in")
+    sp.set_defaults(t_end=0.0)  # stationary_run sets and checks its span, not the config
     return p
 
 

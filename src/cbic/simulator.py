@@ -9,13 +9,15 @@ draw spectrally positive alpha-stable increments directly.  A path that
 passes x_max, or whose jump intensity x mu(z > eps) dt passes _LAM_CAP, is
 exploded and stays at inf; a step with no such path runs unmasked (``_step_start``).
 
-The coupled pair reflects the shared Gaussian component and disassembles
-every jump event by an independent uniform into merge / gap-doubling /
-shared outcomes with thresholds given by the overlap-measure ratios; jumps
-landing in the u-strip (Y, X] move the leader alone.  The jumps below eps
-merge an open pair or double its gap at the rates y mu_x(0, eps) + nu_x(0, eps)
-of the overlap masses at x = -gap and x = gap (``measures.overlap_mass``).
-After the coupling time the pair moves as one path.
+The coupled pair reflects the shared Gaussian component.  Its branching
+events are split at the step-start states: those at rate y mu(z > eps) dt are
+shared, and those in the u-strip (Y, X] move the leader alone, as the single
+stepper's jumps.  Every shared event, immigration events included, is
+disassembled by an independent uniform into merge / gap-doubling / shared
+outcomes with thresholds given by the overlap-measure ratios.  The jumps below
+eps merge an open pair or double its gap at the rates y mu_x(0, eps) +
+nu_x(0, eps) of the overlap masses at x = -gap and x = gap
+(``measures.overlap_mass``).  After the coupling time the pair moves as one path.
 
 RNG: paths are partitioned into fixed 1024-path blocks; each block derives
 four Philox streams (Gaussian, branching jumps, immigration jumps,
@@ -830,40 +832,34 @@ def _log_events(state: _CoupledState, g: _Group, cols, t_now: float, sign: str, 
         state.logs.setdefault(i, []).append((t_now, sign, float(a), float(b), float(c)))
 
 
-def _apply_jump_events(state, g, counts, measure, sampler, which, x_start, t_now):
-    """Disassemble ``counts[i]`` jump events of path i, one pass per event index, in place.
+def _apply_jump_events(state, g, counts, measure, sampler, which, t_now):
+    """Disassemble ``counts[i]`` shared jump events of pair i, one pass per event index, in place.
 
     The events are of one kind, branching or immigration, with jumps z from
     ``measure`` above eps.  Each event draws z with ``sampler``, from a
-    selector and a position uniform of the kind's stream ``which``.  A
-    branching event then draws u from that stream, uniform on (0, x_start]
-    with ``x_start`` the leader's step-start state: for u in the strip (Y, X]
-    the leader jumps alone.  Immigration events, ``x_start`` None, have no
-    strip.  Every event draws v from the disassembly stream: v <= rho_up
-    merges the pair, rho_up < v <= rho_up + rho_dn doubles the gap, and
-    otherwise the pair shares z.  rho_up and rho_dn are the overlap-measure
-    ratios at -gap and gap (``rn_ratio_many``).  The follower's new state is
-    one of these four cases; merges and doublings of an open gap are logged
-    when events are recorded.  A pass draws each lane's uniforms from its own
-    streams, in the sizes and order of the lane alone, and samples and
-    disassembles the events of all lanes at once.
+    selector and a position uniform of the kind's stream ``which``, and v from
+    the disassembly stream: v <= rho_up merges the pair, rho_up < v <= rho_up +
+    rho_dn doubles the gap, and otherwise the pair shares z.  rho_up and rho_dn
+    are the overlap-measure ratios at -gap and gap (``rn_ratio_many``).  The
+    follower's new state is one of these three cases; merges and doublings of
+    an open gap are logged when events are recorded.  A pass draws each lane's
+    uniforms from its own streams, in the sizes and order of the lane alone,
+    and samples and disassembles the events of all lanes at once.
     """
-    rows = 2 if x_start is None else 3
     for k in range(int(counts.max()) if np.count_nonzero(counts) else 0):
         act = counts > k
         cols = np.flatnonzero(act)
         xa, ya = state.x[cols], state.y[cols]
-        u = g.per_lane(which, lambda r, sl: r.random((rows, np.count_nonzero(act[sl]))))
+        u = g.per_lane(which, lambda r, sl: r.random((2, np.count_nonzero(act[sl]))))
         z = sampler.draw(u[0], u[1])
-        alone = np.zeros(cols.size, dtype=bool) if x_start is None else u[2] * x_start[cols] > ya
         v = g.per_lane("dis", lambda r, sl: r.random(np.count_nonzero(act[sl])))
         gap = xa - ya
         rho_up, rho_dn = rn_ratio_many(measure, np.stack([-gap, gap]), z)
-        merge = ~alone & (v <= rho_up)
-        down = ~alone & (v > rho_up) & (v <= rho_up + rho_dn)
+        merge = v <= rho_up
+        down = (v > rho_up) & (v <= rho_up + rho_dn)
         state.x[cols] = xa_new = xa + z
         # nested np.where: np.select costs several times as much on a pass's few events
-        ya_new = np.where(alone, ya, np.where(merge, xa_new, np.where(down, ya + (z - gap), ya + z)))
+        ya_new = np.where(merge, xa_new, np.where(down, ya + (z - gap), ya + z))
         state.y[cols] = ya_new
         if state.logs is not None:
             for sign, m in (("+", merge), ("-", down)):
@@ -880,7 +876,7 @@ def _step_coupled(state: _CoupledState, g: _Group, dt, t_now):
     event, sub-eps lasso, coupling time or explosion check, and stays at inf.
     """
     plan = g.plan
-    lam, live, every = _step_start(g, state.x, dt)
+    _, live, every = _step_start(g, state.x, dt)
     if every:
         x, y = state.x, state.y
     else:
@@ -903,17 +899,16 @@ def _step_coupled(state: _CoupledState, g: _Group, dt, t_now):
         # only the diffusion part is reflected; the truncated-small-jump
         # correction gc stands in for shared jumps and is common to both
         state.y = state.y + np.where(state.coupled, g1, -g1) + gc
-    # branching events (thinning at the step-start leader state)
+    # branching events at the step-start states: u in (0, Y] shared, (Y, X] the leader's alone
     if plan.mu_rate > 0:
-        if lam is None:  # every pair live (_step_start)
-            lam = _rates(plan, x, dt)
-        counts = _counts(g, "mu", lam if every else np.where(live, lam, 0.0), None)
-        _apply_jump_events(state, g, counts, plan.model.mu, plan.mu_sampler, "mu", x, t_now)
+        counts = _counts(g, "mu", _rates(plan, y, dt), None)
+        _apply_jump_events(state, g, counts, plan.model.mu, plan.mu_sampler, "mu", t_now)
+        _add_jumps(state.x, g, "mu", _rates(plan, x - y, dt), None, plan.mu_sampler)
     # immigration events: a dead pair's rate is 0, which takes no number from the stream
     if plan.nu_rate > 0:
         rate = plan.nu_rate * dt
         counts = _counts(g, "nu", rate if every else np.where(live, rate, 0.0), None)
-        _apply_jump_events(state, g, counts, plan.model.nu, plan.nu_sampler, "nu", None, t_now)
+        _apply_jump_events(state, g, counts, plan.model.nu, plan.nu_sampler, "nu", t_now)
     # sub-eps lasso corrections: merges and gap doublings carried by small jumps
     if plan.eps_mu > 0.0 or plan.eps_nu > 0.0:
         u_up, u_dn, z_dn = g.per_lane("dis", lambda r, sl: r.random((3, sl.stop - sl.start)))

@@ -144,7 +144,7 @@ def step_coupled(state, g, dt, t_now):
     """``simulator._step_coupled`` with the live mask (``_live``) at every step."""
     plan = g.plan
     eps_mu, eps_nu = plan.eps_mu, plan.eps_nu
-    lam, live, every = _live(plan, state.x, dt)
+    _, live, every = _live(plan, state.x, dt)
     if every:
         x, y = state.x, state.y
     else:
@@ -167,17 +167,19 @@ def step_coupled(state, g, dt, t_now):
         # only the diffusion part is reflected; the truncated-small-jump
         # correction gc stands in for shared jumps and is common to both
         state.y = state.y + np.where(state.coupled, g1, -g1) + gc
-    # branching events (thinning at the step-start leader state)
+    # branching events at the step-start states, a dead pair's at rate 0: shared
+    # events at y mu_rate dt, then the leader's alone at (x - y) mu_rate dt
     if plan.mu_rate > 0:
-        lam = lam if every else np.where(live, lam, 0.0)
-        counts = g.per_lane("mu", lambda r, sl: r.poisson(lam[sl]))
-        _apply_jump_events(state, g, counts, plan.model.mu, plan.mu_sampler, "mu", x, t_now)
+        shared = y * plan.mu_rate * dt
+        counts = g.per_lane("mu", lambda r, sl: r.poisson(shared[sl]))
+        _apply_jump_events(state, g, counts, plan.model.mu, plan.mu_sampler, "mu", t_now)
+        _add_jumps(state.x, g, "mu", (x - y) * plan.mu_rate * dt, None, plan.mu_sampler)
     # immigration events: a dead pair's rate is 0, which takes no number from the stream
     if plan.nu_rate > 0:
         rate = plan.nu_rate * dt if every else np.where(live, plan.nu_rate * dt, 0.0)
         counts = g.per_lane("nu", lambda r, sl: r.poisson(rate, sl.stop - sl.start) if every
                             else r.poisson(rate[sl]))
-        _apply_jump_events(state, g, counts, plan.model.nu, plan.nu_sampler, "nu", None, t_now)
+        _apply_jump_events(state, g, counts, plan.model.nu, plan.nu_sampler, "nu", t_now)
     # sub-eps lasso corrections: merges and gap doublings carried by small jumps
     if eps_mu > 0.0 or eps_nu > 0.0:
         u_up, u_dn, z_dn = g.per_lane("dis", lambda r, sl: r.random((3, sl.stop - sl.start)))

@@ -185,6 +185,19 @@ class TestExitCodes:
         assert err.startswith("config error: ")
         assert len(err.strip().splitlines()) == 1
 
+    def test_stationary_dt_is_checked_against_its_own_span(self, ergodic_cfg, tmp_path, capsys):
+        # t_end / dt is 1e19 steps at the config's t_end, which stationary does not run;
+        # at burn-in 0 and one sample per chain it runs zero steps
+        with open(ergodic_cfg) as fh:
+            text = fh.read().replace("t_end = 1.0", "t_end = 1e4")
+        with open(ergodic_cfg, "w") as fh:
+            fh.write(text)
+        code = run(["stationary", "--model", ergodic_cfg, "--out", str(tmp_path / "st"),
+                    "--dt", "1e-15", "--burn-in", "0", "--samples", "16"])
+        err = capsys.readouterr().err
+        assert code != 2, err
+        assert "config error" not in err and "Traceback" not in err
+
     @pytest.mark.parametrize("argv", [
         ["rate", "--seed", "1"],
         ["lyapunov", "--dt", "1e-3"],

@@ -344,6 +344,32 @@ class TestSimulateCoupled:
             + [(0.0, "-", a, b, b - a) for a, b in zip(gap[dn], zz)]
         )
 
+    def test_leader_alone_jumps_leave_the_event_passes(self, monkeypatch):
+        # from y = 0 every branching event of a step falls in the leader's strip (0, X]:
+        # the event passes get all-zero counts, and X still jumps (_add_jumps)
+        model = ModelSpec(BranchingMechanism(0.5, 0.0, LevyMeasure.uniform(20.0, 0.5, 1.0)),
+                          ImmigrationMechanism(0.3), CompetitionMechanism.none())
+        passed, apply = [], simulator._apply_jump_events
+
+        def applying(state, g, counts, *args):
+            passed.append(counts)
+            return apply(state, g, counts, *args)
+
+        monkeypatch.setattr(simulator, "_apply_jump_events", applying)
+        dt = 0.05  # one alone event per leader on average
+        plan = simulator._Plan(model, SimConfig(dt=dt), 2.0, force_thinning=True)
+        g = simulator._Group(plan, 0)
+        g.add(simulator._Streams(5, 0), 64)
+        x, y = np.full(64, 2.0), np.zeros(64)
+        state = simulator._step_coupled(simulator._CoupledState(x, y, True), g, dt, 0.0)
+        assert len(passed) == 1 and passed[0].shape == (64,) and not passed[0].any()
+        drifted = x + simulator._drift(plan, x) * dt
+        jumped = state.x != drifted
+        assert 0 < np.count_nonzero(jumped) < 64
+        assert (state.x[jumped] - drifted[jumped] > 0.49).all()  # each jump is in (0.5, 1)
+        assert np.array_equal(state.y, y + simulator._drift(plan, y) * dt)
+        assert state.events == []
+
     def test_merge_is_exact_equality(self, ergodic_v1_model):
         cp = simulate_coupled_ensemble(ergodic_v1_model, [2.0], [0.5],
                                        SimConfig(dt=2e-3, t_end=12.0, seed=8), _record_events=True)
@@ -366,6 +392,13 @@ class TestSimulateCoupled:
         )
         _, pv = ks_2samp(coupled.y_values[-1], single.values[-1])
         assert pv > 0.01
+        # the leader's law too: its shared and alone jumps together are a single path's
+        leader = simulate_ensemble(
+            ergodic_v1_model, 2.0, SimConfig(dt=2e-3, t_end=1.0, seed=78, n_paths=4000),
+            record_times=[1.0],
+        )
+        _, pv = ks_2samp(coupled.x_values[-1], leader.values[-1])
+        assert pv > 0.01
 
     def test_follower_marginal_with_immigration_jumps(self):
         # exercises the immigration-event disassembly branch (no u-strip)
@@ -385,6 +418,12 @@ class TestSimulateCoupled:
             record_times=[1.0],
         )
         _, pv = ks_2samp(coupled.y_values[-1], single.values[-1])
+        assert pv > 0.01
+        leader = simulate_ensemble(
+            model, 2.0, SimConfig(dt=1e-3, t_end=1.0, seed=152, n_paths=6000),
+            record_times=[1.0],
+        )
+        _, pv = ks_2samp(coupled.x_values[-1], leader.values[-1])
         assert pv > 0.01
 
     def test_stable_immigration_truncation_law(self):
@@ -516,7 +555,10 @@ class TestDeadPaths:
     @pytest.mark.parametrize("model, cfg", CASES, ids=IDS)
     def test_coupled(self, model, cfg, monkeypatch):
         step, apply = simulator._step_coupled, simulator._apply_jump_events
+        add, count = simulator._add_jumps, simulator._counts
         dead = []  # the pairs dead at the start of the step running
+        alone = []  # the leader-alone counts of the step running
+        checked = []  # per step with jumps: whether a pair was dead in it
 
         def stepping(state, *args):
             dead[:] = [~np.isfinite(state.x)]
@@ -526,9 +568,23 @@ class TestDeadPaths:
             assert not counts[dead[0]].any()  # a dead pair takes no jump event
             return apply(state, g, counts, *args)
 
+        def adding(*args):
+            alone.clear()
+            add(*args)
+            assert len(alone) == 1 and not alone[0][dead[0]].any()  # nor a leader-alone one
+            checked.append(dead[0].any())
+
+        def counting(*args):
+            out = count(*args)
+            alone.append(out)
+            return out
+
         monkeypatch.setattr(simulator, "_step_coupled", stepping)
         monkeypatch.setattr(simulator, "_apply_jump_events", applying)
+        monkeypatch.setattr(simulator, "_add_jumps", adding)
+        monkeypatch.setattr(simulator, "_counts", counting)
         res = simulate_coupled_ensemble(model, 2.0, 1.9, cfg, _record_events=True)
+        assert any(checked) == (model is not self.DIFFUSION)  # diffusion draws no jump
         death = self.check_deaths(res.x_values)
         assert np.array_equal(~np.isfinite(res.y_values), ~np.isfinite(res.x_values))
         assert np.array_equal(res.exploded, death < len(res.times))
